@@ -3,9 +3,9 @@
 from .core import ClockModel, Engine, JitterDist, PastTimeError, SimTime, rng_fork
 from .traffic import Frame, StreamKey, TimestampTrace, transmission_time
 from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
-                     PreemptionConfig, TaprioPort, gcl_state, plan_preemption)
-from .ingress import PsfpDecision, StreamGate, StreamGateEntry, assign_ipv, psfp_process
-from .frer import RecoveryState, SequenceGenerator, recover, replicate
+                     PreemptionConfig, TaprioPort, plan_preemption)
+from .ingress import PsfpDecision, StreamGate, StreamGateEntry, assign_ipv
+from .frer import RecoveryState, SequenceGenerator, replicate
 from .network import (BridgeNode, CqfConfig, Link, cqf_compose, cqf_latency_bound)
 from .harness import (OffsetStats, PacketRecord, RunResult, compute_offsets,
                       export_records, load_records, report, run_scenario, stats)

@@ -28,12 +28,9 @@ def resolve_scenario(name_or_path: str) -> Path:
     raise FileNotFoundError(f"no such scenario: {name_or_path}")
 
 
-def _write_outputs(result, out_dir: Path, bin_width: int):
+def _write_stats(payload: dict, out_dir: Path) -> None:
+    """Write stats.json and one histogram TSV per timestamp kind."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    export_records(result.records, out_dir / "records.csv")
-    payload = stats_payload(result.records, result.metadata["period_ns"],
-                            bin_width, drops=result.drops,
-                            metadata=result.metadata)
     with open(out_dir / "stats.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -41,6 +38,15 @@ def _write_outputs(result, out_dir: Path, bin_width: int):
         with open(out_dir / f"histogram_{kind}.tsv", "w") as fh:
             for bin_start, count in st["histogram"]:
                 fh.write(f"{bin_start}\t{count}\n")
+
+
+def _write_outputs(result, out_dir: Path, bin_width: int):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    export_records(result.records, out_dir / "records.csv")
+    payload = stats_payload(result.records, result.metadata["period_ns"],
+                            bin_width, drops=result.drops,
+                            metadata=result.metadata)
+    _write_stats(payload, out_dir)
     return payload
 
 
@@ -74,15 +80,7 @@ def cmd_report(args) -> int:
     except MalformedRowError as exc:
         print(f"malformed CSV: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    out_dir = Path(args.out) if args.out else Path(args.csv).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "stats.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for kind, st in payload["kinds"].items():
-        with open(out_dir / f"histogram_{kind}.tsv", "w") as fh:
-            for bin_start, count in st["histogram"]:
-                fh.write(f"{bin_start}\t{count}\n")
+    _write_stats(payload, Path(args.out) if args.out else Path(args.csv).parent)
     print(json.dumps(payload["kinds"], indent=2, sort_keys=True))
     return EXIT_OK
 

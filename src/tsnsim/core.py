@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -24,6 +25,14 @@ RNG_ALGORITHM = "mt19937/sha256-labeled-stream"
 
 class PastTimeError(Exception):
     """Raised when an event is scheduled before the engine's current time."""
+
+
+class ScheduleError(Exception):
+    """A malformed cyclic schedule, or a lookup before its base time."""
+
+
+class BeforeBaseTimeError(ScheduleError):
+    pass
 
 
 def rng_fork(seed: int, stream_label: str) -> random.Random:
@@ -121,18 +130,6 @@ class JitterDist:
         values = [p[0] for p in self.points]
         weights = [p[1] for p in self.points]
         return rng.choices(values, weights=weights)[0]
-
-    def bound_max(self) -> Optional[int]:
-        """Largest value this distribution can produce, when bounded."""
-        if self.kind == "constant":
-            return self.value_ns
-        if self.kind == "uniform":
-            return self.max_ns
-        if self.kind == "normal":
-            return round(self.mean_ns + 4 * self.std_ns)
-        if self.kind == "empirical":
-            return max(p[0] for p in self.points)
-        return None
 
 
 CONSTANT_ZERO = JitterDist.constant(0)
@@ -234,3 +231,34 @@ class Engine:
             count += 1
         self.executed += count
         return count
+
+
+class CyclicSchedule:
+    """Entries whose durations partition a cycle repeating from base_time.
+
+    Entries cover half-open intervals [start, end) of the cycle phase, so
+    an instant on a boundary belongs to the entry starting there.
+    """
+
+    def __init__(self, base_time: SimTime, cycle_time_ns: int, entries: list):
+        if not entries:
+            raise ScheduleError("schedule needs at least one entry")
+        if any(e.duration_ns <= 0 for e in entries):
+            raise ScheduleError("every entry duration must be > 0")
+        if sum(e.duration_ns for e in entries) != cycle_time_ns:
+            raise ScheduleError("entry durations must sum to cycle_time_ns")
+        self.base_time = base_time
+        self.cycle_time_ns = cycle_time_ns
+        self.entries = list(entries)
+        self._starts = []
+        acc = 0
+        for e in entries:
+            self._starts.append(acc)
+            acc += e.duration_ns
+
+    def _locate(self, t: SimTime) -> tuple[int, int, int]:
+        """(cycle index, entry index, phase within cycle) for time t."""
+        if t < self.base_time:
+            raise BeforeBaseTimeError(f"t={t} < base_time={self.base_time}")
+        cycle, phase = divmod(t - self.base_time, self.cycle_time_ns)
+        return cycle, bisect_right(self._starts, phase) - 1, phase

@@ -5,21 +5,15 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import CONSTANT_ZERO, ClockModel, Engine, JitterDist, SimTime
+from .core import CONSTANT_ZERO, ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
+# the schedule errors keep their egress names
+from .core import BeforeBaseTimeError, ScheduleError as GclError  # noqa: F401
 from .traffic import Frame, transmission_time
 
 NS_PER_SEC = 10 ** 9
-
-
-class GclError(Exception):
-    pass
-
-
-class BeforeBaseTimeError(Exception):
-    pass
 
 
 class MissingTxtimeError(Exception):
@@ -36,50 +30,14 @@ class GclEntry:
     duration_ns: int
 
 
-class GateControlList:
-    """Cyclic (gate mask, duration) schedule.
-
-    Entries cover half-open intervals [start, end) of the cycle phase.
-    """
-
-    def __init__(self, base_time: SimTime, cycle_time_ns: int,
-                 entries: list[GclEntry]):
-        if not entries:
-            raise GclError("GCL needs at least one entry")
-        if any(e.duration_ns <= 0 for e in entries):
-            raise GclError("every GCL entry duration must be > 0")
-        if sum(e.duration_ns for e in entries) != cycle_time_ns:
-            raise GclError("entry durations must sum to cycle_time_ns")
-        self.base_time = base_time
-        self.cycle_time_ns = cycle_time_ns
-        self.entries = list(entries)
-        self._starts = []
-        acc = 0
-        for e in entries:
-            self._starts.append(acc)
-            acc += e.duration_ns
-
-    def _locate(self, t: SimTime) -> tuple[int, int]:
-        """(entry index, phase within cycle) for time t."""
-        if t < self.base_time:
-            raise BeforeBaseTimeError(f"t={t} < base_time={self.base_time}")
-        phase = (t - self.base_time) % self.cycle_time_ns
-        # linear scan: GCLs are short (2-8 entries in practice)
-        for i in range(len(self.entries) - 1, -1, -1):
-            if self._starts[i] <= phase:
-                return i, phase
-        raise AssertionError("unreachable: cycle partition")
+class GateControlList(CyclicSchedule):
+    """Cyclic (gate mask, duration) schedule of an egress port."""
 
     def state(self, t: SimTime) -> tuple[int, int]:
         """(open mask, time until the next entry boundary) at time t."""
-        i, phase = self._locate(t)
+        _, i, phase = self._locate(t)
         end = self._starts[i] + self.entries[i].duration_ns
         return self.entries[i].gate_mask, end - phase
-
-    def cycle_index(self, t: SimTime) -> int:
-        if t < self.base_time:
-            raise BeforeBaseTimeError(f"t={t} < base_time={self.base_time}")
-        return (t - self.base_time) // self.cycle_time_ns
 
     def next_change(self, t: SimTime) -> SimTime:
         _, remaining = self.state(t)
@@ -91,7 +49,7 @@ class GateControlList:
         Only meaningful when the gate is open at t.
         """
         bit = 1 << tc
-        i, phase = self._locate(t)
+        _, i, phase = self._locate(t)
         n = len(self.entries)
         total = self._starts[i] + self.entries[i].duration_ns - phase
         for k in range(1, n + 1):
@@ -115,10 +73,6 @@ class GateControlList:
             else:
                 run = 0
         return min(best, self.cycle_time_ns)
-
-
-def gcl_state(gcl: GateControlList, t: SimTime) -> tuple[int, int]:
-    return gcl.state(t)
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +226,30 @@ def bytes_on_wire(start: SimTime, t: SimTime, rate_bps: int) -> int:
     return ((t - start) * rate_bps) // (8 * NS_PER_SEC)
 
 
+def _preemption_point(sent: int, total: int, frag: int) -> Optional[int]:
+    """The fragment boundary at which an express frame may interrupt.
+
+    The smallest multiple of frag strictly greater than the bytes already
+    sent (at least one minimum fragment), or None if less than one
+    minimum fragment would remain after it.
+    """
+    point = max(frag, frag * (sent // frag + 1))
+    return None if point > total - frag else point
+
+
 def plan_preemption(pcfg: PreemptionConfig, pframe_size: int, pframe_start: SimTime,
                     express_size: int, t: SimTime, rate_bps: int) -> PreemptionPlan:
     """Plan the fragment boundary at which an express frame interrupts.
 
-    The preemption point is the smallest multiple of min_fragment_bytes
-    strictly greater than the bytes already sent (at least one minimum
-    fragment), provided at least a minimum fragment remains afterwards;
-    otherwise the express frame waits for the frame to end.
+    Without a legal boundary (see _preemption_point) the express frame
+    waits for the frame to end.
     """
     if not pcfg.enabled:
         raise NotPreemptableError("preemption disabled on this port")
-    frag = pcfg.min_fragment_bytes
-    sent = bytes_on_wire(pframe_start, t, rate_bps)
-    point = max(frag, frag * (sent // frag + 1))
+    point = _preemption_point(bytes_on_wire(pframe_start, t, rate_bps), pframe_size,
+                              pcfg.min_fragment_bytes)
     pframe_end = pframe_start + transmission_time(pframe_size, rate_bps)
-    if point > pframe_size - frag:
+    if point is None:
         # cannot split legally: express waits for frame completion
         express_start = pframe_end
         express_end = express_start + transmission_time(express_size, rate_bps)
@@ -297,12 +259,6 @@ def plan_preemption(pcfg: PreemptionConfig, pframe_size: int, pframe_start: SimT
     express_end = express_start + transmission_time(express_size, rate_bps)
     pframe_complete = express_end + transmission_time(pframe_size - point, rate_bps)
     return PreemptionPlan(True, point, express_start, express_end, pframe_complete)
-
-
-def preempt_transmit(pcfg: PreemptionConfig, pframe_size: int, pframe_start: SimTime,
-                     express_frame: Frame, t: SimTime, rate_bps: int) -> PreemptionPlan:
-    return plan_preemption(pcfg, pframe_size, pframe_start,
-                           express_frame.size_bytes, t, rate_bps)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +294,7 @@ class EgressPort:
                  preemption: Optional[PreemptionConfig] = None,
                  hw_precision: JitterDist = CONSTANT_ZERO,
                  rng=None,
-                 deliver: Optional[Callable] = None,
-                 on_wire_start: Optional[Callable] = None):
+                 deliver: Optional[Callable] = None):
         if scheme not in ("taprio", "etf"):
             raise ValueError(f"scheme {scheme!r}")
         self.engine = engine
@@ -355,8 +310,6 @@ class EgressPort:
         self.hw_precision = hw_precision
         self.rng = rng
         self.deliver = deliver
-        self.on_wire_start = on_wire_start
-        self.drops: Counter = Counter()
         self._current: Optional[_TxState] = None
         self._suspended: Optional[_TxState] = None
         self._token = 0
@@ -384,8 +337,6 @@ class EgressPort:
             result = self.etf.enqueue(frame, t)
             if result == EtfQueue.QUEUED:
                 self._kick()
-            else:
-                self.drops.update({result: 1})
             return result
         # express frames may interrupt an ongoing preemptable transmission
         if (self.preemption.enabled
@@ -398,8 +349,6 @@ class EgressPort:
         result = self.taprio.enqueue(frame, t)
         if result == TaprioPort.QUEUED:
             self._kick()
-        else:
-            self.drops.update({result: 1})
         return result
 
     # -- scheduling
@@ -471,8 +420,6 @@ class EgressPort:
         state.wire_start = t
         if self.phc is not None:
             state.frame.trace.hw_tx = self.phc.read(t)
-        if self.on_wire_start is not None:
-            self.on_wire_start(state.frame, t)
         end = t + self._tt_bytes(state.total_bytes)
         self.engine.schedule(end, lambda: self._complete(state, end, tok))
 
@@ -503,9 +450,9 @@ class EgressPort:
             return
         sent_total = cur.bytes_done + bytes_on_wire(cur.segment_start, t,
                                                     self.rate_bps)
-        frag = self.preemption.min_fragment_bytes
-        point = max(frag, frag * (sent_total // frag + 1))
-        if point > cur.total_bytes - frag:
+        point = _preemption_point(sent_total, cur.total_bytes,
+                                  self.preemption.min_fragment_bytes)
+        if point is None:
             # no legal split: express waits its turn in the queue
             self.taprio.enqueue(express, t)
             return

@@ -97,7 +97,3 @@ class RecoveryState:
         self._trim()
         self.counters[ACCEPT] += 1
         return ACCEPT
-
-
-def recover(state: RecoveryState, frame: Frame) -> str:
-    return state.recover(frame)

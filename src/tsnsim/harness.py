@@ -11,17 +11,17 @@ import csv
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .core import (CONSTANT_ZERO, ClockModel, Engine, JitterDist, RNG_ALGORITHM,
+from .core import (CONSTANT_ZERO, ClockModel, Engine, RNG_ALGORITHM,
                    SimTime, rng_fork)
 from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
                      PreemptionConfig, TaprioPort)
 from .frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
 from .ingress import StreamGate, StreamGateEntry
 from .network import BridgeNode, CqfConfig, cqf_compose
-from .scenario import ScenarioConfig, ShaperCfg
+from .scenario import LinkCfg, ScenarioConfig, ShaperCfg
 from .traffic import Frame, StreamKey, make_stream_rules
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
@@ -234,9 +234,36 @@ def _build_stream_gate(raw) -> StreamGate:
                        for e in raw["entries"]])
 
 
-def _build_port(engine, link, shaper: Optional[ShaperCfg], *, phc, system,
-                hw_precision, rng, deliver) -> EgressPort:
+def _bridge_ingress(cfg: ScenarioConfig, name: str):
+    """(stream rules, gates by handle, CQF egress GCL or None) of one bridge.
+
+    CQF replaces the bridge's filters with one gate for every frame.
+    """
+    if cfg.cqf.enabled:
+        gate, gcl = cqf_compose(CqfConfig(
+            cycle_time_ns=cfg.cqf.cycle_time_ns,
+            ipv_even=cfg.cqf.ipv_even, ipv_odd=cfg.cqf.ipv_odd,
+            base_time=cfg.cqf.base_time))
+        return None, {None: gate}, gcl
+    fcfg = cfg.filters.get(name)
+    if fcfg is None:
+        return None, {}, None
+    rules = make_stream_rules(fcfg.rules) if fcfg.rules else None
+    return rules, {h: _build_stream_gate(g) for h, g in fcfg.gates.items()}, None
+
+
+def _build_port(engine, link: LinkCfg, shaper: Optional[ShaperCfg], *, phc, system,
+                hw_precision, rng, receive,
+                gcl: Optional[GateControlList] = None) -> EgressPort:
+    """An egress port onto link whose frames reach receive(frame, t).
+
+    gcl, when given, replaces the shaper's own gate control list.
+    """
     shaper = shaper or ShaperCfg()
+
+    def deliver(frame, wire_start, wire_end):
+        receive(frame, wire_end + link.propagation_ns)
+
     preemption = PreemptionConfig(enabled=shaper.preemption_enabled,
                                   express_classes=frozenset(shaper.express_classes),
                                   min_fragment_bytes=shaper.min_fragment_bytes)
@@ -248,7 +275,8 @@ def _build_port(engine, link, shaper: Optional[ShaperCfg], *, phc, system,
         return EgressPort(engine, link.rate_bps, overhead_bytes=link.overhead_bytes,
                           phc=phc, scheme="etf", etf=etf, release_clock=system,
                           hw_precision=hw_precision, rng=rng, deliver=deliver)
-    gcl = _build_gcl(shaper.gcl) if shaper.gcl else None
+    if gcl is None and shaper.gcl:
+        gcl = _build_gcl(shaper.gcl)
     taprio = TaprioPort(gcl=gcl, capacity=shaper.queue_capacity,
                         guard_mode=shaper.guard_mode,
                         link_rate_bps=link.rate_bps,
@@ -259,24 +287,24 @@ def _build_port(engine, link, shaper: Optional[ShaperCfg], *, phc, system,
                       rng=rng, deliver=deliver)
 
 
-def _chain_order(cfg: ScenarioConfig) -> list[str]:
+def _chain_links(cfg: ScenarioConfig) -> list[LinkCfg]:
+    """The links from talker to listener, taking each node's first link out."""
     succ = {}
     for l in cfg.links:
         succ.setdefault(l.src, l)
-    order = [cfg.talker.name]
-    listener = cfg.listener.name
-    while order[-1] != listener:
-        link = succ.get(order[-1])
-        if link is None or len(order) > len(cfg.nodes):
-            raise ValueError(f"no forwarding path from {order[-1]} to {listener}")
-        order.append(link.dst)
-    return order
+    chain = []
+    node, listener = cfg.talker.name, cfg.listener.name
+    while node != listener:
+        link = succ.get(node)
+        if link is None or len(chain) >= len(cfg.nodes):
+            raise ValueError(f"no forwarding path from {node} to {listener}")
+        chain.append(link)
+        node = link.dst
+    return chain
 
 
 def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     """Execute one scenario deterministically and collect packet records."""
-    from .network import Link
-
     seed = cfg.run.seed if seed is None else seed
     traffic = cfg.traffic
     count = cfg.run.count or traffic.count
@@ -334,112 +362,65 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
 
         engine.schedule(t + rx_delay, finish)
 
-    # --- wire up the forwarding chain (or FRER member paths)
+    # --- wire up the forwarding chain, once or once per FRER member path
 
+    nodes = {n.name: n for n in cfg.nodes}
+    chain = _chain_links(cfg)
     ports: list[EgressPort] = []
     bridges: list[BridgeNode] = []
 
-    def make_deliver(link, receive):
-        def deliver(frame, wire_start, wire_end):
-            receive(frame, wire_end + link.propagation_ns)
-        return deliver
+    def build_path(suffix: str, receive) -> EgressPort:
+        """Build the bridges back to front and return the talker's port.
+
+        receive is the last hop's; suffix keeps the RNG streams of FRER
+        member paths apart.
+        """
+        for link in reversed(chain[1:]):
+            name = link.src
+            rules, gates, cqf_gcl = _bridge_ingress(cfg, name)
+            port = _build_port(engine, link, cfg.shapers.get(name),
+                               phc=clocks[name]["phc"],
+                               system=clocks[name]["system"],
+                               hw_precision=CONSTANT_ZERO,
+                               rng=rng_fork(seed, f"hwprec:{name}{suffix}"),
+                               receive=receive, gcl=cqf_gcl)
+            bridge = BridgeNode(engine, name, port, stream_rules=rules,
+                                gates=gates,
+                                forwarding_latency=nodes[name].forwarding,
+                                rng=rng_fork(seed, f"fwd:{name}{suffix}"))
+            ports.append(port)
+            bridges.append(bridge)
+            receive = bridge.receive
+        port = _build_port(engine, chain[0], cfg.shapers.get(talker.name),
+                           phc=tal_phc, system=tal_sys,
+                           hw_precision=traffic.hw_precision,
+                           rng=rng_fork(seed, f"hwprec{suffix}"), receive=receive)
+        ports.append(port)
+        return port
 
     if cfg.frer.enabled:
-        link_cfg = cfg.links[0]
-        link = Link(link_cfg.rate_bps, link_cfg.propagation_ns,
-                    link_cfg.overhead_bytes)
         loss = cfg.frer.loss_per_path
-        talker_ports = []
-        for i in range(cfg.frer.paths):
-            loss_rng = rng_fork(seed, f"loss:path{i}")
-
-            def make_lossy(loss_rng):
-                def receive(frame, t):
-                    if loss and loss_rng.random() < loss:
-                        drops["path_loss"] += 1
-                        return
-                    listener_receive(frame, t)
-                return receive
-
-            port = _build_port(engine, link, cfg.shapers.get(talker.name),
-                               phc=tal_phc, system=tal_sys,
-                               hw_precision=traffic.hw_precision,
-                               rng=rng_fork(seed, f"hwprec:path{i}"),
-                               deliver=make_deliver(link, make_lossy(loss_rng)))
-            talker_ports.append(port)
-        ports.extend(talker_ports)
-        seqgen = SequenceGenerator("s0")
         path_labels = [f"path{i}" for i in range(cfg.frer.paths)]
+
+        def make_lossy(loss_rng):
+            def receive(frame, t):
+                if loss and loss_rng.random() < loss:
+                    drops["path_loss"] += 1
+                    return
+                listener_receive(frame, t)
+            return receive
+
+        talker_ports = [build_path(f":{label}",
+                                   make_lossy(rng_fork(seed, f"loss:{label}")))
+                        for label in path_labels]
+        seqgen = SequenceGenerator("s0")
 
         def submit_to_wire(frame, t):
             seqgen.stamp(frame)
             for port, copy in zip(talker_ports, replicate(frame, path_labels)):
                 port.submit(copy, t)
     else:
-        order = _chain_order(cfg)
-        links_by_src = {l.src: l for l in cfg.links}
-        # build backwards so each port can deliver to the next hop
-        next_receive = listener_receive
-        bridge_rx = {}
-        for name in reversed(order[1:-1]):
-            node = next(n for n in cfg.nodes if n.name == name)
-            link_cfg = links_by_src[name]
-            link = Link(link_cfg.rate_bps, link_cfg.propagation_ns,
-                        link_cfg.overhead_bytes)
-            port = _build_port(engine, link, cfg.shapers.get(name),
-                               phc=clocks[name]["phc"],
-                               system=clocks[name]["system"],
-                               hw_precision=CONSTANT_ZERO,
-                               rng=rng_fork(seed, f"hwprec:{name}"),
-                               deliver=make_deliver(link, next_receive))
-            ports.append(port)
-            fcfg = cfg.filters.get(name)
-            rules = make_stream_rules(fcfg.rules) if fcfg and fcfg.rules else None
-            gates = {h: _build_stream_gate(g) for h, g in fcfg.gates.items()} \
-                if fcfg else {}
-            if cfg.cqf.enabled:
-                gate, egress_gcl = cqf_compose(CqfConfig(
-                    cycle_time_ns=cfg.cqf.cycle_time_ns,
-                    ipv_even=cfg.cqf.ipv_even, ipv_odd=cfg.cqf.ipv_odd,
-                    base_time=cfg.cqf.base_time))
-                port.taprio.gcl = egress_gcl
-                gates = {"cqf": gate}
-                rules = None
-            bridge = BridgeNode(engine, name, port, stream_rules=rules,
-                                gates=gates,
-                                forwarding_latency=node.forwarding,
-                                rng=rng_fork(seed, f"fwd:{name}"))
-            if cfg.cqf.enabled:
-                cqf_gate = gates["cqf"]
-
-                def make_cqf_receive(bridge, cqf_gate):
-                    def receive(frame, t):
-                        decision = cqf_gate.process(frame, t)
-                        if decision.outcome != "pass":
-                            bridge.drops[decision.outcome] += 1
-                            return
-                        delay = bridge.forwarding_latency.sample(bridge.rng)
-                        engine.schedule(t + delay,
-                                        lambda: bridge.egress.submit(frame, engine.now))
-                    return receive
-
-                bridge_rx[name] = make_cqf_receive(bridge, cqf_gate)
-            else:
-                bridge_rx[name] = bridge.receive
-            bridges.append(bridge)
-            next_receive = bridge_rx[name]
-        first_link_cfg = links_by_src[talker.name]
-        link = Link(first_link_cfg.rate_bps, first_link_cfg.propagation_ns,
-                    first_link_cfg.overhead_bytes)
-        talker_port = _build_port(engine, link, cfg.shapers.get(talker.name),
-                                  phc=tal_phc, system=tal_sys,
-                                  hw_precision=traffic.hw_precision,
-                                  rng=rng_fork(seed, "hwprec"),
-                                  deliver=make_deliver(link, next_receive))
-        ports.append(talker_port)
-
-        def submit_to_wire(frame, t):
-            talker_port.submit(frame, t)
+        submit_to_wire = build_path("", listener_receive).submit
 
     # --- talker traffic generation
 
@@ -499,7 +480,6 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     # --- collect drop counters
 
     for port in ports:
-        drops.update({f"port_{k}": v for k, v in port.drops.items()})
         drops.update(port.taprio.drops)
         if port.etf is not None:
             drops.update(port.etf.drops)

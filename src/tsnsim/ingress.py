@@ -7,13 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import SimTime
+from .core import CyclicSchedule, SimTime
+# the schedule error keeps its ingress name
+from .core import ScheduleError as GateScheduleError  # noqa: F401
 from .traffic import Frame
-
-
-class GateScheduleError(Exception):
-    pass
-
 
 PASS = "pass"
 DROP_CLOSED_GATE = "drop_closed_gate"
@@ -35,7 +32,7 @@ class StreamGateEntry:
     max_octets: Optional[int] = None
 
 
-class StreamGate:
+class StreamGate(CyclicSchedule):
     """Single-stream ingress gate with a cyclic open/close schedule.
 
     The octet budget, when configured, applies per window occurrence and
@@ -45,36 +42,13 @@ class StreamGate:
 
     def __init__(self, base_time: SimTime, cycle_time_ns: int,
                  entries: list[StreamGateEntry]):
-        if not entries:
-            raise GateScheduleError("stream gate needs at least one entry")
-        if any(e.duration_ns <= 0 for e in entries):
-            raise GateScheduleError("every entry duration must be > 0")
-        if sum(e.duration_ns for e in entries) != cycle_time_ns:
-            raise GateScheduleError("entry durations must sum to cycle_time_ns")
-        self.base_time = base_time
-        self.cycle_time_ns = cycle_time_ns
-        self.entries = list(entries)
-        self._starts = []
-        acc = 0
-        for e in entries:
-            self._starts.append(acc)
-            acc += e.duration_ns
+        super().__init__(base_time, cycle_time_ns, entries)
         self.running_octets = 0
         self._window_key = None
         self.drops: Counter = Counter()
 
-    def _locate(self, t: SimTime) -> tuple[int, int]:
-        if t < self.base_time:
-            raise GateScheduleError(f"t={t} < base_time={self.base_time}")
-        rel = t - self.base_time
-        cycle, phase = divmod(rel, self.cycle_time_ns)
-        for i in range(len(self.entries) - 1, -1, -1):
-            if self._starts[i] <= phase:
-                return cycle, i
-        raise AssertionError("unreachable: cycle partition")
-
     def process(self, frame: Frame, t: SimTime) -> PsfpDecision:
-        cycle, i = self._locate(t)
+        cycle, i, _ = self._locate(t)
         entry = self.entries[i]
         window = (cycle, i)
         if window != self._window_key:
@@ -92,10 +66,6 @@ class StreamGate:
         if entry.ipv is not None:
             assign_ipv(frame, entry.ipv)
         return PsfpDecision(PASS, ipv=entry.ipv)
-
-
-def psfp_process(gate: StreamGate, frame: Frame, t: SimTime) -> PsfpDecision:
-    return gate.process(frame, t)
 
 
 def assign_ipv(frame: Frame, ipv: int) -> Frame:

@@ -12,10 +12,6 @@ from .ingress import DROP_NO_STREAM, PASS, StreamGate, StreamGateEntry
 from .traffic import Frame, StreamRuleSet
 
 
-class UnknownEgressError(Exception):
-    pass
-
-
 class ZeroHopsError(Exception):
     pass
 
@@ -48,7 +44,9 @@ class BridgeNode:
     """Store-and-forward bridge: ingress PSFP, forwarding delay, one egress port.
 
     receive() is keyed to end-of-frame reception; the PSFP decision uses
-    that instant.
+    that instant. gates maps stream handles to gates; without stream rules
+    every frame has handle None, so a gate stored under None (as for CQF)
+    applies to all frames.
     """
 
     def __init__(self, engine: Engine, name: str, egress: EgressPort, *,
@@ -66,17 +64,18 @@ class BridgeNode:
         self.drops: Counter = Counter()
 
     def receive(self, frame: Frame, t: SimTime):
+        handle = None
         if self.stream_rules is not None:
             handle = self.stream_rules.identify(frame.stream)
             if handle is None:
                 self.drops[DROP_NO_STREAM] += 1
                 return
-            gate = self.gates.get(handle)
-            if gate is not None:
-                decision = gate.process(frame, t)
-                if decision.outcome != PASS:
-                    self.drops[decision.outcome] += 1
-                    return
+        gate = self.gates.get(handle)
+        if gate is not None:
+            decision = gate.process(frame, t)
+            if decision.outcome != PASS:
+                self.drops[decision.outcome] += 1
+                return
         delay = self.forwarding_latency.sample(self.rng)
         self.engine.schedule(t + delay,
                              lambda: self.egress.submit(frame, self.engine.now))
@@ -87,7 +86,6 @@ class CqfConfig:
     cycle_time_ns: int
     ipv_even: int
     ipv_odd: int
-    hops: int = 1
     base_time: SimTime = 0
 
     def __post_init__(self):

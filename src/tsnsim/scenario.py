@@ -191,10 +191,6 @@ class ScenarioConfig:
     def listener(self) -> NodeCfg:
         return next(n for n in self.nodes if n.role == "listener")
 
-    @property
-    def bridges(self) -> list[NodeCfg]:
-        return [n for n in self.nodes if n.role == "bridge"]
-
     def clock_for(self, node: str, which: str) -> ClockCfg:
         return self.clocks.get(node, {}).get(which, ClockCfg())
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tsnsim.core import Engine
 from tsnsim.egress import (BeforeBaseTimeError, EgressPort, GateControlList,
-                           GclEntry, GclError, TaprioPort, gcl_state)
+                           GclEntry, GclError, TaprioPort)
 from tsnsim.traffic import Frame, transmission_time
 
 US = 1000
@@ -28,25 +28,25 @@ class TestGclState:
     def test_single_entry_always_open(self):
         gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)])
         for t in (0, 1, 999, MS, 5 * MS + 123):
-            assert gcl_state(gcl, t)[0] == 0xFF
+            assert gcl.state(t)[0] == 0xFF
 
     def test_two_entry_example(self):
         gcl = GateControlList(0, 500 * US, [GclEntry(0x01, 250 * US),
                                             GclEntry(0x02, 250 * US)])
-        mask, remaining = gcl_state(gcl, 300 * US)
+        mask, remaining = gcl.state(300 * US)
         assert mask == 0x02 and remaining == 200 * US
 
     def test_cycle_boundary_uses_first_entry(self):
         gcl = GateControlList(0, 500 * US, [GclEntry(0x01, 250 * US),
                                             GclEntry(0x02, 250 * US)])
         for k in range(4):
-            mask, remaining = gcl_state(gcl, k * 500 * US)
+            mask, remaining = gcl.state(k * 500 * US)
             assert mask == 0x01 and remaining == 250 * US
 
     def test_before_base_time_rejected(self):
         gcl = GateControlList(1000, MS, [GclEntry(0xFF, MS)])
         with pytest.raises(BeforeBaseTimeError):
-            gcl_state(gcl, 999)
+            gcl.state(999)
 
     def test_durations_must_sum_to_cycle(self):
         with pytest.raises(GclError):
@@ -63,7 +63,7 @@ class TestGclState:
             table = mask_table(gcl)
             for _ in range(500):
                 t = gcl.base_time + rng.randrange(0, 3 * gcl.cycle_time_ns)
-                mask, remaining = gcl_state(gcl, t)
+                mask, remaining = gcl.state(t)
                 phase = (t - gcl.base_time) % gcl.cycle_time_ns
                 assert mask == table[phase]
                 # remaining time: the mask entry stays the same until then

@@ -1,0 +1,86 @@
+"""End-to-end forwarding paths through run_scenario: bridge chains, CQF,
+FRER member paths and drop accounting."""
+
+import pytest
+
+from tsnsim.harness import run_scenario
+from tsnsim.network import FORWARDING_PRESETS
+from tsnsim.scenario import parse_scenario
+from tsnsim.traffic import transmission_time
+
+US = 1000
+GBPS = 10 ** 9
+FRAME = 64
+WIRE = transmission_time(FRAME, GBPS)
+
+
+def chain_scenario(bridges, *, count, period_ns=500 * US, traffic=None, **sections):
+    """talker -> bridges -> listener with identity clocks and zero jitter.
+
+    bridges is a list of (name, forwarding preset).
+    """
+    names = ["talker", *(name for name, _ in bridges), "listener"]
+    nodes = ([{"name": "talker", "role": "talker"}]
+             + [{"name": name, "role": "bridge", "forwarding": {"preset": preset}}
+                for name, preset in bridges]
+             + [{"name": "listener", "role": "listener"}])
+    doc = {"nodes": nodes,
+           "links": [{"from": a, "to": b, "rate_bps": GBPS}
+                     for a, b in zip(names, names[1:])],
+           "traffic": {"period_ns": period_ns, "count": count,
+                       "frame_size_bytes": FRAME, **(traffic or {})},
+           "run": {"seed": 3}}
+    doc.update(sections)
+    return parse_scenario(doc)
+
+
+def test_cqf_chain_without_stream_key_holds_the_cycle_bound():
+    cycle = 100 * US
+    bridges = [("sw0", "zero"), ("sw1", "zero")]
+    # a period that is no multiple of the cycle sweeps the arrival phase
+    cfg = chain_scenario(bridges, count=200, period_ns=130 * US,
+                         cqf={"enabled": True, "cycle_time_ns": cycle})
+    assert cfg.traffic.stream is None
+    res = run_scenario(cfg)
+    assert res.drops == {}
+    assert [r.seq for r in res.records] == list(range(200))
+    latencies = []
+    for r in res.records:
+        assert r.sw_tx == r.intended_tx  # the talker sends on the grid
+        first_bridge_arrival = r.sw_tx + WIRE
+        latencies.append(r.hw_rx - first_bridge_arrival)
+    assert max(latencies) <= (len(bridges) + 1) * cycle
+    # every frame waited for a cycle boundary, so the CQF gate was applied
+    assert min(latencies) >= cycle
+
+
+def test_frer_member_paths_traverse_the_bridges():
+    bridges = [("sw0", "linux_bridge"), ("sw1", "xdp")]
+    cfg = chain_scenario(bridges, count=100, frer={"enabled": True, "paths": 2})
+    res = run_scenario(cfg)
+    assert [r.seq for r in res.records] == list(range(100))
+    assert res.drops == {"frer_discard_duplicate": 100}
+    min_forwarding = sum(min(v for v, _ in FORWARDING_PRESETS[p].points)
+                         for _, p in bridges)
+    floor = min_forwarding + 3 * WIRE
+    for r in res.records:
+        assert r.hw_rx - r.sw_tx >= floor, r
+
+
+QBV_STARVED = {"sw0": {"queue_capacity": 1, "gcl": {
+    "cycle_time_ns": 10_000 * US,
+    "entries": [{"gate_mask": 1, "duration_ns": 100 * US},
+                {"gate_mask": 0, "duration_ns": 9_900 * US}]}}}
+ETF_TOO_LATE = {"talker": {"scheme": "etf", "etf": {"delta_ns": 300 * US}}}
+
+
+@pytest.mark.parametrize("bridges,shapers,traffic", [
+    ([("sw0", "zero")], QBV_STARVED, None),
+    ([], ETF_TOO_LATE, {"mode": "txtime", "txtime_lead_ns": 100 * US}),
+], ids=["queue_full", "past_txtime"])
+def test_each_frame_is_delivered_or_dropped_once(bridges, shapers, traffic):
+    count = 400
+    cfg = chain_scenario(bridges, count=count, traffic=traffic, shapers=shapers)
+    res = run_scenario(cfg)
+    assert sum(res.drops.values()) > 0
+    assert len(res.records) + sum(res.drops.values()) == count

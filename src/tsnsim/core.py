@@ -1,8 +1,9 @@
 """Discrete-event engine, deterministic RNG streams, clock models, jitter distributions.
 
 All simulation time is integer nanoseconds since the simulation epoch.
-Clock arithmetic is exact (Python big ints / Fraction), so two runs with
-the same seed are bit-identical.
+Clock arithmetic is exact integer arithmetic: a drift of p/q ppm over dt
+nanoseconds adds p*dt / (q*10**6) nanoseconds, truncated toward zero, so
+two runs with the same seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import hashlib
 import heapq
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 SimTime = int
@@ -60,6 +62,13 @@ class JitterDist:
     mean_ns: float = 0.0
     std_ns: float = 0.0
     points: tuple = ()  # ((value_ns, weight), ...)
+
+    def __post_init__(self):
+        if self.kind == "empirical":
+            # cumulative weights make rng.choices draw exactly as with weights=
+            object.__setattr__(self, "_values", [v for v, _ in self.points])
+            object.__setattr__(self, "_cum_weights",
+                               list(accumulate(w for _, w in self.points)))
 
     @classmethod
     def constant(cls, value_ns: int) -> "JitterDist":
@@ -127,9 +136,7 @@ class JitterDist:
                 v = self.min_ns
             return int(v)
         # empirical
-        values = [p[0] for p in self.points]
-        weights = [p[1] for p in self.points]
-        return rng.choices(values, weights=weights)[0]
+        return rng.choices(self._values, cum_weights=self._cum_weights)[0]
 
 
 CONSTANT_ZERO = JitterDist.constant(0)
@@ -148,8 +155,13 @@ def _as_ppm_fraction(drift_ppm) -> Fraction:
 class ClockModel:
     """Per-node clock with static offset, linear drift, and periodic resync.
 
-    reading(t) = t + offset_ns + drift_ppm * (t - last_sync_true_time) / 1e6,
-    integer arithmetic, rounded toward zero.
+    With drift_ppm = p/q in lowest terms and dt = t - last_sync_true_time,
+
+        read(t) = t + offset_ns + trunc(p * dt / (q * 10**6))
+
+    in integer arithmetic, where trunc rounds toward zero for negative dt
+    too, exactly as int() of the Fraction does. drift_ppm must exceed
+    -10**6 so that read keeps increasing; it is fixed at construction.
     """
 
     offset_ns: int = 0
@@ -160,20 +172,31 @@ class ClockModel:
 
     def __post_init__(self):
         self.drift_ppm = _as_ppm_fraction(self.drift_ppm)
+        if self.drift_ppm <= -PPM:
+            raise ValueError(f"drift_ppm must be > {-PPM}, got {self.drift_ppm}")
+        self._drift_num = self.drift_ppm.numerator
+        self._drift_den = self.drift_ppm.denominator * PPM
+        # when_reading divides by the rate (q*PPM + p) / (q*PPM), which the
+        # bound above keeps positive
+        self._rate_den = self._drift_den + self._drift_num
 
     def read(self, true_time: SimTime) -> SimTime:
-        if not self.drift_ppm:
+        num = self._drift_num
+        if not num:
             return true_time + self.offset_ns
-        dt = true_time - self.last_sync_true_time
-        return true_time + self.offset_ns + int(self.drift_ppm * dt / PPM)
+        x = num * (true_time - self.last_sync_true_time)
+        den = self._drift_den
+        return true_time + self.offset_ns + (x // den if x >= 0 else -(-x // den))
 
     def when_reading(self, reading: SimTime) -> SimTime:
         """Smallest true time t with read(t) >= reading (read is monotone)."""
-        if not self.drift_ppm:
+        if not self._drift_num:
             return reading - self.offset_ns
         ls = self.last_sync_true_time
-        # invert the linear model, then fix up the truncation
-        t = ls + int((reading - self.offset_ns - ls) * PPM / (PPM + self.drift_ppm))
+        # invert the linear model, truncating toward zero, then fix up
+        x = (reading - self.offset_ns - ls) * self._drift_den
+        den = self._rate_den
+        t = ls + (x // den if x >= 0 else -(-x // den))
         while self.read(t) < reading:
             t += 1
         while t > ls and self.read(t - 1) >= reading:

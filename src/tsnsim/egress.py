@@ -102,6 +102,9 @@ class TaprioPort:
         self.overhead_bytes = overhead_bytes
         self.queues: list[deque] = [deque() for _ in range(num_classes)]
         self.drops: Counter = Counter()
+        #: gcl.max_open_run of each class, scanned once
+        self.max_open_runs = (None if gcl is None else
+                              [gcl.max_open_run(tc) for tc in range(num_classes)])
 
     def _tt(self, frame: Frame) -> int:
         return transmission_time(frame.size_bytes, self.link_rate_bps,
@@ -130,7 +133,7 @@ class TaprioPort:
                 if self.gcl is not None and self.guard_mode == "fit":
                     # a frame that fits no open window of its class is
                     # dropped after waiting one full cycle
-                    max_run = self.gcl.max_open_run(tc)
+                    max_run = self.max_open_runs[tc]
                     if (max_run is not None and self._tt(frame) > max_run
                             and t - enq_t >= self.gcl.cycle_time_ns):
                         q.popleft()

@@ -121,7 +121,11 @@ def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
 
 
 def infer_period(records: list[PacketRecord]) -> int:
-    """Recover the intended cadence from the intended-tx grid."""
+    """Recover the intended cadence from the intended-tx grid.
+
+    records are in CSV order, so record i is on line i + 2. Every row
+    must lie on the grid the first and last rows define.
+    """
     if len(records) < 2:
         return 1
     first, last = records[0], records[-1]
@@ -129,7 +133,14 @@ def infer_period(records: list[PacketRecord]) -> int:
     steps = last.seq - first.seq
     if steps <= 0 or span % steps:
         raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
-    return span // steps
+    period = span // steps
+    for line_no, r in enumerate(records, start=2):
+        expected = first.intended_tx + (r.seq - first.seq) * period
+        if r.intended_tx != expected:
+            raise MalformedRowError(
+                line_no, f"intended_tx {r.intended_tx} of seq {r.seq} is off the "
+                         f"{period} ns grid (expected {expected})")
+    return period
 
 
 def stats_payload(records: list[PacketRecord], period: int, bin_width_ns: int,
@@ -137,7 +148,8 @@ def stats_payload(records: list[PacketRecord], period: int, bin_width_ns: int,
                   metadata: Optional[dict] = None) -> dict:
     kinds = {}
     for kind in TIMESTAMP_KINDS:
-        if any(getattr(r, kind) is None for r in records):
+        # a run that delivered nothing still reports its drops
+        if not records or any(getattr(r, kind) is None for r in records):
             continue
         kinds[kind] = stats(compute_offsets(records, period, kind),
                             bin_width_ns).to_dict()

@@ -8,10 +8,11 @@ unknown keys and reports every problem with its dotted path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .core import JitterDist
+from .core import PPM, JitterDist
 
 VALID_TOP_KEYS = {"nodes", "links", "clocks", "shapers", "filters",
                   "frer", "cqf", "traffic", "run"}
@@ -202,6 +203,9 @@ def _parse_clock(c: _Checker, obj, path) -> ClockCfg:
     drift = obj.get("drift_ppm", 0)
     if isinstance(drift, bool) or not isinstance(drift, (int, float)):
         c.fail(f"{path}.drift_ppm", f"expected a number, got {drift!r}")
+    elif (isinstance(drift, float) and not math.isfinite(drift)) or drift <= -PPM:
+        # at -10**6 ppm the clock stops; below, it runs backwards
+        c.fail(f"{path}.drift_ppm", f"must be finite and > {-PPM}, got {drift!r}")
     else:
         cfg.drift_ppm = drift
     si = obj.get("sync_interval_ns")

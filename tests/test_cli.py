@@ -57,6 +57,27 @@ class TestRun:
         main(["run", str(p), "--out", str(b), "--seed", "2"])
         assert (a / "records.csv").read_bytes() != (b / "records.csv").read_bytes()
 
+    @pytest.mark.parametrize("drift", [-1_000_000, float("nan"), -2_000_000])
+    def test_bad_drift_is_config_error_before_run(self, tmp_path, capsys, drift):
+        doc = dict(GOOD, clocks={"talker": {"system": {"drift_ppm": drift}}})
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))  # NaN is written as the literal NaN
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "clocks.talker.system.drift_ppm" in capsys.readouterr().err
+
+    def test_run_delivering_nothing_reports_drops(self, tmp_path):
+        doc = dict(GOOD, traffic={"period_ns": 500_000, "count": 5},
+                   frer={"enabled": True, "paths": 2, "loss_per_path": 0.9999})
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "stats.json").read_text())
+        assert payload["kinds"] == {} and payload["records"] == 0
+        assert payload["drops"] == {"path_loss": 10}
+        assert (out / "records.csv").read_text().count("\n") == 1
+
 
 class TestReport:
     def test_report_round_trip(self, good_scenario, tmp_path, capsys):
@@ -74,6 +95,16 @@ class TestReport:
         p.write_text("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
                      "x,y,z,a,b,c\n")
         assert main(["report", str(p)]) == EXIT_RUNTIME
+
+    def test_row_off_the_grid_is_runtime_error(self, tmp_path, capsys):
+        # first and last rows give a 1000 ns grid; seq 1 sits 500 ns off it
+        p = tmp_path / "off.csv"
+        p.write_text("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
+                     "0,1000,1000,,,\n"
+                     "1,2500,2500,,,\n"
+                     "2,3000,3000,,,\n")
+        assert main(["report", str(p)]) == EXIT_RUNTIME
+        assert "line 3" in capsys.readouterr().err
 
     def test_missing_csv_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == EXIT_CONFIG

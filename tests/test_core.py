@@ -1,12 +1,44 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsnsim
 from tsnsim.core import (ClockModel, Engine, JitterDist, PastTimeError,
                          rng_fork)
+from tsnsim.network import FORWARDING_PRESETS
+from tsnsim.scenario import load_scenario
+
+SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
+
+
+def fraction_read(clock: ClockModel, drift: Fraction, t: int) -> int:
+    """Reference reading computed with Fraction arithmetic."""
+    return t + clock.offset_ns + int(drift * (t - clock.last_sync_true_time) / 10 ** 6)
+
+
+def fraction_when_reading(clock: ClockModel, drift: Fraction, reading: int) -> int:
+    """Reference inverse: Fraction first estimate, then the same fix-up."""
+    ls = clock.last_sync_true_time
+    t = ls + int((reading - clock.offset_ns - ls) * 10 ** 6 / (10 ** 6 + drift))
+    while fraction_read(clock, drift, t) < reading:
+        t += 1
+    while t > ls and fraction_read(clock, drift, t - 1) >= reading:
+        t -= 1
+    return t
+
+
+# drifts as JSON gives them (decimal-string floats such as -12.345), plus
+# integers and a few large ones; the fix-up loops walk about
+# 1 / (1 + drift / 10**6) ns, so the most negative drift is kept moderate
+drifts = st.one_of(
+    st.integers(min_value=-500, max_value=500),
+    st.decimals(min_value=-500, max_value=500, places=3).map(float),
+    st.floats(min_value=-900_000, max_value=10 ** 6, allow_nan=False),
+)
 
 
 class TestEngine:
@@ -117,6 +149,27 @@ class TestClockModel:
         if t > 0:
             assert clock.read(t - 1) < reading
 
+    @given(drifts,
+           st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           st.integers(min_value=0, max_value=10 ** 12),
+           st.integers(min_value=-10 ** 10, max_value=10 ** 10))
+    def test_integer_arithmetic_matches_fraction(self, drift, offset, last_sync, dt):
+        # dt < 0 reads or inverts a time before the last resync
+        clock = ClockModel(offset_ns=offset, drift_ppm=drift,
+                           last_sync_true_time=last_sync)
+        exact = Fraction(str(drift))
+        assert clock.drift_ppm == exact
+        t = last_sync + dt
+        reading = fraction_read(clock, exact, t)
+        assert clock.read(t) == reading
+        for r in (reading - 1, reading, reading + 1):
+            assert clock.when_reading(r) == fraction_when_reading(clock, exact, r)
+
+    @pytest.mark.parametrize("drift", [-10 ** 6, -2 * 10 ** 6, Fraction(-10 ** 7, 3)])
+    def test_drift_at_or_below_minus_one_million_rejected(self, drift):
+        with pytest.raises(ValueError):
+            ClockModel(drift_ppm=drift)
+
 
 class TestRngFork:
     def test_same_seed_label_identical(self):
@@ -166,6 +219,22 @@ class TestJitterDist:
         a = [dist.sample(random.Random(3)) for _ in range(5)]
         b = [dist.sample(random.Random(3)) for _ in range(5)]
         assert a == b
+
+    def test_empirical_draws_match_weighted_choices(self):
+        shipped_rx = {load_scenario(path).listener.rx_latency
+                      for path in SCENARIOS.glob("*.json")}
+        dists = [d for d in (*FORWARDING_PRESETS.values(), *shipped_rx)
+                 if d.kind == "empirical"]
+        assert len(dists) == 4  # xdp, af_xdp, linux_bridge, rx_latency
+        for dist in dists:
+            values = [v for v, _ in dist.points]
+            weights = [w for _, w in dist.points]
+            for seed in range(5):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = [dist.sample(rng) for _ in range(500)]
+                assert got == [ref.choices(values, weights=weights)[0]
+                               for _ in range(500)]
+                assert rng.getstate() == ref.getstate()
 
     def test_config_round_trip(self):
         for dist in (JitterDist.constant(5), JitterDist.uniform(1, 2),

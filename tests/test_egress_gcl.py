@@ -24,6 +24,18 @@ def mask_table(gcl: GateControlList) -> list:
     return table
 
 
+def max_open_run_oracle(table: list, tc: int):
+    """Longest open stretch of class tc over the per-nanosecond table."""
+    bit = 1 << tc
+    if all(m & bit for m in table):
+        return None
+    best = run = 0
+    for m in table * 2:  # wraparound runs span the cycle boundary
+        run = run + 1 if m & bit else 0
+        best = max(best, run)
+    return best
+
+
 class TestGclState:
     def test_single_entry_always_open(self):
         gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)])
@@ -69,6 +81,12 @@ class TestGclState:
                 # remaining time: the mask entry stays the same until then
                 assert all(table[(phase + d) % gcl.cycle_time_ns] == table[phase]
                            for d in range(min(remaining, 64)))
+            # the per-class runs a port stores equal a fresh scan
+            port = TaprioPort(gcl=gcl)
+            for tc in range(8):
+                expected = max_open_run_oracle(table, tc)
+                assert gcl.max_open_run(tc) == expected
+                assert port.max_open_runs[tc] == expected
 
     def test_totality_fuzz(self):
         # every time at or after base_time maps to exactly one entry

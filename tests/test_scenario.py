@@ -115,3 +115,9 @@ class TestRejections:
         doc = variant(frer={"enabled": True, "loss_per_path": 1.5})
         assert any(p.startswith("frer.loss_per_path:")
                    for p in problems_of(doc))
+
+    @pytest.mark.parametrize("drift", [-1_000_000, float("nan"), -2_000_000])
+    def test_drift_that_stops_or_reverses_the_clock_rejected(self, drift):
+        doc = variant(clocks={"listener": {"phc": {"drift_ppm": drift}}})
+        assert any(p.startswith("clocks.listener.phc.drift_ppm:")
+                   for p in problems_of(doc))

@@ -8,8 +8,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .harness import (MalformedRowError, export_records, load_records,
-                      infer_period, run_scenario, stats_payload)
+from .harness import (MalformedRowError, export_records, report, run_scenario,
+                      stats_payload)
 from .scenario import ConfigError, load_scenario, parse_scenario
 
 EXIT_OK = 0
@@ -72,8 +72,7 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        records = load_records(args.csv)
-        payload = stats_payload(records, infer_period(records), args.bin_width)
+        payload = report(args.csv, args.bin_width)
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

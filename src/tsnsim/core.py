@@ -189,19 +189,31 @@ class ClockModel:
         return true_time + self.offset_ns + (x // den if x >= 0 else -(-x // den))
 
     def when_reading(self, reading: SimTime) -> SimTime:
-        """Smallest true time t with read(t) >= reading (read is monotone)."""
+        """Smallest true time t with read(t) >= reading, in closed form.
+
+        With y = reading - offset_ns - last_sync_true_time, D = q*10**6 and
+        drift p/q ppm, read(last_sync + u) - last_sync - offset_ns is
+        u + trunc(p*u / D): floor(u*(D + p) / D) when p*u >= 0, else
+        ceil(u*(D + p) / D). The smallest u > 0 reaching y > 0 is thus
+        ceil(y*D / (D + p)) for p > 0 and floor((y - 1)*D / (D + p)) + 1
+        for p < 0.
+
+        A reading before the last resync (y < 0) gets ceil(y*D / (D + p)),
+        the linear inverse truncated toward zero: exact for p < 0, and for
+        p > 0 possibly 1 ns later than the smallest such t. Callers take
+        the later of this and the current time, which is never before the
+        last resync.
+        """
         if not self._drift_num:
             return reading - self.offset_ns
-        ls = self.last_sync_true_time
-        # invert the linear model, truncating toward zero, then fix up
-        x = (reading - self.offset_ns - ls) * self._drift_den
-        den = self._rate_den
-        t = ls + (x // den if x >= 0 else -(-x // den))
-        while self.read(t) < reading:
-            t += 1
-        while t > ls and self.read(t - 1) >= reading:
-            t -= 1
-        return t
+        y = reading - self.offset_ns - self.last_sync_true_time
+        x = y * self._drift_den
+        rate = self._rate_den
+        if y > 0 and self._drift_num < 0:
+            u = (x - self._drift_den) // rate + 1
+        else:
+            u = -(-x // rate)
+        return self.last_sync_true_time + u
 
     def apply_sync(self, true_time: SimTime, rng: random.Random) -> None:
         """Instant resync: offset becomes a fresh residual sample."""

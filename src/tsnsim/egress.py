@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .core import CONSTANT_ZERO, ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
@@ -101,6 +102,9 @@ class TaprioPort:
         self.link_rate_bps = link_rate_bps
         self.overhead_bytes = overhead_bytes
         self.queues: list[deque] = [deque() for _ in range(num_classes)]
+        #: frames in all queues; every append and popleft goes through
+        #: enqueue and select, which keep it equal to the queues' total
+        self._count = 0
         self.drops: Counter = Counter()
         #: gcl.max_open_run of each class, scanned once
         self.max_open_runs = (None if gcl is None else
@@ -116,10 +120,13 @@ class TaprioPort:
             self.drops["taprio_full"] += 1
             return self.DROPPED_FULL
         q.append((frame, t))
+        self._count += 1
         return self.QUEUED
 
     def select(self, t: SimTime, classes=None) -> Optional[Frame]:
         """Pop the frame to transmit at t, highest open class first."""
+        if not self._count:
+            return None
         if self.gcl is not None and t < self.gcl.base_time:
             return None
         mask = 0xFF if self.gcl is None else self.gcl.state(t)[0]
@@ -137,25 +144,28 @@ class TaprioPort:
                     if (max_run is not None and self._tt(frame) > max_run
                             and t - enq_t >= self.gcl.cycle_time_ns):
                         q.popleft()
+                        self._count -= 1
                         self.drops["taprio_oversize"] += 1
                         continue
                 if not mask & (1 << tc):
                     break
                 if self.guard_mode == "none" or self.gcl is None:
                     q.popleft()
+                    self._count -= 1
                     return frame
                 ttc = self.gcl.time_until_close(tc, t)
                 if ttc is None or self._tt(frame) <= ttc:
                     q.popleft()
+                    self._count -= 1
                     return frame
                 break
         return None
 
     def pending(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return self._count
 
     def next_event_time(self, t: SimTime) -> Optional[SimTime]:
-        if self.pending() == 0:
+        if not self._count:
             return None
         if self.gcl is None:
             return None
@@ -268,7 +278,7 @@ def plan_preemption(pcfg: PreemptionConfig, pframe_size: int, pframe_start: SimT
 # runtime egress port driven by the event engine
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxState:
     frame: Frame
     total_bytes: int
@@ -410,8 +420,7 @@ class EgressPort:
                          preemptable=preemptable, token=self._next_token())
         self._current = state
         if start > self.engine.now:
-            tok = state.token
-            self.engine.schedule(start, lambda: self._wire_start(state, tok))
+            self.engine.schedule(start, partial(self._wire_start, state, state.token))
         else:
             self._wire_start(state, state.token)
 
@@ -424,7 +433,7 @@ class EgressPort:
         if self.phc is not None:
             state.frame.trace.hw_tx = self.phc.read(t)
         end = t + self._tt_bytes(state.total_bytes)
-        self.engine.schedule(end, lambda: self._complete(state, end, tok))
+        self.engine.schedule(end, partial(self._complete, state, end, tok))
 
     def _complete(self, state: _TxState, end: SimTime, tok: int):
         if tok != state.token or self._current is not state:
@@ -443,8 +452,7 @@ class EgressPort:
         self._current = state
         remaining = state.total_bytes - state.bytes_done
         end = t + self._tt_bytes(remaining)
-        tok = state.token
-        self.engine.schedule(end, lambda: self._complete(state, end, tok))
+        self.engine.schedule(end, partial(self._complete, state, end, state.token))
 
     def _do_preempt(self, express: Frame, t: SimTime):
         cur = self._current

@@ -45,17 +45,14 @@ def replicate(frame: Frame, member_paths: list[str]) -> list[Frame]:
     return [frame.clone(route=path) for path in member_paths]
 
 
-def _newer(a: int, b: int) -> bool:
-    """True if seq a is newer than b in mod-65536 serial arithmetic."""
-    return 0 < (a - b) % SEQ_SPACE < SEQ_HALF
-
-
 class RecoveryState:
     """Sliding-window duplicate elimination for one stream.
 
     Each sequence number is accepted at most once while it stays within
     window_size of the highest accepted sequence; older arrivals are
-    discarded as stale.
+    discarded as stale. seen holds exactly the accepted sequences within
+    the window. The window slides by forgetting only the numbers that leave
+    it, so an advance by d costs O(min(d, window_size)), not O(window_size).
     """
 
     def __init__(self, stream_handle: str, window_size: int = 64):
@@ -67,10 +64,6 @@ class RecoveryState:
         self.seen: set[int] = set()
         self.counters: Counter = Counter()
 
-    def _trim(self):
-        self.seen = {s for s in self.seen
-                     if (self.highest_seq - s) % SEQ_SPACE < self.window_size}
-
     def recover(self, frame: Frame) -> str:
         if frame.seq is None:
             raise MissingSeqError(f"frame {frame.id} has no sequence number")
@@ -80,9 +73,11 @@ class RecoveryState:
             self.seen = {seq}
             self.counters[ACCEPT] += 1
             return ACCEPT
-        if seq == self.highest_seq or not _newer(seq, self.highest_seq):
-            dist = (self.highest_seq - seq) % SEQ_SPACE
-            if dist >= self.window_size:
+        window = self.window_size
+        advance = (seq - self.highest_seq) % SEQ_SPACE
+        if not 0 < advance < SEQ_HALF:
+            # not newer in mod-65536 serial arithmetic
+            if (self.highest_seq - seq) % SEQ_SPACE >= window:
                 self.counters[DISCARD_STALE] += 1
                 return DISCARD_STALE
             if seq in self.seen:
@@ -93,7 +88,17 @@ class RecoveryState:
             return ACCEPT
         # newer sequence: accept and slide the window forward
         self.highest_seq = seq
-        self.seen.add(seq)
-        self._trim()
+        if advance >= window:
+            self.seen = {seq}
+        else:
+            # entries lie less than window behind the old highest, so those
+            # that leave are the `advance` numbers ending at seq - window; a
+            # window above SEQ_SPACE - advance loses only SEQ_SPACE - window
+            # of them, as older entries wrap round into the window again
+            seen = self.seen
+            for s in range(seq - window - min(advance, SEQ_SPACE - window) + 1,
+                           seq - window + 1):
+                seen.discard(s % SEQ_SPACE)
+            seen.add(seq)
         self.counters[ACCEPT] += 1
         return ACCEPT

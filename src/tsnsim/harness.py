@@ -120,14 +120,15 @@ def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
                        histogram=[[k, bins[k]] for k in sorted(bins)])
 
 
-def infer_period(records: list[PacketRecord]) -> int:
+def infer_period(records: list[PacketRecord]) -> Optional[int]:
     """Recover the intended cadence from the intended-tx grid.
 
     records are in CSV order, so record i is on line i + 2. Every row
-    must lie on the grid the first and last rows define.
+    must lie on the grid the first and last rows define. Fewer than two
+    rows define no grid, and give None.
     """
     if len(records) < 2:
-        return 1
+        return None
     first, last = records[0], records[-1]
     span = last.intended_tx - first.intended_tx
     steps = last.seq - first.seq
@@ -143,15 +144,20 @@ def infer_period(records: list[PacketRecord]) -> int:
     return period
 
 
-def stats_payload(records: list[PacketRecord], period: int, bin_width_ns: int,
+def stats_payload(records: list[PacketRecord], period: Optional[int], bin_width_ns: int,
                   drops: Optional[dict] = None,
                   metadata: Optional[dict] = None) -> dict:
+    """Offset statistics per timestamp kind, with drops and run metadata.
+
+    period may be None for fewer than two records: one record's offsets
+    are measured from its own intended_tx whatever the period.
+    """
     kinds = {}
     for kind in TIMESTAMP_KINDS:
         # a run that delivered nothing still reports its drops
         if not records or any(getattr(r, kind) is None for r in records):
             continue
-        kinds[kind] = stats(compute_offsets(records, period, kind),
+        kinds[kind] = stats(compute_offsets(records, period or 0, kind),
                             bin_width_ns).to_dict()
     return {"kinds": kinds,
             "records": len(records),
@@ -201,10 +207,12 @@ def load_records(path) -> list[PacketRecord]:
 
 
 def report(records_path, bin_width_ns: int = 100) -> dict:
-    """Recompute offset statistics from an exported CSV."""
+    """Recompute offset statistics from an exported CSV.
+
+    A CSV of fewer than two rows has no inferable period: its payload has
+    period_ns None, and no kinds when it holds no rows at all.
+    """
     records = load_records(records_path)
-    if not records:
-        raise EmptyError(f"{records_path} holds no records")
     return stats_payload(records, infer_period(records), bin_width_ns)
 
 

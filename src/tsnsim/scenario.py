@@ -216,46 +216,53 @@ def _parse_clock(c: _Checker, obj, path) -> ClockCfg:
     return cfg
 
 
-def _parse_gcl_raw(c: _Checker, obj, path):
+def _parse_schedule_raw(c: _Checker, obj, path, entry_keys, entry_required, check_entry):
+    """Check a cyclic schedule whose entry durations sum to cycle_time_ns.
+
+    check_entry(entry, entry_path) checks an entry's keys other than
+    duration_ns.
+    """
     if not c.dict(obj, path, {"base_time", "cycle_time_ns", "entries"},
                   required=("cycle_time_ns", "entries")):
         return None
     c.int_in(obj, "base_time", path, lo=0, default=0)
-    c.int_in(obj, "cycle_time_ns", path, lo=1, required=True)
+    cycle = c.int_in(obj, "cycle_time_ns", path, lo=1, required=True)
     entries = obj.get("entries")
     if not isinstance(entries, list) or not entries:
         c.fail(f"{path}.entries", "expected a non-empty list")
         return obj
+    durations = []
     for i, e in enumerate(entries):
         ep = f"{path}.entries[{i}]"
-        if c.dict(e, ep, {"gate_mask", "duration_ns"}, required=("gate_mask", "duration_ns")):
-            c.int_in(e, "gate_mask", ep, lo=0, hi=0xFF)
-            c.int_in(e, "duration_ns", ep, lo=1)
+        if c.dict(e, ep, entry_keys, required=entry_required):
+            check_entry(e, ep)
+            durations.append(c.int_in(e, "duration_ns", ep, lo=1))
+    # the sum is only checked once the cycle and every duration are valid
+    if (cycle is not None and cycle >= 1 and len(durations) == len(entries)
+            and None not in durations and min(durations) >= 1
+            and sum(durations) != cycle):
+        c.fail(f"{path}.entries",
+               f"durations sum to {sum(durations)}, not cycle_time_ns {cycle}")
     return obj
+
+
+def _parse_gcl_raw(c: _Checker, obj, path):
+    def check_entry(e, ep):
+        c.int_in(e, "gate_mask", ep, lo=0, hi=0xFF)
+    return _parse_schedule_raw(c, obj, path, {"gate_mask", "duration_ns"},
+                               ("gate_mask", "duration_ns"), check_entry)
 
 
 def _parse_stream_gate_raw(c: _Checker, obj, path):
-    if not c.dict(obj, path, {"base_time", "cycle_time_ns", "entries"},
-                  required=("cycle_time_ns", "entries")):
-        return None
-    c.int_in(obj, "base_time", path, lo=0, default=0)
-    c.int_in(obj, "cycle_time_ns", path, lo=1, required=True)
-    entries = obj.get("entries")
-    if not isinstance(entries, list) or not entries:
-        c.fail(f"{path}.entries", "expected a non-empty list")
-        return obj
-    for i, e in enumerate(entries):
-        ep = f"{path}.entries[{i}]"
-        if c.dict(e, ep, {"open", "duration_ns", "ipv", "max_octets"},
-                  required=("open", "duration_ns")):
-            if not isinstance(e.get("open"), bool):
-                c.fail(f"{ep}.open", "expected a boolean")
-            c.int_in(e, "duration_ns", ep, lo=1)
-            if e.get("ipv") is not None:
-                c.int_in(e, "ipv", ep, lo=0, hi=7)
-            if e.get("max_octets") is not None:
-                c.int_in(e, "max_octets", ep, lo=0)
-    return obj
+    def check_entry(e, ep):
+        if not isinstance(e.get("open"), bool):
+            c.fail(f"{ep}.open", "expected a boolean")
+        if e.get("ipv") is not None:
+            c.int_in(e, "ipv", ep, lo=0, hi=7)
+        if e.get("max_octets") is not None:
+            c.int_in(e, "max_octets", ep, lo=0)
+    return _parse_schedule_raw(c, obj, path, {"open", "duration_ns", "ipv", "max_octets"},
+                               ("open", "duration_ns"), check_entry)
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .core import SimTime
@@ -62,9 +62,22 @@ class Frame:
         return self.ipv if self.ipv is not None else self.traffic_class
 
     def clone(self, **changes) -> "Frame":
-        f = replace(self, **changes)
-        f.trace = replace(self.trace)
+        """A copy with its own TimestampTrace and the given fields changed.
+
+        Copies the instance dict directly: this runs once per replicated
+        copy, where dataclasses.replace would re-run __init__ twice.
+        """
+        if not _FRAME_FIELDS.issuperset(changes):
+            unknown = sorted(set(changes) - _FRAME_FIELDS)
+            raise TypeError(f"Frame has no field(s) {unknown}")
+        f = object.__new__(type(self))
+        f.__dict__.update(self.__dict__, **changes)
+        t = self.trace
+        f.trace = TimestampTrace(t.intended_tx, t.sw_tx, t.hw_tx, t.hw_rx, t.sw_rx)
         return f
+
+
+_FRAME_FIELDS = frozenset(f.name for f in fields(Frame))
 
 
 def transmission_time(size_bytes: int, link_rate_bps: int,

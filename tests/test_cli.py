@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tsnsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from tsnsim.harness import report
 
 GOOD = {
     "nodes": [{"name": "talker", "role": "talker"},
@@ -79,6 +80,27 @@ class TestRun:
         assert (out / "records.csv").read_text().count("\n") == 1
 
 
+    @pytest.mark.parametrize("section", [
+        {"shapers": {"talker": {"gcl": {
+            "cycle_time_ns": 500_000,
+            "entries": [{"gate_mask": 255, "duration_ns": 400_000}]}}}},
+        {"filters": {"talker": {"gates": {"s0": {
+            "cycle_time_ns": 500_000,
+            "entries": [{"open": True, "duration_ns": 250_000},
+                        {"open": False, "duration_ns": 300_000}]}}}}},
+    ])
+    def test_schedule_not_filling_its_cycle_is_config_error(self, tmp_path, capsys,
+                                                             section):
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(dict(GOOD, **section)))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("shapers.talker.gcl.entries:" in err
+                or "filters.talker.gates.s0.entries:" in err)
+        assert not (tmp_path / "out").exists()
+
+
 class TestReport:
     def test_report_round_trip(self, good_scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -105,6 +127,31 @@ class TestReport:
                      "2,3000,3000,,,\n")
         assert main(["report", str(p)]) == EXIT_RUNTIME
         assert "line 3" in capsys.readouterr().err
+
+    def test_run_delivering_nothing_reports_no_period(self, tmp_path, capsys):
+        doc = dict(GOOD, traffic={"period_ns": 500_000, "count": 5},
+                   frer={"enabled": True, "paths": 2, "loss_per_path": 0.9999})
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_OK
+        csv = out / "records.csv"
+        assert main(["report", str(csv), "--out", str(tmp_path / "rep")]) == EXIT_OK
+        reported = json.loads((tmp_path / "rep" / "stats.json").read_text())
+        assert reported == json.loads(json.dumps(report(csv)))
+        assert reported["records"] == 0 and reported["kinds"] == {}
+        assert reported["period_ns"] is None
+
+    def test_one_row_reports_offsets_but_no_period(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
+                     "7,3500,3510,3520,4000,4100\n")
+        assert main(["report", str(p), "--out", str(tmp_path / "rep")]) == EXIT_OK
+        reported = json.loads((tmp_path / "rep" / "stats.json").read_text())
+        assert reported == json.loads(json.dumps(report(p)))
+        assert reported["records"] == 1 and reported["period_ns"] is None
+        assert reported["kinds"]["sw_tx"]["max_ns"] == 10
+        assert reported["kinds"]["sw_rx"]["max_ns"] == 600
 
     def test_missing_csv_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == EXIT_CONFIG

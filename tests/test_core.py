@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,40 @@ SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 def fraction_read(clock: ClockModel, drift: Fraction, t: int) -> int:
     """Reference reading computed with Fraction arithmetic."""
     return t + clock.offset_ns + int(drift * (t - clock.last_sync_true_time) / 10 ** 6)
+
+
+def first_reaching(clock: ClockModel, reading: int, lo: int) -> int:
+    """Smallest t >= lo with clock.read(t) >= reading; read is monotone."""
+    if clock.read(lo) >= reading:
+        return lo
+    step = 1
+    while clock.read(lo + step) < reading:
+        step *= 2
+    below, above = lo + step // 2, lo + step
+    while above - below > 1:
+        mid = (below + above) // 2
+        if clock.read(mid) >= reading:
+            above = mid
+        else:
+            below = mid
+    return above
+
+
+def walking_when_reading(clock: ClockModel, reading: int) -> int:
+    """The former inverse: a first estimate truncated toward zero, then a
+    walk up while read(t) < reading and a walk down, not below the last
+    resync, while read(t - 1) >= reading. Each 1 ns walk ends where the
+    monotone read crosses reading, so it is found by doubling and bisection.
+    """
+    ls = clock.last_sync_true_time
+    drift = clock.drift_ppm
+    den = drift.denominator * 10 ** 6
+    t = ls + int(Fraction((reading - clock.offset_ns - ls) * den,
+                          den + drift.numerator))
+    t = first_reaching(clock, reading, t)
+    if t > ls:
+        t = first_reaching(clock, reading, ls)
+    return t
 
 
 def fraction_when_reading(clock: ClockModel, drift: Fraction, reading: int) -> int:
@@ -164,6 +199,31 @@ class TestClockModel:
         assert clock.read(t) == reading
         for r in (reading - 1, reading, reading + 1):
             assert clock.when_reading(r) == fraction_when_reading(clock, exact, r)
+
+    @settings(max_examples=300)
+    @given(st.one_of(drifts,
+                     st.integers(min_value=-999_999, max_value=-990_000),
+                     st.floats(min_value=-999_999.999, max_value=-999_000),
+                     st.sampled_from([-999_999, Fraction(-9_999_999, 10), 1, 10 ** 6])),
+           st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           st.integers(min_value=0, max_value=10 ** 12),
+           st.integers(min_value=-10 ** 10, max_value=10 ** 10),
+           st.integers(min_value=-3, max_value=3))
+    def test_closed_form_inverse_matches_walk(self, drift, offset, last_sync, dt, delta):
+        # dt < 0 inverts a reading from before the last resync
+        clock = ClockModel(offset_ns=offset, drift_ppm=drift,
+                           last_sync_true_time=last_sync)
+        reading = clock.read(last_sync + dt) + delta
+        assert clock.when_reading(reading) == walking_when_reading(clock, reading)
+
+    def test_steepest_drift_inverts_in_closed_form(self):
+        # the 1 ns walks took about 0.5 s here: read(t) rises 1 ns per 10**6 ns
+        clock = ClockModel(drift_ppm=-999_999)
+        start = time.perf_counter()
+        t = clock.when_reading(10 ** 6 + 1)
+        elapsed = time.perf_counter() - start
+        assert t == 1_000_000_000_001
+        assert elapsed < 0.01
 
     @pytest.mark.parametrize("drift", [-10 ** 6, -2 * 10 ** 6, Fraction(-10 ** 7, 3)])
     def test_drift_at_or_below_minus_one_million_rejected(self, drift):

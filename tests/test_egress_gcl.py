@@ -1,6 +1,7 @@
 """Gate-control-list semantics checked against a 1 ns time-stepped oracle."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from tsnsim.core import Engine
 from tsnsim.egress import (BeforeBaseTimeError, EgressPort, GateControlList,
-                           GclEntry, GclError, TaprioPort)
+                           GclEntry, GclError, PreemptionConfig, TaprioPort)
 from tsnsim.traffic import Frame, transmission_time
 
 US = 1000
@@ -222,3 +223,74 @@ class TestGateConformance:
                         f"scenario {scenario}: frame {f.id} on wire in closed window"
                 checked_frames += 1
         assert checked_frames > 100
+
+
+class CountedTaprioPort(TaprioPort):
+    """A TaprioPort that checks its running count after every enqueue and select."""
+
+    def check(self):
+        assert self.pending() == sum(len(q) for q in self.queues)
+
+    def enqueue(self, frame, t):
+        result = super().enqueue(frame, t)
+        self.check()
+        return result
+
+    def select(self, t, classes=None):
+        frame = super().select(t, classes)
+        self.check()
+        return frame
+
+
+class TestPendingCount:
+    def test_count_matches_queues_over_generated_gcls(self):
+        # 1 Gbps frames of up to 1500 B outlast many 10 us GCL windows, so
+        # oversize drops happen; capacity 3 forces queue-full drops
+        rng = random.Random(404)
+        seen = Counter()
+        for _ in range(100):
+            port = CountedTaprioPort(gcl=random_gcl(rng), capacity=3)
+            t = 0
+            for i in range(60):
+                t += rng.randrange(0, 4 * US)
+                if rng.random() < 0.6:
+                    f = Frame(id=i, size_bytes=rng.choice([64, 200, 1500]),
+                              priority=rng.randrange(8))
+                    seen[port.enqueue(f, t)] += 1
+                else:
+                    classes = rng.choice([None, {7}, {0, 1, 2, 3}])
+                    seen["sent" if port.select(t, classes) else "idle"] += 1
+            seen.update(port.drops)
+        assert all(seen[k] for k in (TaprioPort.QUEUED, TaprioPort.DROPPED_FULL,
+                                     "taprio_full", "taprio_oversize", "sent", "idle"))
+
+    def test_count_matches_queues_through_preempting_port(self):
+        # express frames that find no legal fragment boundary, or a split
+        # already pending, go back through enqueue in _do_preempt
+        rng = random.Random(77)
+        rate = 100_000_000
+        pcfg = PreemptionConfig(enabled=True, express_classes=frozenset({7}))
+        requeued = 0
+        for _ in range(30):
+            eng = Engine()
+            taprio = CountedTaprioPort(link_rate_bps=rate, capacity=4)
+            port = EgressPort(eng, rate, scheme="taprio", taprio=taprio,
+                              preemption=pcfg, deliver=lambda f, s, e: None)
+            do_preempt = port._do_preempt
+
+            def counting_preempt(express, t, do_preempt=do_preempt, q=taprio.queues[7]):
+                nonlocal requeued
+                before = len(q)
+                do_preempt(express, t)
+                requeued += len(q) - before
+
+            port._do_preempt = counting_preempt
+            for i in range(25):
+                f = Frame(id=i, size_bytes=rng.choice([64, 300, 1500]),
+                          priority=rng.choice([0, 3, 7]))
+                eng.schedule(rng.randrange(0, 500 * US),
+                             lambda f=f: port.submit(f, eng.now))
+            eng.run_all()
+            taprio.check()
+            assert taprio.pending() == 0
+        assert requeued

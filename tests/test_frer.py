@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tsnsim.frer import (ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE,
-                         MissingSeqError, NoPathsError, RecoveryState,
+from tsnsim.frer import (ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, SEQ_HALF,
+                         SEQ_SPACE, MissingSeqError, NoPathsError, RecoveryState,
                          SequenceGenerator, replicate)
 from tsnsim.traffic import Frame
 
@@ -128,3 +130,56 @@ class TestExactlyOnce:
         for i in range(3000):
             assert st.recover(gen.stamp(frame(fid=i))) == ACCEPT
         assert st.counters[ACCEPT] == 3000
+
+
+class RebuildingRecovery:
+    """Reference recovery that rebuilds the whole window set on every advance."""
+
+    def __init__(self, window_size):
+        self.window_size = window_size
+        self.highest_seq = None
+        self.seen = set()
+
+    def recover(self, seq):
+        if self.highest_seq is None:
+            self.highest_seq, self.seen = seq, {seq}
+            return ACCEPT
+        if 0 < (seq - self.highest_seq) % SEQ_SPACE < SEQ_HALF:
+            self.highest_seq = seq
+            self.seen = {s for s in self.seen | {seq}
+                         if (seq - s) % SEQ_SPACE < self.window_size}
+            return ACCEPT
+        if (self.highest_seq - seq) % SEQ_SPACE >= self.window_size:
+            return DISCARD_STALE
+        if seq in self.seen:
+            return DISCARD_DUPLICATE
+        self.seen.add(seq)
+        return ACCEPT
+
+
+class TestIncrementalWindow:
+    # steps mix a steady stream, small moves both ways, jumps past the
+    # window and arbitrary numbers; starts near 65535 make the window wrap
+    steps = st.lists(st.one_of(st.integers(0, 3),
+                               st.integers(-140, 140),
+                               st.integers(100, 300),
+                               st.integers(0, SEQ_SPACE - 1)), max_size=150)
+
+    @settings(max_examples=300)
+    @example(window=3, start=SEQ_SPACE - 4, steps=[1] * 8 + [2, -1, 5, -6, 2])
+    @example(window=SEQ_HALF + 1, start=0, steps=[SEQ_HALF - 1] * 3 + [1] * 4)
+    @given(st.one_of(st.integers(1, 128),
+                     st.sampled_from([SEQ_HALF - 1, SEQ_HALF, SEQ_HALF + 1,
+                                      SEQ_SPACE - 1, SEQ_SPACE, SEQ_SPACE + 5])),
+           st.one_of(st.integers(SEQ_SPACE - 200, SEQ_SPACE - 1),
+                     st.integers(0, SEQ_SPACE - 1)),
+           steps)
+    def test_matches_rebuilding_reference(self, window, start, steps):
+        state = RecoveryState("s0", window_size=window)
+        ref = RebuildingRecovery(window)
+        seq = start
+        for step in [0] + steps:
+            seq = (seq + step) % SEQ_SPACE
+            assert state.recover(frame(seq=seq)) == ref.recover(seq)
+            assert state.seen == ref.seen
+            assert state.highest_seq == ref.highest_seq

@@ -96,6 +96,30 @@ class TestRejections:
             "entries": [{"gate_mask": 256, "duration_ns": 1000}]}}})
         assert any("gate_mask" in p for p in problems_of(doc))
 
+    def test_gcl_durations_must_sum_to_cycle(self):
+        doc = variant(shapers={"talker": {"gcl": {
+            "cycle_time_ns": 1000,
+            "entries": [{"gate_mask": 1, "duration_ns": 400},
+                        {"gate_mask": 2, "duration_ns": 500}]}}})
+        assert problems_of(doc) == [
+            "shapers.talker.gcl.entries: durations sum to 900, not cycle_time_ns 1000"]
+
+    def test_stream_gate_durations_must_sum_to_cycle(self):
+        doc = variant(filters={"talker": {"gates": {"s0": {
+            "cycle_time_ns": 1000,
+            "entries": [{"open": True, "duration_ns": 1500}]}}}})
+        assert problems_of(doc) == [
+            "filters.talker.gates.s0.entries: durations sum to 1500, "
+            "not cycle_time_ns 1000"]
+
+    def test_bad_duration_is_not_also_reported_as_a_bad_sum(self):
+        doc = variant(shapers={"talker": {"gcl": {
+            "cycle_time_ns": 1000,
+            "entries": [{"gate_mask": 1, "duration_ns": 0},
+                        {"gate_mask": 2, "duration_ns": 1000}]}}})
+        assert problems_of(doc) == [
+            "shapers.talker.gcl.entries[0].duration_ns: must be >= 1, got 0"]
+
     def test_all_problems_reported_at_once(self):
         doc = variant(frobnicate={}, run={"seed": -1, "bogus": 1})
         probs = problems_of(doc)

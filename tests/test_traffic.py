@@ -50,6 +50,22 @@ class TestFrame:
         g.trace.sw_tx = 5
         assert f.trace.sw_tx is None
 
+    def test_clone_copies_fields_and_applies_changes(self):
+        key = StreamKey(dest_mac=1, vlan_id=2, pcp=3)
+        f = Frame(id=4, size_bytes=128, priority=1, traffic_class=5, stream=key,
+                  seq=6, ipv=7, txtime=8_000, route="a")
+        f.trace.intended_tx, f.trace.sw_tx = 10, 11
+        g = f.clone(route="b")
+        assert (g.id, g.size_bytes, g.priority, g.traffic_class, g.stream, g.seq,
+                g.ipv, g.txtime, g.route) == (4, 128, 1, 5, key, 6, 7, 8_000, "b")
+        assert f.route == "a"
+        assert g.trace == f.trace and g.trace is not f.trace
+        assert f.clone().route == "a"
+
+    def test_clone_rejects_unknown_field(self):
+        with pytest.raises(TypeError):
+            Frame(id=1, size_bytes=64, priority=0).clone(colour="red")
+
 
 class TestStreamRules:
     KEY = StreamKey(dest_mac=0xAABBCCDDEEFF, vlan_id=10, pcp=3)

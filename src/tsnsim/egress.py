@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .core import CONSTANT_ZERO, ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
+from .core import ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
 # the schedule errors keep their egress names
 from .core import BeforeBaseTimeError, ScheduleError as GclError  # noqa: F401
 from .traffic import Frame, transmission_time
@@ -179,15 +179,26 @@ class TaprioPort:
 
 
 class EtfQueue:
-    """Launch-time queue ordered by txtime (ties broken by frame id)."""
+    """Launch-time queue ordered by txtime (ties broken by frame id), as tc-etf.
+
+    A frame whose txtime is less than delta_ns after its enqueue time is
+    dropped. With offload, the head frame falls due when clock, the NIC's
+    PHC, reads its txtime. In software mode, clock is the system clock and
+    the kernel releases the frame when it reads txtime - delta_ns. Without
+    a clock, the identity clock is used.
+    """
 
     QUEUED = "queued"
     DROPPED_PAST_TXTIME = "dropped_past_txtime"
 
-    def __init__(self, delta_ns: int = 0, offload: bool = True):
+    def __init__(self, delta_ns: int = 0, offload: bool = True,
+                 clock: Optional[ClockModel] = None):
         self.delta_ns = delta_ns
         self.offload = offload
+        self.clock = clock or ClockModel.identity()
         self._heap: list = []
+        #: when the head frame falls due, as the last select found it
+        self._due: Optional[SimTime] = None
         self.drops: Counter = Counter()
 
     def enqueue(self, frame: Frame, now: SimTime) -> str:
@@ -199,8 +210,20 @@ class EtfQueue:
         heapq.heappush(self._heap, (frame.txtime, frame.id, frame))
         return self.QUEUED
 
-    def peek(self) -> Optional[Frame]:
-        return self._heap[0][2] if self._heap else None
+    def select(self, t: SimTime, classes=None) -> Optional[Frame]:
+        """Pop the head frame if it is due at t; classes is ignored."""
+        if not self._heap:
+            return None
+        txtime = self._heap[0][0]
+        self._due = self.clock.when_reading(
+            txtime if self.offload else txtime - self.delta_ns)
+        if self._due > t:
+            return None
+        return self.pop()
+
+    def next_event_time(self, t: SimTime) -> Optional[SimTime]:
+        """When the head frame falls due; valid after select(t) returned None."""
+        return self._due if self._heap else None
 
     def pop(self) -> Frame:
         return heapq.heappop(self._heap)[2]
@@ -291,34 +314,32 @@ class _TxState:
 
 
 class EgressPort:
-    """One egress port: shaper queue + MAC + wire, driven by the engine.
+    """One egress port: a queue discipline, the MAC and the wire, driven by
+    the engine.
 
-    deliver(frame, wire_start, wire_end) is called in true time when the
-    last bit leaves the port; the caller adds propagation delay.
+    queue is a TaprioPort (the default, ungated) or an EtfQueue; the port
+    drives either through enqueue(frame, t), select(t, classes),
+    next_event_time(t) and drops, as a netdev drives its qdisc.
+    hw_precision, when given, is added to each wire start: the launch
+    precision of a NIC that times launches itself, as with offloaded
+    ETF. deliver(frame, wire_start, wire_end) is called in true time when
+    the last bit leaves the port; the caller adds propagation delay.
     """
 
     def __init__(self, engine: Engine, rate_bps: int, *,
+                 queue: Optional[TaprioPort | EtfQueue] = None,
                  overhead_bytes: int = 0,
                  phc: Optional[ClockModel] = None,
-                 scheme: str = "taprio",
-                 taprio: Optional[TaprioPort] = None,
-                 etf: Optional[EtfQueue] = None,
-                 release_clock: Optional[ClockModel] = None,
                  preemption: Optional[PreemptionConfig] = None,
-                 hw_precision: JitterDist = CONSTANT_ZERO,
+                 hw_precision: Optional[JitterDist] = None,
                  rng=None,
                  deliver: Optional[Callable] = None):
-        if scheme not in ("taprio", "etf"):
-            raise ValueError(f"scheme {scheme!r}")
         self.engine = engine
         self.rate_bps = rate_bps
         self.overhead_bytes = overhead_bytes
         self.phc = phc
-        self.scheme = scheme
-        self.taprio = taprio if taprio is not None else TaprioPort(
+        self.queue = queue if queue is not None else TaprioPort(
             link_rate_bps=rate_bps, overhead_bytes=overhead_bytes)
-        self.etf = etf
-        self.release_clock = release_clock
         self.preemption = preemption or PreemptionConfig()
         self.hw_precision = hw_precision
         self.rng = rng
@@ -336,21 +357,9 @@ class EgressPort:
     def _tt_bytes(self, nbytes: int) -> int:
         return transmission_time(nbytes, self.rate_bps)
 
-    def _etf_eligible_time(self, frame: Frame) -> SimTime:
-        if self.etf.offload:
-            clock = self.phc or ClockModel.identity()
-            return clock.when_reading(frame.txtime)
-        clock = self.release_clock or ClockModel.identity()
-        return clock.when_reading(frame.txtime - self.etf.delta_ns)
-
     # -- submission
 
     def submit(self, frame: Frame, t: SimTime) -> str:
-        if self.scheme == "etf":
-            result = self.etf.enqueue(frame, t)
-            if result == EtfQueue.QUEUED:
-                self._kick()
-            return result
         # express frames may interrupt an ongoing preemptable transmission
         if (self.preemption.enabled
                 and self.preemption.is_express(frame.egress_class)
@@ -358,9 +367,9 @@ class EgressPort:
                 and self._current.preemptable
                 and self._suspended is None):
             self._do_preempt(frame, t)
-            return TaprioPort.QUEUED
-        result = self.taprio.enqueue(frame, t)
-        if result == TaprioPort.QUEUED:
+            return self.queue.QUEUED
+        result = self.queue.enqueue(frame, t)
+        if result == self.queue.QUEUED:
             self._kick()
         return result
 
@@ -380,35 +389,24 @@ class EgressPort:
         if self._current is not None:
             return
         t = self.engine.now
-        if self.scheme == "etf":
-            head = self.etf.peek()
-            if head is None:
-                return
-            eligible = self._etf_eligible_time(head)
-            if eligible > t:
-                self._schedule_kick(eligible)
-                return
-            frame = self.etf.pop()
-            start = t
-            if self.etf.offload:
-                start += self.hw_precision.sample(self.rng) if self.rng else 0
-            self._begin(frame, max(start, t), preemptable=False)
-            return
         classes = None
         if self._suspended is not None:
             classes = self.preemption.express_classes
-        frame = self.taprio.select(t, classes=classes)
+        frame = self.queue.select(t, classes)
         if frame is None:
             if self._suspended is not None:
                 self._resume_suspended()
                 return
-            nt = self.taprio.next_event_time(t)
+            nt = self.queue.next_event_time(t)
             if nt is not None and nt > t:
                 self._schedule_kick(nt)
             return
+        start = t
+        if self.hw_precision is not None:
+            start = max(t, t + self.hw_precision.sample(self.rng))
         preemptable = (self.preemption.enabled
                        and not self.preemption.is_express(frame.egress_class))
-        self._begin(frame, t, preemptable=preemptable)
+        self._begin(frame, start, preemptable=preemptable)
 
     def _next_token(self) -> int:
         self._token += 1
@@ -457,7 +455,7 @@ class EgressPort:
     def _do_preempt(self, express: Frame, t: SimTime):
         cur = self._current
         if cur.preempt_pending:
-            self.taprio.enqueue(express, t)
+            self.queue.enqueue(express, t)
             return
         sent_total = cur.bytes_done + bytes_on_wire(cur.segment_start, t,
                                                     self.rate_bps)
@@ -465,7 +463,7 @@ class EgressPort:
                                   self.preemption.min_fragment_bytes)
         if point is None:
             # no legal split: express waits its turn in the queue
-            self.taprio.enqueue(express, t)
+            self.queue.enqueue(express, t)
             return
         # cancel the pMAC completion; the wire stays busy until the boundary
         cur.token = self._next_token()

@@ -12,6 +12,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .core import (CONSTANT_ZERO, ClockModel, Engine, RNG_ALGORITHM,
@@ -21,8 +22,8 @@ from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
 from .frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
 from .ingress import StreamGate, StreamGateEntry
 from .network import BridgeNode, CqfConfig, cqf_compose
-from .scenario import LinkCfg, ScenarioConfig, ShaperCfg
-from .traffic import Frame, StreamKey, make_stream_rules
+from .scenario import LinkCfg, ScenarioConfig, ShaperCfg, chain_links
+from .traffic import Frame, StreamKey
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
 
@@ -268,8 +269,7 @@ def _bridge_ingress(cfg: ScenarioConfig, name: str):
     fcfg = cfg.filters.get(name)
     if fcfg is None:
         return None, {}, None
-    rules = make_stream_rules(fcfg.rules) if fcfg.rules else None
-    return rules, {h: _build_stream_gate(g) for h, g in fcfg.gates.items()}, None
+    return fcfg.rules, {h: _build_stream_gate(g) for h, g in fcfg.gates.items()}, None
 
 
 def _build_port(engine, link: LinkCfg, shaper: Optional[ShaperCfg], *, phc, system,
@@ -278,49 +278,38 @@ def _build_port(engine, link: LinkCfg, shaper: Optional[ShaperCfg], *, phc, syst
     """An egress port onto link whose frames reach receive(frame, t).
 
     gcl, when given, replaces the shaper's own gate control list.
+    hw_precision applies only to offloaded ETF: only there does the NIC
+    time the launch itself.
     """
     shaper = shaper or ShaperCfg()
 
     def deliver(frame, wire_start, wire_end):
         receive(frame, wire_end + link.propagation_ns)
 
+    launch_precision = None
+    if shaper.scheme == "etf":
+        offload = shaper.etf_offload
+        delta = shaper.etf_delta_ns
+        if delta is None:
+            delta = 0 if offload else 50_000
+        queue = EtfQueue(delta_ns=delta, offload=offload,
+                         clock=phc if offload else system)
+        if offload:
+            launch_precision = hw_precision
+    else:
+        if gcl is None and shaper.gcl:
+            gcl = _build_gcl(shaper.gcl)
+        queue = TaprioPort(gcl=gcl, capacity=shaper.queue_capacity,
+                           guard_mode=shaper.guard_mode,
+                           link_rate_bps=link.rate_bps,
+                           overhead_bytes=link.overhead_bytes)
     preemption = PreemptionConfig(enabled=shaper.preemption_enabled,
                                   express_classes=frozenset(shaper.express_classes),
                                   min_fragment_bytes=shaper.min_fragment_bytes)
-    if shaper.scheme == "etf":
-        delta = shaper.etf_delta_ns
-        if delta is None:
-            delta = 0 if shaper.etf_offload else 50_000
-        etf = EtfQueue(delta_ns=delta, offload=shaper.etf_offload)
-        return EgressPort(engine, link.rate_bps, overhead_bytes=link.overhead_bytes,
-                          phc=phc, scheme="etf", etf=etf, release_clock=system,
-                          hw_precision=hw_precision, rng=rng, deliver=deliver)
-    if gcl is None and shaper.gcl:
-        gcl = _build_gcl(shaper.gcl)
-    taprio = TaprioPort(gcl=gcl, capacity=shaper.queue_capacity,
-                        guard_mode=shaper.guard_mode,
-                        link_rate_bps=link.rate_bps,
-                        overhead_bytes=link.overhead_bytes)
-    return EgressPort(engine, link.rate_bps, overhead_bytes=link.overhead_bytes,
-                      phc=phc, scheme="taprio", taprio=taprio,
-                      preemption=preemption, hw_precision=hw_precision,
+    return EgressPort(engine, link.rate_bps, queue=queue,
+                      overhead_bytes=link.overhead_bytes, phc=phc,
+                      preemption=preemption, hw_precision=launch_precision,
                       rng=rng, deliver=deliver)
-
-
-def _chain_links(cfg: ScenarioConfig) -> list[LinkCfg]:
-    """The links from talker to listener, taking each node's first link out."""
-    succ = {}
-    for l in cfg.links:
-        succ.setdefault(l.src, l)
-    chain = []
-    node, listener = cfg.talker.name, cfg.listener.name
-    while node != listener:
-        link = succ.get(node)
-        if link is None or len(chain) >= len(cfg.nodes):
-            raise ValueError(f"no forwarding path from {node} to {listener}")
-        chain.append(link)
-        node = link.dst
-    return chain
 
 
 def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
@@ -371,21 +360,20 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
                 drops[f"frer_{outcome}"] += 1
                 return
         frame.trace.hw_rx = lis_phc.read(t)
-        rx_delay = listener.rx_latency.sample(rx_rng)
+        fire = t + listener.rx_latency.sample(rx_rng)
+        engine.schedule(fire, partial(record_delivery, frame, fire))
 
-        def finish():
-            frame.trace.sw_rx = lis_sys.read(engine.now)
-            tr = frame.trace
-            records.append(PacketRecord(seq=frame.id, intended_tx=tr.intended_tx,
-                                        sw_tx=tr.sw_tx, hw_tx=tr.hw_tx,
-                                        hw_rx=tr.hw_rx, sw_rx=tr.sw_rx))
-
-        engine.schedule(t + rx_delay, finish)
+    def record_delivery(frame: Frame, t: SimTime):
+        tr = frame.trace
+        tr.sw_rx = lis_sys.read(t)
+        records.append(PacketRecord(seq=frame.id, intended_tx=tr.intended_tx,
+                                    sw_tx=tr.sw_tx, hw_tx=tr.hw_tx,
+                                    hw_rx=tr.hw_rx, sw_rx=tr.sw_rx))
 
     # --- wire up the forwarding chain, once or once per FRER member path
 
     nodes = {n.name: n for n in cfg.nodes}
-    chain = _chain_links(cfg)
+    chain = chain_links(cfg.links, talker.name, listener.name)
     ports: list[EgressPort] = []
     bridges: list[BridgeNode] = []
 
@@ -454,55 +442,44 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         frame.trace.intended_tx = intended
         return frame
 
+    def sleep_plan(k: int, intended: SimTime, wake: int, stack: int, driver: int):
+        wake_true = max(engine.now, tal_sys.when_reading(intended) + wake)
+        engine.schedule(wake_true + stack, partial(at_driver, k, intended, driver))
+
+    def at_driver(k: int, intended: SimTime, driver: int):
+        frame = make_frame(k, intended)
+        frame.trace.sw_tx = tal_sys.read(engine.now)
+        fire = engine.now + driver
+        engine.schedule(fire, partial(submit_to_wire, frame, fire))
+
+    def txtime_plan(k: int, intended: SimTime):
+        frame = make_frame(k, intended)
+        frame.txtime = intended
+        frame.trace.sw_tx = tal_sys.read(engine.now)
+        submit_to_wire(frame, engine.now)
+
     if traffic.mode == "sleep":
         for k in range(count):
             intended = base + k * period
             wake = traffic.wake_jitter.sample(wake_rng)
             stack = traffic.stack_latency.sample(stack_rng)
             driver = traffic.driver_latency.sample(driver_rng)
-
-            def make_plan(k, intended, wake, stack, driver):
-                def plan():
-                    wake_true = max(engine.now,
-                                    tal_sys.when_reading(intended) + wake)
-                    sw_tx_event = wake_true + stack
-
-                    def at_driver():
-                        frame = make_frame(k, intended)
-                        frame.trace.sw_tx = tal_sys.read(engine.now)
-                        engine.schedule(engine.now + driver,
-                                        lambda: submit_to_wire(frame, engine.now))
-
-                    engine.schedule(sw_tx_event, at_driver)
-                return plan
-
-            engine.schedule(max(0, intended - period), make_plan(
-                k, intended, wake, stack, driver))
+            engine.schedule(max(0, intended - period),
+                            partial(sleep_plan, k, intended, wake, stack, driver))
     else:  # txtime
         lead = traffic.txtime_lead_ns
         if lead is None:
             lead = period // 2
         for k in range(count):
             intended = base + k * period
-
-            def make_plan(k, intended):
-                def plan():
-                    frame = make_frame(k, intended)
-                    frame.txtime = intended
-                    frame.trace.sw_tx = tal_sys.read(engine.now)
-                    submit_to_wire(frame, engine.now)
-                return plan
-
-            engine.schedule(max(0, intended - lead), make_plan(k, intended))
+            engine.schedule(max(0, intended - lead), partial(txtime_plan, k, intended))
 
     engine.run_all()
 
     # --- collect drop counters
 
     for port in ports:
-        drops.update(port.taprio.drops)
-        if port.etf is not None:
-            drops.update(port.etf.drops)
+        drops.update(port.queue.drops)
     for bridge in bridges:
         drops.update(bridge.drops)
 

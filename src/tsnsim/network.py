@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .core import CONSTANT_ZERO, Engine, JitterDist, SimTime
@@ -76,9 +77,8 @@ class BridgeNode:
             if decision.outcome != PASS:
                 self.drops[decision.outcome] += 1
                 return
-        delay = self.forwarding_latency.sample(self.rng)
-        self.engine.schedule(t + delay,
-                             lambda: self.egress.submit(frame, self.engine.now))
+        fire = t + self.forwarding_latency.sample(self.rng)
+        self.engine.schedule(fire, partial(self.egress.submit, frame, fire))
 
 
 @dataclass(frozen=True)

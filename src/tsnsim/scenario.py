@@ -13,9 +13,17 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .core import PPM, JitterDist
+from .traffic import DuplicateExactRuleError, StreamRuleSet, make_stream_rules
 
 VALID_TOP_KEYS = {"nodes", "links", "clocks", "shapers", "filters",
                   "frer", "cqf", "traffic", "run"}
+
+#: shaper keys that configure only one scheme's queue
+_SCHEME_KEYS = {"taprio": {"gcl", "guard_mode", "queue_capacity", "preemption"},
+                "etf": {"etf"}}
+
+#: largest value of each StreamKey field
+_STREAM_FIELDS = {"dest_mac": 2 ** 48 - 1, "vlan_id": 4095, "pcp": 7}
 
 _DIST_KEYS = {
     "constant": {"kind", "value_ns"},
@@ -129,7 +137,7 @@ class ShaperCfg:
 
 @dataclass
 class FilterCfg:
-    rules: list = field(default_factory=list)
+    rules: Optional[StreamRuleSet] = None  # None: every frame has handle None
     gates: dict = field(default_factory=dict)  # handle -> raw gate config
 
 
@@ -194,6 +202,26 @@ class ScenarioConfig:
 
     def clock_for(self, node: str, which: str) -> ClockCfg:
         return self.clocks.get(node, {}).get(which, ClockCfg())
+
+
+def chain_links(links: list[LinkCfg], talker: str, listener: str) -> list[LinkCfg]:
+    """The links from talker to listener, taking each node's first link out.
+
+    Raises ValueError when that walk ends or loops before the listener.
+    """
+    succ = {}
+    for l in links:
+        succ.setdefault(l.src, l)
+    chain = []
+    node = talker
+    while node != listener:
+        link = succ.get(node)
+        # a walk longer than the number of nodes with a link out repeats one
+        if link is None or len(chain) >= len(succ):
+            raise ValueError(f"no forwarding path from {node} to {listener}")
+        chain.append(link)
+        node = link.dst
+    return chain
 
 
 def _parse_clock(c: _Checker, obj, path) -> ClockCfg:
@@ -337,6 +365,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         links.append(LinkCfg(src=src, dst=dst, rate_bps=rate or 1,
                              propagation_ns=c.int_in(l, "propagation_ns", p, lo=0, default=0),
                              overhead_bytes=c.int_in(l, "overhead_bytes", p, lo=0, default=0)))
+    if not c.problems:
+        ends = {n.role: n.name for n in nodes}
+        try:
+            chain_links(links, ends["talker"], ends["listener"])
+        except ValueError as exc:
+            c.fail("links", str(exc))
 
     clocks: dict = {}
     raw_clocks = doc.get("clocks", {})
@@ -355,13 +389,17 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if c.dict(raw_shapers, "shapers", names or set(raw_shapers)):
         for node, spec in raw_shapers.items():
             p = f"shapers.{node}"
-            if not c.dict(spec, p, {"scheme", "gcl", "guard_mode", "queue_capacity",
-                                    "etf", "preemption"}):
+            if not c.dict(spec, p, {"scheme", *_SCHEME_KEYS["taprio"],
+                                    *_SCHEME_KEYS["etf"]}):
                 continue
             sh = ShaperCfg()
             scheme = spec.get("scheme", "taprio")
-            if scheme not in ("taprio", "etf"):
+            if scheme not in _SCHEME_KEYS:
                 c.fail(f"{p}.scheme", f"must be taprio|etf, got {scheme!r}")
+            else:
+                other = "etf" if scheme == "taprio" else "taprio"
+                for k in sorted(_SCHEME_KEYS[other] & spec.keys()):
+                    c.fail(f"{p}.{k}", f"applies only to scheme {other}, not {scheme}")
             sh.scheme = scheme
             if spec.get("gcl") is not None:
                 sh.gcl = _parse_gcl_raw(c, spec["gcl"], f"{p}.gcl")
@@ -410,13 +448,22 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             if not isinstance(rules, list):
                 c.fail(f"{p}.rules", "expected a list")
                 rules = []
+            before = len(c.problems)
             for i, r in enumerate(rules):
                 rp = f"{p}.rules[{i}]"
-                if c.dict(r, rp, {"dest_mac", "vlan_id", "pcp", "handle"},
+                if c.dict(r, rp, {"handle", *_STREAM_FIELDS},
                           required=("handle",)):
                     if not isinstance(r.get("handle"), str):
                         c.fail(f"{rp}.handle", "expected a string")
-            fc.rules = rules
+                    for k, hi in _STREAM_FIELDS.items():
+                        if r.get(k) is not None:  # absent or null matches any
+                            c.int_in(r, k, rp, lo=0, hi=hi)
+            # the bridges share this rule set, so it is built only when valid
+            if rules and len(c.problems) == before:
+                try:
+                    fc.rules = make_stream_rules(rules)
+                except DuplicateExactRuleError as exc:
+                    c.fail(f"{p}.rules", str(exc))
             gates = spec.get("gates", {})
             if not isinstance(gates, dict):
                 c.fail(f"{p}.gates", "expected an object")
@@ -484,9 +531,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         traffic.priority = c.int_in(raw_traffic, "priority", "traffic", lo=0,
                                     hi=7, default=0)
         stream = raw_traffic.get("stream")
-        if stream is not None and c.dict(stream, "traffic.stream",
-                                         {"dest_mac", "vlan_id", "pcp"},
-                                         required=("dest_mac", "vlan_id", "pcp")):
+        if stream is not None and c.dict(stream, "traffic.stream", _STREAM_FIELDS,
+                                         required=_STREAM_FIELDS):
+            for k, hi in _STREAM_FIELDS.items():
+                c.int_in(stream, k, "traffic.stream", lo=0, hi=hi)
             traffic.stream = stream
         for dist_key in ("wake_jitter", "stack_latency", "driver_latency",
                          "hw_precision"):

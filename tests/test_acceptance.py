@@ -99,8 +99,7 @@ def mask_table(gcl):
 def run_taprio(gcl, frames, rate=10 ** 9, until=20 * MS):
     eng = Engine()
     wires = []
-    port = EgressPort(eng, rate, scheme="taprio",
-                      taprio=TaprioPort(gcl=gcl, link_rate_bps=rate),
+    port = EgressPort(eng, rate, queue=TaprioPort(gcl=gcl, link_rate_bps=rate),
                       deliver=lambda f, s, e: wires.append((f, s, e)))
     for t, f in frames:
         eng.schedule(t, lambda f=f: port.submit(f, eng.now))
@@ -190,8 +189,7 @@ def run_cqf_chain(hops, cycle, inject_at):
     bridges = []
     for _ in range(hops):
         ingress, gcl = cqf_compose(cfg)
-        port = EgressPort(eng, 10 ** 9, scheme="taprio",
-                          taprio=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
+        port = EgressPort(eng, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
                           deliver=deliver_next)
         br = BridgeNode(eng, "br", port, stream_rules=rules,
                         gates={"s0": ingress})
@@ -349,8 +347,7 @@ def test_criterion_10_etf_semantics():
 
     eng = Engine()
     wires = []
-    port = EgressPort(eng, 10 ** 9, phc=ClockModel.identity(), scheme="etf",
-                      etf=EtfQueue(),
+    port = EgressPort(eng, 10 ** 9, phc=ClockModel.identity(), queue=EtfQueue(),
                       deliver=lambda f, s, e: wires.append(s))
     port.submit(Frame(id=1, size_bytes=64, priority=0, txtime=5 * US), 0)
     eng.run_all()

@@ -101,6 +101,39 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("section,path", [
+        ({"shapers": {"talker": {"scheme": "etf", "gcl": {
+            "cycle_time_ns": 500_000,
+            "entries": [{"gate_mask": 0, "duration_ns": 500_000}]}}}},
+         "shapers.talker.gcl"),
+        ({"shapers": {"talker": {"scheme": "etf", "guard_mode": "none"}}},
+         "shapers.talker.guard_mode"),
+        ({"shapers": {"talker": {"scheme": "etf", "queue_capacity": 1}}},
+         "shapers.talker.queue_capacity"),
+        ({"shapers": {"talker": {"scheme": "etf",
+                                 "preemption": {"enabled": True}}}},
+         "shapers.talker.preemption"),
+        ({"shapers": {"talker": {"etf": {"delta_ns": 0}}}}, "shapers.talker.etf"),
+        ({"filters": {"talker": {"rules": [{"vlan_id": 1, "handle": "a"},
+                                           {"vlan_id": 1, "handle": "b"}]}}},
+         "filters.talker.rules"),
+        ({"filters": {"talker": {"rules": [{"dest_mac": "zz", "handle": "s0"}]}}},
+         "filters.talker.rules[0].dest_mac"),
+        ({"links": [{"from": "listener", "to": "talker", "rate_bps": 10 ** 9}]},
+         "links"),
+    ], ids=["etf_gcl", "etf_guard_mode", "etf_queue_capacity", "etf_preemption",
+            "taprio_etf", "duplicate_rules", "string_dest_mac", "no_path"])
+    def test_config_run_would_ignore_or_refuse_is_config_error(self, tmp_path, capsys,
+                                                               section, path):
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(dict(GOOD, traffic=dict(GOOD["traffic"], mode="txtime"),
+                                     **section)))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"{path}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestReport:
     def test_report_round_trip(self, good_scenario, tmp_path, capsys):
         out = tmp_path / "out"

@@ -195,7 +195,7 @@ class TestGateConformance:
         eng = Engine()
         wires = []
         taprio = TaprioPort(gcl=gcl, link_rate_bps=rate)
-        port = EgressPort(eng, rate, scheme="taprio", taprio=taprio,
+        port = EgressPort(eng, rate, queue=taprio,
                           deliver=lambda f, s, e: wires.append((f, s, e)))
         for t, f in frames:
             eng.schedule(t, lambda f=f: port.submit(f, eng.now))
@@ -274,7 +274,7 @@ class TestPendingCount:
         for _ in range(30):
             eng = Engine()
             taprio = CountedTaprioPort(link_rate_bps=rate, capacity=4)
-            port = EgressPort(eng, rate, scheme="taprio", taprio=taprio,
+            port = EgressPort(eng, rate, queue=taprio,
                               preemption=pcfg, deliver=lambda f, s, e: None)
             do_preempt = port._do_preempt
 

@@ -62,8 +62,8 @@ class TestEtfRelease:
                  precision=JitterDist.constant(0), rng=None, busy_frame=None):
         eng = Engine()
         out = []
-        port = EgressPort(eng, rate, phc=phc, scheme="etf",
-                          etf=EtfQueue(delta_ns=delta, offload=offload),
+        port = EgressPort(eng, rate, phc=phc,
+                          queue=EtfQueue(delta_ns=delta, offload=offload, clock=phc),
                           hw_precision=precision, rng=rng,
                           deliver=lambda f, s, e: out.append((f.id, s, e)))
         if busy_frame is not None:
@@ -103,8 +103,8 @@ class TestEtfRelease:
     def test_hw_tx_records_phc_reading(self):
         eng = Engine()
         phc = ClockModel(offset_ns=100)
-        port = EgressPort(eng, 10 ** 9, phc=phc, scheme="etf",
-                          etf=EtfQueue(), deliver=lambda f, s, e: None)
+        port = EgressPort(eng, 10 ** 9, phc=phc, queue=EtfQueue(clock=phc),
+                          deliver=lambda f, s, e: None)
         f = frame(1, txtime=10 ** 6)
         port.submit(f, 0)
         eng.run_all()

@@ -46,8 +46,7 @@ class TestForwardingPresets:
 
 def make_bridge(engine, out, *, gates=None, rules=None,
                 forwarding=CONSTANT_ZERO, rng=None, gcl=None):
-    port = EgressPort(engine, 10 ** 9, scheme="taprio",
-                      taprio=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
+    port = EgressPort(engine, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
                       deliver=lambda f, s, e: out.append((f, s, e)))
     return BridgeNode(engine, "br", port, stream_rules=rules, gates=gates,
                       forwarding_latency=forwarding, rng=rng)
@@ -156,8 +155,7 @@ def run_cqf_chain(hops, cycle, inject_at):
     for _ in range(hops):
         ingress, gcl = cqf_compose(cfg)
         out_sink = deliver_next
-        port = EgressPort(eng, 10 ** 9, scheme="taprio",
-                          taprio=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
+        port = EgressPort(eng, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
                           deliver=out_sink)
         br = BridgeNode(eng, "br", port, stream_rules=rules,
                         gates={"s0": ingress})

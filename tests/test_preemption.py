@@ -107,8 +107,7 @@ class TestPortIntegration:
     def run_port(pframe, express_arrivals, rate=RATE_100M):
         eng = Engine()
         out = []
-        port = EgressPort(eng, rate, scheme="taprio",
-                          taprio=TaprioPort(link_rate_bps=rate),
+        port = EgressPort(eng, rate, queue=TaprioPort(link_rate_bps=rate),
                           preemption=PCFG,
                           deliver=lambda f, s, e: out.append((f.id, s, e)))
         port.submit(pframe, 0)
@@ -127,8 +126,7 @@ class TestPortIntegration:
     def test_preemption_disabled_express_waits_for_mtu(self):
         eng = Engine()
         out = []
-        port = EgressPort(eng, RATE_100M, scheme="taprio",
-                          taprio=TaprioPort(link_rate_bps=RATE_100M),
+        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
                           preemption=PreemptionConfig(enabled=False),
                           deliver=lambda f, s, e: out.append((f.id, s, e)))
         port.submit(Frame(id=1, size_bytes=9000, priority=0), 0)

@@ -8,6 +8,7 @@ import pytest
 
 import tsnsim
 from tsnsim.scenario import ConfigError, load_scenario, parse_scenario
+from tsnsim.traffic import StreamKey
 
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 
@@ -145,3 +146,59 @@ class TestRejections:
         doc = variant(clocks={"listener": {"phc": {"drift_ppm": drift}}})
         assert any(p.startswith("clocks.listener.phc.drift_ppm:")
                    for p in problems_of(doc))
+
+    @pytest.mark.parametrize("shaper,key", [
+        ({"scheme": "etf", "gcl": {"cycle_time_ns": 1000, "entries": [
+            {"gate_mask": 0, "duration_ns": 1000}]}}, "gcl"),
+        ({"scheme": "etf", "guard_mode": "none"}, "guard_mode"),
+        ({"scheme": "etf", "queue_capacity": 4}, "queue_capacity"),
+        ({"scheme": "etf", "preemption": {"enabled": True}}, "preemption"),
+        ({"scheme": "taprio", "etf": {"delta_ns": 0}}, "etf"),
+        ({"etf": {"offload": False}}, "etf"),
+    ])
+    def test_other_schemes_shaper_key_rejected(self, shaper, key):
+        doc = variant(shapers={"talker": shaper})
+        other = "taprio" if key != "etf" else "etf"
+        scheme = shaper.get("scheme", "taprio")
+        assert problems_of(doc) == [
+            f"shapers.talker.{key}: applies only to scheme {other}, not {scheme}"]
+
+    def test_duplicate_filter_rules_rejected(self):
+        rule = {"dest_mac": 1, "vlan_id": 100, "pcp": 3}
+        doc = variant(filters={"talker": {"rules": [{**rule, "handle": "a"},
+                                                    {**rule, "handle": "b"}]}})
+        assert problems_of(doc) == [
+            "filters.talker.rules: duplicate pattern (1, 100, 3)"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("dest_mac", "zz"), ("dest_mac", -1), ("dest_mac", 2 ** 48),
+        ("vlan_id", 4096), ("vlan_id", 1.5), ("pcp", 8), ("pcp", True)])
+    def test_bad_stream_key_field_rejected(self, key, value):
+        doc = variant(filters={"talker": {"rules": [{key: value, "handle": "s0"}]}})
+        assert [p.partition(":")[0] for p in problems_of(doc)] == [
+            f"filters.talker.rules[0].{key}"]
+        stream = {"dest_mac": 1, "vlan_id": 1, "pcp": 0, key: value}
+        doc = variant(traffic={"period_ns": 500_000, "stream": stream})
+        assert [p.partition(":")[0] for p in problems_of(doc)] == [
+            f"traffic.stream.{key}"]
+
+    def test_filter_rules_built_once(self):
+        doc = variant(filters={"talker": {"rules": [
+            {"vlan_id": 100, "handle": "s0"}, {"dest_mac": None, "handle": "any"}]}})
+        rules = parse_scenario(doc).filters["talker"].rules
+        assert rules.identify(StreamKey(dest_mac=5, vlan_id=100, pcp=0)) == "s0"
+        assert rules.identify(StreamKey(dest_mac=5, vlan_id=7, pcp=0)) == "any"
+        assert parse_scenario(variant(filters={"talker": {}})).filters[
+            "talker"].rules is None
+
+    @pytest.mark.parametrize("links,stuck", [
+        ([("listener", "talker")], "talker"),
+        ([("talker", "b1"), ("b1", "b2"), ("b2", "b1"), ("listener", "talker")], "b2"),
+    ], ids=["dead_end", "loop"])
+    def test_links_without_forwarding_path_rejected(self, links, stuck):
+        doc = variant(nodes=MINIMAL["nodes"] + [{"name": "b1", "role": "bridge"},
+                                                {"name": "b2", "role": "bridge"}],
+                      links=[{"from": a, "to": b, "rate_bps": 10 ** 9}
+                             for a, b in links])
+        assert problems_of(doc) == [
+            f"links: no forwarding path from {stuck} to listener"]

@@ -3,6 +3,7 @@ FRER member paths and drop accounting."""
 
 import pytest
 
+from tsnsim.core import ClockModel
 from tsnsim.harness import run_scenario
 from tsnsim.network import FORWARDING_PRESETS
 from tsnsim.scenario import parse_scenario
@@ -84,3 +85,32 @@ def test_each_frame_is_delivered_or_dropped_once(bridges, shapers, traffic):
     res = run_scenario(cfg)
     assert sum(res.drops.values()) > 0
     assert len(res.records) + sum(res.drops.values()) == count
+
+
+def test_software_etf_releases_on_the_system_clock():
+    # the talker's system clock and PHC disagree, so releasing on the wrong
+    # one, or without delta, moves the wire start
+    system = {"offset_ns": 3_000, "drift_ppm": 40}
+    phc = {"offset_ns": -700, "drift_ppm": -15}
+    cfg = chain_scenario([], count=50, traffic={"mode": "txtime"},
+                         shapers={"talker": {"scheme": "etf",
+                                             "etf": {"offload": False}}},
+                         clocks={"talker": {"system": system, "phc": phc}})
+    res = run_scenario(cfg)
+    assert [r.seq for r in res.records] == list(range(50))
+    sys_clock, phc_clock = ClockModel(**system), ClockModel(**phc)
+    for r in res.records:
+        wire_start = sys_clock.when_reading(r.intended_tx - 50 * US)
+        assert r.hw_tx == phc_clock.read(wire_start)
+        assert r.hw_rx == wire_start + WIRE
+
+
+def test_sleep_mode_talker_ignores_hw_precision():
+    # only an offloaded ETF port times the launch itself
+    traffic = {"wake_jitter": {"kind": "uniform", "min_ns": 0, "max_ns": 900}}
+    plain = run_scenario(chain_scenario([], count=100, traffic=traffic))
+    jittered = run_scenario(chain_scenario([], count=100, traffic={
+        **traffic, "hw_precision": {"kind": "uniform", "min_ns": 5, "max_ns": 50}}))
+    assert len(plain.records) == 100
+    assert [r.hw_tx for r in jittered.records] == [r.sw_tx for r in plain.records]
+    assert jittered.records == plain.records

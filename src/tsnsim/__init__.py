@@ -6,7 +6,7 @@ from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
                      PreemptionConfig, TaprioPort, plan_preemption)
 from .ingress import PsfpDecision, StreamGate, StreamGateEntry, assign_ipv
 from .frer import RecoveryState, SequenceGenerator, replicate
-from .network import (BridgeNode, CqfConfig, Link, cqf_compose, cqf_latency_bound)
+from .network import (BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound)
 from .harness import (OffsetStats, PacketRecord, RunResult, compute_offsets,
                       export_records, load_records, report, run_scenario, stats)
 from .scenario import ConfigError, ScenarioConfig, load_scenario, parse_scenario

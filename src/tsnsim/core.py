@@ -109,18 +109,6 @@ class JitterDist:
             return cls.empirical(cfg["points"])
         raise ValueError(f"unknown jitter kind: {kind!r}")
 
-    def to_config(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value_ns": self.value_ns}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "min_ns": self.min_ns, "max_ns": self.max_ns}
-        if self.kind == "normal":
-            out = {"kind": "normal", "mean_ns": self.mean_ns, "std_ns": self.std_ns}
-            if self.min_ns is not None:
-                out["min_ns"] = self.min_ns
-            return out
-        return {"kind": "empirical", "points": [list(p) for p in self.points]}
-
     def sample(self, rng: random.Random) -> int:
         if self.kind == "constant":
             return self.value_ns
@@ -280,8 +268,10 @@ class CyclicSchedule:
             raise ScheduleError("schedule needs at least one entry")
         if any(e.duration_ns <= 0 for e in entries):
             raise ScheduleError("every entry duration must be > 0")
-        if sum(e.duration_ns for e in entries) != cycle_time_ns:
-            raise ScheduleError("entry durations must sum to cycle_time_ns")
+        total = sum(e.duration_ns for e in entries)
+        if total != cycle_time_ns:
+            raise ScheduleError(f"durations sum to {total}, not cycle_time_ns "
+                                f"{cycle_time_ns}")
         self.base_time = base_time
         self.cycle_time_ns = cycle_time_ns
         self.entries = list(entries)

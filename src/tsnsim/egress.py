@@ -12,9 +12,7 @@ from typing import Callable, Optional
 from .core import ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
 # the schedule errors keep their egress names
 from .core import BeforeBaseTimeError, ScheduleError as GclError  # noqa: F401
-from .traffic import Frame, transmission_time
-
-NS_PER_SEC = 10 ** 9
+from .traffic import NS_PER_SEC, Frame, transmission_time
 
 
 class MissingTxtimeError(Exception):
@@ -39,10 +37,6 @@ class GateControlList(CyclicSchedule):
         _, i, phase = self._locate(t)
         end = self._starts[i] + self.entries[i].duration_ns
         return self.entries[i].gate_mask, end - phase
-
-    def next_change(self, t: SimTime) -> SimTime:
-        _, remaining = self.state(t)
-        return t + remaining
 
     def time_until_close(self, tc: int, t: SimTime) -> Optional[int]:
         """Time until class tc's gate closes, or None if it never does.
@@ -171,7 +165,7 @@ class TaprioPort:
             return None
         if t < self.gcl.base_time:
             return self.gcl.base_time
-        return self.gcl.next_change(t)
+        return t + self.gcl.state(t)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 from .traffic import Frame
@@ -62,7 +61,6 @@ class RecoveryState:
         self.window_size = window_size
         self.highest_seq: Optional[int] = None
         self.seen: set[int] = set()
-        self.counters: Counter = Counter()
 
     def recover(self, frame: Frame) -> str:
         if frame.seq is None:
@@ -71,20 +69,16 @@ class RecoveryState:
         if self.highest_seq is None:
             self.highest_seq = seq
             self.seen = {seq}
-            self.counters[ACCEPT] += 1
             return ACCEPT
         window = self.window_size
         advance = (seq - self.highest_seq) % SEQ_SPACE
         if not 0 < advance < SEQ_HALF:
             # not newer in mod-65536 serial arithmetic
             if (self.highest_seq - seq) % SEQ_SPACE >= window:
-                self.counters[DISCARD_STALE] += 1
                 return DISCARD_STALE
             if seq in self.seen:
-                self.counters[DISCARD_DUPLICATE] += 1
                 return DISCARD_DUPLICATE
             self.seen.add(seq)
-            self.counters[ACCEPT] += 1
             return ACCEPT
         # newer sequence: accept and slide the window forward
         self.highest_seq = seq
@@ -100,5 +94,4 @@ class RecoveryState:
                            seq - window + 1):
                 seen.discard(s % SEQ_SPACE)
             seen.add(seq)
-        self.counters[ACCEPT] += 1
         return ACCEPT

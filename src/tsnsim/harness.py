@@ -7,6 +7,7 @@ transmission grid, and produces offset statistics and histograms.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import statistics
@@ -17,13 +18,12 @@ from typing import Optional
 
 from .core import (CONSTANT_ZERO, ClockModel, Engine, RNG_ALGORITHM,
                    SimTime, rng_fork)
-from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
-                     PreemptionConfig, TaprioPort)
+from .egress import EgressPort, EtfQueue, GateControlList, TaprioPort
 from .frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
-from .ingress import StreamGate, StreamGateEntry
-from .network import BridgeNode, CqfConfig, cqf_compose
-from .scenario import LinkCfg, ScenarioConfig, ShaperCfg, chain_links
-from .traffic import Frame, StreamKey
+from .network import BridgeNode, cqf_compose
+from .scenario import (EtfCfg, LinkCfg, ScenarioConfig, TaprioCfg, TrafficCfg,
+                       chain_links)
+from .traffic import Frame
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
 
@@ -221,12 +221,6 @@ def report(records_path, bin_width_ns: int = 100) -> dict:
 # scenario execution
 
 
-def _build_clock(cfg) -> ClockModel:
-    return ClockModel(offset_ns=cfg.offset_ns, drift_ppm=cfg.drift_ppm,
-                      sync_interval_ns=cfg.sync_interval_ns,
-                      sync_residual=cfg.sync_residual)
-
-
 def _schedule_syncs(engine: Engine, clock: ClockModel, rng, horizon: SimTime):
     interval = clock.sync_interval_ns
     if not interval:
@@ -241,39 +235,23 @@ def _schedule_syncs(engine: Engine, clock: ClockModel, rng, horizon: SimTime):
     engine.schedule(interval, do_sync)
 
 
-def _build_gcl(raw) -> GateControlList:
-    return GateControlList(raw.get("base_time", 0), raw["cycle_time_ns"],
-                           [GclEntry(e["gate_mask"], e["duration_ns"])
-                            for e in raw["entries"]])
-
-
-def _build_stream_gate(raw) -> StreamGate:
-    return StreamGate(raw.get("base_time", 0), raw["cycle_time_ns"],
-                      [StreamGateEntry(open=e["open"], duration_ns=e["duration_ns"],
-                                       ipv=e.get("ipv"),
-                                       max_octets=e.get("max_octets"))
-                       for e in raw["entries"]])
-
-
 def _bridge_ingress(cfg: ScenarioConfig, name: str):
     """(stream rules, gates by handle, CQF egress GCL or None) of one bridge.
 
-    CQF replaces the bridge's filters with one gate for every frame.
+    CQF replaces the bridge's filters with one gate for every frame. Each
+    call gives the bridge gates of its own, as a gate counts octets.
     """
-    if cfg.cqf.enabled:
-        gate, gcl = cqf_compose(CqfConfig(
-            cycle_time_ns=cfg.cqf.cycle_time_ns,
-            ipv_even=cfg.cqf.ipv_even, ipv_odd=cfg.cqf.ipv_odd,
-            base_time=cfg.cqf.base_time))
+    if cfg.cqf is not None:
+        gate, gcl = cqf_compose(cfg.cqf)
         return None, {None: gate}, gcl
     fcfg = cfg.filters.get(name)
     if fcfg is None:
         return None, {}, None
-    return fcfg.rules, {h: _build_stream_gate(g) for h, g in fcfg.gates.items()}, None
+    return fcfg.rules, {h: copy.copy(g) for h, g in fcfg.gates.items()}, None
 
 
-def _build_port(engine, link: LinkCfg, shaper: Optional[ShaperCfg], *, phc, system,
-                hw_precision, rng, receive,
+def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, *, phc,
+                system, hw_precision, rng, receive,
                 gcl: Optional[GateControlList] = None) -> EgressPort:
     """An egress port onto link whose frames reach receive(frame, t).
 
@@ -281,35 +259,93 @@ def _build_port(engine, link: LinkCfg, shaper: Optional[ShaperCfg], *, phc, syst
     hw_precision applies only to offloaded ETF: only there does the NIC
     time the launch itself.
     """
-    shaper = shaper or ShaperCfg()
-
     def deliver(frame, wire_start, wire_end):
         receive(frame, wire_end + link.propagation_ns)
 
-    launch_precision = None
-    if shaper.scheme == "etf":
-        offload = shaper.etf_offload
-        delta = shaper.etf_delta_ns
-        if delta is None:
-            delta = 0 if offload else 50_000
-        queue = EtfQueue(delta_ns=delta, offload=offload,
-                         clock=phc if offload else system)
-        if offload:
+    launch_precision = preemption = None
+    if isinstance(shaper, EtfCfg):
+        queue = EtfQueue(delta_ns=shaper.delta_ns, offload=shaper.offload,
+                         clock=phc if shaper.offload else system)
+        if shaper.offload:
             launch_precision = hw_precision
     else:
-        if gcl is None and shaper.gcl:
-            gcl = _build_gcl(shaper.gcl)
-        queue = TaprioPort(gcl=gcl, capacity=shaper.queue_capacity,
+        shaper = shaper or TaprioCfg()
+        queue = TaprioPort(gcl=gcl or shaper.gcl, capacity=shaper.queue_capacity,
                            guard_mode=shaper.guard_mode,
                            link_rate_bps=link.rate_bps,
                            overhead_bytes=link.overhead_bytes)
-    preemption = PreemptionConfig(enabled=shaper.preemption_enabled,
-                                  express_classes=frozenset(shaper.express_classes),
-                                  min_fragment_bytes=shaper.min_fragment_bytes)
+        preemption = shaper.preemption
     return EgressPort(engine, link.rate_bps, queue=queue,
                       overhead_bytes=link.overhead_bytes, phc=phc,
                       preemption=preemption, hw_precision=launch_precision,
                       rng=rng, deliver=deliver)
+
+
+class Talker:
+    """The cyclic talker as a stream source, one frame planned at a time.
+
+    As in a Linux talker loop, the plan of frame k fires one lead before
+    its intended time: a period in sleep mode, txtime_lead_ns (half a
+    period by default) in txtime mode. It plans frame k + 1, then runs
+    the step named by the mode, which hands frame k to submit(frame, t).
+    """
+
+    def __init__(self, engine: Engine, traffic: TrafficCfg, count: int,
+                 clock: ClockModel, seed: int, submit):
+        self.engine = engine
+        self.traffic = traffic
+        self.count = count
+        self.clock = clock  # the talker's system clock
+        self.submit = submit
+        self.wake_rng = rng_fork(seed, "wake")
+        self.stack_rng = rng_fork(seed, "stack")
+        self.driver_rng = rng_fork(seed, "driver")
+        self.step = getattr(self, traffic.mode)
+        lead = traffic.txtime_lead_ns
+        self.lead = (traffic.period_ns if traffic.mode == "sleep"
+                     else traffic.period_ns // 2 if lead is None else lead)
+
+    def plan(self, k: int):
+        # the first intended transmission is one period into the run
+        intended = (k + 1) * self.traffic.period_ns
+        self.engine.schedule(max(0, intended - self.lead),
+                             partial(self._fire, k, intended))
+
+    def _fire(self, k: int, intended: SimTime):
+        if k + 1 < self.count:
+            self.plan(k + 1)
+        self.step(k, intended)
+
+    def _frame(self, k: int, intended: SimTime) -> Frame:
+        traffic = self.traffic
+        frame = Frame(id=k, size_bytes=traffic.frame_size_bytes,
+                      priority=traffic.priority, stream=traffic.stream)
+        frame.trace.intended_tx = intended
+        return frame
+
+    def sleep(self, k: int, intended: SimTime):
+        """Sleep until the system clock reads intended, then send through
+        the stack and the driver."""
+        traffic = self.traffic
+        wake = traffic.wake_jitter.sample(self.wake_rng)
+        stack = traffic.stack_latency.sample(self.stack_rng)
+        driver = traffic.driver_latency.sample(self.driver_rng)
+        wake_true = max(self.engine.now, self.clock.when_reading(intended) + wake)
+        self.engine.schedule(wake_true + stack,
+                             partial(self._at_driver, k, intended, driver))
+
+    def _at_driver(self, k: int, intended: SimTime, driver: int):
+        frame = self._frame(k, intended)
+        frame.trace.sw_tx = self.clock.read(self.engine.now)
+        fire = self.engine.now + driver
+        self.engine.schedule(fire, partial(self.submit, frame, fire))
+
+    def txtime(self, k: int, intended: SimTime):
+        """Send now with the launch time (SO_TXTIME) set to intended."""
+        frame = self._frame(k, intended)
+        frame.txtime = intended
+        frame.trace.sw_tx = self.clock.read(self.engine.now)
+        self.submit(frame, self.engine.now)
 
 
 def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
@@ -318,19 +354,15 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     traffic = cfg.traffic
     count = cfg.run.count or traffic.count
     period = traffic.period_ns
-    base = period  # first intended transmission one period into the run
 
     engine = Engine()
     drops: Counter = Counter()
 
-    clocks = {}
-    for node in cfg.nodes:
-        clocks[node.name] = {
-            "system": _build_clock(cfg.clock_for(node.name, "system")),
-            "phc": _build_clock(cfg.clock_for(node.name, "phc")),
-        }
+    # each run resyncs copies of the scenario's clocks
+    clocks = {n.name: {which: copy.copy(cfg.clocks.get(n.name, {}).get(
+        which, ClockModel())) for which in ("system", "phc")} for n in cfg.nodes}
 
-    horizon = base + count * period + 100 * period
+    horizon = (count + 101) * period
     for node in cfg.nodes:
         for which in ("system", "phc"):
             _schedule_syncs(engine, clocks[node.name][which],
@@ -342,12 +374,6 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     tal_phc = clocks[talker.name]["phc"]
     lis_sys = clocks[listener.name]["system"]
     lis_phc = clocks[listener.name]["phc"]
-
-    stream_key = None
-    if traffic.stream:
-        stream_key = StreamKey(dest_mac=traffic.stream["dest_mac"],
-                               vlan_id=traffic.stream["vlan_id"],
-                               pcp=traffic.stream["pcp"])
 
     rx_rng = rng_fork(seed, "rx")
     records: list[PacketRecord] = []
@@ -425,55 +451,12 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
 
         def submit_to_wire(frame, t):
             seqgen.stamp(frame)
-            for port, copy in zip(talker_ports, replicate(frame, path_labels)):
-                port.submit(copy, t)
+            for port, member in zip(talker_ports, replicate(frame, path_labels)):
+                port.submit(member, t)
     else:
         submit_to_wire = build_path("", listener_receive).submit
 
-    # --- talker traffic generation
-
-    wake_rng = rng_fork(seed, "wake")
-    stack_rng = rng_fork(seed, "stack")
-    driver_rng = rng_fork(seed, "driver")
-
-    def make_frame(k: int, intended: SimTime) -> Frame:
-        frame = Frame(id=k, size_bytes=traffic.frame_size_bytes,
-                      priority=traffic.priority, stream=stream_key)
-        frame.trace.intended_tx = intended
-        return frame
-
-    def sleep_plan(k: int, intended: SimTime, wake: int, stack: int, driver: int):
-        wake_true = max(engine.now, tal_sys.when_reading(intended) + wake)
-        engine.schedule(wake_true + stack, partial(at_driver, k, intended, driver))
-
-    def at_driver(k: int, intended: SimTime, driver: int):
-        frame = make_frame(k, intended)
-        frame.trace.sw_tx = tal_sys.read(engine.now)
-        fire = engine.now + driver
-        engine.schedule(fire, partial(submit_to_wire, frame, fire))
-
-    def txtime_plan(k: int, intended: SimTime):
-        frame = make_frame(k, intended)
-        frame.txtime = intended
-        frame.trace.sw_tx = tal_sys.read(engine.now)
-        submit_to_wire(frame, engine.now)
-
-    if traffic.mode == "sleep":
-        for k in range(count):
-            intended = base + k * period
-            wake = traffic.wake_jitter.sample(wake_rng)
-            stack = traffic.stack_latency.sample(stack_rng)
-            driver = traffic.driver_latency.sample(driver_rng)
-            engine.schedule(max(0, intended - period),
-                            partial(sleep_plan, k, intended, wake, stack, driver))
-    else:  # txtime
-        lead = traffic.txtime_lead_ns
-        if lead is None:
-            lead = period // 2
-        for k in range(count):
-            intended = base + k * period
-            engine.schedule(max(0, intended - lead), partial(txtime_plan, k, intended))
-
+    Talker(engine, traffic, count, tal_sys, seed, submit_to_wire).plan(0)
     engine.run_all()
 
     # --- collect drop counters

@@ -3,7 +3,6 @@ internal-priority reassignment, and per-window octet budgets."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +44,6 @@ class StreamGate(CyclicSchedule):
         super().__init__(base_time, cycle_time_ns, entries)
         self.running_octets = 0
         self._window_key = None
-        self.drops: Counter = Counter()
 
     def process(self, frame: Frame, t: SimTime) -> PsfpDecision:
         cycle, i, _ = self._locate(t)
@@ -55,12 +53,10 @@ class StreamGate(CyclicSchedule):
             self._window_key = window
             self.running_octets = 0
         if not entry.open:
-            self.drops[DROP_CLOSED_GATE] += 1
             return PsfpDecision(DROP_CLOSED_GATE)
         if entry.max_octets is not None:
             if self.running_octets + frame.size_bytes > entry.max_octets:
                 # a frame exceeding the budget does not consume any of it
-                self.drops[DROP_OCTET_BUDGET] += 1
                 return PsfpDecision(DROP_OCTET_BUDGET)
             self.running_octets += frame.size_bytes
         if entry.ipv is not None:

@@ -1,4 +1,4 @@
-"""Links, store-and-forward bridges, and the cyclic queuing/forwarding composer."""
+"""Store-and-forward bridges, and the cyclic queuing/forwarding composer."""
 
 from __future__ import annotations
 
@@ -15,17 +15,6 @@ from .traffic import Frame, StreamRuleSet
 
 class ZeroHopsError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Link:
-    rate_bps: int
-    propagation_ns: int = 0
-    overhead_bytes: int = 0
-
-    def __post_init__(self):
-        if self.rate_bps <= 0:
-            raise ValueError("rate_bps must be > 0")
 
 
 # Default software-switching latency models. These are editable presets

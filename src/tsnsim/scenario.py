@@ -10,10 +10,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
-from .core import PPM, JitterDist
-from .traffic import DuplicateExactRuleError, StreamRuleSet, make_stream_rules
+from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, ScheduleError
+from .egress import GateControlList, GclEntry, PreemptionConfig
+from .ingress import StreamGate, StreamGateEntry
+from .network import FORWARDING_PRESETS, CqfConfig
+from .traffic import (DuplicateExactRuleError, StreamKey, StreamRuleSet,
+                      make_stream_rules)
 
 VALID_TOP_KEYS = {"nodes", "links", "clocks", "shapers", "filters",
                   "frer", "cqf", "traffic", "run"}
@@ -75,6 +79,13 @@ class _Checker:
             self.fail(f"{path}.{key}", f"must be <= {hi}, got {v}")
         return v
 
+    def bool_in(self, obj, key, path, default):
+        v = obj.get(key, default)
+        if not isinstance(v, bool):
+            self.fail(f"{path}.{key}", "expected a boolean")
+            return default
+        return v
+
     def dist(self, obj, key, path, default=None):
         if key not in obj or obj[key] is None:
             return default
@@ -98,14 +109,6 @@ class _Checker:
 
 
 @dataclass
-class ClockCfg:
-    offset_ns: int = 0
-    drift_ppm: Any = 0
-    sync_interval_ns: Optional[int] = None
-    sync_residual: JitterDist = JitterDist.constant(0)
-
-
-@dataclass
 class NodeCfg:
     name: str
     role: str
@@ -122,23 +125,26 @@ class LinkCfg:
     overhead_bytes: int = 0
 
 
-@dataclass
-class ShaperCfg:
-    scheme: str = "taprio"          # taprio | etf
-    gcl: Optional[dict] = None      # raw {base_time, cycle_time_ns, entries}
+@dataclass(frozen=True)
+class TaprioCfg:
+    gcl: Optional[GateControlList] = None
     guard_mode: str = "fit"
     queue_capacity: int = 64
-    etf_delta_ns: Optional[int] = None
-    etf_offload: bool = True
-    preemption_enabled: bool = False
-    express_classes: tuple = ()
-    min_fragment_bytes: int = 64
+    preemption: PreemptionConfig = PreemptionConfig()
+
+
+@dataclass(frozen=True)
+class EtfCfg:
+    offload: bool = True
+    delta_ns: int = 0  # 50 us by default without offload
 
 
 @dataclass
 class FilterCfg:
     rules: Optional[StreamRuleSet] = None  # None: every frame has handle None
-    gates: dict = field(default_factory=dict)  # handle -> raw gate config
+    #: handle -> StreamGate template; a gate counts its window's octets,
+    #: so each bridge on each path runs its own copy
+    gates: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -150,22 +156,13 @@ class FrerCfg:
 
 
 @dataclass
-class CqfCfg:
-    enabled: bool = False
-    cycle_time_ns: int = 500_000
-    ipv_even: int = 2
-    ipv_odd: int = 3
-    base_time: int = 0
-
-
-@dataclass
 class TrafficCfg:
     period_ns: int = 500_000
     count: int = 10_000
     frame_size_bytes: int = 64
     mode: str = "sleep"             # sleep | txtime
     priority: int = 0
-    stream: Optional[dict] = None
+    stream: Optional[StreamKey] = None
     wake_jitter: JitterDist = JitterDist.constant(0)
     stack_latency: JitterDist = JitterDist.constant(0)
     driver_latency: JitterDist = JitterDist.constant(0)
@@ -184,11 +181,13 @@ class RunCfg:
 class ScenarioConfig:
     nodes: list[NodeCfg]
     links: list[LinkCfg]
-    clocks: dict[str, dict[str, ClockCfg]]
-    shapers: dict[str, ShaperCfg]
+    #: node -> {"system" | "phc": ClockModel template}; a run resyncs
+    #: copies of its own
+    clocks: dict[str, dict[str, ClockModel]]
+    shapers: dict[str, TaprioCfg | EtfCfg]
     filters: dict[str, FilterCfg]
     frer: FrerCfg
-    cqf: CqfCfg
+    cqf: Optional[CqfConfig]  # None when CQF is off
     traffic: TrafficCfg
     run: RunCfg
 
@@ -199,9 +198,6 @@ class ScenarioConfig:
     @property
     def listener(self) -> NodeCfg:
         return next(n for n in self.nodes if n.role == "listener")
-
-    def clock_for(self, node: str, which: str) -> ClockCfg:
-        return self.clocks.get(node, {}).get(which, ClockCfg())
 
 
 def chain_links(links: list[LinkCfg], talker: str, listener: str) -> list[LinkCfg]:
@@ -224,73 +220,108 @@ def chain_links(links: list[LinkCfg], talker: str, listener: str) -> list[LinkCf
     return chain
 
 
-def _parse_clock(c: _Checker, obj, path) -> ClockCfg:
-    c.dict(obj, path, {"offset_ns", "drift_ppm", "sync_interval_ns", "sync_residual"})
-    cfg = ClockCfg()
-    cfg.offset_ns = c.int_in(obj, "offset_ns", path, default=0)
+def _parse_clock(c: _Checker, obj, path) -> ClockModel:
+    if not c.dict(obj, path, {"offset_ns", "drift_ppm", "sync_interval_ns",
+                              "sync_residual"}):
+        return ClockModel()
     drift = obj.get("drift_ppm", 0)
     if isinstance(drift, bool) or not isinstance(drift, (int, float)):
         c.fail(f"{path}.drift_ppm", f"expected a number, got {drift!r}")
+        drift = 0
     elif (isinstance(drift, float) and not math.isfinite(drift)) or drift <= -PPM:
         # at -10**6 ppm the clock stops; below, it runs backwards
         c.fail(f"{path}.drift_ppm", f"must be finite and > {-PPM}, got {drift!r}")
-    else:
-        cfg.drift_ppm = drift
+        drift = 0
     si = obj.get("sync_interval_ns")
-    if si is not None:
-        cfg.sync_interval_ns = c.int_in(obj, "sync_interval_ns", path, lo=1)
-    cfg.sync_residual = c.dist(obj, "sync_residual", path,
-                               default=JitterDist.constant(0))
-    return cfg
+    return ClockModel(offset_ns=c.int_in(obj, "offset_ns", path, default=0),
+                      drift_ppm=drift,
+                      sync_interval_ns=None if si is None else c.int_in(
+                          obj, "sync_interval_ns", path, lo=1),
+                      sync_residual=c.dist(obj, "sync_residual", path,
+                                           default=CONSTANT_ZERO))
 
 
-def _parse_schedule_raw(c: _Checker, obj, path, entry_keys, entry_required, check_entry):
-    """Check a cyclic schedule whose entry durations sum to cycle_time_ns.
+def _parse_schedule(c: _Checker, obj, path, schedule, required, optional, make_entry):
+    """Build schedule(base_time, cycle_time_ns, entries), or None on a problem.
 
-    check_entry(entry, entry_path) checks an entry's keys other than
-    duration_ns.
+    Each entry has duration_ns, the keys required and any of optional.
+    make_entry(entry, entry_path, duration_ns) checks an entry's other
+    keys and builds it; the schedule checks the entries' sum.
     """
     if not c.dict(obj, path, {"base_time", "cycle_time_ns", "entries"},
                   required=("cycle_time_ns", "entries")):
         return None
-    c.int_in(obj, "base_time", path, lo=0, default=0)
+    before = len(c.problems)
+    base = c.int_in(obj, "base_time", path, lo=0, default=0)
     cycle = c.int_in(obj, "cycle_time_ns", path, lo=1, required=True)
     entries = obj.get("entries")
     if not isinstance(entries, list) or not entries:
         c.fail(f"{path}.entries", "expected a non-empty list")
-        return obj
-    durations = []
+        return None
+    built = []
     for i, e in enumerate(entries):
         ep = f"{path}.entries[{i}]"
-        if c.dict(e, ep, entry_keys, required=entry_required):
-            check_entry(e, ep)
-            durations.append(c.int_in(e, "duration_ns", ep, lo=1))
-    # the sum is only checked once the cycle and every duration are valid
-    if (cycle is not None and cycle >= 1 and len(durations) == len(entries)
-            and None not in durations and min(durations) >= 1
-            and sum(durations) != cycle):
-        c.fail(f"{path}.entries",
-               f"durations sum to {sum(durations)}, not cycle_time_ns {cycle}")
-    return obj
+        if c.dict(e, ep, {"duration_ns", *required, *optional},
+                  required=("duration_ns", *required)):
+            built.append(make_entry(e, ep, c.int_in(e, "duration_ns", ep, lo=1)))
+    if len(c.problems) > before:
+        return None
+    try:
+        return schedule(base, cycle, built)
+    except ScheduleError as exc:
+        c.fail(f"{path}.entries", str(exc))
+        return None
 
 
-def _parse_gcl_raw(c: _Checker, obj, path):
-    def check_entry(e, ep):
-        c.int_in(e, "gate_mask", ep, lo=0, hi=0xFF)
-    return _parse_schedule_raw(c, obj, path, {"gate_mask", "duration_ns"},
-                               ("gate_mask", "duration_ns"), check_entry)
+def _parse_gcl(c: _Checker, obj, path) -> Optional[GateControlList]:
+    def entry(e, ep, duration):
+        return GclEntry(c.int_in(e, "gate_mask", ep, lo=0, hi=0xFF), duration)
+    return _parse_schedule(c, obj, path, GateControlList, ("gate_mask",), (), entry)
 
 
-def _parse_stream_gate_raw(c: _Checker, obj, path):
-    def check_entry(e, ep):
-        if not isinstance(e.get("open"), bool):
-            c.fail(f"{ep}.open", "expected a boolean")
-        if e.get("ipv") is not None:
-            c.int_in(e, "ipv", ep, lo=0, hi=7)
-        if e.get("max_octets") is not None:
-            c.int_in(e, "max_octets", ep, lo=0)
-    return _parse_schedule_raw(c, obj, path, {"open", "duration_ns", "ipv", "max_octets"},
-                               ("open", "duration_ns"), check_entry)
+def _parse_stream_gate(c: _Checker, obj, path) -> Optional[StreamGate]:
+    def entry(e, ep, duration):
+        # a null ipv or max_octets is the same as none
+        return StreamGateEntry(c.bool_in(e, "open", ep, None), duration, **{
+            k: c.int_in(e, k, ep, lo=0, hi=hi)
+            for k, hi in (("ipv", 7), ("max_octets", None)) if e.get(k) is not None})
+    return _parse_schedule(c, obj, path, StreamGate, ("open",), ("ipv", "max_octets"),
+                           entry)
+
+
+def _parse_taprio(c: _Checker, spec, p) -> TaprioCfg:
+    gcl = None
+    if spec.get("gcl") is not None:
+        gcl = _parse_gcl(c, spec["gcl"], f"{p}.gcl")
+    gm = spec.get("guard_mode", "fit")
+    if gm not in ("fit", "none"):
+        c.fail(f"{p}.guard_mode", f"must be fit|none, got {gm!r}")
+    preemption = PreemptionConfig()
+    pre = spec.get("preemption")
+    pp = f"{p}.preemption"
+    if pre is not None and c.dict(pre, pp, {"enabled", "express_classes",
+                                            "min_fragment_bytes"}):
+        ec = pre.get("express_classes", [])
+        if (not isinstance(ec, list)
+                or any(not isinstance(x, int) or not 0 <= x <= 7 for x in ec)):
+            c.fail(f"{pp}.express_classes", "expected a list of classes 0-7")
+            ec = []
+        preemption = PreemptionConfig(
+            enabled=c.bool_in(pre, "enabled", pp, False), express_classes=frozenset(ec),
+            min_fragment_bytes=c.int_in(pre, "min_fragment_bytes", pp, lo=1, default=64))
+    return TaprioCfg(gcl=gcl, guard_mode=gm, preemption=preemption,
+                     queue_capacity=c.int_in(spec, "queue_capacity", p, lo=1, default=64))
+
+
+def _parse_etf(c: _Checker, spec, p) -> EtfCfg:
+    etf = spec.get("etf")
+    if etf is None or not c.dict(etf, f"{p}.etf", {"delta_ns", "offload"}):
+        return EtfCfg()
+    offload = c.bool_in(etf, "offload", f"{p}.etf", True)
+    # without offload the kernel needs time to hand the frame to the NIC
+    return EtfCfg(offload=offload,
+                  delta_ns=c.int_in(etf, "delta_ns", f"{p}.etf", lo=0,
+                                    default=0 if offload else 50_000))
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
@@ -328,7 +359,6 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         fwd = n.get("forwarding")
         if fwd is not None:
             if isinstance(fwd, dict) and set(fwd) == {"preset"}:
-                from .network import FORWARDING_PRESETS
                 preset = fwd["preset"]
                 if preset not in FORWARDING_PRESETS:
                     c.fail(f"{p}.forwarding.preset", f"unknown preset {preset!r}")
@@ -341,6 +371,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         nodes.append(node)
 
     roles = [n.role for n in nodes]
+    role_of = {n.name: n.role for n in nodes}
     if not c.problems:
         if roles.count("talker") != 1:
             c.fail("nodes", "exactly one talker required")
@@ -365,10 +396,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         links.append(LinkCfg(src=src, dst=dst, rate_bps=rate or 1,
                              propagation_ns=c.int_in(l, "propagation_ns", p, lo=0, default=0),
                              overhead_bytes=c.int_in(l, "overhead_bytes", p, lo=0, default=0)))
+    chain = []
     if not c.problems:
         ends = {n.role: n.name for n in nodes}
         try:
-            chain_links(links, ends["talker"], ends["listener"])
+            chain = chain_links(links, ends["talker"], ends["listener"])
         except ValueError as exc:
             c.fail("links", str(exc))
 
@@ -389,58 +421,27 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if c.dict(raw_shapers, "shapers", names or set(raw_shapers)):
         for node, spec in raw_shapers.items():
             p = f"shapers.{node}"
+            if role_of.get(node) == "listener":
+                c.fail(p, "the listener has no egress port")
             if not c.dict(spec, p, {"scheme", *_SCHEME_KEYS["taprio"],
                                     *_SCHEME_KEYS["etf"]}):
                 continue
-            sh = ShaperCfg()
             scheme = spec.get("scheme", "taprio")
             if scheme not in _SCHEME_KEYS:
                 c.fail(f"{p}.scheme", f"must be taprio|etf, got {scheme!r}")
-            else:
-                other = "etf" if scheme == "taprio" else "taprio"
-                for k in sorted(_SCHEME_KEYS[other] & spec.keys()):
-                    c.fail(f"{p}.{k}", f"applies only to scheme {other}, not {scheme}")
-            sh.scheme = scheme
-            if spec.get("gcl") is not None:
-                sh.gcl = _parse_gcl_raw(c, spec["gcl"], f"{p}.gcl")
-            gm = spec.get("guard_mode", "fit")
-            if gm not in ("fit", "none"):
-                c.fail(f"{p}.guard_mode", f"must be fit|none, got {gm!r}")
-            sh.guard_mode = gm
-            sh.queue_capacity = c.int_in(spec, "queue_capacity", p, lo=1, default=64)
-            etf = spec.get("etf")
-            if etf is not None and c.dict(etf, f"{p}.etf", {"delta_ns", "offload"}):
-                sh.etf_delta_ns = c.int_in(etf, "delta_ns", f"{p}.etf", lo=0)
-                off = etf.get("offload", True)
-                if not isinstance(off, bool):
-                    c.fail(f"{p}.etf.offload", "expected a boolean")
-                else:
-                    sh.etf_offload = off
-            pre = spec.get("preemption")
-            if pre is not None and c.dict(pre, f"{p}.preemption",
-                                          {"enabled", "express_classes",
-                                           "min_fragment_bytes"}):
-                en = pre.get("enabled", False)
-                if not isinstance(en, bool):
-                    c.fail(f"{p}.preemption.enabled", "expected a boolean")
-                else:
-                    sh.preemption_enabled = en
-                ec = pre.get("express_classes", [])
-                if (not isinstance(ec, list)
-                        or any(not isinstance(x, int) or not 0 <= x <= 7 for x in ec)):
-                    c.fail(f"{p}.preemption.express_classes",
-                           "expected a list of classes 0-7")
-                else:
-                    sh.express_classes = tuple(ec)
-                sh.min_fragment_bytes = c.int_in(pre, "min_fragment_bytes",
-                                                 f"{p}.preemption", lo=1, default=64)
-            shapers[node] = sh
+                continue
+            other = "etf" if scheme == "taprio" else "taprio"
+            for k in sorted(_SCHEME_KEYS[other] & spec.keys()):
+                c.fail(f"{p}.{k}", f"applies only to scheme {other}, not {scheme}")
+            shapers[node] = (_parse_etf if scheme == "etf" else _parse_taprio)(c, spec, p)
 
     filters: dict = {}
     raw_filters = doc.get("filters", {})
     if c.dict(raw_filters, "filters", names or set(raw_filters)):
         for node, spec in raw_filters.items():
             p = f"filters.{node}"
+            if role_of.get(node) in ("talker", "listener"):
+                c.fail(p, f"the {role_of[node]} has no bridge ingress")
             if not c.dict(spec, p, {"rules", "gates"}):
                 continue
             fc = FilterCfg()
@@ -468,9 +469,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             if not isinstance(gates, dict):
                 c.fail(f"{p}.gates", "expected an object")
                 gates = {}
-            for handle, g in gates.items():
-                _parse_stream_gate_raw(c, g, f"{p}.gates.{handle}")
-            fc.gates = gates
+            fc.gates = {handle: _parse_stream_gate(c, g, f"{p}.gates.{handle}")
+                        for handle, g in gates.items()}
             filters[node] = fc
 
     frer = FrerCfg()
@@ -478,11 +478,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if raw_frer is not None and c.dict(raw_frer, "frer",
                                        {"enabled", "paths", "window_size",
                                         "loss_per_path"}):
-        en = raw_frer.get("enabled", False)
-        if not isinstance(en, bool):
-            c.fail("frer.enabled", "expected a boolean")
-        else:
-            frer.enabled = en
+        frer.enabled = c.bool_in(raw_frer, "enabled", "frer", False)
         frer.paths = c.int_in(raw_frer, "paths", "frer", lo=1, default=2)
         frer.window_size = c.int_in(raw_frer, "window_size", "frer", lo=1, default=64)
         loss = raw_frer.get("loss_per_path", 0.0)
@@ -492,23 +488,23 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         else:
             frer.loss_per_path = float(loss)
 
-    cqf = CqfCfg()
+    cqf = None
     raw_cqf = doc.get("cqf")
     if raw_cqf is not None and c.dict(raw_cqf, "cqf",
                                       {"enabled", "cycle_time_ns", "ipv_even",
                                        "ipv_odd", "base_time"}):
-        en = raw_cqf.get("enabled", False)
-        if not isinstance(en, bool):
-            c.fail("cqf.enabled", "expected a boolean")
-        else:
-            cqf.enabled = en
-        cqf.cycle_time_ns = c.int_in(raw_cqf, "cycle_time_ns", "cqf", lo=1,
-                                     default=500_000)
-        cqf.ipv_even = c.int_in(raw_cqf, "ipv_even", "cqf", lo=0, hi=7, default=2)
-        cqf.ipv_odd = c.int_in(raw_cqf, "ipv_odd", "cqf", lo=0, hi=7, default=3)
-        cqf.base_time = c.int_in(raw_cqf, "base_time", "cqf", lo=0, default=0)
-        if cqf.enabled and cqf.ipv_even == cqf.ipv_odd:
-            c.fail("cqf.ipv_odd", "must differ from ipv_even")
+        before = len(c.problems)
+        enabled = c.bool_in(raw_cqf, "enabled", "cqf", False)
+        fields = {"cycle_time_ns": c.int_in(raw_cqf, "cycle_time_ns", "cqf", lo=1,
+                                            default=500_000),
+                  "ipv_even": c.int_in(raw_cqf, "ipv_even", "cqf", lo=0, hi=7, default=2),
+                  "ipv_odd": c.int_in(raw_cqf, "ipv_odd", "cqf", lo=0, hi=7, default=3),
+                  "base_time": c.int_in(raw_cqf, "base_time", "cqf", lo=0, default=0)}
+        if enabled and len(c.problems) == before:
+            try:
+                cqf = CqfConfig(**fields)
+            except ValueError as exc:  # the only check left: distinct IPVs
+                c.fail("cqf.ipv_odd", str(exc))
 
     traffic = TrafficCfg()
     raw_traffic = doc.get("traffic")
@@ -533,9 +529,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         stream = raw_traffic.get("stream")
         if stream is not None and c.dict(stream, "traffic.stream", _STREAM_FIELDS,
                                          required=_STREAM_FIELDS):
-            for k, hi in _STREAM_FIELDS.items():
-                c.int_in(stream, k, "traffic.stream", lo=0, hi=hi)
-            traffic.stream = stream
+            traffic.stream = StreamKey(**{
+                k: c.int_in(stream, k, "traffic.stream", lo=0, hi=hi)
+                for k, hi in _STREAM_FIELDS.items()})
         for dist_key in ("wake_jitter", "stack_latency", "driver_latency",
                          "hw_precision"):
             setattr(traffic, dist_key,
@@ -556,6 +552,13 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             run.count = c.int_in(raw_run, "count", "run", lo=1)
         run.histogram_bin_ns = c.int_in(raw_run, "histogram_bin_ns", "run",
                                         lo=1, default=100)
+
+    # checked, like the path, once every section is valid on its own
+    if not c.problems and traffic.mode == "sleep":
+        for link in chain:
+            if isinstance(shapers.get(link.src), EtfCfg):
+                c.fail(f"shapers.{link.src}.scheme",
+                       "etf needs traffic.mode txtime: a sleep-mode talker sets no txtime")
 
     if c.problems:
         raise ConfigError(sorted(set(c.problems)))

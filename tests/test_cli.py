@@ -15,6 +15,11 @@ GOOD = {
     "run": {"seed": 1},
 }
 
+#: GOOD with a bridge sw0 between the talker and the listener
+BRIDGED = dict(GOOD, nodes=GOOD["nodes"] + [{"name": "sw0", "role": "bridge"}],
+               links=[{"from": a, "to": b, "rate_bps": 10 ** 9}
+                      for a, b in (("talker", "sw0"), ("sw0", "listener"))])
+
 
 @pytest.fixture
 def good_scenario(tmp_path):
@@ -84,7 +89,7 @@ class TestRun:
         {"shapers": {"talker": {"gcl": {
             "cycle_time_ns": 500_000,
             "entries": [{"gate_mask": 255, "duration_ns": 400_000}]}}}},
-        {"filters": {"talker": {"gates": {"s0": {
+        {"filters": {"sw0": {"gates": {"s0": {
             "cycle_time_ns": 500_000,
             "entries": [{"open": True, "duration_ns": 250_000},
                         {"open": False, "duration_ns": 300_000}]}}}}},
@@ -92,12 +97,12 @@ class TestRun:
     def test_schedule_not_filling_its_cycle_is_config_error(self, tmp_path, capsys,
                                                              section):
         p = tmp_path / "scn.json"
-        p.write_text(json.dumps(dict(GOOD, **section)))
+        p.write_text(json.dumps(dict(BRIDGED, **section)))
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert ("shapers.talker.gcl.entries:" in err
-                or "filters.talker.gates.s0.entries:" in err)
+                or "filters.sw0.gates.s0.entries:" in err)
         assert not (tmp_path / "out").exists()
 
 
@@ -114,11 +119,11 @@ class TestRun:
                                  "preemption": {"enabled": True}}}},
          "shapers.talker.preemption"),
         ({"shapers": {"talker": {"etf": {"delta_ns": 0}}}}, "shapers.talker.etf"),
-        ({"filters": {"talker": {"rules": [{"vlan_id": 1, "handle": "a"},
-                                           {"vlan_id": 1, "handle": "b"}]}}},
-         "filters.talker.rules"),
-        ({"filters": {"talker": {"rules": [{"dest_mac": "zz", "handle": "s0"}]}}},
-         "filters.talker.rules[0].dest_mac"),
+        ({"filters": {"sw0": {"rules": [{"vlan_id": 1, "handle": "a"},
+                                        {"vlan_id": 1, "handle": "b"}]}}},
+         "filters.sw0.rules"),
+        ({"filters": {"sw0": {"rules": [{"dest_mac": "zz", "handle": "s0"}]}}},
+         "filters.sw0.rules[0].dest_mac"),
         ({"links": [{"from": "listener", "to": "talker", "rate_bps": 10 ** 9}]},
          "links"),
     ], ids=["etf_gcl", "etf_guard_mode", "etf_queue_capacity", "etf_preemption",
@@ -126,8 +131,26 @@ class TestRun:
     def test_config_run_would_ignore_or_refuse_is_config_error(self, tmp_path, capsys,
                                                                section, path):
         p = tmp_path / "scn.json"
-        p.write_text(json.dumps(dict(GOOD, traffic=dict(GOOD["traffic"], mode="txtime"),
+        p.write_text(json.dumps(dict(BRIDGED, traffic=dict(GOOD["traffic"], mode="txtime"),
                                      **section)))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"{path}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,path", [
+        ({"shapers": {"talker": {"scheme": "etf"}}}, "shapers.talker.scheme"),
+        ({"shapers": {"sw0": {"scheme": "etf"}}}, "shapers.sw0.scheme"),
+        ({"shapers": {"listener": {}}}, "shapers.listener"),
+        ({"filters": {"talker": {}}}, "filters.talker"),
+        ({"filters": {"listener": {"rules": [{"vlan_id": 1, "handle": "s0"}]}}},
+         "filters.listener"),
+    ], ids=["etf_talker_sleep", "etf_bridge_sleep", "listener_shaper",
+            "talker_filters", "listener_filters"])
+    def test_config_a_sleep_path_cannot_use_is_config_error(self, tmp_path, capsys,
+                                                           section, path):
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(dict(BRIDGED, **section)))
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"{path}:" in capsys.readouterr().err

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from tsnsim.core import Engine
+from tsnsim.egress import EgressPort
 from tsnsim.ingress import (DROP_CLOSED_GATE, DROP_OCTET_BUDGET, PASS,
                             GateScheduleError, StreamGate, StreamGateEntry,
                             assign_ipv)
+from tsnsim.network import BridgeNode
 from tsnsim.traffic import Frame
 
 US = 1000
@@ -23,6 +26,15 @@ def open_close_gate(cycle=MS, open_ns=500 * US, **kw):
         StreamGateEntry(open=False, duration_ns=cycle - open_ns)])
 
 
+def bridge_drops(gate, arrivals):
+    """BridgeNode.drops once frames of (size, t) reach a bridge with gate."""
+    eng = Engine()
+    br = BridgeNode(eng, "br", EgressPort(eng, 10 ** 9), gates={None: gate})
+    for size, t in arrivals:
+        br.receive(frame(size), t)
+    return br.drops
+
+
 class TestSchedule:
     def test_open_window_passes(self):
         g = open_close_gate()
@@ -31,7 +43,7 @@ class TestSchedule:
     def test_closed_window_drops(self):
         g = open_close_gate()
         assert g.process(frame(), 700 * US).outcome == DROP_CLOSED_GATE
-        assert g.drops[DROP_CLOSED_GATE] == 1
+        assert bridge_drops(open_close_gate(), [(1000, 700 * US)])[DROP_CLOSED_GATE] == 1
 
     def test_boundary_belongs_to_next_window(self):
         g = open_close_gate()
@@ -60,7 +72,9 @@ class TestOctetBudget:
         outcomes = [g.process(frame(1000), t).outcome
                     for t in (10 * US, 20 * US, 30 * US)]
         assert outcomes == [PASS, PASS, DROP_OCTET_BUDGET]
-        assert g.drops[DROP_OCTET_BUDGET] == 1
+        drops = bridge_drops(open_close_gate(max_octets=2000),
+                             [(1000, t) for t in (10 * US, 20 * US, 30 * US)])
+        assert drops[DROP_OCTET_BUDGET] == 1
 
     def test_drop_does_not_consume_budget(self):
         g = open_close_gate(max_octets=2000)

@@ -7,8 +7,9 @@ import pytest
 from tsnsim.core import CONSTANT_ZERO, Engine
 from tsnsim.egress import EgressPort, TaprioPort
 from tsnsim.ingress import DROP_NO_STREAM
-from tsnsim.network import (FORWARDING_PRESETS, BridgeNode, CqfConfig, Link,
+from tsnsim.network import (FORWARDING_PRESETS, BridgeNode, CqfConfig,
                             ZeroHopsError, cqf_compose, cqf_latency_bound)
+from tsnsim.scenario import ConfigError, parse_scenario
 from tsnsim.traffic import Frame, StreamKey, make_stream_rules
 
 US = 1000
@@ -16,14 +17,22 @@ MS = 1000 * US
 KEY = StreamKey(dest_mac=1, vlan_id=1, pcp=0)
 
 
+def parse_link(**link):
+    return parse_scenario({
+        "nodes": [{"name": "t", "role": "talker"}, {"name": "l", "role": "listener"}],
+        "links": [{"from": "t", "to": "l", **link}],
+        "traffic": {}, "run": {}})
+
+
 class TestLink:
     def test_fields(self):
-        link = Link(rate_bps=10 ** 9, propagation_ns=500)
+        link = parse_link(rate_bps=10 ** 9, propagation_ns=500).links[0]
         assert link.rate_bps == 10 ** 9 and link.propagation_ns == 500
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Link(rate_bps=0)
+        with pytest.raises(ConfigError) as err:
+            parse_link(rate_bps=0)
+        assert err.value.problems == ["links[0].rate_bps: must be >= 1, got 0"]
 
 
 class TestForwardingPresets:

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import tsnsim
-from tsnsim.scenario import ConfigError, load_scenario, parse_scenario
+from tsnsim.egress import GateControlList, PreemptionConfig
+from tsnsim.ingress import StreamGate, StreamGateEntry
+from tsnsim.network import CqfConfig
+from tsnsim.scenario import ConfigError, EtfCfg, load_scenario, parse_scenario
 from tsnsim.traffic import StreamKey
 
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
@@ -25,6 +28,14 @@ def variant(**overrides):
     doc = copy.deepcopy(MINIMAL)
     doc.update(overrides)
     return doc
+
+
+def bridged(**overrides):
+    """MINIMAL with a bridge sw0 between the talker and the listener."""
+    return variant(nodes=MINIMAL["nodes"] + [{"name": "sw0", "role": "bridge"}],
+                   links=[{"from": a, "to": b, "rate_bps": 10 ** 9}
+                          for a, b in (("talker", "sw0"), ("sw0", "listener"))],
+                   **overrides)
 
 
 def problems_of(doc):
@@ -50,7 +61,7 @@ class TestValidDocuments:
         cfg = parse_scenario(MINIMAL)
         assert cfg.run.histogram_bin_ns == 100
         assert cfg.traffic.mode == "sleep"
-        assert not cfg.frer.enabled and not cfg.cqf.enabled
+        assert not cfg.frer.enabled and cfg.cqf is None
 
 
 class TestRejections:
@@ -106,11 +117,11 @@ class TestRejections:
             "shapers.talker.gcl.entries: durations sum to 900, not cycle_time_ns 1000"]
 
     def test_stream_gate_durations_must_sum_to_cycle(self):
-        doc = variant(filters={"talker": {"gates": {"s0": {
+        doc = bridged(filters={"sw0": {"gates": {"s0": {
             "cycle_time_ns": 1000,
             "entries": [{"open": True, "duration_ns": 1500}]}}}})
         assert problems_of(doc) == [
-            "filters.talker.gates.s0.entries: durations sum to 1500, "
+            "filters.sw0.gates.s0.entries: durations sum to 1500, "
             "not cycle_time_ns 1000"]
 
     def test_bad_duration_is_not_also_reported_as_a_bad_sum(self):
@@ -147,6 +158,10 @@ class TestRejections:
         assert any(p.startswith("clocks.listener.phc.drift_ppm:")
                    for p in problems_of(doc))
 
+    def test_clock_that_is_not_an_object_rejected(self):
+        doc = variant(clocks={"talker": {"system": 5}})
+        assert problems_of(doc) == ["clocks.talker.system: expected an object, got int"]
+
     @pytest.mark.parametrize("shaper,key", [
         ({"scheme": "etf", "gcl": {"cycle_time_ns": 1000, "entries": [
             {"gate_mask": 0, "duration_ns": 1000}]}}, "gcl"),
@@ -165,31 +180,31 @@ class TestRejections:
 
     def test_duplicate_filter_rules_rejected(self):
         rule = {"dest_mac": 1, "vlan_id": 100, "pcp": 3}
-        doc = variant(filters={"talker": {"rules": [{**rule, "handle": "a"},
-                                                    {**rule, "handle": "b"}]}})
+        doc = bridged(filters={"sw0": {"rules": [{**rule, "handle": "a"},
+                                                 {**rule, "handle": "b"}]}})
         assert problems_of(doc) == [
-            "filters.talker.rules: duplicate pattern (1, 100, 3)"]
+            "filters.sw0.rules: duplicate pattern (1, 100, 3)"]
 
     @pytest.mark.parametrize("key,value", [
         ("dest_mac", "zz"), ("dest_mac", -1), ("dest_mac", 2 ** 48),
         ("vlan_id", 4096), ("vlan_id", 1.5), ("pcp", 8), ("pcp", True)])
     def test_bad_stream_key_field_rejected(self, key, value):
-        doc = variant(filters={"talker": {"rules": [{key: value, "handle": "s0"}]}})
+        doc = bridged(filters={"sw0": {"rules": [{key: value, "handle": "s0"}]}})
         assert [p.partition(":")[0] for p in problems_of(doc)] == [
-            f"filters.talker.rules[0].{key}"]
+            f"filters.sw0.rules[0].{key}"]
         stream = {"dest_mac": 1, "vlan_id": 1, "pcp": 0, key: value}
         doc = variant(traffic={"period_ns": 500_000, "stream": stream})
         assert [p.partition(":")[0] for p in problems_of(doc)] == [
             f"traffic.stream.{key}"]
 
     def test_filter_rules_built_once(self):
-        doc = variant(filters={"talker": {"rules": [
+        doc = bridged(filters={"sw0": {"rules": [
             {"vlan_id": 100, "handle": "s0"}, {"dest_mac": None, "handle": "any"}]}})
-        rules = parse_scenario(doc).filters["talker"].rules
+        rules = parse_scenario(doc).filters["sw0"].rules
         assert rules.identify(StreamKey(dest_mac=5, vlan_id=100, pcp=0)) == "s0"
         assert rules.identify(StreamKey(dest_mac=5, vlan_id=7, pcp=0)) == "any"
-        assert parse_scenario(variant(filters={"talker": {}})).filters[
-            "talker"].rules is None
+        assert parse_scenario(bridged(filters={"sw0": {}})).filters[
+            "sw0"].rules is None
 
     @pytest.mark.parametrize("links,stuck", [
         ([("listener", "talker")], "talker"),
@@ -202,3 +217,47 @@ class TestRejections:
                              for a, b in links])
         assert problems_of(doc) == [
             f"links: no forwarding path from {stuck} to listener"]
+
+    @pytest.mark.parametrize("section,path", [
+        ({"shapers": {"listener": {}}}, "shapers.listener"),
+        ({"filters": {"talker": {}}}, "filters.talker"),
+        ({"filters": {"listener": {}}}, "filters.listener"),
+    ])
+    def test_config_on_a_node_that_cannot_use_it_rejected(self, section, path):
+        assert [p.partition(":")[0] for p in problems_of(bridged(**section))] == [path]
+
+    @pytest.mark.parametrize("node", ["talker", "sw0"])
+    def test_etf_on_a_sleep_mode_path_rejected(self, node):
+        shapers = {node: {"scheme": "etf"}}
+        assert problems_of(bridged(shapers=shapers)) == [
+            f"shapers.{node}.scheme: etf needs traffic.mode txtime: "
+            "a sleep-mode talker sets no txtime"]
+        parse_scenario(bridged(shapers=shapers, traffic=dict(MINIMAL["traffic"],
+                                                             mode="txtime")))
+
+
+class TestBuiltObjects:
+    def test_schedules_and_configs_built_once(self):
+        gcl = {"cycle_time_ns": 1000, "entries": [{"gate_mask": 1, "duration_ns": 1000}]}
+        gate = {"base_time": 5, "cycle_time_ns": 1000, "entries": [
+            {"open": True, "duration_ns": 1000, "ipv": None, "max_octets": 128}]}
+        cfg = parse_scenario(bridged(
+            shapers={"talker": {"scheme": "etf", "etf": {"offload": False}},
+                     "sw0": {"gcl": gcl, "preemption": {"enabled": True,
+                                                        "express_classes": [3]}}},
+            filters={"sw0": {"gates": {"s0": gate}}},
+            cqf={"enabled": True, "cycle_time_ns": 2000},
+            traffic={"mode": "txtime",
+                     "stream": {"dest_mac": 1, "vlan_id": 2, "pcp": 3}}))
+        assert cfg.shapers["talker"] == EtfCfg(offload=False, delta_ns=50_000)
+        taprio = cfg.shapers["sw0"]
+        assert isinstance(taprio.gcl, GateControlList)
+        assert taprio.gcl.state(0) == (1, 1000)
+        assert taprio.preemption == PreemptionConfig(enabled=True,
+                                                     express_classes=frozenset({3}))
+        sg = cfg.filters["sw0"].gates["s0"]
+        assert isinstance(sg, StreamGate) and sg.base_time == 5
+        assert sg.entries == [StreamGateEntry(open=True, duration_ns=1000,
+                                              max_octets=128)]
+        assert cfg.cqf == CqfConfig(cycle_time_ns=2000, ipv_even=2, ipv_odd=3)
+        assert cfg.traffic.stream == StreamKey(dest_mac=1, vlan_id=2, pcp=3)

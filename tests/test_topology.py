@@ -1,12 +1,16 @@
 """End-to-end forwarding paths through run_scenario: bridge chains, CQF,
 FRER member paths and drop accounting."""
 
+from pathlib import Path
+
 import pytest
 
-from tsnsim.core import ClockModel
-from tsnsim.harness import run_scenario
+import tsnsim
+from tsnsim import harness
+from tsnsim.core import ClockModel, Engine
+from tsnsim.harness import compute_offsets, run_scenario
 from tsnsim.network import FORWARDING_PRESETS
-from tsnsim.scenario import parse_scenario
+from tsnsim.scenario import load_scenario, parse_scenario
 from tsnsim.traffic import transmission_time
 
 US = 1000
@@ -114,3 +118,47 @@ def test_sleep_mode_talker_ignores_hw_precision():
     assert len(plain.records) == 100
     assert [r.hw_tx for r in jittered.records] == [r.sw_tx for r in plain.records]
     assert jittered.records == plain.records
+
+
+def test_frer_member_paths_police_with_gates_of_their_own():
+    # a budget of one frame per window passes one copy per path only if
+    # each path's bridge counts its own octets
+    stream = {"dest_mac": 1, "vlan_id": 1, "pcp": 0}
+    gate = {"cycle_time_ns": 500 * US,
+            "entries": [{"open": True, "duration_ns": 500 * US, "max_octets": FRAME}]}
+    cfg = chain_scenario([("sw0", "zero")], count=50, traffic={"stream": stream},
+                         frer={"enabled": True, "paths": 2},
+                         filters={"sw0": {"rules": [{**stream, "handle": "s0"}],
+                                          "gates": {"s0": gate}}})
+    res = run_scenario(cfg)
+    assert [r.seq for r in res.records] == list(range(50))
+    assert res.drops == {"frer_discard_duplicate": 50}
+
+
+def test_talker_resync_on_a_plan_applies_before_it():
+    # the talker's system clock resyncs on every 16th plan; each plan that
+    # shares the resync's nanosecond must sleep on the resynced clock
+    clock = {"drift_ppm": 30, "sync_interval_ns": 8_000_000,
+             "sync_residual": {"kind": "constant", "value_ns": 0}}
+    cfg = chain_scenario([], count=100, clocks={"talker": {"system": clock}})
+    res = run_scenario(cfg)
+    assert compute_offsets(res.records, cfg.traffic.period_ns, "sw_tx") == [0] * 100
+
+
+def test_talker_queues_one_plan_at_a_time(monkeypatch):
+    peaks = []
+
+    class PeakEngine(Engine):
+        def schedule(self, fire_time, action):
+            seq = super().schedule(fire_time, action)
+            if seq == 1:
+                peaks.append(0)
+            peaks[-1] = max(peaks[-1], len(self._heap))
+            return seq
+
+    monkeypatch.setattr(harness, "Engine", PeakEngine)
+    cfg = load_scenario(Path(tsnsim.__file__).parent / "scenarios" / "paper_fig1.json")
+    for count in (200, 2_000):
+        cfg.run.count = count
+        assert len(run_scenario(cfg).records) == count
+    assert peaks[0] == peaks[1]

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulator of TSN data paths."""
 
 from .core import ClockModel, Engine, JitterDist, PastTimeError, SimTime, rng_fork
-from .traffic import Frame, StreamKey, TimestampTrace, transmission_time
+from .traffic import Frame, StreamKey, transmission_time
 from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
                      PreemptionConfig, TaprioPort, plan_preemption)
 from .ingress import PsfpDecision, StreamGate, StreamGateEntry, assign_ipv

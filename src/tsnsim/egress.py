@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
+from .core import BeforeBaseTimeError  # noqa: F401
 from .core import ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
-# the schedule errors keep their egress names
-from .core import BeforeBaseTimeError, ScheduleError as GclError  # noqa: F401
 from .traffic import NS_PER_SEC, Frame, transmission_time
 
 
@@ -468,11 +467,6 @@ class EgressPort:
             cur.preempt_pending = False
             cur.bytes_done = point
             self._suspended = cur
-            state = _TxState(frame=express, total_bytes=self._eff_bytes(express),
-                             bytes_done=0, segment_start=self.engine.now,
-                             wire_start=self.engine.now, preemptable=False,
-                             token=self._next_token())
-            self._current = state
-            self._wire_start(state, state.token)
+            self._begin(express, self.engine.now, preemptable=False)
 
         self.engine.schedule(max(boundary, t), at_boundary)

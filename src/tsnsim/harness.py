@@ -12,18 +12,17 @@ import csv
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
 
-from .core import (CONSTANT_ZERO, ClockModel, Engine, RNG_ALGORITHM,
-                   SimTime, rng_fork)
-from .egress import EgressPort, EtfQueue, GateControlList, TaprioPort
+from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
+from .egress import EgressPort, EtfQueue, TaprioPort
 from .frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
-from .network import BridgeNode, cqf_compose
-from .scenario import (EtfCfg, LinkCfg, ScenarioConfig, TaprioCfg, TrafficCfg,
-                       chain_links)
-from .traffic import Frame
+from .network import BridgeNode
+from .scenario import (EtfCfg, FilterCfg, LinkCfg, ScenarioConfig, TaprioCfg,
+                       TrafficCfg, chain_links)
+from .traffic import Frame, PacketRecord
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
 
@@ -43,16 +42,6 @@ class MalformedRowError(Exception):
 
 
 @dataclass
-class PacketRecord:
-    seq: int
-    intended_tx: SimTime
-    sw_tx: Optional[SimTime] = None
-    hw_tx: Optional[SimTime] = None
-    hw_rx: Optional[SimTime] = None
-    sw_rx: Optional[SimTime] = None
-
-
-@dataclass
 class OffsetStats:
     min_ns: int
     mean_ns: float
@@ -61,13 +50,6 @@ class OffsetStats:
     max_ns: int
     bin_width_ns: int
     histogram: list  # [[bin_start_ns, count], ...]
-
-    def to_dict(self) -> dict:
-        return {"min_ns": self.min_ns, "mean_ns": self.mean_ns,
-                "median_ns": self.median_ns,
-                "p80_radius_ns": self.p80_radius_ns, "max_ns": self.max_ns,
-                "bin_width_ns": self.bin_width_ns,
-                "histogram": self.histogram}
 
 
 @dataclass
@@ -158,8 +140,8 @@ def stats_payload(records: list[PacketRecord], period: Optional[int], bin_width_
         # a run that delivered nothing still reports its drops
         if not records or any(getattr(r, kind) is None for r in records):
             continue
-        kinds[kind] = stats(compute_offsets(records, period or 0, kind),
-                            bin_width_ns).to_dict()
+        kinds[kind] = asdict(stats(compute_offsets(records, period or 0, kind),
+                                   bin_width_ns))
     return {"kinds": kinds,
             "records": len(records),
             "period_ns": period,
@@ -235,27 +217,10 @@ def _schedule_syncs(engine: Engine, clock: ClockModel, rng, horizon: SimTime):
     engine.schedule(interval, do_sync)
 
 
-def _bridge_ingress(cfg: ScenarioConfig, name: str):
-    """(stream rules, gates by handle, CQF egress GCL or None) of one bridge.
-
-    CQF replaces the bridge's filters with one gate for every frame. Each
-    call gives the bridge gates of its own, as a gate counts octets.
-    """
-    if cfg.cqf is not None:
-        gate, gcl = cqf_compose(cfg.cqf)
-        return None, {None: gate}, gcl
-    fcfg = cfg.filters.get(name)
-    if fcfg is None:
-        return None, {}, None
-    return fcfg.rules, {h: copy.copy(g) for h, g in fcfg.gates.items()}, None
-
-
 def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, *, phc,
-                system, hw_precision, rng, receive,
-                gcl: Optional[GateControlList] = None) -> EgressPort:
+                system, receive, hw_precision=None, rng=None) -> EgressPort:
     """An egress port onto link whose frames reach receive(frame, t).
 
-    gcl, when given, replaces the shaper's own gate control list.
     hw_precision applies only to offloaded ETF: only there does the NIC
     time the launch itself.
     """
@@ -270,7 +235,7 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, *, phc
             launch_precision = hw_precision
     else:
         shaper = shaper or TaprioCfg()
-        queue = TaprioPort(gcl=gcl or shaper.gcl, capacity=shaper.queue_capacity,
+        queue = TaprioPort(gcl=shaper.gcl, capacity=shaper.queue_capacity,
                            guard_mode=shaper.guard_mode,
                            link_rate_bps=link.rate_bps,
                            overhead_bytes=link.overhead_bytes)
@@ -318,10 +283,9 @@ class Talker:
 
     def _frame(self, k: int, intended: SimTime) -> Frame:
         traffic = self.traffic
-        frame = Frame(id=k, size_bytes=traffic.frame_size_bytes,
-                      priority=traffic.priority, stream=traffic.stream)
-        frame.trace.intended_tx = intended
-        return frame
+        return Frame(id=k, size_bytes=traffic.frame_size_bytes,
+                     priority=traffic.priority, stream=traffic.stream,
+                     trace=PacketRecord(k, intended))
 
     def sleep(self, k: int, intended: SimTime):
         """Sleep until the system clock reads intended, then send through
@@ -390,11 +354,8 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         engine.schedule(fire, partial(record_delivery, frame, fire))
 
     def record_delivery(frame: Frame, t: SimTime):
-        tr = frame.trace
-        tr.sw_rx = lis_sys.read(t)
-        records.append(PacketRecord(seq=frame.id, intended_tx=tr.intended_tx,
-                                    sw_tx=tr.sw_tx, hw_tx=tr.hw_tx,
-                                    hw_rx=tr.hw_rx, sw_rx=tr.sw_rx))
+        frame.trace.sw_rx = lis_sys.read(t)
+        records.append(frame.trace)
 
     # --- wire up the forwarding chain, once or once per FRER member path
 
@@ -411,15 +372,12 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         """
         for link in reversed(chain[1:]):
             name = link.src
-            rules, gates, cqf_gcl = _bridge_ingress(cfg, name)
             port = _build_port(engine, link, cfg.shapers.get(name),
                                phc=clocks[name]["phc"],
-                               system=clocks[name]["system"],
-                               hw_precision=CONSTANT_ZERO,
-                               rng=rng_fork(seed, f"hwprec:{name}{suffix}"),
-                               receive=receive, gcl=cqf_gcl)
-            bridge = BridgeNode(engine, name, port, stream_rules=rules,
-                                gates=gates,
+                               system=clocks[name]["system"], receive=receive)
+            fcfg = cfg.filters.get(name) or FilterCfg()
+            bridge = BridgeNode(engine, name, port, stream_rules=fcfg.rules,
+                                gates={h: copy.copy(g) for h, g in fcfg.gates.items()},
                                 forwarding_latency=nodes[name].forwarding,
                                 rng=rng_fork(seed, f"fwd:{name}{suffix}"))
             ports.append(port)

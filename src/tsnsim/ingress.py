@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import CyclicSchedule, SimTime
-# the schedule error keeps its ingress name
-from .core import ScheduleError as GateScheduleError  # noqa: F401
 from .traffic import Frame
 
 PASS = "pass"

@@ -2,20 +2,22 @@
 
 A scenario is a JSON document with top-level sections nodes, links,
 clocks, shapers, filters, frer, cqf, traffic, run. Validation rejects
-unknown keys and reports every problem with its dotted path.
+unknown keys and reports every problem with its dotted path. An enabled
+cqf section is compiled into the stream gate and GCL of each bridge on
+the talker-to-listener path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, ScheduleError
 from .egress import GateControlList, GclEntry, PreemptionConfig
 from .ingress import StreamGate, StreamGateEntry
-from .network import FORWARDING_PRESETS, CqfConfig
+from .network import FORWARDING_PRESETS, CqfConfig, cqf_compose
 from .traffic import (DuplicateExactRuleError, StreamKey, StreamRuleSet,
                       make_stream_rules)
 
@@ -187,7 +189,6 @@ class ScenarioConfig:
     shapers: dict[str, TaprioCfg | EtfCfg]
     filters: dict[str, FilterCfg]
     frer: FrerCfg
-    cqf: Optional[CqfConfig]  # None when CQF is off
     traffic: TrafficCfg
     run: RunCfg
 
@@ -371,7 +372,6 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         nodes.append(node)
 
     roles = [n.role for n in nodes]
-    role_of = {n.name: n.role for n in nodes}
     if not c.problems:
         if roles.count("talker") != 1:
             c.fail("nodes", "exactly one talker required")
@@ -421,8 +421,6 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if c.dict(raw_shapers, "shapers", names or set(raw_shapers)):
         for node, spec in raw_shapers.items():
             p = f"shapers.{node}"
-            if role_of.get(node) == "listener":
-                c.fail(p, "the listener has no egress port")
             if not c.dict(spec, p, {"scheme", *_SCHEME_KEYS["taprio"],
                                     *_SCHEME_KEYS["etf"]}):
                 continue
@@ -440,8 +438,6 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if c.dict(raw_filters, "filters", names or set(raw_filters)):
         for node, spec in raw_filters.items():
             p = f"filters.{node}"
-            if role_of.get(node) in ("talker", "listener"):
-                c.fail(p, f"the {role_of[node]} has no bridge ingress")
             if not c.dict(spec, p, {"rules", "gates"}):
                 continue
             fc = FilterCfg()
@@ -554,17 +550,44 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                                         lo=1, default=100)
 
     # checked, like the path, once every section is valid on its own
-    if not c.problems and traffic.mode == "sleep":
-        for link in chain:
-            if isinstance(shapers.get(link.src), EtfCfg):
-                c.fail(f"shapers.{link.src}.scheme",
+    if not c.problems:
+        bridges = [link.src for link in chain[1:]]
+        # the runner builds egress ports and bridges only on the path
+        for section, by_node, users, who in (
+                ("shapers", shapers, {link.src for link in chain}, "the talker and bridges"),
+                ("filters", filters, set(bridges), "bridges")):
+            for node in sorted(by_node.keys() - users):
+                c.fail(f"{section}.{node}",
+                       f"applies only to {who} on the talker-to-listener path")
+        if cqf is not None:
+            if not bridges:
+                c.fail("cqf.enabled", "no bridge on the talker-to-listener path")
+            gate, gcl = cqf_compose(cqf)
+            for b in bridges:
+                shaper = shapers.get(b, TaprioCfg())
+                if b in filters:
+                    c.fail(f"filters.{b}", "cqf sets the stream gate of this bridge")
+                if isinstance(shaper, EtfCfg):
+                    c.fail(f"shapers.{b}.scheme", "cqf needs taprio on this bridge")
+                elif shaper.gcl is not None:
+                    c.fail(f"shapers.{b}.gcl", "cqf sets the gcl of this bridge")
+                else:
+                    shapers[b] = replace(shaper, gcl=gcl)
+                filters[b] = FilterCfg(gates={None: gate})
+        etf = [link.src for link in chain if isinstance(shapers.get(link.src), EtfCfg)]
+        if traffic.mode == "sleep":
+            for node in etf:
+                c.fail(f"shapers.{node}.scheme",
                        "etf needs traffic.mode txtime: a sleep-mode talker sets no txtime")
+        elif not etf:
+            c.fail("traffic.mode", "txtime needs an etf shaper on the talker-to-listener "
+                                   "path: no other queue reads the launch time")
 
     if c.problems:
         raise ConfigError(sorted(set(c.problems)))
     return ScenarioConfig(nodes=nodes, links=links, clocks=clocks,
                           shapers=shapers, filters=filters, frer=frer,
-                          cqf=cqf, traffic=traffic, run=run)
+                          traffic=traffic, run=run)
 
 
 def load_scenario(path) -> ScenarioConfig:

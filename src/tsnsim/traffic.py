@@ -31,7 +31,10 @@ class StreamKey:
 
 
 @dataclass
-class TimestampTrace:
+class PacketRecord:
+    """A frame's intended time and four timestamps: its trace, then its record."""
+
+    seq: int = 0
     intended_tx: SimTime = 0
     sw_tx: Optional[SimTime] = None
     hw_tx: Optional[SimTime] = None
@@ -50,7 +53,7 @@ class Frame:
     ipv: Optional[int] = None  # metadata only, never alters frame bytes
     txtime: Optional[SimTime] = None
     route: Optional[str] = None  # member-path label set by replication
-    trace: TimestampTrace = field(default_factory=TimestampTrace)
+    trace: PacketRecord = field(default_factory=PacketRecord)
 
     def __post_init__(self):
         if self.traffic_class is None:
@@ -62,7 +65,7 @@ class Frame:
         return self.ipv if self.ipv is not None else self.traffic_class
 
     def clone(self, **changes) -> "Frame":
-        """A copy with its own TimestampTrace and the given fields changed.
+        """A copy with its own trace and the given fields changed.
 
         Copies the instance dict directly: this runs once per replicated
         copy, where dataclasses.replace would re-run __init__ twice.
@@ -73,7 +76,7 @@ class Frame:
         f = object.__new__(type(self))
         f.__dict__.update(self.__dict__, **changes)
         t = self.trace
-        f.trace = TimestampTrace(t.intended_tx, t.sw_tx, t.hw_tx, t.hw_rx, t.sw_rx)
+        f.trace = PacketRecord(t.seq, t.intended_tx, t.sw_tx, t.hw_tx, t.hw_rx, t.sw_rx)
         return f
 
 

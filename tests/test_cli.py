@@ -20,6 +20,15 @@ BRIDGED = dict(GOOD, nodes=GOOD["nodes"] + [{"name": "sw0", "role": "bridge"}],
                links=[{"from": a, "to": b, "rate_bps": 10 ** 9}
                       for a, b in (("talker", "sw0"), ("sw0", "listener"))])
 
+#: BRIDGED with a bridge sw9 linked only to the listener
+OFF_PATH = dict(BRIDGED, nodes=BRIDGED["nodes"] + [{"name": "sw9", "role": "bridge"}],
+                links=BRIDGED["links"] + [{"from": "sw9", "to": "listener",
+                                           "rate_bps": 10 ** 9}])
+CQF = {"enabled": True, "cycle_time_ns": 100_000}
+CLOSED_GCL = {"cycle_time_ns": 500_000,
+              "entries": [{"gate_mask": 0, "duration_ns": 500_000}]}
+TXTIME = dict(GOOD["traffic"], mode="txtime")
+
 
 @pytest.fixture
 def good_scenario(tmp_path):
@@ -151,6 +160,29 @@ class TestRun:
                                                            section, path):
         p = tmp_path / "scn.json"
         p.write_text(json.dumps(dict(BRIDGED, **section)))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"{path}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,path", [
+        ({"cqf": CQF, "filters": {"sw0": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}},
+         "filters.sw0"),
+        ({"cqf": CQF, "shapers": {"sw0": {"gcl": CLOSED_GCL}}}, "shapers.sw0.gcl"),
+        ({"cqf": CQF, "traffic": TXTIME, "shapers": {"sw0": {"scheme": "etf"}}},
+         "shapers.sw0.scheme"),
+        ({"cqf": CQF, "nodes": GOOD["nodes"], "links": GOOD["links"]}, "cqf.enabled"),
+        ({"traffic": TXTIME}, "traffic.mode"),
+        ({"shapers": {"sw9": {"gcl": CLOSED_GCL}}}, "shapers.sw9"),
+        ({"filters": {"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}},
+         "filters.sw9"),
+    ], ids=["cqf_filters", "cqf_gcl", "cqf_etf", "cqf_no_bridge", "txtime_no_etf",
+            "off_path_shaper", "off_path_filters"])
+    def test_config_run_would_ignore_is_config_error(self, tmp_path, capsys, section,
+                                                    path):
+        doc = dict(OFF_PATH, **section)
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"{path}:" in capsys.readouterr().err

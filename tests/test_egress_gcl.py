@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsnsim.core import Engine
+from tsnsim.core import Engine, ScheduleError
 from tsnsim.egress import (BeforeBaseTimeError, EgressPort, GateControlList,
-                           GclEntry, GclError, PreemptionConfig, TaprioPort)
+                           GclEntry, PreemptionConfig, TaprioPort)
 from tsnsim.traffic import Frame, transmission_time
 
 US = 1000
@@ -62,11 +62,11 @@ class TestGclState:
             gcl.state(999)
 
     def test_durations_must_sum_to_cycle(self):
-        with pytest.raises(GclError):
+        with pytest.raises(ScheduleError):
             GateControlList(0, MS, [GclEntry(0xFF, MS - 1)])
-        with pytest.raises(GclError):
+        with pytest.raises(ScheduleError):
             GateControlList(0, MS, [])
-        with pytest.raises(GclError):
+        with pytest.raises(ScheduleError):
             GateControlList(0, MS, [GclEntry(0xFF, MS), GclEntry(0, 0)])
 
     def test_matches_time_stepped_oracle(self):

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from tsnsim.core import Engine
+from tsnsim.core import Engine, ScheduleError
 from tsnsim.egress import EgressPort
 from tsnsim.ingress import (DROP_CLOSED_GATE, DROP_OCTET_BUDGET, PASS,
-                            GateScheduleError, StreamGate, StreamGateEntry,
-                            assign_ipv)
+                            StreamGate, StreamGateEntry, assign_ipv)
 from tsnsim.network import BridgeNode
 from tsnsim.traffic import Frame
 
@@ -52,15 +51,15 @@ class TestSchedule:
 
     def test_before_base_time_rejected(self):
         g = StreamGate(1000, MS, [StreamGateEntry(True, MS)])
-        with pytest.raises(GateScheduleError):
+        with pytest.raises(ScheduleError):
             g.process(frame(), 999)
 
     def test_bad_schedules_rejected(self):
-        with pytest.raises(GateScheduleError):
+        with pytest.raises(ScheduleError):
             StreamGate(0, MS, [])
-        with pytest.raises(GateScheduleError):
+        with pytest.raises(ScheduleError):
             StreamGate(0, MS, [StreamGateEntry(True, MS - 1)])
-        with pytest.raises(GateScheduleError):
+        with pytest.raises(ScheduleError):
             StreamGate(0, MS, [StreamGateEntry(True, MS),
                                StreamGateEntry(False, 0)])
 

@@ -9,8 +9,9 @@ import pytest
 import tsnsim
 from tsnsim.egress import GateControlList, PreemptionConfig
 from tsnsim.ingress import StreamGate, StreamGateEntry
-from tsnsim.network import CqfConfig
-from tsnsim.scenario import ConfigError, EtfCfg, load_scenario, parse_scenario
+from tsnsim.network import CqfConfig, cqf_compose
+from tsnsim.scenario import (ConfigError, EtfCfg, TaprioCfg, load_scenario,
+                             parse_scenario)
 from tsnsim.traffic import StreamKey
 
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
@@ -38,6 +39,20 @@ def bridged(**overrides):
                    **overrides)
 
 
+def off_path(**overrides):
+    """bridged() with a bridge sw9 linked only to the listener."""
+    doc = bridged(**overrides)
+    doc["nodes"].append({"name": "sw9", "role": "bridge"})
+    doc["links"].append({"from": "sw9", "to": "listener", "rate_bps": 10 ** 9})
+    return doc
+
+
+CQF = {"enabled": True, "cycle_time_ns": 100_000}
+CLOSED_GCL = {"cycle_time_ns": 500_000,
+              "entries": [{"gate_mask": 0, "duration_ns": 500_000}]}
+TXTIME = dict(MINIMAL["traffic"], mode="txtime")
+
+
 def problems_of(doc):
     with pytest.raises(ConfigError) as err:
         parse_scenario(doc)
@@ -61,7 +76,9 @@ class TestValidDocuments:
         cfg = parse_scenario(MINIMAL)
         assert cfg.run.histogram_bin_ns == 100
         assert cfg.traffic.mode == "sleep"
-        assert not cfg.frer.enabled and cfg.cqf is None
+        # CQF is off: a bridge gets no stream gate and no GCL
+        plain = parse_scenario(bridged())
+        assert not cfg.frer.enabled and plain.filters == {} and plain.shapers == {}
 
 
 class TestRejections:
@@ -235,6 +252,23 @@ class TestRejections:
         parse_scenario(bridged(shapers=shapers, traffic=dict(MINIMAL["traffic"],
                                                              mode="txtime")))
 
+    # each of these ran, and the config named at path had no effect
+    @pytest.mark.parametrize("doc,path", [
+        (bridged(cqf=CQF, filters={"sw0": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}),
+         "filters.sw0"),
+        (bridged(cqf=CQF, shapers={"sw0": {"gcl": CLOSED_GCL}}), "shapers.sw0.gcl"),
+        (bridged(cqf=CQF, traffic=TXTIME, shapers={"sw0": {"scheme": "etf"}}),
+         "shapers.sw0.scheme"),
+        (variant(cqf=CQF), "cqf.enabled"),
+        (bridged(traffic=TXTIME), "traffic.mode"),
+        (off_path(shapers={"sw9": {"gcl": CLOSED_GCL}}), "shapers.sw9"),
+        (off_path(filters={"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}),
+         "filters.sw9"),
+    ], ids=["cqf_filters", "cqf_gcl", "cqf_etf", "cqf_no_bridge", "txtime_no_etf",
+            "off_path_shaper", "off_path_filters"])
+    def test_config_run_would_ignore_rejected(self, doc, path):
+        assert [p.partition(":")[0] for p in problems_of(doc)] == [path]
+
 
 class TestBuiltObjects:
     def test_schedules_and_configs_built_once(self):
@@ -246,7 +280,6 @@ class TestBuiltObjects:
                      "sw0": {"gcl": gcl, "preemption": {"enabled": True,
                                                         "express_classes": [3]}}},
             filters={"sw0": {"gates": {"s0": gate}}},
-            cqf={"enabled": True, "cycle_time_ns": 2000},
             traffic={"mode": "txtime",
                      "stream": {"dest_mac": 1, "vlan_id": 2, "pcp": 3}}))
         assert cfg.shapers["talker"] == EtfCfg(offload=False, delta_ns=50_000)
@@ -259,5 +292,32 @@ class TestBuiltObjects:
         assert isinstance(sg, StreamGate) and sg.base_time == 5
         assert sg.entries == [StreamGateEntry(open=True, duration_ns=1000,
                                               max_octets=128)]
-        assert cfg.cqf == CqfConfig(cycle_time_ns=2000, ipv_even=2, ipv_odd=3)
         assert cfg.traffic.stream == StreamKey(dest_mac=1, vlan_id=2, pcp=3)
+
+    def test_cqf_compiled_into_each_bridge_on_the_path(self):
+        preemption = {"enabled": True, "express_classes": [5]}
+        cfg = parse_scenario(variant(
+            nodes=MINIMAL["nodes"] + [{"name": b, "role": "bridge"}
+                                      for b in ("sw0", "sw1")],
+            links=[{"from": a, "to": b, "rate_bps": 10 ** 9}
+                   for a, b in (("talker", "sw0"), ("sw0", "sw1"), ("sw1", "listener"))],
+            shapers={"sw0": {"queue_capacity": 2, "guard_mode": "none",
+                             "preemption": preemption}},
+            cqf={"enabled": True, "cycle_time_ns": 2000}))
+        gate, gcl = cqf_compose(CqfConfig(cycle_time_ns=2000, ipv_even=2, ipv_odd=3))
+        for b in ("sw0", "sw1"):
+            fc = cfg.filters[b]
+            assert fc.rules is None and list(fc.gates) == [None]
+            sg = fc.gates[None]
+            assert isinstance(sg, StreamGate)
+            assert (sg.base_time, sg.cycle_time_ns, sg.entries) == (
+                gate.base_time, gate.cycle_time_ns, gate.entries)
+            compiled = cfg.shapers[b].gcl
+            assert isinstance(compiled, GateControlList)
+            assert (compiled.base_time, compiled.cycle_time_ns, compiled.entries) == (
+                gcl.base_time, gcl.cycle_time_ns, gcl.entries)
+        assert cfg.shapers["sw0"] == TaprioCfg(
+            gcl=cfg.shapers["sw0"].gcl, guard_mode="none", queue_capacity=2,
+            preemption=PreemptionConfig(enabled=True, express_classes=frozenset({5})))
+        assert cfg.shapers["sw1"] == TaprioCfg(gcl=cfg.shapers["sw1"].gcl)
+        assert "talker" not in cfg.shapers and "talker" not in cfg.filters

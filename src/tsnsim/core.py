@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -64,11 +66,18 @@ class JitterDist:
     points: tuple = ()  # ((value_ns, weight), ...)
 
     def __post_init__(self):
-        if self.kind == "empirical":
-            # cumulative weights make rng.choices draw exactly as with weights=
-            object.__setattr__(self, "_values", [v for v, _ in self.points])
-            object.__setattr__(self, "_cum_weights",
-                               list(accumulate(w for _, w in self.points)))
+        bind = partial(object.__setattr__, self)
+        if self.kind == "normal":
+            bind("_lo", self.mean_ns - 4 * self.std_ns)
+            bind("_hi", self.mean_ns + 4 * self.std_ns)
+        elif self.kind == "empirical":
+            # sample bisects these exactly as rng.choices(..., cum_weights=)
+            # does, without its per-call checks, which empirical() makes once
+            cum = list(accumulate(w for _, w in self.points))
+            bind("_values", [v for v, _ in self.points])
+            bind("_cum_weights", cum)
+            bind("_total", cum[-1] + 0.0)
+            bind("_last", len(cum) - 1)
 
     @classmethod
     def constant(cls, value_ns: int) -> "JitterDist":
@@ -85,6 +94,9 @@ class JitterDist:
                min_ns: Optional[int] = None) -> "JitterDist":
         if std_ns < 0:
             raise ValueError("normal: std_ns < 0")
+        if not (math.isfinite(mean_ns - 4 * std_ns) and math.isfinite(mean_ns + 4 * std_ns)):
+            raise ValueError(f"normal: mean_ns +- 4 * std_ns must be finite, got mean_ns "
+                             f"{mean_ns}, std_ns {std_ns}")
         return cls(kind="normal", mean_ns=mean_ns, std_ns=std_ns, min_ns=min_ns)
 
     @classmethod
@@ -92,6 +104,9 @@ class JitterDist:
         pts = tuple((int(v), float(w)) for v, w in points)
         if not pts or any(w <= 0 for _, w in pts):
             raise ValueError("empirical: needs points with positive weights")
+        # a finite sum also rules out an infinite or NaN weight
+        if not math.isfinite(sum(w for _, w in pts)):
+            raise ValueError("empirical: total of weights must be finite")
         return cls(kind="empirical", points=pts)
 
     @classmethod
@@ -116,15 +131,17 @@ class JitterDist:
             return rng.randint(self.min_ns, self.max_ns)
         if self.kind == "normal":
             v = rng.gauss(self.mean_ns, self.std_ns)
-            lo = self.mean_ns - 4 * self.std_ns
-            hi = self.mean_ns + 4 * self.std_ns
-            v = min(max(v, lo), hi)
+            if v < self._lo:
+                v = self._lo
+            elif v > self._hi:
+                v = self._hi
             v = round(v)
             if self.min_ns is not None and v < self.min_ns:
                 v = self.min_ns
             return int(v)
         # empirical
-        return rng.choices(self._values, cum_weights=self._cum_weights)[0]
+        return self._values[bisect_right(self._cum_weights, rng.random() * self._total,
+                                         0, self._last)]
 
 
 CONSTANT_ZERO = JitterDist.constant(0)

@@ -14,6 +14,7 @@ import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
@@ -71,13 +72,11 @@ def compute_offsets(records: list[PacketRecord], period: int, kind: str) -> list
         raise ValueError(f"unknown timestamp kind {kind!r}")
     first = records[0]
     base = first.intended_tx - first.seq * period
-    offsets = []
-    for r in records:
-        reading = getattr(r, kind)
-        if reading is None:
-            raise MissingTimestampError(f"record seq={r.seq} has no {kind}")
-        offsets.append(reading - (base + r.seq * period))
-    return offsets
+    readings = list(map(attrgetter(kind), records))
+    if None in readings:
+        missing = records[readings.index(None)]
+        raise MissingTimestampError(f"record seq={missing.seq} has no {kind}")
+    return [reading - (base + r.seq * period) for reading, r in zip(readings, records)]
 
 
 def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
@@ -88,19 +87,23 @@ def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
     """
     if not offsets:
         raise EmptyError("no offsets")
-    n = len(offsets)
-    radii = sorted(abs(v) for v in offsets)
+    ordered = sorted(offsets)
+    n = len(ordered)
+    i = n // 2
+    # statistics.median's rule, on the list sorted once
+    median = ordered[i] if n % 2 else (ordered[i - 1] + ordered[i]) / 2
+    radii = sorted(map(abs, ordered))
     p80 = radii[math.ceil(0.8 * n) - 1]
-    bins: Counter = Counter()
-    for v in offsets:
-        bins[(v // bin_width_ns) * bin_width_ns] += 1
-    return OffsetStats(min_ns=min(offsets),
+    # bin indices come in ascending order of bin start, for either sign
+    # of bin width, so the histogram needs no sort
+    bins = Counter(v // bin_width_ns for v in ordered)
+    return OffsetStats(min_ns=ordered[0],
                        mean_ns=statistics.fmean(offsets),
-                       median_ns=statistics.median(offsets),
+                       median_ns=median,
                        p80_radius_ns=p80,
-                       max_ns=max(offsets),
+                       max_ns=ordered[-1],
                        bin_width_ns=bin_width_ns,
-                       histogram=[[k, bins[k]] for k in sorted(bins)])
+                       histogram=[[k * bin_width_ns, c] for k, c in bins.items()])
 
 
 def infer_period(records: list[PacketRecord]) -> Optional[int]:
@@ -138,7 +141,7 @@ def stats_payload(records: list[PacketRecord], period: Optional[int], bin_width_
     kinds = {}
     for kind in TIMESTAMP_KINDS:
         # a run that delivered nothing still reports its drops
-        if not records or any(getattr(r, kind) is None for r in records):
+        if not records or None in map(attrgetter(kind), records):
             continue
         kinds[kind] = asdict(stats(compute_offsets(records, period or 0, kind),
                                    bin_width_ns))
@@ -157,15 +160,15 @@ CSV_COLUMNS = ["seq", "intended_tx_ns", "sw_tx_ns", "hw_tx_ns", "hw_rx_ns",
 
 
 def export_records(records: list[PacketRecord], path) -> None:
+    """Write records as CSV, byte for byte as csv.writer would.
+
+    Every cell is an int or None, which csv.writer writes unquoted, and
+    None as an empty cell.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow([r.seq, r.intended_tx,
-                        "" if r.sw_tx is None else r.sw_tx,
-                        "" if r.hw_tx is None else r.hw_tx,
-                        "" if r.hw_rx is None else r.hw_rx,
-                        "" if r.sw_rx is None else r.sw_rx])
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(f"{r.seq},{r.intended_tx},{r.sw_tx},{r.hw_tx},{r.hw_rx},"
+                      f"{r.sw_rx}\n".replace("None", "") for r in records)
 
 
 def load_records(path) -> list[PacketRecord]:

@@ -105,7 +105,7 @@ class _Checker:
                 self.fail(f"{p}.{k}", "unknown key")
         try:
             return JitterDist.from_config(cfg)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             self.fail(p, f"bad distribution: {exc}")
             return default
 
@@ -559,6 +559,13 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             for node in sorted(by_node.keys() - users):
                 c.fail(f"{section}.{node}",
                        f"applies only to {who} on the talker-to-listener path")
+        # a bridge looks its gate up by the handle of the rule a frame matches
+        for b in sorted(filters.keys() & set(bridges)):
+            fc = filters[b]
+            named = {r.handle for r in fc.rules.rules} if fc.rules else set()
+            for handle in sorted(fc.gates.keys() - named):
+                c.fail(f"filters.{b}.gates.{handle}",
+                       f"no rule in filters.{b}.rules names this handle")
         if cqf is not None:
             if not bridges:
                 c.fail("cqf.enabled", "no bridge on the talker-to-listener path")

@@ -27,6 +27,8 @@ OFF_PATH = dict(BRIDGED, nodes=BRIDGED["nodes"] + [{"name": "sw9", "role": "brid
 CQF = {"enabled": True, "cycle_time_ns": 100_000}
 CLOSED_GCL = {"cycle_time_ns": 500_000,
               "entries": [{"gate_mask": 0, "duration_ns": 500_000}]}
+CLOSED_GATE = {"cycle_time_ns": 500_000,
+               "entries": [{"open": False, "duration_ns": 500_000}]}
 TXTIME = dict(GOOD["traffic"], mode="txtime")
 
 
@@ -80,6 +82,30 @@ class TestRun:
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "clocks.talker.system.drift_ppm" in capsys.readouterr().err
+
+    # json.dumps writes these as the literals Infinity and NaN, which
+    # json.load accepts
+    @pytest.mark.parametrize("listener,traffic,path", [
+        ({"rx_latency": {"kind": "empirical", "points": [[500, float("inf")]]}}, {},
+         "nodes[1].rx_latency"),
+        ({"rx_latency": {"kind": "empirical", "points": [[500, float("nan")]]}}, {},
+         "nodes[1].rx_latency"),
+        ({}, {"wake_jitter": {"kind": "normal", "mean_ns": 400, "std_ns": float("inf")}},
+         "traffic.wake_jitter"),
+        ({}, {"wake_jitter": {"kind": "normal", "mean_ns": float("nan"), "std_ns": 600}},
+         "traffic.wake_jitter"),
+    ], ids=["empirical_inf_weight", "empirical_nan_weight", "normal_inf_std",
+            "normal_nan_mean"])
+    def test_non_finite_jitter_is_config_error_before_run(self, tmp_path, capsys,
+                                                          listener, traffic, path):
+        doc = dict(GOOD, nodes=[GOOD["nodes"][0], {**GOOD["nodes"][1], **listener}],
+                   traffic={**GOOD["traffic"], **traffic})
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"{path}: bad distribution" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_delivering_nothing_reports_drops(self, tmp_path):
         doc = dict(GOOD, traffic={"period_ns": 500_000, "count": 5},
@@ -176,8 +202,9 @@ class TestRun:
         ({"shapers": {"sw9": {"gcl": CLOSED_GCL}}}, "shapers.sw9"),
         ({"filters": {"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}},
          "filters.sw9"),
+        ({"filters": {"sw0": {"gates": {"s0": CLOSED_GATE}}}}, "filters.sw0.gates.s0"),
     ], ids=["cqf_filters", "cqf_gcl", "cqf_etf", "cqf_no_bridge", "txtime_no_etf",
-            "off_path_shaper", "off_path_filters"])
+            "off_path_shaper", "off_path_filters", "gate_no_rule_names"])
     def test_config_run_would_ignore_is_config_error(self, tmp_path, capsys, section,
                                                     path):
         doc = dict(OFF_PATH, **section)

@@ -1,6 +1,8 @@
+import math
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -295,6 +297,58 @@ class TestJitterDist:
                 assert got == [ref.choices(values, weights=weights)[0]
                                for _ in range(500)]
                 assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("dist", [
+        JitterDist.constant(250),
+        JitterDist.uniform(-20, 40),
+        JitterDist.empirical([(7, 1)]),
+        JitterDist.empirical([(10, 0.3), (20, 1.7), (35, 2.25), (90, 0.05)]),
+        JitterDist.normal(250.0, 0.0),
+        JitterDist.normal(100.0, 10.0, min_ns=500),
+        JitterDist.normal(400, 600, min_ns=0),
+        JitterDist.normal(-3.5, 2.25),
+    ], ids=["constant", "uniform", "one_point", "fractional_weights", "zero_std",
+            "floor_above_four_sigma", "int_mean", "negative_mean"])
+    def test_draws_match_former_expressions(self, dist):
+        def former(rng):
+            if dist.kind == "constant":
+                return dist.value_ns
+            if dist.kind == "uniform":
+                return rng.randint(dist.min_ns, dist.max_ns)
+            if dist.kind == "normal":
+                v = rng.gauss(dist.mean_ns, dist.std_ns)
+                lo = dist.mean_ns - 4 * dist.std_ns
+                hi = dist.mean_ns + 4 * dist.std_ns
+                v = round(min(max(v, lo), hi))
+                if dist.min_ns is not None and v < dist.min_ns:
+                    v = dist.min_ns
+                return int(v)
+            return rng.choices([v for v, _ in dist.points],
+                               cum_weights=list(accumulate(w for _, w in dist.points)))[0]
+
+        # 250 draws per seed take a normal draw past 4 sigma a few times
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = [dist.sample(rng) for _ in range(250)]
+            want = [former(ref) for _ in range(250)]
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("make", [
+        lambda: JitterDist.empirical([(1, math.inf)]),
+        lambda: JitterDist.empirical([(1, math.nan), (2, 1)]),
+        lambda: JitterDist.empirical([(1, 1e308), (2, 1e308)]),
+        lambda: JitterDist.normal(math.nan, 1),
+        lambda: JitterDist.normal(0, math.inf),
+        lambda: JitterDist.normal(math.inf, 0),
+        lambda: JitterDist.normal(0, 1e308),
+    ], ids=["inf_weight", "nan_weight", "inf_total", "nan_mean", "inf_std",
+            "inf_mean", "inf_bound"])
+    def test_non_finite_parameters_rejected(self, make):
+        # sample skips rng.choices' checks, so construction makes them
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
     def test_config_round_trip(self):
         for cfg, dist in (

@@ -1,15 +1,22 @@
 """Measurement harness: offset analysis, CSV round-trips, scenario runs."""
 
+import csv
+import io
 import json
+import math
+import random
+import statistics
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import tsnsim
-from tsnsim.harness import (MalformedRowError, MissingTimestampError,
-                            PacketRecord, compute_offsets, export_records,
-                            infer_period, load_records, report, run_scenario,
-                            stats, stats_payload)
+from tsnsim.harness import (CSV_COLUMNS, MalformedRowError, MissingTimestampError,
+                            OffsetStats, PacketRecord, compute_offsets,
+                            export_records, infer_period, load_records, report,
+                            run_scenario, stats, stats_payload)
 from tsnsim.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
@@ -37,6 +44,9 @@ class TestComputeOffsets:
     def test_missing_timestamp_raises(self):
         with pytest.raises(MissingTimestampError):
             compute_offsets([rec(0, 0)], 500, "sw_tx")
+        records = [rec(0, 0, sw_tx=0), rec(1, 500), rec(2, 1000)]
+        with pytest.raises(MissingTimestampError, match="seq=1 has no sw_tx"):
+            compute_offsets(records, 500, "sw_tx")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -65,6 +75,34 @@ class TestStats:
     def test_negative_offsets_bin_below_zero(self):
         s = stats([-1, 1], bin_width_ns=100)
         assert s.histogram == [[-100, 1], [0, 1]]
+
+
+def former_stats(offsets, bin_width_ns=100):
+    """stats() as it was before the single sort: the reference."""
+    n = len(offsets)
+    radii = sorted(abs(v) for v in offsets)
+    bins = Counter()
+    for v in offsets:
+        bins[(v // bin_width_ns) * bin_width_ns] += 1
+    return OffsetStats(min_ns=min(offsets), mean_ns=statistics.fmean(offsets),
+                       median_ns=statistics.median(offsets),
+                       p80_radius_ns=radii[math.ceil(0.8 * n) - 1],
+                       max_ns=max(offsets), bin_width_ns=bin_width_ns,
+                       histogram=[[k, bins[k]] for k in sorted(bins)])
+
+
+class TestStatsMatchesFormer:
+    @pytest.mark.parametrize("bin_width", [1, 7, 100, -100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 500, 501])
+    @pytest.mark.parametrize("lo,hi", [(-5_000, 5_000), (-90_000, -1), (-3, 3)])
+    def test_same_payload_and_types(self, bin_width, n, lo, hi):
+        for seed in range(5):
+            rng = random.Random(seed)
+            offsets = [rng.randint(lo, hi) for _ in range(n)]
+            got = asdict(stats(offsets, bin_width))
+            want = asdict(former_stats(offsets, bin_width))
+            # repr tells 5 from 5.0, so the median's type is compared too
+            assert repr(got) == repr(want)
 
 
 class TestInferPeriod:
@@ -116,6 +154,27 @@ class TestCsvRoundTrip:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(MalformedRowError):
             load_records(p)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        def writer_bytes(records):
+            out = io.StringIO(newline="")
+            w = csv.writer(out, lineterminator="\n")
+            w.writerow(CSV_COLUMNS)
+            for r in records:
+                w.writerow([r.seq, r.intended_tx, r.sw_tx, r.hw_tx, r.hw_rx, r.sw_rx])
+            return out.getvalue().encode()
+
+        stamps = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
+        full = dict(zip(stamps, (-510, 520, 10 ** 15, 0)))
+        records = [rec(0, 500, **full), rec(1, 1000)]
+        for k, missing in enumerate(stamps, start=2):
+            records.append(rec(k, 500 * (k + 1), **dict(full, **{missing: None})))
+        p = tmp_path / "r.csv"
+        export_records(records, p)
+        assert p.read_bytes() == writer_bytes(records)
+        assert load_records(p) == records
+        export_records([], p)
+        assert p.read_bytes() == writer_bytes([])
 
     def test_report_recomputes_stats(self, tmp_path):
         p = tmp_path / "r.csv"

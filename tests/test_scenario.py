@@ -50,6 +50,9 @@ def off_path(**overrides):
 CQF = {"enabled": True, "cycle_time_ns": 100_000}
 CLOSED_GCL = {"cycle_time_ns": 500_000,
               "entries": [{"gate_mask": 0, "duration_ns": 500_000}]}
+CLOSED_GATE = {"cycle_time_ns": 500_000,
+               "entries": [{"open": False, "duration_ns": 500_000}]}
+INF, NAN = float("inf"), float("nan")
 TXTIME = dict(MINIMAL["traffic"], mode="txtime")
 
 
@@ -264,10 +267,43 @@ class TestRejections:
         (off_path(shapers={"sw9": {"gcl": CLOSED_GCL}}), "shapers.sw9"),
         (off_path(filters={"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}),
          "filters.sw9"),
+        (bridged(filters={"sw0": {"gates": {"s0": CLOSED_GATE}}}), "filters.sw0.gates.s0"),
+        (bridged(filters={"sw0": {"rules": [{"vlan_id": 7, "handle": "s1"}],
+                                  "gates": {"s0": CLOSED_GATE, "s1": CLOSED_GATE}}}),
+         "filters.sw0.gates.s0"),
     ], ids=["cqf_filters", "cqf_gcl", "cqf_etf", "cqf_no_bridge", "txtime_no_etf",
-            "off_path_shaper", "off_path_filters"])
+            "off_path_shaper", "off_path_filters", "gate_without_rules",
+            "gate_no_rule_names"])
     def test_config_run_would_ignore_rejected(self, doc, path):
         assert [p.partition(":")[0] for p in problems_of(doc)] == [path]
+
+    # the runner cannot sample any of these
+    @pytest.mark.parametrize("node,traffic,path", [
+        ({"rx_latency": {"kind": "empirical", "points": [[500, INF], [900, 1]]}}, {},
+         "nodes[1].rx_latency"),
+        ({"rx_latency": {"kind": "empirical", "points": [[500, NAN], [900, 1]]}}, {},
+         "nodes[1].rx_latency"),
+        ({"rx_latency": {"kind": "empirical", "points": [[500, 1e308], [900, 1e308]]}},
+         {}, "nodes[1].rx_latency"),
+        ({"rx_latency": {"kind": "empirical", "points": [[INF, 1]]}}, {},
+         "nodes[1].rx_latency"),
+        ({}, {"wake_jitter": {"kind": "normal", "mean_ns": 400, "std_ns": INF}},
+         "traffic.wake_jitter"),
+        ({}, {"wake_jitter": {"kind": "normal", "mean_ns": NAN, "std_ns": 600}},
+         "traffic.wake_jitter"),
+        ({}, {"wake_jitter": {"kind": "normal", "mean_ns": 400, "std_ns": 1e308}},
+         "traffic.wake_jitter"),
+        ({}, {"stack_latency": {"kind": "constant", "value_ns": INF}},
+         "traffic.stack_latency"),
+    ], ids=["empirical_inf_weight", "empirical_nan_weight", "empirical_inf_total",
+            "empirical_inf_value", "normal_inf_std", "normal_nan_mean",
+            "normal_inf_bound", "constant_inf"])
+    def test_jitter_run_cannot_sample_rejected(self, node, traffic, path):
+        doc = variant(nodes=[MINIMAL["nodes"][0], {**MINIMAL["nodes"][1], **node}],
+                      traffic={**MINIMAL["traffic"], **traffic})
+        problems = problems_of(doc)
+        assert [p.partition(":")[0] for p in problems] == [path]
+        assert "bad distribution" in problems[0]
 
 
 class TestBuiltObjects:
@@ -279,7 +315,9 @@ class TestBuiltObjects:
             shapers={"talker": {"scheme": "etf", "etf": {"offload": False}},
                      "sw0": {"gcl": gcl, "preemption": {"enabled": True,
                                                         "express_classes": [3]}}},
-            filters={"sw0": {"gates": {"s0": gate}}},
+            filters={"sw0": {"rules": [{"dest_mac": 1, "vlan_id": 2, "pcp": 3,
+                                        "handle": "s0"}],
+                             "gates": {"s0": gate}}},
             traffic={"mode": "txtime",
                      "stream": {"dest_mac": 1, "vlan_id": 2, "pcp": 3}}))
         assert cfg.shapers["talker"] == EtfCfg(offload=False, delta_ns=50_000)

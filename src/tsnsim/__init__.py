@@ -3,7 +3,7 @@
 from .core import ClockModel, Engine, JitterDist, PastTimeError, SimTime, rng_fork
 from .traffic import Frame, StreamKey, transmission_time
 from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
-                     PreemptionConfig, TaprioPort, plan_preemption)
+                     PreemptionConfig, TaprioPort)
 from .ingress import PsfpDecision, StreamGate, StreamGateEntry, assign_ipv
 from .frer import RecoveryState, SequenceGenerator, replicate
 from .network import (BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound)

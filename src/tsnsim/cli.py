@@ -71,9 +71,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.bin_width < 1:
+        print(f"--bin-width must be at least 1, got {args.bin_width}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         payload = report(args.csv, args.bin_width)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     except MalformedRowError as exc:
@@ -89,6 +92,8 @@ def _set_dotted(doc: dict, dotted: str, value):
     node = doc
     for k in keys[:-1]:
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError([f"{dotted}: {k} is not an object"])
     node[keys[-1]] = value
 
 
@@ -109,8 +114,8 @@ def cmd_sweep(args) -> int:
             values.append(raw)
     for value in values:
         variant = json.loads(json.dumps(doc))
-        _set_dotted(variant, args.param, value)
         try:
+            _set_dotted(variant, args.param, value)
             cfg = parse_scenario(variant)
         except ConfigError as exc:
             print(f"{args.param}={value}: {exc}", file=sys.stderr)

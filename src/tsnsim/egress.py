@@ -18,10 +18,6 @@ class MissingTxtimeError(Exception):
     pass
 
 
-class NotPreemptableError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class GclEntry:
     gate_mask: int  # bit i == 1 -> traffic class i open
@@ -81,9 +77,6 @@ class TaprioPort:
     window of its class is dropped after waiting one full cycle.
     """
 
-    QUEUED = "queued"
-    DROPPED_FULL = "dropped_full"
-
     def __init__(self, gcl: Optional[GateControlList] = None, num_classes: int = 8,
                  capacity: int = 64, guard_mode: str = "fit",
                  link_rate_bps: int = 10 ** 9, overhead_bytes: int = 0):
@@ -107,14 +100,15 @@ class TaprioPort:
         return transmission_time(frame.size_bytes, self.link_rate_bps,
                                  self.overhead_bytes)
 
-    def enqueue(self, frame: Frame, t: SimTime) -> str:
+    def enqueue(self, frame: Frame, t: SimTime) -> Optional[str]:
+        """Queue the frame and return None, or return the drop key counted."""
         q = self.queues[frame.egress_class]
         if len(q) >= self.capacity:
             self.drops["taprio_full"] += 1
-            return self.DROPPED_FULL
+            return "taprio_full"
         q.append((frame, t))
         self._count += 1
-        return self.QUEUED
+        return None
 
     def select(self, t: SimTime, classes=None) -> Optional[Frame]:
         """Pop the frame to transmit at t, highest open class first."""
@@ -181,9 +175,6 @@ class EtfQueue:
     a clock, the identity clock is used.
     """
 
-    QUEUED = "queued"
-    DROPPED_PAST_TXTIME = "dropped_past_txtime"
-
     def __init__(self, delta_ns: int = 0, offload: bool = True,
                  clock: Optional[ClockModel] = None):
         self.delta_ns = delta_ns
@@ -194,14 +185,15 @@ class EtfQueue:
         self._due: Optional[SimTime] = None
         self.drops: Counter = Counter()
 
-    def enqueue(self, frame: Frame, now: SimTime) -> str:
+    def enqueue(self, frame: Frame, now: SimTime) -> Optional[str]:
+        """Queue the frame and return None, or return the drop key counted."""
         if frame.txtime is None:
             raise MissingTxtimeError(f"frame {frame.id} has no txtime")
         if frame.txtime < now + self.delta_ns:
             self.drops["etf_past_txtime"] += 1
-            return self.DROPPED_PAST_TXTIME
+            return "etf_past_txtime"
         heapq.heappush(self._heap, (frame.txtime, frame.id, frame))
-        return self.QUEUED
+        return None
 
     def select(self, t: SimTime, classes=None) -> Optional[Frame]:
         """Pop the head frame if it is due at t; classes is ignored."""
@@ -239,17 +231,6 @@ class PreemptionConfig:
         return tc in self.express_classes
 
 
-@dataclass(frozen=True)
-class PreemptionPlan:
-    """Resolved timing of an express frame against an ongoing preemptable one."""
-
-    preempts: bool
-    preempt_at_byte: int      # pMAC bytes on wire when the express starts
-    express_start: SimTime
-    express_end: SimTime
-    pframe_complete: SimTime
-
-
 def bytes_on_wire(start: SimTime, t: SimTime, rate_bps: int) -> int:
     """Whole bytes transmitted by time t of a transmission started at start."""
     return ((t - start) * rate_bps) // (8 * NS_PER_SEC)
@@ -264,30 +245,6 @@ def _preemption_point(sent: int, total: int, frag: int) -> Optional[int]:
     """
     point = max(frag, frag * (sent // frag + 1))
     return None if point > total - frag else point
-
-
-def plan_preemption(pcfg: PreemptionConfig, pframe_size: int, pframe_start: SimTime,
-                    express_size: int, t: SimTime, rate_bps: int) -> PreemptionPlan:
-    """Plan the fragment boundary at which an express frame interrupts.
-
-    Without a legal boundary (see _preemption_point) the express frame
-    waits for the frame to end.
-    """
-    if not pcfg.enabled:
-        raise NotPreemptableError("preemption disabled on this port")
-    point = _preemption_point(bytes_on_wire(pframe_start, t, rate_bps), pframe_size,
-                              pcfg.min_fragment_bytes)
-    pframe_end = pframe_start + transmission_time(pframe_size, rate_bps)
-    if point is None:
-        # cannot split legally: express waits for frame completion
-        express_start = pframe_end
-        express_end = express_start + transmission_time(express_size, rate_bps)
-        return PreemptionPlan(False, pframe_size, express_start, express_end,
-                              pframe_end)
-    express_start = pframe_start + transmission_time(point, rate_bps)
-    express_end = express_start + transmission_time(express_size, rate_bps)
-    pframe_complete = express_end + transmission_time(pframe_size - point, rate_bps)
-    return PreemptionPlan(True, point, express_start, express_end, pframe_complete)
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +309,18 @@ class EgressPort:
 
     # -- submission
 
-    def submit(self, frame: Frame, t: SimTime) -> str:
+    def submit(self, frame: Frame, t: SimTime) -> Optional[str]:
+        """Hand a frame to the port: None if it was queued or will preempt,
+        else the drop key the queue counted."""
         # express frames may interrupt an ongoing preemptable transmission
         if (self.preemption.enabled
                 and self.preemption.is_express(frame.egress_class)
                 and self._current is not None
                 and self._current.preemptable
                 and self._suspended is None):
-            self._do_preempt(frame, t)
-            return self.queue.QUEUED
+            return self._do_preempt(frame, t)
         result = self.queue.enqueue(frame, t)
-        if result == self.queue.QUEUED:
+        if result is None:
             self._kick()
         return result
 
@@ -445,19 +403,17 @@ class EgressPort:
         end = t + self._tt_bytes(remaining)
         self.engine.schedule(end, partial(self._complete, state, end, state.token))
 
-    def _do_preempt(self, express: Frame, t: SimTime):
+    def _do_preempt(self, express: Frame, t: SimTime) -> Optional[str]:
         cur = self._current
         if cur.preempt_pending:
-            self.queue.enqueue(express, t)
-            return
+            return self.queue.enqueue(express, t)
         sent_total = cur.bytes_done + bytes_on_wire(cur.segment_start, t,
                                                     self.rate_bps)
         point = _preemption_point(sent_total, cur.total_bytes,
                                   self.preemption.min_fragment_bytes)
         if point is None:
             # no legal split: express waits its turn in the queue
-            self.queue.enqueue(express, t)
-            return
+            return self.queue.enqueue(express, t)
         # cancel the pMAC completion; the wire stays busy until the boundary
         cur.token = self._next_token()
         cur.preempt_pending = True

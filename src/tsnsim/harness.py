@@ -12,7 +12,7 @@ import csv
 import math
 import statistics
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import Optional
@@ -143,8 +143,8 @@ def stats_payload(records: list[PacketRecord], period: Optional[int], bin_width_
         # a run that delivered nothing still reports its drops
         if not records or None in map(attrgetter(kind), records):
             continue
-        kinds[kind] = asdict(stats(compute_offsets(records, period or 0, kind),
-                                   bin_width_ns))
+        kinds[kind] = dict(vars(stats(compute_offsets(records, period or 0, kind),
+                                      bin_width_ns)))
     return {"kinds": kinds,
             "records": len(records),
             "period_ns": period,

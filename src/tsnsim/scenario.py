@@ -18,8 +18,8 @@ from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, ScheduleError
 from .egress import GateControlList, GclEntry, PreemptionConfig
 from .ingress import StreamGate, StreamGateEntry
 from .network import FORWARDING_PRESETS, CqfConfig, cqf_compose
-from .traffic import (DuplicateExactRuleError, StreamKey, StreamRuleSet,
-                      make_stream_rules)
+from .traffic import (MAX_FRAME_BYTES, MIN_FRAME_BYTES, DuplicateExactRuleError,
+                      StreamKey, StreamRuleSet, make_stream_rules)
 
 VALID_TOP_KEYS = {"nodes", "links", "clocks", "shapers", "filters",
                   "frer", "cqf", "traffic", "run"}
@@ -514,8 +514,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                                      default=500_000)
         traffic.count = c.int_in(raw_traffic, "count", "traffic", lo=1,
                                  default=10_000)
-        traffic.frame_size_bytes = c.int_in(raw_traffic, "frame_size_bytes",
-                                            "traffic", lo=64, hi=9000, default=64)
+        traffic.frame_size_bytes = c.int_in(
+            raw_traffic, "frame_size_bytes", "traffic", lo=MIN_FRAME_BYTES,
+            hi=MAX_FRAME_BYTES, default=MIN_FRAME_BYTES)
         mode = raw_traffic.get("mode", "sleep")
         if mode not in ("sleep", "txtime"):
             c.fail("traffic.mode", f"must be sleep|txtime, got {mode!r}")

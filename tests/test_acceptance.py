@@ -14,7 +14,7 @@ import tsnsim
 from tsnsim.cli import main as cli_main
 from tsnsim.core import ClockModel, Engine, JitterDist, rng_fork
 from tsnsim.egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
-                           PreemptionConfig, TaprioPort, plan_preemption)
+                           TaprioPort)
 from tsnsim.frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
 from tsnsim.harness import (compute_offsets, load_records, report,
                             run_scenario, stats, stats_payload)
@@ -23,6 +23,8 @@ from tsnsim.network import (BridgeNode, CqfConfig, cqf_compose,
                             cqf_latency_bound)
 from tsnsim.scenario import load_scenario
 from tsnsim.traffic import Frame, StreamKey, make_stream_rules, transmission_time
+
+from test_preemption import preempt_on_port
 
 US = 1000
 MS = 1000 * US
@@ -260,12 +262,9 @@ def test_criterion_06_frer_exactly_once():
 
 
 def test_criterion_07_preemption():
+    # express class 7 on a 100 Mbps EgressPort
     rate = 100_000_000
-    pcfg = PreemptionConfig(enabled=True, express_classes=frozenset({7}))
-    plan = plan_preemption(pcfg, 1500, 0, 64, 10_000, rate)
-    trace_ok = (plan.preempts and plan.express_start == 10_240
-                and plan.express_end == 15_360
-                and plan.pframe_complete == 125_120)
+    trace_ok = preempt_on_port(1500, 64, 10_000) == (10_240, 15_360, 125_120)
     bound = transmission_time(127, rate)
     rng = random.Random(707)
     bound_ok = True
@@ -274,13 +273,12 @@ def test_criterion_07_preemption():
         psize = rng.randint(192, 9000)
         esize = rng.randint(64, 1500)
         arrival = rng.randrange(0, transmission_time(psize, rate))
-        p = plan_preemption(pcfg, psize, 0, esize, arrival, rate)
+        start, end, complete = preempt_on_port(psize, esize, arrival, rate)
         sent = (arrival * rate) // (8 * 10 ** 9)
-        if psize - sent >= 128 and p.express_start - arrival > bound:
+        if psize - sent >= 128 and start - arrival > bound:
             bound_ok = False
-        if p.preempts:
-            wire = p.pframe_complete - (p.express_end - p.express_start)
-            if wire != transmission_time(psize, rate):
+        if start < complete:
+            if complete - (end - start) != transmission_time(psize, rate):
                 conserved = False
     verdict(7, "derived trace exact; express bound and byte conservation hold",
             trace_ok and bound_ok and conserved,
@@ -329,7 +327,7 @@ def test_criterion_09_calibration_fig2():
 def test_criterion_10_etf_semantics():
     q = EtfQueue(delta_ns=0)
     dropped = q.enqueue(Frame(id=1, size_bytes=64, priority=0, txtime=10),
-                        now=100) == EtfQueue.DROPPED_PAST_TXTIME
+                        now=100) == "etf_past_txtime"
 
     rng = random.Random(1010)
     q = EtfQueue()

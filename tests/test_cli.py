@@ -271,6 +271,24 @@ class TestReport:
     def test_missing_csv_is_config_error(self, tmp_path):
         assert main(["report", str(tmp_path / "none.csv")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("width", ["0", "-100"])
+    def test_bin_width_below_one_is_config_error(self, tmp_path, capsys, width):
+        p = tmp_path / "ok.csv"
+        p.write_text("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
+                     "0,1000,1010,,,\n"
+                     "1,2000,2030,,,\n")
+        rc = main(["report", str(p), "--bin-width", width,
+                   "--out", str(tmp_path / "rep")])
+        assert rc == EXIT_CONFIG
+        assert "--bin-width" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_csv_path_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        rc = main(["report", str(tmp_path), "--out", str(tmp_path / "rep")])
+        assert rc == EXIT_CONFIG
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
 
 class TestValidate:
     def test_ok(self, good_scenario, capsys):
@@ -297,3 +315,12 @@ class TestSweep:
         rc = main(["sweep", str(good_scenario), "--param", "traffic.mode",
                    "--values", "warp", "--out", str(tmp_path / "s")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("param", ["nodes.1.rx_latency", "run.seed.x"])
+    def test_param_through_a_non_object_is_config_error(self, good_scenario,
+                                                        tmp_path, capsys, param):
+        rc = main(["sweep", str(good_scenario), "--param", param,
+                   "--values", "5", "--out", str(tmp_path / "s")])
+        assert rc == EXIT_CONFIG
+        assert param in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()

@@ -111,15 +111,14 @@ class TestTaprioQueueing:
     def test_enqueue_empty(self):
         port = TaprioPort(capacity=8)
         f = Frame(id=1, size_bytes=64, priority=0)
-        assert port.enqueue(f, 0) == TaprioPort.QUEUED
+        assert port.enqueue(f, 0) is None
 
     def test_enqueue_full_drops_newest(self):
         port = TaprioPort(capacity=8)
         for i in range(8):
-            assert port.enqueue(Frame(id=i, size_bytes=64, priority=0), 0) \
-                == TaprioPort.QUEUED
+            assert port.enqueue(Frame(id=i, size_bytes=64, priority=0), 0) is None
         assert port.enqueue(Frame(id=9, size_bytes=64, priority=0), 0) \
-            == TaprioPort.DROPPED_FULL
+            == "taprio_full"
         assert port.drops["taprio_full"] == 1
 
     def test_fifo_within_class(self):
@@ -256,12 +255,12 @@ class TestPendingCount:
                 if rng.random() < 0.6:
                     f = Frame(id=i, size_bytes=rng.choice([64, 200, 1500]),
                               priority=rng.randrange(8))
-                    seen[port.enqueue(f, t)] += 1
+                    seen["enqueue", port.enqueue(f, t)] += 1
                 else:
                     classes = rng.choice([None, {7}, {0, 1, 2, 3}])
                     seen["sent" if port.select(t, classes) else "idle"] += 1
             seen.update(port.drops)
-        assert all(seen[k] for k in (TaprioPort.QUEUED, TaprioPort.DROPPED_FULL,
+        assert all(seen[k] for k in (("enqueue", None), ("enqueue", "taprio_full"),
                                      "taprio_full", "taprio_oversize", "sent", "idle"))
 
     def test_count_matches_queues_through_preempting_port(self):

@@ -14,19 +14,17 @@ def frame(fid, txtime=None, size=64):
 class TestEtfQueue:
     def test_future_txtime_queued(self):
         q = EtfQueue(delta_ns=0)
-        assert q.enqueue(frame(1, txtime=10 ** 6), now=0) == EtfQueue.QUEUED
+        assert q.enqueue(frame(1, txtime=10 ** 6), now=0) is None
 
     def test_past_txtime_dropped(self):
         q = EtfQueue(delta_ns=0)
-        assert q.enqueue(frame(1, txtime=99), now=100) == \
-            EtfQueue.DROPPED_PAST_TXTIME
+        assert q.enqueue(frame(1, txtime=99), now=100) == "etf_past_txtime"
         assert q.drops["etf_past_txtime"] == 1
 
     def test_delta_moves_deadline(self):
         q = EtfQueue(delta_ns=50_000)
-        assert q.enqueue(frame(1, txtime=49_999), now=0) == \
-            EtfQueue.DROPPED_PAST_TXTIME
-        assert q.enqueue(frame(2, txtime=50_000), now=0) == EtfQueue.QUEUED
+        assert q.enqueue(frame(1, txtime=49_999), now=0) == "etf_past_txtime"
+        assert q.enqueue(frame(2, txtime=50_000), now=0) is None
 
     def test_missing_txtime_raises(self):
         q = EtfQueue()

@@ -1,16 +1,40 @@
-"""Frame preemption timing, checked against a byte-step oracle."""
+"""Frame preemption timing on the engine-driven EgressPort, checked against
+a byte-step oracle."""
 
 import random
 
-import pytest
-
 from tsnsim.core import Engine
-from tsnsim.egress import (EgressPort, NotPreemptableError, PreemptionConfig,
-                           TaprioPort, plan_preemption)
+from tsnsim.egress import EgressPort, PreemptionConfig, TaprioPort
 from tsnsim.traffic import Frame, transmission_time
 
 RATE_100M = 100_000_000
+NS_PER_BYTE_100M = 80
 PCFG = PreemptionConfig(enabled=True, express_classes=frozenset({7}))
+
+
+def run_port(pframe, express_arrivals, rate=RATE_100M):
+    """{frame id: (wire start, completion)} of pframe, submitted at t=0, and
+    of each (arrival, express frame) submitted at its arrival."""
+    eng = Engine()
+    out = []
+    port = EgressPort(eng, rate, queue=TaprioPort(link_rate_bps=rate),
+                      preemption=PCFG,
+                      deliver=lambda f, s, e: out.append((f.id, s, e)))
+    port.submit(pframe, 0)
+    for t, f in express_arrivals:
+        eng.schedule(t, lambda f=f: port.submit(f, eng.now))
+    eng.run_all()
+    return dict((fid, (s, e)) for fid, s, e in out)
+
+
+def preempt_on_port(psize, esize, arrival, rate=RATE_100M):
+    """(express start, express end, pframe completion) of a preemptable
+    psize-byte frame sent at t=0 and an esize-byte express frame arriving
+    at arrival. The express frame preempts iff it starts before the
+    completion."""
+    out = run_port(Frame(id=1, size_bytes=psize, priority=0),
+                   [(arrival, Frame(id=2, size_bytes=esize, priority=7))], rate)
+    return (*out[2], out[1][1])
 
 
 def byte_step_oracle(pframe_size, express_size, arrival, rate, frag=64):
@@ -36,29 +60,24 @@ def byte_step_oracle(pframe_size, express_size, arrival, rate, frag=64):
 
 class TestPlanPreemption:
     def test_paper_trace_1500b_express_at_10us(self):
-        plan = plan_preemption(PCFG, 1500, 0, 64, 10_000, RATE_100M)
-        assert plan.preempts
-        assert plan.preempt_at_byte == 128
-        assert plan.express_start == 10_240
-        assert plan.express_end == 15_360
-        assert plan.pframe_complete == 125_120
+        start, end, complete = preempt_on_port(1500, 64, 10_000)
+        assert start < complete
+        assert start == 128 * NS_PER_BYTE_100M    # preempt_at_byte 128
+        assert start == 10_240
+        assert end == 15_360
+        assert complete == 125_120
 
     def test_express_before_first_fragment_waits_for_boundary(self):
         # 32 B sent: wait until the 64 B boundary at 5.12 us
-        plan = plan_preemption(PCFG, 1500, 0, 64, 2_560, RATE_100M)
-        assert plan.preempts and plan.preempt_at_byte == 64
-        assert plan.express_start == 5_120
+        start, _, complete = preempt_on_port(1500, 64, 2_560)
+        assert start < complete and start == 64 * NS_PER_BYTE_100M
+        assert start == 5_120
 
     def test_too_little_remaining_waits_for_frame_end(self):
         # 128 B frame: any split leaves < 64 B on one side
-        plan = plan_preemption(PCFG, 128, 0, 64, 5_120, RATE_100M)
-        assert not plan.preempts
-        assert plan.express_start == transmission_time(128, RATE_100M)
-
-    def test_disabled_raises(self):
-        with pytest.raises(NotPreemptableError):
-            plan_preemption(PreemptionConfig(enabled=False), 1500, 0, 64,
-                            10_000, RATE_100M)
+        start, _, complete = preempt_on_port(128, 64, 5_120)
+        assert start == complete
+        assert start == transmission_time(128, RATE_100M)
 
     def test_matches_byte_step_oracle_exactly(self):
         rng = random.Random(99)
@@ -67,13 +86,12 @@ class TestPlanPreemption:
             esize = rng.randint(64, 200)
             pframe_time = transmission_time(psize, RATE_100M)
             arrival = rng.randrange(0, pframe_time)
-            plan = plan_preemption(PCFG, psize, 0, esize, arrival, RATE_100M)
+            start, end, complete = preempt_on_port(psize, esize, arrival)
             want = byte_step_oracle(psize, esize, arrival, RATE_100M)
-            assert plan.preempts == want["preempts"]
-            assert plan.express_start == want["express_start"]
-            assert plan.express_end == want["express_end"]
-            if plan.preempts:
-                assert plan.pframe_complete == want["pframe_complete"]
+            assert (start < complete) == want["preempts"]
+            assert start == want["express_start"]
+            assert end == want["express_end"]
+            assert complete == want["pframe_complete"]
 
     def test_express_bound_when_two_fragments_remain(self):
         # remaining >= 128 B: access delay <= time of 127 B
@@ -85,8 +103,8 @@ class TestPlanPreemption:
             sent = (arrival * RATE_100M) // (8 * 10 ** 9)
             if psize - sent < 128:
                 continue
-            plan = plan_preemption(PCFG, psize, 0, 64, arrival, RATE_100M)
-            assert plan.express_start - arrival <= bound
+            start, _, _ = preempt_on_port(psize, 64, arrival)
+            assert start - arrival <= bound
 
     def test_byte_conservation_fuzz(self):
         # total pMAC wire time = original transmission time (no retransmit)
@@ -95,31 +113,16 @@ class TestPlanPreemption:
             psize = rng.randint(192, 9000)
             esize = rng.randint(64, 1500)
             arrival = rng.randrange(0, transmission_time(psize, RATE_100M))
-            plan = plan_preemption(PCFG, psize, 0, esize, arrival, RATE_100M)
-            if plan.preempts:
-                express_time = plan.express_end - plan.express_start
-                wire_time = plan.pframe_complete - express_time
-                assert wire_time == transmission_time(psize, RATE_100M)
+            start, end, complete = preempt_on_port(psize, esize, arrival)
+            if start < complete:
+                assert complete - (end - start) == transmission_time(psize, RATE_100M)
 
 
 class TestPortIntegration:
-    @staticmethod
-    def run_port(pframe, express_arrivals, rate=RATE_100M):
-        eng = Engine()
-        out = []
-        port = EgressPort(eng, rate, queue=TaprioPort(link_rate_bps=rate),
-                          preemption=PCFG,
-                          deliver=lambda f, s, e: out.append((f.id, s, e)))
-        port.submit(pframe, 0)
-        for t, f in express_arrivals:
-            eng.schedule(t, lambda f=f: port.submit(f, eng.now))
-        eng.run_all()
-        return dict((fid, (s, e)) for fid, s, e in out)
-
     def test_trace_through_engine(self):
         p = Frame(id=1, size_bytes=1500, priority=0)
         ex = Frame(id=2, size_bytes=64, priority=7)
-        out = self.run_port(p, [(10_000, ex)])
+        out = run_port(p, [(10_000, ex)])
         assert out[2] == (10_240, 15_360)
         assert out[1][1] == 125_120
 
@@ -135,11 +138,21 @@ class TestPortIntegration:
         eng.run_all()
         assert dict((f, (s, e)) for f, s, e in out)[2][0] == 720_000
 
+    def test_submit_returns_the_drop_key_of_a_requeued_express_frame(self):
+        # a 100 B frame cannot be split, so each express frame goes back to
+        # the one-slot queue, and the second finds it full
+        taprio = TaprioPort(link_rate_bps=RATE_100M, capacity=1)
+        port = EgressPort(Engine(), RATE_100M, queue=taprio, preemption=PCFG)
+        assert port.submit(Frame(id=1, size_bytes=100, priority=0), 0) is None
+        assert port.submit(Frame(id=2, size_bytes=64, priority=7), 0) is None
+        assert port.submit(Frame(id=3, size_bytes=64, priority=7), 0) == "taprio_full"
+        assert taprio.drops["taprio_full"] == 1
+
     def test_two_express_frames_back_to_back(self):
         p = Frame(id=1, size_bytes=1500, priority=0)
         e1 = Frame(id=2, size_bytes=64, priority=7)
         e2 = Frame(id=3, size_bytes=64, priority=7)
-        out = self.run_port(p, [(10_000, e1), (10_100, e2)])
+        out = run_port(p, [(10_000, e1), (10_100, e2)])
         assert out[2] == (10_240, 15_360)
         assert out[3] == (15_360, 20_480)     # express before pMAC resumes
         assert out[1][1] == 130_240           # 120_000 + 2 * 5_120
@@ -153,7 +166,7 @@ class TestPortIntegration:
             p = Frame(id=1, size_bytes=psize, priority=0)
             exs = [(t, Frame(id=10 + i, size_bytes=64, priority=7))
                    for i, t in enumerate(arrivals)]
-            out = self.run_port(p, exs)
+            out = run_port(p, exs)
             p_start, p_end = out[1]
             # only express time spent inside the pframe's wall interval
             # stretches it; late arrivals go out after the frame completes

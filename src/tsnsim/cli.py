@@ -82,7 +82,11 @@ def cmd_report(args) -> int:
     except MalformedRowError as exc:
         print(f"malformed CSV: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    _write_stats(payload, Path(args.out) if args.out else Path(args.csv).parent)
+    try:
+        _write_stats(payload, Path(args.out) if args.out else Path(args.csv).parent)
+    except OSError as exc:  # --out names a file, or is not writable
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(json.dumps(payload["kinds"], indent=2, sort_keys=True))
     return EXIT_OK
 

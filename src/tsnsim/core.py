@@ -9,13 +9,13 @@ two runs with the same seed are bit-identical.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -67,7 +67,11 @@ class JitterDist:
 
     def __post_init__(self):
         bind = partial(object.__setattr__, self)
-        if self.kind == "normal":
+        if self.kind == "uniform":
+            # sample draws as rng.randint does, via _randbelow_with_getrandbits
+            bind("_span", self.max_ns - self.min_ns + 1)
+            bind("_bits", self._span.bit_length())
+        elif self.kind == "normal":
             bind("_lo", self.mean_ns - 4 * self.std_ns)
             bind("_hi", self.mean_ns + 4 * self.std_ns)
         elif self.kind == "empirical":
@@ -128,7 +132,10 @@ class JitterDist:
         if self.kind == "constant":
             return self.value_ns
         if self.kind == "uniform":
-            return rng.randint(self.min_ns, self.max_ns)
+            r = rng.getrandbits(self._bits)
+            while r >= self._span:
+                r = rng.getrandbits(self._bits)
+            return self.min_ns + r
         if self.kind == "normal":
             v = rng.gauss(self.mean_ns, self.std_ns)
             if v < self._lo:
@@ -233,7 +240,10 @@ class ClockModel:
 class Engine:
     """Single-threaded event loop over integer-nanosecond time.
 
-    Events with equal fire times run in insertion order.
+    Each heap entry is (fire_time, seq, action, args): the event runs
+    action(*args), so callers pass a bound method and its arguments
+    instead of building a closure or partial per event. Events with equal
+    fire times run in insertion order, by seq.
     """
 
     def __init__(self):
@@ -242,20 +252,19 @@ class Engine:
         self.now: SimTime = 0
         self.executed = 0
 
-    def schedule(self, fire_time: SimTime, action: Callable[[], None]) -> int:
+    def schedule(self, fire_time: SimTime, action: Callable[..., None], *args) -> int:
         if fire_time < self.now:
             raise PastTimeError(f"fire_time {fire_time} < now {self.now}")
-        self._seq += 1
-        heapq.heappush(self._heap, (fire_time, self._seq, action))
-        return self._seq
+        seq = self._seq = self._seq + 1
+        heappush(self._heap, (fire_time, seq, action, args))
+        return seq
 
     def run_until(self, t_end: SimTime) -> int:
         count = 0
         heap = self._heap
         while heap and heap[0][0] <= t_end:
-            fire_time, _, action = heapq.heappop(heap)
-            self.now = fire_time
-            action()
+            self.now, _, action, args = heappop(heap)
+            action(*args)
             count += 1
         self.now = t_end
         self.executed += count
@@ -265,9 +274,8 @@ class Engine:
         count = 0
         heap = self._heap
         while heap:
-            fire_time, _, action = heapq.heappop(heap)
-            self.now = fire_time
-            action()
+            self.now, _, action, args = heappop(heap)
+            action(*args)
             count += 1
         self.executed += count
         return count

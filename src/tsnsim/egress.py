@@ -6,7 +6,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 from .core import BeforeBaseTimeError  # noqa: F401
@@ -65,6 +64,18 @@ class GateControlList(CyclicSchedule):
         return min(best, self.cycle_time_ns)
 
 
+class _WireTimes(dict):
+    """transmission_time by byte count, computed once per count."""
+
+    def __init__(self, rate_bps: int, overhead_bytes: int = 0):
+        self.rate_bps = rate_bps
+        self.overhead_bytes = overhead_bytes
+
+    def __missing__(self, nbytes: int) -> int:
+        tt = self[nbytes] = transmission_time(nbytes, self.rate_bps, self.overhead_bytes)
+        return tt
+
+
 # ---------------------------------------------------------------------------
 # taprio (802.1Qbv) port state
 
@@ -85,76 +96,78 @@ class TaprioPort:
         self.gcl = gcl
         self.capacity = capacity
         self.guard_mode = guard_mode
-        self.link_rate_bps = link_rate_bps
-        self.overhead_bytes = overhead_bytes
         self.queues: list[deque] = [deque() for _ in range(num_classes)]
-        #: frames in all queues; every append and popleft goes through
-        #: enqueue and select, which keep it equal to the queues' total
+        #: frames queued, and bit tc set while queues[tc] is non-empty; only
+        #: enqueue and select append and popleft, and they keep both up to date
         self._count = 0
+        self._occupied = 0
         self.drops: Counter = Counter()
         #: gcl.max_open_run of each class, scanned once
         self.max_open_runs = (None if gcl is None else
                               [gcl.max_open_run(tc) for tc in range(num_classes)])
-
-    def _tt(self, frame: Frame) -> int:
-        return transmission_time(frame.size_bytes, self.link_rate_bps,
-                                 self.overhead_bytes)
+        #: wire time by frame size, overhead included
+        self._tt = _WireTimes(link_rate_bps, overhead_bytes)
 
     def enqueue(self, frame: Frame, t: SimTime) -> Optional[str]:
         """Queue the frame and return None, or return the drop key counted."""
-        q = self.queues[frame.egress_class]
+        tc = frame.egress_class
+        q = self.queues[tc]
         if len(q) >= self.capacity:
             self.drops["taprio_full"] += 1
             return "taprio_full"
         q.append((frame, t))
         self._count += 1
+        self._occupied |= 1 << tc
         return None
 
     def select(self, t: SimTime, classes=None) -> Optional[Frame]:
         """Pop the frame to transmit at t, highest open class first."""
-        if not self._count:
+        occupied = self._occupied
+        gcl = self.gcl
+        if not occupied or (gcl is not None and t < gcl.base_time):
             return None
-        if self.gcl is not None and t < self.gcl.base_time:
-            return None
-        mask = 0xFF if self.gcl is None else self.gcl.state(t)[0]
-        order = range(len(self.queues) - 1, -1, -1)
-        for tc in order:
+        mask = 0xFF if gcl is None else gcl.state(t)[0]
+        fit = gcl is not None and self.guard_mode == "fit"
+        # visit the non-empty classes only, highest first
+        while occupied:
+            tc = occupied.bit_length() - 1
+            bit = 1 << tc
+            occupied ^= bit
             if classes is not None and tc not in classes:
                 continue
             q = self.queues[tc]
             while q:
                 frame, enq_t = q[0]
-                if self.gcl is not None and self.guard_mode == "fit":
+                if fit:
                     # a frame that fits no open window of its class is
                     # dropped after waiting one full cycle
                     max_run = self.max_open_runs[tc]
-                    if (max_run is not None and self._tt(frame) > max_run
-                            and t - enq_t >= self.gcl.cycle_time_ns):
+                    if (max_run is not None and self._tt[frame.size_bytes] > max_run
+                            and t - enq_t >= gcl.cycle_time_ns):
                         q.popleft()
                         self._count -= 1
+                        if not q:
+                            self._occupied ^= bit
                         self.drops["taprio_oversize"] += 1
                         continue
-                if not mask & (1 << tc):
+                if not mask & bit:
                     break
-                if self.guard_mode == "none" or self.gcl is None:
-                    q.popleft()
-                    self._count -= 1
-                    return frame
-                ttc = self.gcl.time_until_close(tc, t)
-                if ttc is None or self._tt(frame) <= ttc:
-                    q.popleft()
-                    self._count -= 1
-                    return frame
-                break
+                if fit:
+                    ttc = gcl.time_until_close(tc, t)
+                    if ttc is not None and self._tt[frame.size_bytes] > ttc:
+                        break
+                q.popleft()
+                self._count -= 1
+                if not q:
+                    self._occupied ^= bit
+                return frame
         return None
 
-    def pending(self) -> int:
+    def __len__(self):
         return self._count
 
     def next_event_time(self, t: SimTime) -> Optional[SimTime]:
-        if not self._count:
-            return None
-        if self.gcl is None:
+        if not self._count or self.gcl is None:
             return None
         if t < self.gcl.base_time:
             return self.gcl.base_time
@@ -269,7 +282,9 @@ class EgressPort:
 
     queue is a TaprioPort (the default, ungated) or an EtfQueue; the port
     drives either through enqueue(frame, t), select(t, classes),
-    next_event_time(t) and drops, as a netdev drives its qdisc.
+    next_event_time(t), len(queue) (the frames queued; the port looks for
+    work only when a frame is suspended or this is non-zero) and drops, as
+    a netdev drives its qdisc.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded
     ETF. deliver(frame, wire_start, wire_end) is called in true time when
@@ -298,14 +313,8 @@ class EgressPort:
         self._suspended: Optional[_TxState] = None
         self._token = 0
         self._kick_scheduled_at: Optional[SimTime] = None
-
-    # -- helpers
-
-    def _eff_bytes(self, frame: Frame) -> int:
-        return frame.size_bytes + self.overhead_bytes
-
-    def _tt_bytes(self, nbytes: int) -> int:
-        return transmission_time(nbytes, self.rate_bps)
+        #: wire time by byte count; the counts passed include overhead_bytes
+        self._tt_bytes = _WireTimes(rate_bps)
 
     # -- submission
 
@@ -340,9 +349,7 @@ class EgressPort:
         if self._current is not None:
             return
         t = self.engine.now
-        classes = None
-        if self._suspended is not None:
-            classes = self.preemption.express_classes
+        classes = None if self._suspended is None else self.preemption.express_classes
         frame = self.queue.select(t, classes)
         if frame is None:
             if self._suspended is not None:
@@ -359,17 +366,13 @@ class EgressPort:
                        and not self.preemption.is_express(frame.egress_class))
         self._begin(frame, start, preemptable=preemptable)
 
-    def _next_token(self) -> int:
-        self._token += 1
-        return self._token
-
     def _begin(self, frame: Frame, start: SimTime, preemptable: bool):
-        state = _TxState(frame=frame, total_bytes=self._eff_bytes(frame),
-                         bytes_done=0, segment_start=start, wire_start=start,
-                         preemptable=preemptable, token=self._next_token())
+        self._token += 1
+        state = _TxState(frame, frame.size_bytes + self.overhead_bytes, 0, start,
+                         start, preemptable, self._token)
         self._current = state
         if start > self.engine.now:
-            self.engine.schedule(start, partial(self._wire_start, state, state.token))
+            self.engine.schedule(start, self._wire_start, state, state.token)
         else:
             self._wire_start(state, state.token)
 
@@ -381,8 +384,8 @@ class EgressPort:
         state.wire_start = t
         if self.phc is not None:
             state.frame.trace.hw_tx = self.phc.read(t)
-        end = t + self._tt_bytes(state.total_bytes)
-        self.engine.schedule(end, partial(self._complete, state, end, tok))
+        end = t + self._tt_bytes[state.total_bytes]
+        self.engine.schedule(end, self._complete, state, end, tok)
 
     def _complete(self, state: _TxState, end: SimTime, tok: int):
         if tok != state.token or self._current is not state:
@@ -390,18 +393,19 @@ class EgressPort:
         self._current = None
         if self.deliver is not None:
             self.deliver(state.frame, state.wire_start, end)
-        self._kick()
+        if self._suspended is not None or len(self.queue):
+            self._kick()
 
     def _resume_suspended(self):
         state = self._suspended
         self._suspended = None
         t = self.engine.now
-        state.token = self._next_token()
+        self._token += 1
+        state.token = self._token
         state.segment_start = t
         self._current = state
-        remaining = state.total_bytes - state.bytes_done
-        end = t + self._tt_bytes(remaining)
-        self.engine.schedule(end, partial(self._complete, state, end, state.token))
+        end = t + self._tt_bytes[state.total_bytes - state.bytes_done]
+        self.engine.schedule(end, self._complete, state, end, state.token)
 
     def _do_preempt(self, express: Frame, t: SimTime) -> Optional[str]:
         cur = self._current
@@ -415,9 +419,10 @@ class EgressPort:
             # no legal split: express waits its turn in the queue
             return self.queue.enqueue(express, t)
         # cancel the pMAC completion; the wire stays busy until the boundary
-        cur.token = self._next_token()
+        self._token += 1
+        cur.token = self._token
         cur.preempt_pending = True
-        boundary = cur.segment_start + self._tt_bytes(point - cur.bytes_done)
+        boundary = cur.segment_start + self._tt_bytes[point - cur.bytes_done]
 
         def at_boundary():
             cur.preempt_pending = False

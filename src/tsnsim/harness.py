@@ -13,7 +13,6 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Optional
 
@@ -276,8 +275,7 @@ class Talker:
     def plan(self, k: int):
         # the first intended transmission is one period into the run
         intended = (k + 1) * self.traffic.period_ns
-        self.engine.schedule(max(0, intended - self.lead),
-                             partial(self._fire, k, intended))
+        self.engine.schedule(max(0, intended - self.lead), self._fire, k, intended)
 
     def _fire(self, k: int, intended: SimTime):
         if k + 1 < self.count:
@@ -298,14 +296,13 @@ class Talker:
         stack = traffic.stack_latency.sample(self.stack_rng)
         driver = traffic.driver_latency.sample(self.driver_rng)
         wake_true = max(self.engine.now, self.clock.when_reading(intended) + wake)
-        self.engine.schedule(wake_true + stack,
-                             partial(self._at_driver, k, intended, driver))
+        self.engine.schedule(wake_true + stack, self._at_driver, k, intended, driver)
 
     def _at_driver(self, k: int, intended: SimTime, driver: int):
         frame = self._frame(k, intended)
         frame.trace.sw_tx = self.clock.read(self.engine.now)
         fire = self.engine.now + driver
-        self.engine.schedule(fire, partial(self.submit, frame, fire))
+        self.engine.schedule(fire, self.submit, frame, fire)
 
     def txtime(self, k: int, intended: SimTime):
         """Send now with the launch time (SO_TXTIME) set to intended."""
@@ -354,7 +351,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
                 return
         frame.trace.hw_rx = lis_phc.read(t)
         fire = t + listener.rx_latency.sample(rx_rng)
-        engine.schedule(fire, partial(record_delivery, frame, fire))
+        engine.schedule(fire, record_delivery, frame, fire)
 
     def record_delivery(frame: Frame, t: SimTime):
         frame.trace.sw_rx = lis_sys.read(t)
@@ -427,7 +424,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     for bridge in bridges:
         drops.update(bridge.drops)
 
-    records.sort(key=lambda r: r.seq)
+    records.sort(key=attrgetter("seq"))
     metadata = {"seed": seed, "rng": RNG_ALGORITHM, "period_ns": period,
                 "count": count, "mode": traffic.mode,
                 "histogram_bin_ns": cfg.run.histogram_bin_ns}

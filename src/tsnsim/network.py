@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .core import CONSTANT_ZERO, Engine, JitterDist, SimTime
@@ -67,7 +66,7 @@ class BridgeNode:
                 self.drops[decision.outcome] += 1
                 return
         fire = t + self.forwarding_latency.sample(self.rng)
-        self.engine.schedule(fire, partial(self.egress.submit, frame, fire))
+        self.engine.schedule(fire, self.egress.submit, frame, fire)
 
 
 @dataclass(frozen=True)

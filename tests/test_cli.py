@@ -289,6 +289,16 @@ class TestReport:
         assert str(tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    def test_out_that_is_an_existing_file_is_runtime_error(self, tmp_path, capsys):
+        p = tmp_path / "ok.csv"
+        text = ("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
+                "0,1000,1010,,,\n"
+                "1,2000,2030,,,\n")
+        p.write_text(text)
+        assert main(["report", str(p), "--out", str(p)]) == EXIT_RUNTIME
+        assert str(p) in capsys.readouterr().err
+        assert p.read_text() == text
+
 
 class TestValidate:
     def test_ok(self, good_scenario, capsys):

@@ -128,6 +128,31 @@ class TestEngine:
         eng.run_until(10 ** 6)
         assert fired == sorted(fired)
 
+    def test_schedule_passes_arguments(self):
+        eng = Engine()
+        fired = []
+        eng.schedule(5, fired.append, "a")
+        eng.schedule(5, lambda *args: fired.append(args), 1, None, (2, 3))
+        eng.schedule(7, lambda: fired.append("no args"))
+        eng.run_all()
+        assert fired == ["a", (1, None, (2, 3)), "no args"]
+        assert eng.now == 7
+
+    @pytest.mark.parametrize("run", ["run_all", "run_until"])
+    def test_equal_times_run_in_insertion_order(self, run):
+        eng = Engine()
+        order = []
+        for i in range(20):
+            # args and zero-argument actions interleaved at one instant
+            if i % 2:
+                eng.schedule(100, order.append, i)
+            else:
+                eng.schedule(100, lambda i=i: order.append(i))
+        eng.schedule(50, order.append, "first")
+        assert (eng.run_all() if run == "run_all" else eng.run_until(100)) == 21
+        assert order == ["first", *range(20)]
+        assert eng.executed == 21
+
 
 class TestClockModel:
     def test_identity(self):
@@ -297,6 +322,27 @@ class TestJitterDist:
                 assert got == [ref.choices(values, weights=weights)[0]
                                for _ in range(500)]
                 assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("bounds", [
+        (7, 7), (-3, -3),  # span 1
+        (0, 6), (10, 10 + 2 ** 12 - 2),  # spans of 2**k - 1
+        (0, 7), (5, 5 + 2 ** 16 - 1),  # spans of 2**k
+        (0, 8), (1, 1 + 2 ** 20),  # spans of 2**k + 1
+        (-250, 40), (-2 ** 33, -2 ** 31),  # negative min_ns
+        "hw_precision",
+    ], ids=["span_1", "negative_span_1", "span_7", "span_4095", "span_8", "span_65536",
+            "span_9", "span_1048577", "negative_min", "negative_wide", "hw_precision"])
+    def test_uniform_draws_match_randint(self, bounds):
+        if bounds == "hw_precision":
+            dist = load_scenario(SCENARIOS / "paper_fig2.json").traffic.hw_precision
+            assert (dist.kind, dist.min_ns, dist.max_ns) == ("uniform", 2, 6)
+        else:
+            dist = JitterDist.uniform(*bounds)
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = [dist.sample(rng) for _ in range(1000)]
+            assert got == [ref.randint(dist.min_ns, dist.max_ns) for _ in range(1000)]
+            assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("dist", [
         JitterDist.constant(250),

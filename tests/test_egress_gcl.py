@@ -177,7 +177,7 @@ class TestTaprioQueueing:
         assert port.select(200 * US) is None
         assert port.select(400 * US) is None
         assert port.drops["taprio_oversize"] == 1
-        assert port.pending() == 0
+        assert len(port) == 0
 
     def test_ipv_overrides_class_queue(self):
         port = TaprioPort()
@@ -225,10 +225,12 @@ class TestGateConformance:
 
 
 class CountedTaprioPort(TaprioPort):
-    """A TaprioPort that checks its running count after every enqueue and select."""
+    """A TaprioPort that checks its running count and occupied classes after
+    every enqueue and select."""
 
     def check(self):
-        assert self.pending() == sum(len(q) for q in self.queues)
+        assert len(self) == sum(len(q) for q in self.queues)
+        assert self._occupied == sum(1 << tc for tc, q in enumerate(self.queues) if q)
 
     def enqueue(self, frame, t):
         result = super().enqueue(frame, t)
@@ -291,5 +293,5 @@ class TestPendingCount:
                              lambda f=f: port.submit(f, eng.now))
             eng.run_all()
             taprio.check()
-            assert taprio.pending() == 0
+            assert len(taprio) == 0
         assert requeued

@@ -148,6 +148,20 @@ class TestPortIntegration:
         assert port.submit(Frame(id=3, size_bytes=64, priority=7), 0) == "taprio_full"
         assert taprio.drops["taprio_full"] == 1
 
+    def test_preempted_frame_resumes_when_express_leaves_queue_empty(self):
+        # the express frame's completion finds nothing queued, only the
+        # suspended frame, which it must still resume
+        eng = Engine()
+        taprio = TaprioPort(link_rate_bps=RATE_100M)
+        out = []
+        port = EgressPort(eng, RATE_100M, queue=taprio, preemption=PCFG,
+                          deliver=lambda f, s, e: out.append(
+                              (f.id, s, e, len(taprio), port._suspended is not None)))
+        port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
+        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
+        eng.run_all()
+        assert out == [(2, 10_240, 15_360, 0, True), (1, 0, 125_120, 0, False)]
+
     def test_two_express_frames_back_to_back(self):
         p = Frame(id=1, size_bytes=1500, priority=0)
         e1 = Frame(id=2, size_bytes=64, priority=7)

@@ -149,8 +149,8 @@ def test_talker_queues_one_plan_at_a_time(monkeypatch):
     peaks = []
 
     class PeakEngine(Engine):
-        def schedule(self, fire_time, action):
-            seq = super().schedule(fire_time, action)
+        def schedule(self, fire_time, action, *args):
+            seq = super().schedule(fire_time, action, *args)
             if seq == 1:
                 peaks.append(0)
             peaks[-1] = max(peaks[-1], len(self._heap))

@@ -12,7 +12,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
@@ -165,22 +165,27 @@ def _as_ppm_fraction(drift_ppm) -> Fraction:
 
 @dataclass
 class ClockModel:
-    """Per-node clock with static offset, linear drift, and periodic resync.
+    """Per-node clock with static offset, linear drift and periodic resync,
+    read as a pure function of true time.
 
-    With drift_ppm = p/q in lowest terms and dt = t - last_sync_true_time,
+    A copy made by resynced(rng, horizon) resyncs at s_k = k * interval for
+    1 <= k <= K = max(1, horizon // interval); true time t lies in segment
+    k = min(t // interval, K), so a resync applies to every reading at or
+    after its nanosecond. Segment 0 (s_0 = 0) has offset o_0 = offset_ns;
+    o_k is the k-th sync_residual draw from rng, drawn in order of k. With
+    drift_ppm = p/q in lowest terms,
 
-        read(t) = t + offset_ns + trunc(p * dt / (q * 10**6))
+        read(t) = t + o_k + trunc(p * (t - s_k) / (q * 10**6))
 
-    in integer arithmetic, where trunc rounds toward zero for negative dt
-    too, exactly as int() of the Fraction does. drift_ppm must exceed
-    -10**6 so that read keeps increasing; it is fixed at construction.
+    in integer arithmetic, truncated toward zero as int() of the Fraction
+    is. drift_ppm must exceed -10**6 so that read increases within a
+    segment; it is fixed at construction.
     """
 
     offset_ns: int = 0
     drift_ppm: Fraction = Fraction(0)
     sync_interval_ns: Optional[int] = None
     sync_residual: JitterDist = CONSTANT_ZERO
-    last_sync_true_time: SimTime = 0
 
     def __post_init__(self):
         self.drift_ppm = _as_ppm_fraction(self.drift_ppm)
@@ -191,50 +196,68 @@ class ClockModel:
         # when_reading divides by the rate (q*PPM + p) / (q*PPM), which the
         # bound above keeps positive
         self._rate_den = self._drift_den + self._drift_num
+        #: K, the number of resyncs, and o_k at index k as drawn so far
+        self._syncs = 0
+        self._offsets = [self.offset_ns]
+        self._rng: Optional[random.Random] = None
+        #: s_k and o_k of the segment k last entered, which holds [_lo, _hi)
+        self._start, self._offset = 0, self.offset_ns
+
+    def resynced(self, rng: random.Random, horizon: SimTime) -> "ClockModel":
+        """A fresh copy that resyncs up to horizon, its residuals drawn from rng."""
+        clock = replace(self)
+        if self.sync_interval_ns:
+            clock._syncs, clock._rng = max(1, horizon // self.sync_interval_ns), rng
+            clock._enter(0)
+        return clock
+
+    def _enter(self, t: SimTime) -> None:
+        """Make the segment k that holds true time t the one last entered."""
+        k = min(max(t // self.sync_interval_ns, 0), self._syncs)
+        while len(self._offsets) <= k:
+            self._offsets.append(self.sync_residual.sample(self._rng))
+        self._lo = self._start = k * self.sync_interval_ns
+        self._offset = self._offsets[k]
+        self._hi = self._start + self.sync_interval_ns if k < self._syncs else math.inf
 
     def read(self, true_time: SimTime) -> SimTime:
+        if self._syncs and not self._lo <= true_time < self._hi:
+            self._enter(true_time)
         num = self._drift_num
         if not num:
-            return true_time + self.offset_ns
-        x = num * (true_time - self.last_sync_true_time)
+            return true_time + self._offset
+        x = num * (true_time - self._start)
         den = self._drift_den
-        return true_time + self.offset_ns + (x // den if x >= 0 else -(-x // den))
+        return true_time + self._offset + (x // den if x >= 0 else -(-x // den))
 
-    def when_reading(self, reading: SimTime) -> SimTime:
-        """Smallest true time t with read(t) >= reading, in closed form.
+    def when_reading(self, reading: SimTime, now: SimTime) -> SimTime:
+        """Smallest true time t with read(t) >= reading, in closed form, on
+        the segment (start s, offset o) that holds now.
 
-        With y = reading - offset_ns - last_sync_true_time, D = q*10**6 and
-        drift p/q ppm, read(last_sync + u) - last_sync - offset_ns is
-        u + trunc(p*u / D): floor(u*(D + p) / D) when p*u >= 0, else
-        ceil(u*(D + p) / D). The smallest u > 0 reaching y > 0 is thus
-        ceil(y*D / (D + p)) for p > 0 and floor((y - 1)*D / (D + p)) + 1
-        for p < 0.
+        With y = reading - o - s, D = q*10**6 and drift p/q ppm,
+        read(s + u) - s - o is u + trunc(p*u / D): floor(u*(D + p) / D)
+        when p*u >= 0, else ceil(u*(D + p) / D). The smallest u > 0
+        reaching y > 0 is thus ceil(y*D / (D + p)) for p > 0 and
+        floor((y - 1)*D / (D + p)) + 1 for p < 0.
 
-        A reading before the last resync (y < 0) gets ceil(y*D / (D + p)),
-        the linear inverse truncated toward zero: exact for p < 0, and for
-        p > 0 possibly 1 ns later than the smallest such t. Callers take
-        the later of this and the current time, which is never before the
-        last resync.
+        A reading the segment reaches only before s (y < 0) gets
+        ceil(y*D / (D + p)), the linear inverse truncated toward zero:
+        exact for p < 0, and for p > 0 possibly 1 ns later than the
+        smallest such t. Callers take the later of this and now. Later
+        resyncs are ignored: the answer is exact only within now's segment.
         """
+        if self._syncs and not self._lo <= now < self._hi:
+            self._enter(now)
         if not self._drift_num:
-            return reading - self.offset_ns
-        y = reading - self.offset_ns - self.last_sync_true_time
+            return reading - self._offset
+        y = reading - self._offset - self._start
         x = y * self._drift_den
         rate = self._rate_den
         if y > 0 and self._drift_num < 0:
             u = (x - self._drift_den) // rate + 1
         else:
             u = -(-x // rate)
-        return self.last_sync_true_time + u
-
-    def apply_sync(self, true_time: SimTime, rng: random.Random) -> None:
-        """Instant resync: offset becomes a fresh residual sample."""
-        self.offset_ns = self.sync_residual.sample(rng)
-        self.last_sync_true_time = true_time
-
-    @classmethod
-    def identity(cls) -> "ClockModel":
-        return cls()
+        return self._start + u
 
 
 class Engine:

@@ -8,9 +8,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import BeforeBaseTimeError  # noqa: F401
 from .core import ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
 from .traffic import NS_PER_SEC, Frame, transmission_time
+
+NUM_CLASSES = 8  # a gate mask has one bit per traffic class
 
 
 class MissingTxtimeError(Exception):
@@ -88,15 +89,15 @@ class TaprioPort:
     window of its class is dropped after waiting one full cycle.
     """
 
-    def __init__(self, gcl: Optional[GateControlList] = None, num_classes: int = 8,
-                 capacity: int = 64, guard_mode: str = "fit",
-                 link_rate_bps: int = 10 ** 9, overhead_bytes: int = 0):
+    def __init__(self, gcl: Optional[GateControlList] = None, capacity: int = 64,
+                 guard_mode: str = "fit", link_rate_bps: int = 10 ** 9,
+                 overhead_bytes: int = 0):
         if guard_mode not in ("fit", "none"):
             raise ValueError(f"guard_mode {guard_mode!r}")
         self.gcl = gcl
         self.capacity = capacity
         self.guard_mode = guard_mode
-        self.queues: list[deque] = [deque() for _ in range(num_classes)]
+        self.queues: list[deque] = [deque() for _ in range(NUM_CLASSES)]
         #: frames queued, and bit tc set while queues[tc] is non-empty; only
         #: enqueue and select append and popleft, and they keep both up to date
         self._count = 0
@@ -104,7 +105,7 @@ class TaprioPort:
         self.drops: Counter = Counter()
         #: gcl.max_open_run of each class, scanned once
         self.max_open_runs = (None if gcl is None else
-                              [gcl.max_open_run(tc) for tc in range(num_classes)])
+                              [gcl.max_open_run(tc) for tc in range(NUM_CLASSES)])
         #: wire time by frame size, overhead included
         self._tt = _WireTimes(link_rate_bps, overhead_bytes)
 
@@ -192,7 +193,7 @@ class EtfQueue:
                  clock: Optional[ClockModel] = None):
         self.delta_ns = delta_ns
         self.offload = offload
-        self.clock = clock or ClockModel.identity()
+        self.clock = clock or ClockModel()
         self._heap: list = []
         #: when the head frame falls due, as the last select found it
         self._due: Optional[SimTime] = None
@@ -214,7 +215,7 @@ class EtfQueue:
             return None
         txtime = self._heap[0][0]
         self._due = self.clock.when_reading(
-            txtime if self.offload else txtime - self.delta_ns)
+            txtime if self.offload else txtime - self.delta_ns, t)
         if self._due > t:
             return None
         return self.pop()

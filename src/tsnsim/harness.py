@@ -205,20 +205,6 @@ def report(records_path, bin_width_ns: int = 100) -> dict:
 # scenario execution
 
 
-def _schedule_syncs(engine: Engine, clock: ClockModel, rng, horizon: SimTime):
-    interval = clock.sync_interval_ns
-    if not interval:
-        return
-
-    def do_sync():
-        clock.apply_sync(engine.now, rng)
-        nxt = engine.now + interval
-        if nxt <= horizon:
-            engine.schedule(nxt, do_sync)
-
-    engine.schedule(interval, do_sync)
-
-
 def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, *, phc,
                 system, receive, hw_precision=None, rng=None) -> EgressPort:
     """An egress port onto link whose frames reach receive(frame, t).
@@ -290,18 +276,16 @@ class Talker:
 
     def sleep(self, k: int, intended: SimTime):
         """Sleep until the system clock reads intended, then send through
-        the stack and the driver."""
+        the stack to the driver, where sw_tx is read."""
         traffic = self.traffic
         wake = traffic.wake_jitter.sample(self.wake_rng)
         stack = traffic.stack_latency.sample(self.stack_rng)
         driver = traffic.driver_latency.sample(self.driver_rng)
-        wake_true = max(self.engine.now, self.clock.when_reading(intended) + wake)
-        self.engine.schedule(wake_true + stack, self._at_driver, k, intended, driver)
-
-    def _at_driver(self, k: int, intended: SimTime, driver: int):
+        now = self.engine.now
+        at_driver = max(now, self.clock.when_reading(intended, now) + wake) + stack
         frame = self._frame(k, intended)
-        frame.trace.sw_tx = self.clock.read(self.engine.now)
-        fire = self.engine.now + driver
+        frame.trace.sw_tx = self.clock.read(at_driver)
+        fire = at_driver + driver
         self.engine.schedule(fire, self.submit, frame, fire)
 
     def txtime(self, k: int, intended: SimTime):
@@ -322,22 +306,15 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     engine = Engine()
     drops: Counter = Counter()
 
-    # each run resyncs copies of the scenario's clocks
-    clocks = {n.name: {which: copy.copy(cfg.clocks.get(n.name, {}).get(
-        which, ClockModel())) for which in ("system", "phc")} for n in cfg.nodes}
-
+    # each run resyncs its own copies of the scenario's clocks
     horizon = (count + 101) * period
-    for node in cfg.nodes:
-        for which in ("system", "phc"):
-            _schedule_syncs(engine, clocks[node.name][which],
-                            rng_fork(seed, f"sync:{node.name}:{which}"), horizon)
+    clocks = {n.name: {which: cfg.clocks.get(n.name, {}).get(which, ClockModel()).resynced(
+        rng_fork(seed, f"sync:{n.name}:{which}"), horizon) for which in ("system", "phc")}
+        for n in cfg.nodes}
 
-    talker = cfg.talker
-    listener = cfg.listener
+    talker, listener = cfg.talker, cfg.listener
     tal_sys = clocks[talker.name]["system"]
-    tal_phc = clocks[talker.name]["phc"]
-    lis_sys = clocks[listener.name]["system"]
-    lis_phc = clocks[listener.name]["phc"]
+    lis_sys, lis_phc = clocks[listener.name]["system"], clocks[listener.name]["phc"]
 
     rx_rng = rng_fork(seed, "rx")
     records: list[PacketRecord] = []
@@ -349,13 +326,10 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             if outcome != ACCEPT:
                 drops[f"frer_{outcome}"] += 1
                 return
-        frame.trace.hw_rx = lis_phc.read(t)
-        fire = t + listener.rx_latency.sample(rx_rng)
-        engine.schedule(fire, record_delivery, frame, fire)
-
-    def record_delivery(frame: Frame, t: SimTime):
-        frame.trace.sw_rx = lis_sys.read(t)
-        records.append(frame.trace)
+        trace = frame.trace
+        trace.hw_rx = lis_phc.read(t)
+        trace.sw_rx = lis_sys.read(t + listener.rx_latency.sample(rx_rng))
+        records.append(trace)
 
     # --- wire up the forwarding chain, once or once per FRER member path
 
@@ -384,7 +358,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             bridges.append(bridge)
             receive = bridge.receive
         port = _build_port(engine, chain[0], cfg.shapers.get(talker.name),
-                           phc=tal_phc, system=tal_sys,
+                           phc=clocks[talker.name]["phc"], system=tal_sys,
                            hw_precision=traffic.hw_precision,
                            rng=rng_fork(seed, f"hwprec{suffix}"), receive=receive)
         ports.append(port)

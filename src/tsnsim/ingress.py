@@ -34,7 +34,8 @@ class StreamGate(CyclicSchedule):
 
     The octet budget, when configured, applies per window occurrence and
     resets at each window start. Frames arriving exactly on a boundary
-    belong to the window starting there (half-open intervals).
+    belong to the window starting there (half-open intervals). Before
+    base_time the gate is closed, as every gate of a GateControlList is.
     """
 
     def __init__(self, base_time: SimTime, cycle_time_ns: int,
@@ -44,6 +45,8 @@ class StreamGate(CyclicSchedule):
         self._window_key = None
 
     def process(self, frame: Frame, t: SimTime) -> PsfpDecision:
+        if t < self.base_time:
+            return PsfpDecision(DROP_CLOSED_GATE)
         cycle, i, _ = self._locate(t)
         entry = self.entries[i]
         window = (cycle, i)

@@ -100,9 +100,7 @@ class _Checker:
         if kind not in _DIST_KEYS:
             self.fail(f"{p}.kind", f"unknown distribution kind {kind!r}")
             return default
-        for k in cfg:
-            if k not in _DIST_KEYS[kind]:
-                self.fail(f"{p}.{k}", "unknown key")
+        self.dict(cfg, p, _DIST_KEYS[kind])
         try:
             return JitterDist.from_config(cfg)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

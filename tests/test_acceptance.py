@@ -345,7 +345,7 @@ def test_criterion_10_etf_semantics():
 
     eng = Engine()
     wires = []
-    port = EgressPort(eng, 10 ** 9, phc=ClockModel.identity(), queue=EtfQueue(),
+    port = EgressPort(eng, 10 ** 9, phc=ClockModel(), queue=EtfQueue(),
                       deliver=lambda f, s, e: wires.append(s))
     port.submit(Frame(id=1, size_bytes=64, priority=0, txtime=5 * US), 0)
     eng.run_all()
@@ -363,18 +363,18 @@ def test_criterion_11_clock_model():
     exact = all(drifting.read(k * 10 ** 9) - k * 10 ** 9 == k * 10_000
                 for k in range(1, 11))
 
+    # 10 simulated seconds, resynced every 125 ms
     synced = ClockModel(drift_ppm=10, sync_interval_ns=125 * MS,
-                        sync_residual=JitterDist.constant(0))
-    rng = rng_fork(1, "sync")
+                        sync_residual=JitterDist.constant(0)).resynced(
+        rng_fork(1, "sync"), 10_000 * MS)
     bounded = True
     t = 0
-    for _ in range(80):  # 10 simulated seconds in 125 ms steps
+    for _ in range(80):
         for probe in (0, 40 * MS, 124 * MS):
             off = synced.read(t + probe) - (t + probe)
             if abs(off) > 1_250:
                 bounded = False
         t += 125 * MS
-        synced.apply_sync(t, rng)
     verdict(11, "10 ppm drift grows 10 us/s exactly; sync bounds it to 1.25 us",
             exact and bounded, f"exact {exact}, bounded {bounded}")
 

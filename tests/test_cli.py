@@ -119,6 +119,30 @@ class TestRun:
         assert payload["drops"] == {"path_loss": 10}
         assert (out / "records.csv").read_text().count("\n") == 1
 
+    @pytest.mark.parametrize("section,dropped", [
+        ({"traffic": {"period_ns": 500_000, "count": 250,
+                      "stream": {"dest_mac": 1, "vlan_id": 7, "pcp": 0}},
+          "filters": {"sw0": {"rules": [{"vlan_id": 7, "handle": "s0"}],
+                              "gates": {"s0": {"base_time": 100_000_000,
+                                               "cycle_time_ns": 500_000,
+                                               "entries": [{"open": True,
+                                                            "duration_ns": 500_000}]}}}}},
+         199),
+        ({"cqf": dict(CQF, base_time=10_000_000)}, 19),
+    ], ids=["psfp_gate", "cqf"])
+    def test_stream_gate_is_closed_before_its_base_time(self, tmp_path, section,
+                                                        dropped):
+        # every frame that reaches sw0 before the gate's base time is dropped
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(dict(BRIDGED, **section)))
+        assert main(["validate", str(p)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "stats.json").read_text())
+        count = json.loads(p.read_text())["traffic"]["count"]
+        assert payload["drops"] == {"drop_closed_gate": dropped}
+        assert payload["records"] == count - dropped
+
 
     @pytest.mark.parametrize("section", [
         {"shapers": {"talker": {"gcl": {

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 
@@ -18,54 +19,91 @@ from tsnsim.scenario import load_scenario
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 
 
-def fraction_read(clock: ClockModel, drift: Fraction, t: int) -> int:
-    """Reference reading computed with Fraction arithmetic."""
-    return t + clock.offset_ns + int(drift * (t - clock.last_sync_true_time) / 10 ** 6)
+def fraction_read(start: int, offset: int, drift: Fraction, t: int) -> int:
+    """Reference reading on the line of a segment that starts at start with
+    offset, in Fraction arithmetic."""
+    return t + offset + int(drift * (t - start) / 10 ** 6)
 
 
-def first_reaching(clock: ClockModel, reading: int, lo: int) -> int:
-    """Smallest t >= lo with clock.read(t) >= reading; read is monotone."""
-    if clock.read(lo) >= reading:
+def first_reaching(read, reading: int, lo: int) -> int:
+    """Smallest t >= lo with read(t) >= reading, for a monotone read."""
+    if read(lo) >= reading:
         return lo
     step = 1
-    while clock.read(lo + step) < reading:
+    while read(lo + step) < reading:
         step *= 2
     below, above = lo + step // 2, lo + step
     while above - below > 1:
         mid = (below + above) // 2
-        if clock.read(mid) >= reading:
+        if read(mid) >= reading:
             above = mid
         else:
             below = mid
     return above
 
 
-def walking_when_reading(clock: ClockModel, reading: int) -> int:
-    """The former inverse: a first estimate truncated toward zero, then a
-    walk up while read(t) < reading and a walk down, not below the last
-    resync, while read(t - 1) >= reading. Each 1 ns walk ends where the
-    monotone read crosses reading, so it is found by doubling and bisection.
+def walking_when_reading(start: int, offset: int, drift: Fraction, reading: int) -> int:
+    """The former inverse on a segment's line: a first estimate truncated
+    toward zero, then a walk up while the reading is short and a walk
+    down, not below the segment start, while the reading 1 ns earlier
+    still reaches it. Each 1 ns walk ends where the monotone line crosses
+    reading, so it is found by doubling and bisection.
     """
-    ls = clock.last_sync_true_time
-    drift = clock.drift_ppm
+    line = partial(fraction_read, start, offset, drift)
     den = drift.denominator * 10 ** 6
-    t = ls + int(Fraction((reading - clock.offset_ns - ls) * den,
-                          den + drift.numerator))
-    t = first_reaching(clock, reading, t)
-    if t > ls:
-        t = first_reaching(clock, reading, ls)
+    t = start + int(Fraction((reading - offset - start) * den, den + drift.numerator))
+    t = first_reaching(line, reading, t)
+    if t > start:
+        t = first_reaching(line, reading, start)
     return t
 
 
-def fraction_when_reading(clock: ClockModel, drift: Fraction, reading: int) -> int:
+def fraction_when_reading(start: int, offset: int, drift: Fraction, reading: int) -> int:
     """Reference inverse: Fraction first estimate, then the same fix-up."""
-    ls = clock.last_sync_true_time
-    t = ls + int((reading - clock.offset_ns - ls) * 10 ** 6 / (10 ** 6 + drift))
-    while fraction_read(clock, drift, t) < reading:
+    t = start + int((reading - offset - start) * 10 ** 6 / (10 ** 6 + drift))
+    while fraction_read(start, offset, drift, t) < reading:
         t += 1
-    while t > ls and fraction_read(clock, drift, t - 1) >= reading:
+    while t > start and fraction_read(start, offset, drift, t - 1) >= reading:
         t -= 1
     return t
+
+
+class StatefulClock:
+    """Reference for ClockModel: a clock changed by resync events.
+
+    Resync k runs at k * interval for 1 <= k <= max(1, horizon // interval)
+    and sets the offset to the k-th residual draw from rng; drift counts
+    from the last resync that ran. Readings use Fraction arithmetic.
+    """
+
+    def __init__(self, offset: int, drift: Fraction, interval, residual: JitterDist,
+                 rng: random.Random, horizon: int):
+        self.offset, self.drift = offset, drift
+        self.interval, self.residual, self.rng = interval, residual, rng
+        self.syncs = max(1, horizon // interval) if interval else 0
+        self.done = 0
+        self.last_sync = 0
+
+    def run_until(self, now: int) -> None:
+        """Run every resync event at or before now."""
+        while self.done < self.syncs and (self.done + 1) * self.interval <= now:
+            self.done += 1
+            self.last_sync = self.done * self.interval
+            self.offset = self.residual.sample(self.rng)
+
+    def read(self, t: int) -> int:
+        return fraction_read(self.last_sync, self.offset, self.drift, t)
+
+    def when_reading(self, reading: int) -> int:
+        return fraction_when_reading(self.last_sync, self.offset, self.drift, reading)
+
+
+def one_resync(offset: int, drift, at: int) -> ClockModel:
+    """A clock whose only resync, at true time at > 0, keeps offset; with
+    at == 0 it never resyncs."""
+    return ClockModel(offset_ns=offset, drift_ppm=drift, sync_interval_ns=at or None,
+                      sync_residual=JitterDist.constant(offset)).resynced(
+        rng_fork(0, "sync"), horizon=at)
 
 
 # drifts as JSON gives them (decimal-string floats such as -12.345), plus
@@ -156,7 +194,7 @@ class TestEngine:
 
 class TestClockModel:
     def test_identity(self):
-        clock = ClockModel.identity()
+        clock = ClockModel()
         assert clock.read(12345) == 12345
 
     def test_pure_offset(self):
@@ -167,30 +205,79 @@ class TestClockModel:
         clock = ClockModel(drift_ppm=100)
         assert clock.read(10 ** 9) == 10 ** 9 + 100_000
 
-    def test_apply_sync_constant_residual(self):
+    def test_resync_sets_offset_to_constant_residual(self):
         rng = random.Random(0)
-        clock = ClockModel(offset_ns=999, sync_residual=JitterDist.constant(0))
-        clock.apply_sync(1000, rng)
-        assert clock.offset_ns == 0 and clock.last_sync_true_time == 1000
-        clock.sync_residual = JitterDist.constant(30)
-        clock.apply_sync(2000, rng)
-        assert clock.offset_ns == 30
+        clock = ClockModel(offset_ns=999, drift_ppm=100, sync_interval_ns=1000,
+                           sync_residual=JitterDist.constant(0)).resynced(rng, 1999)
+        assert clock.read(999) == 999 + 999
+        assert clock.read(1000) == 1000
+        # the one resync is at 1000, so drift counts from there
+        assert clock.read(1000 + 10 ** 7) == 1000 + 10 ** 7 + 1000
+        clock = ClockModel(offset_ns=999, sync_interval_ns=1000,
+                           sync_residual=JitterDist.constant(30)).resynced(rng, 2000)
+        assert [clock.read(t) - t for t in (999, 1000, 1999, 2000, 10 ** 6)] == [
+            999, 30, 30, 30, 30]
+
+    def test_unresynced_clock_ignores_sync_interval(self):
+        clock = ClockModel(offset_ns=7, sync_interval_ns=10,
+                           sync_residual=JitterDist.constant(0))
+        assert clock.read(10 ** 6) == 10 ** 6 + 7
 
     def test_drift_bounded_between_syncs(self):
         # 10 ppm, resync every 125 ms with zero residual: offset <= 1.25 us
-        rng = random.Random(0)
         clock = ClockModel(drift_ppm=10, sync_interval_ns=125_000_000,
-                           sync_residual=JitterDist.constant(0))
+                           sync_residual=JitterDist.constant(0)).resynced(
+            random.Random(0), 4 * 125_000_000)
         for cycle in range(4):
             t0 = cycle * 125_000_000
-            clock.apply_sync(t0, rng)
             for dt in (0, 1, 10 ** 6, 124_999_999, 125_000_000):
                 err = clock.read(t0 + dt) - (t0 + dt)
                 assert abs(err) <= 1250
 
+    @settings(max_examples=150)
+    @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           drifts,
+           st.one_of(st.none(), st.integers(min_value=1, max_value=10 ** 9)),
+           st.one_of(st.integers(-10 ** 4, 10 ** 4).map(JitterDist.constant),
+                     st.tuples(st.integers(-10 ** 4, 0), st.integers(0, 10 ** 4)).map(
+                         lambda b: JitterDist.uniform(*b)),
+                     st.tuples(st.integers(-500, 500), st.integers(0, 300)).map(
+                         lambda m: JitterDist.normal(*m))),
+           st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=10 ** 9),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=45),
+                              st.one_of(st.just(0), st.integers(0, 10 ** 9))),
+                    min_size=1, max_size=20),
+           st.integers(min_value=-3, max_value=3),
+           st.integers(min_value=-10 ** 7, max_value=10 ** 7))
+    def test_matches_stateful_reference(self, offset, drift, interval, residual, syncs,
+                                        extra, probes, delta, far):
+        """read(t) and when_reading(reading, t) equal the clock changed by
+        resync events, at engine times t that never go back, on resyncs
+        and past the last one; read(t) in any order is the same."""
+        step = interval or 10 ** 9
+        horizon = syncs * step + extra % step
+        template = ClockModel(offset_ns=offset, drift_ppm=drift, sync_interval_ns=interval,
+                              sync_residual=residual)
+        clock = template.resynced(rng_fork(1, "sync"), horizon)
+        model = StatefulClock(offset, Fraction(str(drift)), interval, residual,
+                              rng_fork(1, "sync"), horizon)
+        times = sorted(k * step + phase % step for k, phase in probes)
+        readings = []
+        for t in times:
+            model.run_until(t)
+            readings.append(model.read(t))
+            assert clock.read(t) == readings[-1]
+            for r in (readings[-1] + delta, readings[-1] + far):
+                assert clock.when_reading(r, t) == model.when_reading(r)
+        assert [clock.read(t) for t in reversed(times)] == readings[::-1]
+        # a fresh copy read backwards still draws the residuals in order of k
+        fresh = template.resynced(rng_fork(1, "sync"), horizon)
+        assert [fresh.read(t) for t in reversed(times)] == readings[::-1]
+
     @given(st.integers(min_value=0, max_value=2 ** 48))
     def test_identity_on_random_times(self, t):
-        assert ClockModel.identity().read(t) == t
+        assert ClockModel().read(t) == t
 
     @given(st.integers(min_value=-500, max_value=500),
            st.integers(min_value=0, max_value=10 ** 10),
@@ -206,7 +293,7 @@ class TestClockModel:
            st.integers(min_value=0, max_value=10 ** 10))
     def test_when_reading_inverts_read(self, drift, offset, reading):
         clock = ClockModel(offset_ns=offset, drift_ppm=drift)
-        t = clock.when_reading(reading)
+        t = clock.when_reading(reading, 0)
         assert clock.read(t) >= reading
         if t > 0:
             assert clock.read(t - 1) < reading
@@ -216,16 +303,17 @@ class TestClockModel:
            st.integers(min_value=0, max_value=10 ** 12),
            st.integers(min_value=-10 ** 10, max_value=10 ** 10))
     def test_integer_arithmetic_matches_fraction(self, drift, offset, last_sync, dt):
-        # dt < 0 reads or inverts a time before the last resync
-        clock = ClockModel(offset_ns=offset, drift_ppm=drift,
-                           last_sync_true_time=last_sync)
+        # dt < 0 reads a time before the last resync, on the segment before
+        # it, and inverts a reading from before it on the segment after it
+        clock = one_resync(offset, drift, last_sync)
         exact = Fraction(str(drift))
         assert clock.drift_ppm == exact
         t = last_sync + dt
-        reading = fraction_read(clock, exact, t)
+        reading = fraction_read(0 if dt < 0 else last_sync, offset, exact, t)
         assert clock.read(t) == reading
         for r in (reading - 1, reading, reading + 1):
-            assert clock.when_reading(r) == fraction_when_reading(clock, exact, r)
+            assert clock.when_reading(r, last_sync) == fraction_when_reading(
+                last_sync, offset, exact, r)
 
     @settings(max_examples=300)
     @given(st.one_of(drifts,
@@ -238,16 +326,16 @@ class TestClockModel:
            st.integers(min_value=-3, max_value=3))
     def test_closed_form_inverse_matches_walk(self, drift, offset, last_sync, dt, delta):
         # dt < 0 inverts a reading from before the last resync
-        clock = ClockModel(offset_ns=offset, drift_ppm=drift,
-                           last_sync_true_time=last_sync)
-        reading = clock.read(last_sync + dt) + delta
-        assert clock.when_reading(reading) == walking_when_reading(clock, reading)
+        clock = one_resync(offset, drift, last_sync)
+        reading = fraction_read(last_sync, offset, clock.drift_ppm, last_sync + dt) + delta
+        assert clock.when_reading(reading, last_sync) == walking_when_reading(
+            last_sync, offset, clock.drift_ppm, reading)
 
     def test_steepest_drift_inverts_in_closed_form(self):
         # the 1 ns walks took about 0.5 s here: read(t) rises 1 ns per 10**6 ns
         clock = ClockModel(drift_ppm=-999_999)
         start = time.perf_counter()
-        t = clock.when_reading(10 ** 6 + 1)
+        t = clock.when_reading(10 ** 6 + 1, 0)
         elapsed = time.perf_counter() - start
         assert t == 1_000_000_000_001
         assert elapsed < 0.01

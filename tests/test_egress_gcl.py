@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsnsim.core import Engine, ScheduleError
-from tsnsim.egress import (BeforeBaseTimeError, EgressPort, GateControlList,
-                           GclEntry, PreemptionConfig, TaprioPort)
+from tsnsim.core import BeforeBaseTimeError, Engine, ScheduleError
+from tsnsim.egress import (EgressPort, GateControlList, GclEntry, PreemptionConfig,
+                           TaprioPort)
 from tsnsim.traffic import Frame, transmission_time
 
 US = 1000

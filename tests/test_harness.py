@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import tsnsim
+from tsnsim import harness
 from tsnsim.harness import (CSV_COLUMNS, MalformedRowError, MissingTimestampError,
                             OffsetStats, PacketRecord, compute_offsets,
                             export_records, infer_period, load_records, report,
@@ -239,3 +240,28 @@ class TestRunScenario:
         res = run_scenario(cfg, seed=42)
         assert res.metadata["seed"] == 42
         assert res.metadata["mode"] == "sleep"
+
+    def test_resyncs_add_no_engine_events(self, monkeypatch):
+        # engines are counted as bench/run.py counts them: a subclass put in
+        # place of harness.Engine records each one for its executed count
+        engines = []
+
+        class CountingEngine(harness.Engine):
+            def __init__(self):
+                super().__init__()
+                engines.append(self)
+
+        monkeypatch.setattr(harness, "Engine", CountingEngine)
+        doc = json.loads((SCENARIOS / "paper_fig1.json").read_text())
+        doc["traffic"]["count"] = 200
+        plain = run_scenario(parse_scenario(doc))
+        clock = {"offset_ns": 900, "drift_ppm": 25, "sync_interval_ns": 1_200_000,
+                 "sync_residual": {"kind": "uniform", "min_ns": -40, "max_ns": 40}}
+        doc["clocks"] = {node: {"system": clock, "phc": clock}
+                         for node in ("talker", "listener")}
+        synced = run_scenario(parse_scenario(doc))
+        assert len(plain.records) == len(synced.records) == 200
+        assert plain.records != synced.records
+        # per frame: the talker's plan, the hand-over to the port and the
+        # end of the wire; no event only resyncs a clock or takes a stamp
+        assert [e.executed for e in engines] == [3 * 200, 3 * 200]

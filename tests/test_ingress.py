@@ -49,10 +49,12 @@ class TestSchedule:
         assert g.process(frame(), 500 * US).outcome == DROP_CLOSED_GATE
         assert g.process(frame(), MS).outcome == PASS
 
-    def test_before_base_time_rejected(self):
+    def test_closed_before_base_time(self):
         g = StreamGate(1000, MS, [StreamGateEntry(True, MS)])
-        with pytest.raises(ScheduleError):
-            g.process(frame(), 999)
+        assert g.process(frame(), 999).outcome == DROP_CLOSED_GATE
+        assert g.process(frame(), 1000).outcome == PASS
+        gate = StreamGate(1000, MS, [StreamGateEntry(True, MS)])
+        assert bridge_drops(gate, [(1000, 0), (1000, 999)]) == {DROP_CLOSED_GATE: 2}
 
     def test_bad_schedules_rejected(self):
         with pytest.raises(ScheduleError):

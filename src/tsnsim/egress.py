@@ -94,6 +94,8 @@ class TaprioPort:
                  overhead_bytes: int = 0):
         if guard_mode not in ("fit", "none"):
             raise ValueError(f"guard_mode {guard_mode!r}")
+        if capacity < 1:
+            raise ValueError(f"capacity {capacity} < 1")
         self.gcl = gcl
         self.capacity = capacity
         self.guard_mode = guard_mode
@@ -265,18 +267,6 @@ def _preemption_point(sent: int, total: int, frag: int) -> Optional[int]:
 # runtime egress port driven by the event engine
 
 
-@dataclass(slots=True)
-class _TxState:
-    frame: Frame
-    total_bytes: int
-    bytes_done: int
-    segment_start: SimTime
-    wire_start: SimTime
-    preemptable: bool
-    token: int
-    preempt_pending: bool = False
-
-
 class EgressPort:
     """One egress port: a queue discipline, the MAC and the wire, driven by
     the engine.
@@ -285,7 +275,12 @@ class EgressPort:
     drives either through enqueue(frame, t), select(t, classes),
     next_event_time(t), len(queue) (the frames queued; the port looks for
     work only when a frame is suspended or this is non-zero) and drops, as
-    a netdev drives its qdisc.
+    a netdev drives its qdisc. Like a qdisc that can be bypassed in Linux,
+    an idle port sends a frame that finds its ungated TaprioPort empty
+    straight to the wire: there, enqueue and select would return it.
+    A transmission is one step: its start stamps hw_tx (phc readings are
+    pure, so a later start reads exactly) and schedules its finish, which
+    a preemption cancels.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded
     ETF. deliver(frame, wire_start, wire_end) is called in true time when
@@ -310,24 +305,32 @@ class EgressPort:
         self.hw_precision = hw_precision
         self.rng = rng
         self.deliver = deliver
-        self._current: Optional[_TxState] = None
-        self._suspended: Optional[_TxState] = None
-        self._token = 0
+        #: the frame on the wire (None when idle), its wire start, the start
+        #: of its current segment, the bytes it sent before that segment,
+        #: and whether an express frame may still interrupt it
+        self._frame: Optional[Frame] = None
+        self._wire_start = self._seg_start = self._done = 0
+        self._preemptable = False
+        #: a preempted frame as (frame, wire_start, bytes_done)
+        self._suspended: Optional[tuple] = None
+        #: bumped to cancel the pending finish of a preempted frame
+        self._gen = 0
         self._kick_scheduled_at: Optional[SimTime] = None
+        self._bypass = isinstance(self.queue, TaprioPort) and self.queue.gcl is None
         #: wire time by byte count; the counts passed include overhead_bytes
         self._tt_bytes = _WireTimes(rate_bps)
 
     # -- submission
 
     def submit(self, frame: Frame, t: SimTime) -> Optional[str]:
-        """Hand a frame to the port: None if it was queued or will preempt,
-        else the drop key the queue counted."""
-        # express frames may interrupt an ongoing preemptable transmission
-        if (self.preemption.enabled
-                and self.preemption.is_express(frame.egress_class)
-                and self._current is not None
-                and self._current.preemptable
-                and self._suspended is None):
+        """Hand a frame to the port: None if it was sent, queued or will
+        preempt, else the drop key the queue counted."""
+        if self._frame is None:
+            if self._bypass and not self.queue._count and self._suspended is None:
+                self._send(frame)
+                return None
+        elif self._preemptable and self.preemption.is_express(frame.egress_class):
+            # an express frame may interrupt a preemptable transmission
             return self._do_preempt(frame, t)
         result = self.queue.enqueue(frame, t)
         if result is None:
@@ -347,88 +350,77 @@ class EgressPort:
         self._kick()
 
     def _kick(self):
-        if self._current is not None:
+        if self._frame is not None:
             return
         t = self.engine.now
-        classes = None if self._suspended is None else self.preemption.express_classes
-        frame = self.queue.select(t, classes)
-        if frame is None:
-            if self._suspended is not None:
-                self._resume_suspended()
-                return
+        suspended = self._suspended
+        frame = self.queue.select(
+            t, None if suspended is None else self.preemption.express_classes)
+        if frame is not None:
+            self._send(frame)
+        elif suspended is not None:
+            self._suspended = None
+            frame, wire_start, done = suspended
+            self._start(frame, t, done, wire_start)
+        else:
             nt = self.queue.next_event_time(t)
             if nt is not None and nt > t:
                 self._schedule_kick(nt)
-            return
-        start = t
+
+    # -- transmission
+
+    def _send(self, frame: Frame):
+        """Start frame now, or after the NIC's launch precision."""
+        start = self.engine.now
         if self.hw_precision is not None:
-            start = max(t, t + self.hw_precision.sample(self.rng))
-        preemptable = (self.preemption.enabled
-                       and not self.preemption.is_express(frame.egress_class))
-        self._begin(frame, start, preemptable=preemptable)
+            start = max(start, start + self.hw_precision.sample(self.rng))
+        self._start(frame, start)
 
-    def _begin(self, frame: Frame, start: SimTime, preemptable: bool):
-        self._token += 1
-        state = _TxState(frame, frame.size_bytes + self.overhead_bytes, 0, start,
-                         start, preemptable, self._token)
-        self._current = state
-        if start > self.engine.now:
-            self.engine.schedule(start, self._wire_start, state, state.token)
-        else:
-            self._wire_start(state, state.token)
+    def _start(self, frame: Frame, start: SimTime, bytes_done: int = 0,
+               wire_start: Optional[SimTime] = None):
+        """Put frame on the wire from start, bytes_done bytes in; a resumed
+        frame keeps its first wire_start and hw_tx."""
+        if wire_start is None:
+            wire_start = start
+            if self.phc is not None:
+                frame.trace.hw_tx = self.phc.read(start)
+        self._frame = frame
+        self._wire_start = wire_start
+        self._seg_start = start
+        self._done = bytes_done
+        preemption = self.preemption
+        self._preemptable = preemption.enabled and not preemption.is_express(
+            frame.egress_class)
+        end = start + self._tt_bytes[frame.size_bytes + self.overhead_bytes - bytes_done]
+        self.engine.schedule(end, self._finish, frame, wire_start, end, self._gen)
 
-    def _wire_start(self, state: _TxState, tok: int):
-        if tok != state.token or self._current is not state:
-            return
-        t = self.engine.now
-        state.segment_start = t
-        state.wire_start = t
-        if self.phc is not None:
-            state.frame.trace.hw_tx = self.phc.read(t)
-        end = t + self._tt_bytes[state.total_bytes]
-        self.engine.schedule(end, self._complete, state, end, tok)
-
-    def _complete(self, state: _TxState, end: SimTime, tok: int):
-        if tok != state.token or self._current is not state:
-            return
-        self._current = None
+    def _finish(self, frame: Frame, wire_start: SimTime, end: SimTime, gen: int):
+        if gen != self._gen:
+            return  # preempted
+        self._frame = None
         if self.deliver is not None:
-            self.deliver(state.frame, state.wire_start, end)
+            self.deliver(frame, wire_start, end)
         if self._suspended is not None or len(self.queue):
             self._kick()
 
-    def _resume_suspended(self):
-        state = self._suspended
-        self._suspended = None
-        t = self.engine.now
-        self._token += 1
-        state.token = self._token
-        state.segment_start = t
-        self._current = state
-        end = t + self._tt_bytes[state.total_bytes - state.bytes_done]
-        self.engine.schedule(end, self._complete, state, end, state.token)
-
     def _do_preempt(self, express: Frame, t: SimTime) -> Optional[str]:
-        cur = self._current
-        if cur.preempt_pending:
-            return self.queue.enqueue(express, t)
-        sent_total = cur.bytes_done + bytes_on_wire(cur.segment_start, t,
-                                                    self.rate_bps)
-        point = _preemption_point(sent_total, cur.total_bytes,
-                                  self.preemption.min_fragment_bytes)
+        frame = self._frame
+        point = _preemption_point(
+            self._done + bytes_on_wire(self._seg_start, t, self.rate_bps),
+            frame.size_bytes + self.overhead_bytes, self.preemption.min_fragment_bytes)
         if point is None:
             # no legal split: express waits its turn in the queue
             return self.queue.enqueue(express, t)
-        # cancel the pMAC completion; the wire stays busy until the boundary
-        self._token += 1
-        cur.token = self._token
-        cur.preempt_pending = True
-        boundary = cur.segment_start + self._tt_bytes[point - cur.bytes_done]
+        # cancel the pMAC finish; the wire stays busy until the boundary,
+        # and until then later express frames queue
+        self._gen += 1
+        self._preemptable = False
+        boundary = self._seg_start + self._tt_bytes[point - self._done]
+        self.engine.schedule(max(boundary, t), self._switch, express,
+                             (frame, self._wire_start, point))
+        return None
 
-        def at_boundary():
-            cur.preempt_pending = False
-            cur.bytes_done = point
-            self._suspended = cur
-            self._begin(express, self.engine.now, preemptable=False)
-
-        self.engine.schedule(max(boundary, t), at_boundary)
+    def _switch(self, express: Frame, suspended: tuple):
+        """At the fragment boundary: suspend the preempted frame and send express."""
+        self._suspended = suspended
+        self._start(express, self.engine.now)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsnsim.core import BeforeBaseTimeError, Engine, ScheduleError
+from tsnsim.core import BeforeBaseTimeError, Engine, JitterDist, ScheduleError
 from tsnsim.egress import (EgressPort, GateControlList, GclEntry, PreemptionConfig,
                            TaprioPort)
 from tsnsim.traffic import Frame, transmission_time
@@ -121,6 +121,13 @@ class TestTaprioQueueing:
             == "taprio_full"
         assert port.drops["taprio_full"] == 1
 
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_below_one_rejected(self, capacity):
+        # an idle ungated port sends a frame that finds its queue empty
+        # without enqueue, which a queue that holds nothing would drop
+        with pytest.raises(ValueError, match="capacity"):
+            TaprioPort(capacity=capacity)
+
     def test_fifo_within_class(self):
         port = TaprioPort()
         a = Frame(id=1, size_bytes=64, priority=0)
@@ -226,13 +233,16 @@ class TestGateConformance:
 
 class CountedTaprioPort(TaprioPort):
     """A TaprioPort that checks its running count and occupied classes after
-    every enqueue and select."""
+    every enqueue and select, and counts its enqueue calls."""
+
+    enqueues = 0
 
     def check(self):
         assert len(self) == sum(len(q) for q in self.queues)
         assert self._occupied == sum(1 << tc for tc, q in enumerate(self.queues) if q)
 
     def enqueue(self, frame, t):
+        self.enqueues += 1
         result = super().enqueue(frame, t)
         self.check()
         return result
@@ -295,3 +305,51 @@ class TestPendingCount:
             taprio.check()
             assert len(taprio) == 0
         assert requeued
+
+
+class TestIdleBypass:
+    """An idle port sends a frame that finds its ungated queue empty straight
+    to the wire; a port whose queue has an always-open GCL never does, and
+    must give the same wire times and drops."""
+
+    RATE = 100_000_000  # a 1,500 B frame is 120 us on the wire
+
+    def run_port(self, arrivals, gcl, capacity, preemption, precision):
+        eng = Engine()
+        wires = []
+        taprio = CountedTaprioPort(gcl=gcl, capacity=capacity, link_rate_bps=self.RATE)
+
+        def deliver(frame, start, end):
+            wires.append((frame.id, start, end))
+            echo = arrivals[frame.id][3] if frame.id < len(arrivals) else None
+            if echo is not None:
+                # an echo submitted from inside deliver finds the port idle
+                # but maybe a frame queued or suspended
+                port.submit(Frame(id=frame.id + len(arrivals), size_bytes=frame.size_bytes,
+                                  priority=echo), end)
+
+        port = EgressPort(eng, self.RATE, queue=taprio, preemption=preemption,
+                          hw_precision=precision, rng=random.Random(5), deliver=deliver)
+        t = 0
+        for i, (gap, size, priority, _) in enumerate(arrivals):
+            t += gap
+            eng.schedule(t, port.submit, Frame(id=i, size_bytes=size, priority=priority), t)
+        eng.run_all()
+        return wires, taprio.drops, taprio.enqueues
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 200 * US), st.integers(64, 1522),
+                              st.integers(0, 7), st.sampled_from([None, 0, 7])),
+                    min_size=1, max_size=30),
+           st.integers(1, 4), st.booleans(), st.booleans())
+    def test_matches_port_through_enqueue_and_select(self, arrivals, capacity,
+                                                     preempt, precise):
+        preemption = PreemptionConfig(enabled=preempt, express_classes=frozenset({7}))
+        precision = JitterDist.uniform(0, 3 * US) if precise else None
+        always_open = GateControlList(0, MS, [GclEntry(0xFF, MS)])
+        ungated = self.run_port(arrivals, None, capacity, preemption, precision)
+        gated = self.run_port(arrivals, always_open, capacity, preemption, precision)
+        assert ungated[:2] == gated[:2]
+        # the first frame finds the port idle, and only the ungated port
+        # sends it without enqueue
+        assert ungated[2] < gated[2]

@@ -241,7 +241,11 @@ class TestRunScenario:
         assert res.metadata["seed"] == 42
         assert res.metadata["mode"] == "sleep"
 
-    def test_resyncs_add_no_engine_events(self, monkeypatch):
+    # paper_fig1 is sleep mode through an idle port; paper_fig2 is txtime
+    # with offloaded ETF, whose hw_precision starts each frame after its kick
+    @pytest.mark.parametrize("scenario,rechecks", [("paper_fig1", 0), ("paper_fig2", 28)],
+                             ids=["paper_fig1", "paper_fig2"])
+    def test_resyncs_add_no_engine_events(self, monkeypatch, scenario, rechecks):
         # engines are counted as bench/run.py counts them: a subclass put in
         # place of harness.Engine records each one for its executed count
         engines = []
@@ -252,7 +256,7 @@ class TestRunScenario:
                 engines.append(self)
 
         monkeypatch.setattr(harness, "Engine", CountingEngine)
-        doc = json.loads((SCENARIOS / "paper_fig1.json").read_text())
+        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
         doc["traffic"]["count"] = 200
         plain = run_scenario(parse_scenario(doc))
         clock = {"offset_ns": 900, "drift_ppm": 25, "sync_interval_ns": 1_200_000,
@@ -262,6 +266,10 @@ class TestRunScenario:
         synced = run_scenario(parse_scenario(doc))
         assert len(plain.records) == len(synced.records) == 200
         assert plain.records != synced.records
-        # per frame: the talker's plan, the hand-over to the port and the
-        # end of the wire; no event only resyncs a clock or takes a stamp
-        assert [e.executed for e in engines] == [3 * 200, 3 * 200]
+        # per frame: the talker's plan, the hand-over to the port (sleep) or
+        # the ETF launch time (txtime), and the end of the wire; no event
+        # only resyncs a clock, takes a stamp or starts the wire. On the
+        # talker's resynced PHC, a resync between an ETF kick and the launch
+        # it computed moves the launch, and the port checks again: rechecks
+        # more kicks, while when_reading inverts only the segment of its now
+        assert [e.executed for e in engines] == [3 * 200, 3 * 200 + rechecks]

@@ -316,22 +316,18 @@ class CyclicSchedule:
             raise ScheduleError("schedule needs at least one entry")
         if any(e.duration_ns <= 0 for e in entries):
             raise ScheduleError("every entry duration must be > 0")
-        total = sum(e.duration_ns for e in entries)
-        if total != cycle_time_ns:
-            raise ScheduleError(f"durations sum to {total}, not cycle_time_ns "
+        self._ends = list(accumulate(e.duration_ns for e in entries))
+        self._starts = [0, *self._ends[:-1]]
+        if self._ends[-1] != cycle_time_ns:
+            raise ScheduleError(f"durations sum to {self._ends[-1]}, not cycle_time_ns "
                                 f"{cycle_time_ns}")
         self.base_time = base_time
         self.cycle_time_ns = cycle_time_ns
         self.entries = list(entries)
-        self._starts = []
-        acc = 0
-        for e in entries:
-            self._starts.append(acc)
-            acc += e.duration_ns
 
-    def _locate(self, t: SimTime) -> tuple[int, int, int]:
-        """(cycle index, entry index, phase within cycle) for time t."""
+    def _locate(self, t: SimTime) -> tuple[int, int]:
+        """(entry index, phase within cycle) for time t."""
         if t < self.base_time:
             raise BeforeBaseTimeError(f"t={t} < base_time={self.base_time}")
-        cycle, phase = divmod(t - self.base_time, self.cycle_time_ns)
-        return cycle, bisect_right(self._starts, phase) - 1, phase
+        phase = (t - self.base_time) % self.cycle_time_ns
+        return bisect_right(self._starts, phase) - 1, phase

@@ -6,6 +6,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Callable, Optional
 
 from .core import ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
@@ -25,44 +27,43 @@ class GclEntry:
 
 
 class GateControlList(CyclicSchedule):
-    """Cyclic (gate mask, duration) schedule of an egress port."""
+    """Cyclic (gate mask, duration) schedule of an egress port. _after[i][tc]
+    is how long class tc stays open after entry i ends, None if it never closes."""
+
+    def __init__(self, base_time: SimTime, cycle_time_ns: int, entries: list):
+        super().__init__(base_time, cycle_time_ns, entries)
+        masks = self._masks = [e.gate_mask for e in self.entries]
+        n, never_closed = len(masks), reduce(and_, masks)
+        # one backward pass over two cycles: run[tc] is class tc's open time
+        # from the end of entry j % n
+        run, self._after = [0] * NUM_CLASSES, [None] * n
+        for j in range(2 * n - 1, -1, -1):
+            if j < n:
+                self._after[j] = tuple(None if never_closed >> tc & 1 else r
+                                       for tc, r in enumerate(run))
+            d, m = self.entries[j % n].duration_ns, masks[j % n]
+            run = [r + d if m >> tc & 1 else 0 for tc, r in enumerate(run)]
 
     def state(self, t: SimTime) -> tuple[int, int]:
         """(open mask, time until the next entry boundary) at time t."""
-        _, i, phase = self._locate(t)
-        end = self._starts[i] + self.entries[i].duration_ns
-        return self.entries[i].gate_mask, end - phase
+        i, phase = self._locate(t)
+        return self._masks[i], self._ends[i] - phase
 
     def time_until_close(self, tc: int, t: SimTime) -> Optional[int]:
         """Time until class tc's gate closes, or None if it never does.
 
         Only meaningful when the gate is open at t.
         """
-        bit = 1 << tc
-        _, i, phase = self._locate(t)
-        n = len(self.entries)
-        total = self._starts[i] + self.entries[i].duration_ns - phase
-        for k in range(1, n + 1):
-            e = self.entries[(i + k) % n]
-            if not e.gate_mask & bit:
-                return total
-            total += e.duration_ns
-        return None  # open for a whole cycle => open forever
+        i, phase = self._locate(t)
+        after = self._after[i][tc]
+        return None if after is None else self._ends[i] - phase + after
 
     def max_open_run(self, tc: int) -> Optional[int]:
         """Longest contiguous open stretch for class tc (None = always open)."""
-        bit = 1 << tc
-        if all(e.gate_mask & bit for e in self.entries):
+        if self._after[0][tc] is None:
             return None
-        best = run = 0
-        # two concatenated cycles to capture wraparound runs
-        for e in self.entries * 2:
-            if e.gate_mask & bit:
-                run += e.duration_ns
-                best = max(best, run)
-            else:
-                run = 0
-        return min(best, self.cycle_time_ns)
+        return max((e.duration_ns + a[tc] for e, a in zip(self.entries, self._after)
+                    if e.gate_mask >> tc & 1), default=0)
 
 
 class _WireTimes(dict):
@@ -110,6 +111,8 @@ class TaprioPort:
                               [gcl.max_open_run(tc) for tc in range(NUM_CLASSES)])
         #: wire time by frame size, overhead included
         self._tt = _WireTimes(link_rate_bps, overhead_bytes)
+        #: when the gates next change, as the last select found it
+        self._next: Optional[SimTime] = None
 
     def enqueue(self, frame: Frame, t: SimTime) -> Optional[str]:
         """Queue the frame and return None, or return the drop key counted."""
@@ -125,12 +128,20 @@ class TaprioPort:
 
     def select(self, t: SimTime, classes=None) -> Optional[Frame]:
         """Pop the frame to transmit at t, highest open class first."""
-        occupied = self._occupied
-        gcl = self.gcl
-        if not occupied or (gcl is not None and t < gcl.base_time):
+        occupied, gcl = self._occupied, self.gcl
+        if not occupied:
             return None
-        mask = 0xFF if gcl is None else gcl.state(t)[0]
-        fit = gcl is not None and self.guard_mode == "fit"
+        if gcl is None:
+            mask, fit = 0xFF, False
+        elif t < gcl.base_time:
+            self._next = gcl.base_time
+            return None
+        else:
+            # one lookup: the mask, the time left in the entry, the open time after it
+            i, phase = gcl._locate(t)
+            mask, left, after = gcl._masks[i], gcl._ends[i] - phase, gcl._after[i]
+            self._next = t + left
+            fit = self.guard_mode == "fit"
         # visit the non-empty classes only, highest first
         while occupied:
             tc = occupied.bit_length() - 1
@@ -144,8 +155,8 @@ class TaprioPort:
                 if fit:
                     # a frame that fits no open window of its class is
                     # dropped after waiting one full cycle
-                    max_run = self.max_open_runs[tc]
-                    if (max_run is not None and self._tt[frame.size_bytes] > max_run
+                    tt, max_run = self._tt[frame.size_bytes], self.max_open_runs[tc]
+                    if (max_run is not None and tt > max_run
                             and t - enq_t >= gcl.cycle_time_ns):
                         q.popleft()
                         self._count -= 1
@@ -155,10 +166,8 @@ class TaprioPort:
                         continue
                 if not mask & bit:
                     break
-                if fit:
-                    ttc = gcl.time_until_close(tc, t)
-                    if ttc is not None and self._tt[frame.size_bytes] > ttc:
-                        break
+                if fit and after[tc] is not None and tt > left + after[tc]:
+                    break
                 q.popleft()
                 self._count -= 1
                 if not q:
@@ -170,11 +179,8 @@ class TaprioPort:
         return self._count
 
     def next_event_time(self, t: SimTime) -> Optional[SimTime]:
-        if not self._count or self.gcl is None:
-            return None
-        if t < self.gcl.base_time:
-            return self.gcl.base_time
-        return t + self.gcl.state(t)[1]
+        """The next gate change; valid after select(t) returned None."""
+        return self._next if self._count else None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
 from .network import BridgeNode
 from .scenario import (EtfCfg, FilterCfg, LinkCfg, ScenarioConfig, TaprioCfg,
                        TrafficCfg, chain_links)
-from .traffic import Frame, PacketRecord
+from .traffic import Frame, PacketRecord, StreamRuleSet
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
 
@@ -350,7 +350,8 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
                                phc=clocks[name]["phc"],
                                system=clocks[name]["system"], receive=receive)
             fcfg = cfg.filters.get(name) or FilterCfg()
-            bridge = BridgeNode(engine, name, port, stream_rules=fcfg.rules,
+            rules = fcfg.rules and StreamRuleSet(fcfg.rules.rules)  # a fresh identify memo
+            bridge = BridgeNode(engine, name, port, stream_rules=rules,
                                 gates={h: copy.copy(g) for h, g in fcfg.gates.items()},
                                 forwarding_latency=nodes[name].forwarding,
                                 rng=rng_fork(seed, f"fwd:{name}{suffix}"))

@@ -21,12 +21,22 @@ class PsfpDecision:
     ipv: Optional[int] = None
 
 
+#: every gate returns these shared decisions, which are frozen
+_CLOSED = PsfpDecision(DROP_CLOSED_GATE)
+_OVER_BUDGET = PsfpDecision(DROP_OCTET_BUDGET)
+_PASSES = {ipv: PsfpDecision(PASS, ipv=ipv) for ipv in (None, *range(8))}
+
+
 @dataclass(frozen=True)
 class StreamGateEntry:
     open: bool
     duration_ns: int
     ipv: Optional[int] = None
     max_octets: Optional[int] = None
+
+    def __post_init__(self):
+        if self.ipv is not None and not 0 <= self.ipv <= 7:
+            raise ValueError(f"ipv {self.ipv} out of range")
 
 
 class StreamGate(CyclicSchedule):
@@ -42,27 +52,27 @@ class StreamGate(CyclicSchedule):
                  entries: list[StreamGateEntry]):
         super().__init__(base_time, cycle_time_ns, entries)
         self.running_octets = 0
-        self._window_key = None
+        self._window_start = None  # true time at which the counted window began
 
     def process(self, frame: Frame, t: SimTime) -> PsfpDecision:
         if t < self.base_time:
-            return PsfpDecision(DROP_CLOSED_GATE)
-        cycle, i, _ = self._locate(t)
-        entry = self.entries[i]
-        window = (cycle, i)
-        if window != self._window_key:
-            self._window_key = window
+            return _CLOSED
+        i, phase = self._locate(t)
+        start = t - phase + self._starts[i]
+        if start != self._window_start:
+            self._window_start = start
             self.running_octets = 0
+        entry = self.entries[i]
         if not entry.open:
-            return PsfpDecision(DROP_CLOSED_GATE)
+            return _CLOSED
         if entry.max_octets is not None:
             if self.running_octets + frame.size_bytes > entry.max_octets:
                 # a frame exceeding the budget does not consume any of it
-                return PsfpDecision(DROP_OCTET_BUDGET)
+                return _OVER_BUDGET
             self.running_octets += frame.size_bytes
         if entry.ipv is not None:
-            assign_ipv(frame, entry.ipv)
-        return PsfpDecision(PASS, ipv=entry.ipv)
+            frame.ipv = entry.ipv
+        return _PASSES[entry.ipv]
 
 
 def assign_ipv(frame: Frame, ipv: int) -> Frame:

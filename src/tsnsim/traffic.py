@@ -118,15 +118,17 @@ class StreamRuleSet:
             if pattern in seen:
                 raise DuplicateExactRuleError(f"duplicate pattern {pattern}")
             seen.add(pattern)
-        self.rules = list(rules)
+        self.rules = tuple(rules)
+        #: the handle identify found for each key it was asked
+        self._memo: dict = {None: None}
 
     def identify(self, key: Optional[StreamKey]) -> Optional[str]:
-        if key is None:
-            return None
-        for r in self.rules:
-            if r.matches(key):
-                return r.handle
-        return None
+        try:
+            return self._memo[key]
+        except KeyError:
+            handle = self._memo[key] = next((r.handle for r in self.rules
+                                             if r.matches(key)), None)
+            return handle
 
 
 def make_stream_rules(config: list[dict]) -> StreamRuleSet:

@@ -37,6 +37,24 @@ def max_open_run_oracle(table: list, tc: int):
     return best
 
 
+def open_time_oracle(table: list, tc: int) -> list:
+    """Per-nanosecond time until class tc's gate closes, from each phase of
+    the cycle (0 where it is closed), or None everywhere if it never closes."""
+    bit = 1 << tc
+    n = len(table)
+    if all(m & bit for m in table):
+        return [None] * n
+    until = [0] * (2 * n + 1)
+    for p in range(2 * n - 1, -1, -1):  # two cycles: runs that wrap the cycle end
+        until[p] = until[p + 1] + 1 if table[p % n] & bit else 0
+    return until[:n]
+
+
+def remaining_oracle(gcl: GateControlList) -> list:
+    """Per-nanosecond time left in the entry that holds each phase."""
+    return [e.duration_ns - k for e in gcl.entries for k in range(e.duration_ns)]
+
+
 class TestGclState:
     def test_single_entry_always_open(self):
         gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)])
@@ -89,6 +107,24 @@ class TestGclState:
                 assert gcl.max_open_run(tc) == expected
                 assert port.max_open_runs[tc] == expected
 
+    def test_time_until_close_matches_oracle(self):
+        # TaprioPort.select reads the same table directly, so only these
+        # tests reach time_until_close
+        rng = random.Random(303)
+        checked = 0
+        for _ in range(10):
+            gcl = random_gcl(rng)
+            table = mask_table(gcl)
+            until = [open_time_oracle(table, tc) for tc in range(8)]
+            for _ in range(300):
+                t = gcl.base_time + rng.randrange(0, 3 * gcl.cycle_time_ns)
+                phase = (t - gcl.base_time) % gcl.cycle_time_ns
+                for tc in range(8):
+                    if table[phase] >> tc & 1:
+                        assert gcl.time_until_close(tc, t) == until[tc][phase]
+                        checked += 1
+        assert checked > 1000
+
     def test_totality_fuzz(self):
         # every time at or after base_time maps to exactly one entry
         rng = random.Random(7)
@@ -97,6 +133,55 @@ class TestGclState:
             t = gcl.base_time + rng.randrange(0, 10 ** 12)
             mask, remaining = gcl.state(t)
             assert 0 < remaining <= gcl.cycle_time_ns
+
+
+class TestGclTables:
+    """state, time_until_close and max_open_run read per-entry tables built
+    once per GCL; every phase of small generated GCLs is checked against
+    the per-nanosecond oracles."""
+
+    @staticmethod
+    def check_every_phase(gcl):
+        table, left = mask_table(gcl), remaining_oracle(gcl)
+        until = [open_time_oracle(table, tc) for tc in range(8)]
+        for tc in range(8):
+            assert gcl.max_open_run(tc) == max_open_run_oracle(table, tc)
+        for cycle in (0, 3):
+            for phase, mask in enumerate(table):
+                t = gcl.base_time + cycle * gcl.cycle_time_ns + phase
+                assert gcl.state(t) == (mask, left[phase])
+                for tc in range(8):
+                    if mask >> tc & 1:
+                        assert gcl.time_until_close(tc, t) == until[tc][phase]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.just(0), st.just(0xFF), st.integers(0, 255)),
+                              st.integers(1, 40)), min_size=1, max_size=8),
+           st.integers(0, 1000))
+    def test_every_phase_matches_oracle(self, spec, base_time):
+        entries = [GclEntry(m, d) for m, d in spec]
+        self.check_every_phase(GateControlList(base_time, sum(d for _, d in spec), entries))
+
+    def test_single_entry(self):
+        for mask in (0, 0x5A, 0xFF):
+            gcl = GateControlList(7, 50, [GclEntry(mask, 50)])
+            self.check_every_phase(gcl)
+            assert [gcl.max_open_run(tc) for tc in (0, 1)] == {
+                0: [0, 0], 0x5A: [0, None], 0xFF: [None, None]}[mask]
+
+    def test_never_open_class(self):
+        gcl = GateControlList(0, 30, [GclEntry(0x01, 10), GclEntry(0x03, 20)])
+        self.check_every_phase(gcl)
+        assert [gcl.max_open_run(tc) for tc in (0, 1, 2)] == [None, 20, 0]
+
+    def test_run_wrapping_the_cycle_end(self):
+        # class 2 is open in the last two entries and the first: 6 + 4 + 5
+        gcl = GateControlList(100, 30, [GclEntry(0x04, 5), GclEntry(0x01, 15),
+                                        GclEntry(0x05, 6), GclEntry(0x04, 4)])
+        self.check_every_phase(gcl)
+        assert gcl.max_open_run(2) == 15
+        assert gcl.time_until_close(2, 100 + 21) == 5 + 4 + 5
+        assert gcl.time_until_close(2, 100 + 30 + 2) == 3
 
 
 def random_gcl(rng: random.Random, max_cycle_ns: int = 10 * US) -> GateControlList:
@@ -186,6 +271,12 @@ class TestTaprioQueueing:
         assert port.drops["taprio_oversize"] == 1
         assert len(port) == 0
 
+    def test_next_event_before_base_time_is_base_time(self):
+        port = TaprioPort(gcl=GateControlList(5 * US, MS, [GclEntry(0xFF, MS)]))
+        port.enqueue(Frame(id=1, size_bytes=64, priority=0), 0)
+        assert port.select(US) is None
+        assert port.next_event_time(US) == 5 * US
+
     def test_ipv_overrides_class_queue(self):
         port = TaprioPort()
         f = Frame(id=1, size_bytes=64, priority=0, ipv=6)
@@ -270,7 +361,11 @@ class TestPendingCount:
                     seen["enqueue", port.enqueue(f, t)] += 1
                 else:
                     classes = rng.choice([None, {7}, {0, 1, 2, 3}])
-                    seen["sent" if port.select(t, classes) else "idle"] += 1
+                    frame = port.select(t, classes)
+                    if frame is None and classes is None and len(port):
+                        # the next gate change, as select found it
+                        assert port.next_event_time(t) == t + port.gcl.state(t)[1]
+                    seen["sent" if frame else "idle"] += 1
             seen.update(port.drops)
         assert all(seen[k] for k in (("enqueue", None), ("enqueue", "taprio_full"),
                                      "taprio_full", "taprio_oversize", "sent", "idle"))

@@ -89,6 +89,40 @@ PINNED = {
               "loss_per_path": 0.1}), {
         "records.csv": "646481802eccdf56d5a6b7c8b8f3d55b158b841ecd5f0b891c13decbed83b304",
         "stats.json": "7fa23dc60892c66d71ee16099bf4905acb42ee53e8bb1b26e578200960e29bf9"}),
+    # sw0's class-5 window wraps the GCL cycle end over three open entries,
+    # and sw1's spans two; wake jitter makes some frames miss sw0's window
+    # by the guard band; frames the stream gate tags IPV 3 never fit class
+    # 3's 1 us window, and the window budget passes two frames of three
+    "qbv_psfp_wrapping_window": (_chain(
+        [("sw0", "xdp"), ("sw1", "zero")],
+        traffic={"period_ns": 50_000, "count": 400, "priority": 2,
+                 "stream": {"dest_mac": 1, "vlan_id": 100, "pcp": 2},
+                 **SLEEP_JITTER,
+                 "wake_jitter": {"kind": "uniform", "min_ns": 0, "max_ns": 20_000}},
+        seed=13,
+        filters={"sw0": {"rules": [{"dest_mac": 9, "handle": "other"},
+                                   {"vlan_id": 100, "handle": "s0"}],
+                         "gates": {"s0": {"cycle_time_ns": 200_000, "entries": [
+                             {"open": True, "duration_ns": 110_000, "ipv": 5,
+                              "max_octets": 400},
+                             {"open": True, "duration_ns": 40_000, "ipv": 3},
+                             {"open": False, "duration_ns": 50_000}]}}}},
+        shapers={"sw0": {"guard_mode": "fit", "gcl": {
+                     "cycle_time_ns": 100_000, "entries": [
+                         {"gate_mask": 0x21, "duration_ns": 16_000},
+                         {"gate_mask": 0x01, "duration_ns": 32_000},
+                         {"gate_mask": 0x08, "duration_ns": 1_000},
+                         {"gate_mask": 0x01, "duration_ns": 38_000},
+                         {"gate_mask": 0x20, "duration_ns": 2_500},
+                         {"gate_mask": 0x21, "duration_ns": 10_500}]}},
+                 "sw1": {"guard_mode": "fit", "queue_capacity": 2, "gcl": {
+                     "cycle_time_ns": 50_000, "entries": [
+                         {"gate_mask": 0xDF, "duration_ns": 30_000},
+                         {"gate_mask": 0x20, "duration_ns": 2_000},
+                         {"gate_mask": 0x21, "duration_ns": 2_000},
+                         {"gate_mask": 0xDF, "duration_ns": 16_000}]}}}), {
+        "records.csv": "e1d79c4dfabe63b2fe24ec288350149c35fcdcc9e82e07387a61df4f6ad7f1a7",
+        "stats.json": "4c5b1dbebc78ab29ee459d685847d7ec686ca1d8d9ce063ceae5eb83ee569f76"}),
     # the talker hands frames over a lead early; sw0 launches them
     "software_etf_bridge": (_chain(
         [("sw0", "linux_bridge")],

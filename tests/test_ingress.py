@@ -116,11 +116,23 @@ class TestIpv:
         with pytest.raises(ValueError):
             assign_ipv(frame(), 8)
 
+    @pytest.mark.parametrize("ipv", [-1, 8])
+    def test_entry_ipv_out_of_range_rejected_at_construction(self, ipv):
+        # process then sets frame.ipv without checking it again
+        with pytest.raises(ValueError, match="ipv"):
+            StreamGateEntry(open=True, duration_ns=MS, ipv=ipv)
+
     def test_no_ipv_leaves_frame_untouched(self):
         g = open_close_gate()
         f = frame(priority=3)
         assert g.process(f, 0).ipv is None
         assert f.ipv is None and f.egress_class == 3
+
+    def test_decisions_are_shared(self):
+        # decisions are frozen, so every gate returns the same instances
+        a, b = open_close_gate(ipv=5), open_close_gate(ipv=5)
+        assert a.process(frame(), 0) is b.process(frame(), 100 * US)
+        assert a.process(frame(), 600 * US) is b.process(frame(), 700 * US)
 
 
 def random_gate(rng):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsnsim.traffic import (DuplicateExactRuleError, Frame, StreamKey,
+from tsnsim.traffic import (DuplicateExactRuleError, Frame, StreamKey, StreamRule,
                             ZeroRateError, make_stream_rules,
                             transmission_time)
 
@@ -107,6 +107,39 @@ class TestStreamRules:
                                    {"handle": "rest"}])
         key = StreamKey(mac, vlan, pcp)
         assert rules.identify(key) == rules.identify(key)
+
+    @given(st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)),
+                              st.one_of(st.none(), st.integers(0, 3)),
+                              st.one_of(st.none(), st.integers(0, 3))),
+                    unique=True, max_size=8),
+           st.lists(st.one_of(st.none(), st.builds(StreamKey, st.integers(0, 3),
+                                                   st.integers(0, 3), st.integers(0, 3))),
+                    min_size=1, max_size=12))
+    def test_memoised_identify_matches_first_match_scan(self, patterns, keys):
+        rules = make_stream_rules([{"dest_mac": m, "vlan_id": v, "pcp": p, "handle": f"h{i}"}
+                                   for i, (m, v, p) in enumerate(patterns)])
+
+        def scan(key):
+            if key is None:
+                return None
+            fields = (key.dest_mac, key.vlan_id, key.pcp)
+            return next((f"h{i}" for i, pattern in enumerate(patterns)
+                         if all(want in (None, got) for want, got in zip(pattern, fields))),
+                        None)
+
+        # the second pass asks every key again, so each answer comes from the memo
+        for key in keys + keys:
+            assert rules.identify(key) == scan(key)
+
+    def test_identify_scans_the_rules_once_per_key(self, monkeypatch):
+        scanned = []
+        matches = StreamRule.matches
+        monkeypatch.setattr(StreamRule, "matches",
+                            lambda r, key: scanned.append(r.handle) or matches(r, key))
+        rules = make_stream_rules([{"vlan_id": 7, "handle": "v7"}, {"handle": "rest"}])
+        for _ in range(3):
+            assert rules.identify(self.KEY) == "rest"
+        assert scanned == ["v7", "rest"]
 
     def test_stream_key_total_order(self):
         a = StreamKey(1, 2, 3)

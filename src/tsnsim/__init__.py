@@ -4,7 +4,7 @@ from .core import ClockModel, Engine, JitterDist, PastTimeError, SimTime, rng_fo
 from .traffic import Frame, StreamKey, transmission_time
 from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
                      PreemptionConfig, TaprioPort)
-from .ingress import PsfpDecision, StreamGate, StreamGateEntry, assign_ipv
+from .ingress import PsfpDecision, StreamGate, StreamGateEntry
 from .frer import RecoveryState, SequenceGenerator, replicate
 from .network import (BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound)
 from .harness import (OffsetStats, PacketRecord, RunResult, compute_offsets,

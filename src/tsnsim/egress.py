@@ -284,13 +284,15 @@ class EgressPort:
     a netdev drives its qdisc. Like a qdisc that can be bypassed in Linux,
     an idle port sends a frame that finds its ungated TaprioPort empty
     straight to the wire: there, enqueue and select would return it.
-    A transmission is one step: its start stamps hw_tx (phc readings are
-    pure, so a later start reads exactly) and schedules its finish, which
-    a preemption cancels.
     hw_precision, when given, is added to each wire start: the launch
-    precision of a NIC that times launches itself, as with offloaded
-    ETF. deliver(frame, wire_start, wire_end) is called in true time when
-    the last bit leaves the port; the caller adds propagation delay.
+    precision of a NIC that times launches itself, as with offloaded ETF.
+    A transmission is one step: its start stamps hw_tx (phc readings are
+    pure) and commits it, calling deliver(frame, wire_start, wire_end) in
+    true time; the receiver acts at wire_end plus propagation, not at
+    engine.now. Only a preemptable transmission ends with an event, its
+    finish, which delivers it and which a preemption cancels. Any other
+    holds the wire until the (time, seq) its finish would have had, where
+    a kick is scheduled only if a frame waits.
     """
 
     def __init__(self, engine: Engine, rate_bps: int, *,
@@ -311,9 +313,9 @@ class EgressPort:
         self.hw_precision = hw_precision
         self.rng = rng
         self.deliver = deliver
-        #: the frame on the wire (None when idle), its wire start, the start
-        #: of its current segment, the bytes it sent before that segment,
-        #: and whether an express frame may still interrupt it
+        #: a preemptable frame on the wire (None otherwise), its wire start,
+        #: the start of its current segment, the bytes it sent before that
+        #: segment, and whether an express frame may still interrupt it
         self._frame: Optional[Frame] = None
         self._wire_start = self._seg_start = self._done = 0
         self._preemptable = False
@@ -321,6 +323,10 @@ class EgressPort:
         self._suspended: Optional[tuple] = None
         #: bumped to cancel the pending finish of a preempted frame
         self._gen = 0
+        #: the (time, seq) until which any other transmission holds the
+        #: wire, and whether a kick is scheduled there
+        self._free = (0, 0)
+        self._kick_when_free = False
         self._kick_scheduled_at: Optional[SimTime] = None
         self._bypass = isinstance(self.queue, TaprioPort) and self.queue.gcl is None
         #: wire time by byte count; the counts passed include overhead_bytes
@@ -332,7 +338,8 @@ class EgressPort:
         """Hand a frame to the port: None if it was sent, queued or will
         preempt, else the drop key the queue counted."""
         if self._frame is None:
-            if self._bypass and not self.queue._count and self._suspended is None:
+            if (self._bypass and not self.queue._count and self._suspended is None
+                    and (self.engine.now, self.engine.seq) >= self._free):
                 self._send(frame)
                 return None
         elif self._preemptable and self.preemption.is_express(frame.egress_class):
@@ -357,8 +364,15 @@ class EgressPort:
 
     def _kick(self):
         if self._frame is not None:
+            return  # its finish kicks
+        engine = self.engine
+        t = engine.now
+        if (t, engine.seq) < self._free:
+            # busy: look again when the wire frees, as a finish there would
+            if not self._kick_when_free:
+                self._kick_when_free = True
+                engine.schedule_reserved(*self._free, self._kick)
             return
-        t = self.engine.now
         suspended = self._suspended
         frame = self.queue.select(
             t, None if suspended is None else self.preemption.express_classes)
@@ -390,15 +404,20 @@ class EgressPort:
             wire_start = start
             if self.phc is not None:
                 frame.trace.hw_tx = self.phc.read(start)
-        self._frame = frame
-        self._wire_start = wire_start
-        self._seg_start = start
-        self._done = bytes_done
-        preemption = self.preemption
-        self._preemptable = preemption.enabled and not preemption.is_express(
-            frame.egress_class)
         end = start + self._tt_bytes[frame.size_bytes + self.overhead_bytes - bytes_done]
-        self.engine.schedule(end, self._finish, frame, wire_start, end, self._gen)
+        preemption = self.preemption
+        if preemption.enabled and not preemption.is_express(frame.egress_class):
+            self._frame, self._wire_start, self._seg_start, self._done = (
+                frame, wire_start, start, bytes_done)
+            self._preemptable = True
+            self.engine.schedule(end, self._finish, frame, wire_start, end, self._gen)
+            return
+        self._frame, self._free = None, (end, self.engine.reserve())
+        self._kick_when_free = False
+        if self._suspended is not None or len(self.queue):
+            self._kick()
+        if self.deliver is not None:
+            self.deliver(frame, wire_start, end)
 
     def _finish(self, frame: Frame, wire_start: SimTime, end: SimTime, gen: int):
         if gen != self._gen:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import copy
 import csv
+import itertools
 import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Optional
 
@@ -318,6 +320,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
 
     rx_rng = rng_fork(seed, "rx")
     records: list[PacketRecord] = []
+    arrivals: list = []  # FRER copies as (arrival, commit order, frame)
     recovery = RecoveryState("s0", cfg.frer.window_size) if cfg.frer.enabled else None
 
     def listener_receive(frame: Frame, t: SimTime):
@@ -368,13 +371,19 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     if cfg.frer.enabled:
         loss = cfg.frer.loss_per_path
         path_labels = [f"path{i}" for i in range(cfg.frer.paths)]
+        commits = itertools.count()
 
         def make_lossy(loss_rng):
             def receive(frame, t):
                 if loss and loss_rng.random() < loss:
                     drops["path_loss"] += 1
                     return
-                listener_receive(frame, t)
+                # copies reach the listener by (arrival, commit order) once the
+                # engine reaches them: none still to commit arrives by now
+                heappush(arrivals, (t, next(commits), frame))
+                while arrivals and arrivals[0][0] <= engine.now:
+                    t, _, frame = heappop(arrivals)
+                    listener_receive(frame, t)
             return receive
 
         talker_ports = [build_path(f":{label}",
@@ -391,6 +400,8 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
 
     Talker(engine, traffic, count, tal_sys, seed, submit_to_wire).plan(0)
     engine.run_all()
+    for t, _, frame in sorted(arrivals):
+        listener_receive(frame, t)
 
     # --- collect drop counters
 

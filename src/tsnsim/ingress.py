@@ -73,11 +73,3 @@ class StreamGate(CyclicSchedule):
         if entry.ipv is not None:
             frame.ipv = entry.ipv
         return _PASSES[entry.ipv]
-
-
-def assign_ipv(frame: Frame, ipv: int) -> Frame:
-    """Attach an internal priority value; metadata only, bytes untouched."""
-    if not 0 <= ipv <= 7:
-        raise ValueError(f"ipv {ipv} out of range")
-    frame.ipv = ipv
-    return frame

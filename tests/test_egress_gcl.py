@@ -418,10 +418,12 @@ class TestIdleBypass:
             wires.append((frame.id, start, end))
             echo = arrivals[frame.id][3] if frame.id < len(arrivals) else None
             if echo is not None:
-                # an echo submitted from inside deliver finds the port idle
-                # but maybe a frame queued or suspended
-                port.submit(Frame(id=frame.id + len(arrivals), size_bytes=frame.size_bytes,
-                                  priority=echo), end)
+                # deliver is called when the transmission commits; the echo
+                # runs at its end, after its finish would, so it finds the
+                # wire free or taken by a frame that waited behind it
+                eng.schedule(end, port.submit, Frame(id=frame.id + len(arrivals),
+                                                     size_bytes=frame.size_bytes,
+                                                     priority=echo), end)
 
         port = EgressPort(eng, self.RATE, queue=taprio, preemption=preemption,
                           hw_precision=precision, rng=random.Random(5), deliver=deliver)
@@ -431,6 +433,24 @@ class TestIdleBypass:
             eng.schedule(t, port.submit, Frame(id=i, size_bytes=size, priority=priority), t)
         eng.run_all()
         return wires, taprio.drops, taprio.enqueues
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "always_open"])
+    def test_arrivals_at_the_wire_end_wait_for_its_finish(self, gated):
+        # frames 1 (class 1) and 2 (class 6) are scheduled before frame 0
+        # starts, so at the instant frame 0 ends they run before its finish:
+        # they find the wire busy and queue, and the higher class goes first
+        eng = Engine()
+        wires = []
+        gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)]) if gated else None
+        port = EgressPort(eng, self.RATE,
+                          queue=TaprioPort(gcl=gcl, link_rate_bps=self.RATE),
+                          deliver=lambda f, s, e: wires.append((f.id, s)))
+        end = transmission_time(1500, self.RATE)
+        for fid, t, priority in [(0, 0, 0), (1, end, 1), (2, end, 6)]:
+            eng.schedule(t, port.submit,
+                         Frame(id=fid, size_bytes=1500, priority=priority), t)
+        eng.run_all()
+        assert wires == [(0, 0), (2, end), (1, 2 * end)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 200 * US), st.integers(64, 1522),

@@ -135,6 +135,22 @@ PINNED = {
                          "etf": {"offload": False, "delta_ns": 40_000}}}), {
         "records.csv": "ec94f780a7a9d7d92c8e0ba397250d889779de94eaaa14685ed1c04566449500",
         "stats.json": "47cfbf207f6a4ca6c886cc96b7993edd9345a734512b1c23b4ce3528690bb626"}),
+    # the three copies of a frame launch at once, each after its own NIC
+    # precision, so they reach recovery out of path order
+    "frer_offloaded_etf_three_paths": ({
+        "nodes": [{"name": "talker", "role": "talker"},
+                  {"name": "listener", "role": "listener",
+                   "rx_latency": {"kind": "uniform", "min_ns": 100, "max_ns": 900}}],
+        "links": [{"from": "talker", "to": "listener", "rate_bps": GBPS,
+                   "propagation_ns": 300}],
+        "shapers": {"talker": {"scheme": "etf", "etf": {"delta_ns": 0, "offload": True}}},
+        "traffic": {"period_ns": 100_000, "count": 2_000, "frame_size_bytes": 128,
+                    "mode": "txtime",
+                    "hw_precision": {"kind": "uniform", "min_ns": 2, "max_ns": 60}},
+        "frer": {"enabled": True, "paths": 3, "loss_per_path": 0.05},
+        "run": {"seed": 3}}, {
+        "records.csv": "25f76f9685471d59a2a24710407a9c35a45b2291fdb089c76897550a0901b928",
+        "stats.json": "1efd4025752ff9ca016d92855dc5ac83463bf64a9801d735c255d0ae82e90b25"}),
 }
 
 

@@ -266,10 +266,11 @@ class TestRunScenario:
         synced = run_scenario(parse_scenario(doc))
         assert len(plain.records) == len(synced.records) == 200
         assert plain.records != synced.records
-        # per frame: the talker's plan, the hand-over to the port (sleep) or
-        # the ETF launch time (txtime), and the end of the wire; no event
-        # only resyncs a clock, takes a stamp or starts the wire. On the
-        # talker's resynced PHC, a resync between an ETF kick and the launch
-        # it computed moves the launch, and the port checks again: rechecks
-        # more kicks, while when_reading inverts only the segment of its now
-        assert [e.executed for e in engines] == [3 * 200, 3 * 200 + rechecks]
+        # per frame: the talker's plan, and the hand-over to the port (sleep)
+        # or the ETF launch time (txtime); no event only resyncs a clock,
+        # takes a stamp, starts the wire or ends a transmission that nothing
+        # preempts and no frame waits behind. On the talker's resynced PHC,
+        # a resync between an ETF kick and the launch it computed moves the
+        # launch, and the port checks again: rechecks more kicks, while
+        # when_reading inverts only the segment of its now
+        assert [e.executed for e in engines] == [2 * 200, 2 * 200 + rechecks]

@@ -7,7 +7,7 @@ import pytest
 from tsnsim.core import Engine, ScheduleError
 from tsnsim.egress import EgressPort
 from tsnsim.ingress import (DROP_CLOSED_GATE, DROP_OCTET_BUDGET, PASS,
-                            StreamGate, StreamGateEntry, assign_ipv)
+                            StreamGate, StreamGateEntry)
 from tsnsim.network import BridgeNode
 from tsnsim.traffic import Frame
 
@@ -107,14 +107,11 @@ class TestIpv:
 
     def test_ipv_is_metadata_only(self):
         f = frame(priority=2)
-        assign_ipv(f, 6)
+        assert open_close_gate(ipv=6).process(f, 0).outcome == PASS
+        assert f.ipv == 6
         assert f.size_bytes == 1000
         assert f.priority == 2
         assert f.traffic_class == 2
-
-    def test_ipv_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            assign_ipv(frame(), 8)
 
     @pytest.mark.parametrize("ipv", [-1, 8])
     def test_entry_ipv_out_of_range_rejected_at_construction(self, ipv):

@@ -87,7 +87,8 @@ class TaprioPort:
 
     guard_mode "fit": a frame is only eligible if its whole transmission
     fits before its gate closes. A frame that can never fit any open
-    window of its class is dropped after waiting one full cycle.
+    window of its class is dropped after waiting one full cycle, as is,
+    under guard_mode "none", a frame of a class that no entry opens.
     """
 
     def __init__(self, gcl: Optional[GateControlList] = None, capacity: int = 64,
@@ -109,6 +110,9 @@ class TaprioPort:
         #: gcl.max_open_run of each class, scanned once
         self.max_open_runs = (None if gcl is None else
                               [gcl.max_open_run(tc) for tc in range(NUM_CLASSES)])
+        #: classes select may drop as oversize: all (fit), or those no entry opens
+        self._oversize = 0xFF if guard_mode == "fit" else sum(
+            1 << tc for tc, run in enumerate(self.max_open_runs or ()) if run == 0)
         #: wire time by frame size, overhead included
         self._tt = _WireTimes(link_rate_bps, overhead_bytes)
         #: when the gates next change, as the last select found it
@@ -132,7 +136,7 @@ class TaprioPort:
         if not occupied:
             return None
         if gcl is None:
-            mask, fit = 0xFF, False
+            mask, fit, oversize = 0xFF, False, 0
         elif t < gcl.base_time:
             self._next = gcl.base_time
             return None
@@ -141,7 +145,7 @@ class TaprioPort:
             i, phase = gcl._locate(t)
             mask, left, after = gcl._masks[i], gcl._ends[i] - phase, gcl._after[i]
             self._next = t + left
-            fit = self.guard_mode == "fit"
+            fit, oversize = self.guard_mode == "fit", self._oversize
         # visit the non-empty classes only, highest first
         while occupied:
             tc = occupied.bit_length() - 1
@@ -152,7 +156,7 @@ class TaprioPort:
             q = self.queues[tc]
             while q:
                 frame, enq_t = q[0]
-                if fit:
+                if oversize & bit:
                     # a frame that fits no open window of its class is
                     # dropped after waiting one full cycle
                     tt, max_run = self._tt[frame.size_bytes], self.max_open_runs[tc]
@@ -289,10 +293,10 @@ class EgressPort:
     A transmission is one step: its start stamps hw_tx (phc readings are
     pure) and commits it, calling deliver(frame, wire_start, wire_end) in
     true time; the receiver acts at wire_end plus propagation, not at
-    engine.now. Only a preemptable transmission ends with an event, its
-    finish, which delivers it and which a preemption cancels. Any other
-    holds the wire until the (time, seq) its finish would have had, where
-    a kick is scheduled only if a frame waits.
+    engine.now. Each transmission holds the wire until its end, at a seq
+    taken at its start. There a preemptable one has its finish, which
+    delivers it, unless a preemption moves the hold to the switch at the
+    fragment boundary; any other has a kick there only if a frame waits.
     """
 
     def __init__(self, engine: Engine, rate_bps: int, *,
@@ -313,18 +317,13 @@ class EgressPort:
         self.hw_precision = hw_precision
         self.rng = rng
         self.deliver = deliver
-        #: a preemptable frame on the wire (None otherwise), its wire start,
-        #: the start of its current segment, the bytes it sent before that
-        #: segment, and whether an express frame may still interrupt it
-        self._frame: Optional[Frame] = None
-        self._wire_start = self._seg_start = self._done = 0
-        self._preemptable = False
+        #: a transmission an express frame may still preempt, as (frame,
+        #: wire_start, segment start, bytes sent before the segment), else None
+        self._cuttable: Optional[tuple] = None
         #: a preempted frame as (frame, wire_start, bytes_done)
         self._suspended: Optional[tuple] = None
-        #: bumped to cancel the pending finish of a preempted frame
-        self._gen = 0
-        #: the (time, seq) until which any other transmission holds the
-        #: wire, and whether a kick is scheduled there
+        #: the (time, seq) until which the wire is held, and whether an
+        #: event (a finish, a switch or a kick) is scheduled there
         self._free = (0, 0)
         self._kick_when_free = False
         self._kick_scheduled_at: Optional[SimTime] = None
@@ -337,14 +336,14 @@ class EgressPort:
     def submit(self, frame: Frame, t: SimTime) -> Optional[str]:
         """Hand a frame to the port: None if it was sent, queued or will
         preempt, else the drop key the queue counted."""
-        if self._frame is None:
-            if (self._bypass and not self.queue._count and self._suspended is None
-                    and (self.engine.now, self.engine.seq) >= self._free):
-                self._send(frame)
-                return None
-        elif self._preemptable and self.preemption.is_express(frame.egress_class):
-            # an express frame may interrupt a preemptable transmission
-            return self._do_preempt(frame, t)
+        if self._cuttable is not None:
+            if self.preemption.is_express(frame.egress_class):
+                # an express frame may interrupt a preemptable transmission
+                return self._do_preempt(frame, t)
+        elif (self._bypass and not self.queue._count and self._suspended is None
+                and (self.engine.now, self.engine.seq) >= self._free):
+            self._send(frame)
+            return None
         result = self.queue.enqueue(frame, t)
         if result is None:
             self._kick()
@@ -363,12 +362,10 @@ class EgressPort:
         self._kick()
 
     def _kick(self):
-        if self._frame is not None:
-            return  # its finish kicks
         engine = self.engine
         t = engine.now
         if (t, engine.seq) < self._free:
-            # busy: look again when the wire frees, as a finish there would
+            # busy: look again when the wire frees, unless an event there will
             if not self._kick_when_free:
                 self._kick_when_free = True
                 engine.schedule_reserved(*self._free, self._kick)
@@ -405,44 +402,43 @@ class EgressPort:
             if self.phc is not None:
                 frame.trace.hw_tx = self.phc.read(start)
         end = start + self._tt_bytes[frame.size_bytes + self.overhead_bytes - bytes_done]
+        self._free = (end, self.engine.reserve())
         preemption = self.preemption
         if preemption.enabled and not preemption.is_express(frame.egress_class):
-            self._frame, self._wire_start, self._seg_start, self._done = (
-                frame, wire_start, start, bytes_done)
-            self._preemptable = True
-            self.engine.schedule(end, self._finish, frame, wire_start, end, self._gen)
+            self._cuttable = (frame, wire_start, start, bytes_done)
+            self._kick_when_free = True
+            self.engine.schedule_reserved(*self._free, self._finish, frame, wire_start, end)
             return
-        self._frame, self._free = None, (end, self.engine.reserve())
-        self._kick_when_free = False
+        self._cuttable, self._kick_when_free = None, False
         if self._suspended is not None or len(self.queue):
             self._kick()
         if self.deliver is not None:
             self.deliver(frame, wire_start, end)
 
-    def _finish(self, frame: Frame, wire_start: SimTime, end: SimTime, gen: int):
-        if gen != self._gen:
-            return  # preempted
-        self._frame = None
+    def _finish(self, frame: Frame, wire_start: SimTime, end: SimTime):
+        if (self.engine.now, self.engine.seq) != self._free:
+            return  # preempted: the wire is held to a switch instead
+        self._cuttable = None
         if self.deliver is not None:
             self.deliver(frame, wire_start, end)
         if self._suspended is not None or len(self.queue):
             self._kick()
 
     def _do_preempt(self, express: Frame, t: SimTime) -> Optional[str]:
-        frame = self._frame
+        frame, wire_start, seg_start, done = self._cuttable
         point = _preemption_point(
-            self._done + bytes_on_wire(self._seg_start, t, self.rate_bps),
+            done + bytes_on_wire(seg_start, t, self.rate_bps),
             frame.size_bytes + self.overhead_bytes, self.preemption.min_fragment_bytes)
         if point is None:
             # no legal split: express waits its turn in the queue
             return self.queue.enqueue(express, t)
-        # cancel the pMAC finish; the wire stays busy until the boundary,
-        # and until then later express frames queue
-        self._gen += 1
-        self._preemptable = False
-        boundary = self._seg_start + self._tt_bytes[point - self._done]
-        self.engine.schedule(max(boundary, t), self._switch, express,
-                             (frame, self._wire_start, point))
+        # hold the wire to the boundary instead of the pMAC finish, which
+        # thereby cancels itself; until then later express frames queue
+        self._cuttable = None
+        boundary = seg_start + self._tt_bytes[point - done]
+        self._free = (max(boundary, t), self.engine.reserve())
+        self.engine.schedule_reserved(*self._free, self._switch, express,
+                                      (frame, wire_start, point))
         return None
 
     def _switch(self, express: Frame, suspended: tuple):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .core import SimTime
 from .traffic import Frame
 
 SEQ_SPACE = 65536
@@ -22,19 +23,6 @@ class MissingSeqError(Exception):
     pass
 
 
-class SequenceGenerator:
-    """Stamps consecutive mod-65536 sequence numbers onto a stream's frames."""
-
-    def __init__(self, stream_handle: str, start: int = 0):
-        self.stream_handle = stream_handle
-        self.next_seq = start % SEQ_SPACE
-
-    def stamp(self, frame: Frame) -> Frame:
-        frame.seq = self.next_seq
-        self.next_seq = (self.next_seq + 1) % SEQ_SPACE
-        return frame
-
-
 def replicate(frame: Frame, member_paths: list[str]) -> list[Frame]:
     """One identical copy per member path, tagged with the path label."""
     if not member_paths:
@@ -42,6 +30,22 @@ def replicate(frame: Frame, member_paths: list[str]) -> list[Frame]:
     if frame.seq is None:
         raise MissingSeqError(f"frame {frame.id} has no sequence number")
     return [frame.clone(route=path) for path in member_paths]
+
+
+class Replicator:
+    """The talker end of a replicated stream: submit stamps the next mod-65536
+    sequence number and hands one copy to each member path's port, anything
+    with submit(frame, t), as ports maps the paths' labels to them."""
+
+    def __init__(self, ports: dict):
+        self.labels, self.ports = list(ports), list(ports.values())
+        self.next_seq = 0
+
+    def submit(self, frame: Frame, t: SimTime) -> None:
+        frame.seq = self.next_seq
+        self.next_seq = (self.next_seq + 1) % SEQ_SPACE
+        for port, member in zip(self.ports, replicate(frame, self.labels)):
+            port.submit(member, t)
 
 
 class RecoveryState:
@@ -54,10 +58,9 @@ class RecoveryState:
     it, so an advance by d costs O(min(d, window_size)), not O(window_size).
     """
 
-    def __init__(self, stream_handle: str, window_size: int = 64):
+    def __init__(self, window_size: int = 64):
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
-        self.stream_handle = stream_handle
         self.window_size = window_size
         self.highest_seq: Optional[int] = None
         self.seen: set[int] = set()

@@ -20,9 +20,9 @@ from typing import Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
 from .egress import EgressPort, EtfQueue, TaprioPort
-from .frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
+from .frer import ACCEPT, RecoveryState, Replicator
 from .network import BridgeNode
-from .scenario import (EtfCfg, FilterCfg, LinkCfg, ScenarioConfig, TaprioCfg,
+from .scenario import (EtfCfg, FilterCfg, LinkCfg, NodeCfg, ScenarioConfig, TaprioCfg,
                        TrafficCfg, chain_links)
 from .traffic import Frame, PacketRecord, StreamRuleSet
 
@@ -207,8 +207,8 @@ def report(records_path, bin_width_ns: int = 100) -> dict:
 # scenario execution
 
 
-def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, *, phc,
-                system, receive, hw_precision=None, rng=None) -> EgressPort:
+def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, clocks: dict,
+                receive, hw_precision=None, rng=None) -> EgressPort:
     """An egress port onto link whose frames reach receive(frame, t).
 
     hw_precision applies only to offloaded ETF: only there does the NIC
@@ -220,7 +220,7 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, *, phc
     launch_precision = preemption = None
     if isinstance(shaper, EtfCfg):
         queue = EtfQueue(delta_ns=shaper.delta_ns, offload=shaper.offload,
-                         clock=phc if shaper.offload else system)
+                         clock=clocks["phc" if shaper.offload else "system"])
         if shaper.offload:
             launch_precision = hw_precision
     else:
@@ -231,7 +231,7 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, *, phc
                            overhead_bytes=link.overhead_bytes)
         preemption = shaper.preemption
     return EgressPort(engine, link.rate_bps, queue=queue,
-                      overhead_bytes=link.overhead_bytes, phc=phc,
+                      overhead_bytes=link.overhead_bytes, phc=clocks["phc"],
                       preemption=preemption, hw_precision=launch_precision,
                       rng=rng, deliver=deliver)
 
@@ -298,120 +298,117 @@ class Talker:
         self.submit(frame, self.engine.now)
 
 
+class Listener:
+    """The listener as a stream sink.
+
+    receive(frame, t) takes a frame whose last bit arrives at t, stamps
+    hw_rx and sw_rx, and keeps its record. With a RecoveryState, each FRER
+    member path ends in receive_copy(frame, t) instead, which loses the copy
+    with probability loss, drawn from the loss:<label> stream of frame.route.
+    Other copies reach recovery in order of arrival, ties in commit order,
+    once the engine reaches their arrival (a copy commits before it arrives,
+    so none still to commit can arrive earlier); close() takes those left.
+    """
+
+    def __init__(self, engine: Engine, node: NodeCfg, clocks: dict, seed: int,
+                 recovery: Optional[RecoveryState] = None, loss: float = 0.0, labels=()):
+        self.engine, self.rx_latency = engine, node.rx_latency
+        self.system, self.phc = clocks["system"], clocks["phc"]
+        self.rx_rng = rng_fork(seed, "rx")
+        self.records: list[PacketRecord] = []
+        self.drops: Counter = Counter()
+        self.recovery, self.loss = recovery, loss
+        self.loss_rngs = {label: rng_fork(seed, f"loss:{label}") for label in labels}
+        self._arrivals: list = []  # copies held as (arrival, commit order, frame)
+        self._commits = itertools.count()
+
+    def receive(self, frame: Frame, t: SimTime):
+        trace = frame.trace
+        trace.hw_rx = self.phc.read(t)
+        trace.sw_rx = self.system.read(t + self.rx_latency.sample(self.rx_rng))
+        self.records.append(trace)
+
+    def receive_copy(self, frame: Frame, t: SimTime):
+        if self.loss and self.loss_rngs[frame.route].random() < self.loss:
+            self.drops["path_loss"] += 1
+            return
+        heappush(self._arrivals, (t, next(self._commits), frame))
+        self._recover_until(self.engine.now)
+
+    def close(self):
+        self._recover_until(math.inf)
+
+    def _recover_until(self, until: SimTime):
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] <= until:
+            t, _, frame = heappop(arrivals)
+            outcome = self.recovery.recover(frame)
+            if outcome == ACCEPT:
+                self.receive(frame, t)
+            else:
+                self.drops[f"frer_{outcome}"] += 1
+
+
+def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, receive,
+               suffix: str = "") -> tuple[EgressPort, list[BridgeNode]]:
+    """Build the talker-to-listener chain back to front, its last hop
+    delivering to receive(frame, t); return the talker's port and the
+    bridges. suffix keeps the RNG streams of FRER member paths apart."""
+    nodes = {n.name: n for n in cfg.nodes}
+    chain = chain_links(cfg.links, cfg.talker.name, cfg.listener.name)
+    bridges = []
+    for link in reversed(chain[1:]):
+        name = link.src
+        port = _build_port(engine, link, cfg.shapers.get(name), clocks[name], receive)
+        fcfg = cfg.filters.get(name) or FilterCfg()
+        rules = fcfg.rules and StreamRuleSet(fcfg.rules.rules)  # a fresh identify memo
+        bridge = BridgeNode(engine, name, port, stream_rules=rules,
+                            gates={h: copy.copy(g) for h, g in fcfg.gates.items()},
+                            forwarding_latency=nodes[name].forwarding,
+                            rng=rng_fork(seed, f"fwd:{name}{suffix}"))
+        bridges.append(bridge)
+        receive = bridge.receive
+    talker = cfg.talker.name
+    port = _build_port(engine, chain[0], cfg.shapers.get(talker), clocks[talker], receive,
+                       cfg.traffic.hw_precision, rng_fork(seed, f"hwprec{suffix}"))
+    return port, bridges
+
+
 def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     """Execute one scenario deterministically and collect packet records."""
     seed = cfg.run.seed if seed is None else seed
     traffic = cfg.traffic
     count = cfg.run.count or traffic.count
     period = traffic.period_ns
-
     engine = Engine()
-    drops: Counter = Counter()
-
     # each run resyncs its own copies of the scenario's clocks
     horizon = (count + 101) * period
     clocks = {n.name: {which: cfg.clocks.get(n.name, {}).get(which, ClockModel()).resynced(
         rng_fork(seed, f"sync:{n.name}:{which}"), horizon) for which in ("system", "phc")}
         for n in cfg.nodes}
-
-    talker, listener = cfg.talker, cfg.listener
-    tal_sys = clocks[talker.name]["system"]
-    lis_sys, lis_phc = clocks[listener.name]["system"], clocks[listener.name]["phc"]
-
-    rx_rng = rng_fork(seed, "rx")
-    records: list[PacketRecord] = []
-    arrivals: list = []  # FRER copies as (arrival, commit order, frame)
-    recovery = RecoveryState("s0", cfg.frer.window_size) if cfg.frer.enabled else None
-
-    def listener_receive(frame: Frame, t: SimTime):
-        if recovery is not None:
-            outcome = recovery.recover(frame)
-            if outcome != ACCEPT:
-                drops[f"frer_{outcome}"] += 1
-                return
-        trace = frame.trace
-        trace.hw_rx = lis_phc.read(t)
-        trace.sw_rx = lis_sys.read(t + listener.rx_latency.sample(rx_rng))
-        records.append(trace)
-
-    # --- wire up the forwarding chain, once or once per FRER member path
-
-    nodes = {n.name: n for n in cfg.nodes}
-    chain = chain_links(cfg.links, talker.name, listener.name)
-    ports: list[EgressPort] = []
-    bridges: list[BridgeNode] = []
-
-    def build_path(suffix: str, receive) -> EgressPort:
-        """Build the bridges back to front and return the talker's port.
-
-        receive is the last hop's; suffix keeps the RNG streams of FRER
-        member paths apart.
-        """
-        for link in reversed(chain[1:]):
-            name = link.src
-            port = _build_port(engine, link, cfg.shapers.get(name),
-                               phc=clocks[name]["phc"],
-                               system=clocks[name]["system"], receive=receive)
-            fcfg = cfg.filters.get(name) or FilterCfg()
-            rules = fcfg.rules and StreamRuleSet(fcfg.rules.rules)  # a fresh identify memo
-            bridge = BridgeNode(engine, name, port, stream_rules=rules,
-                                gates={h: copy.copy(g) for h, g in fcfg.gates.items()},
-                                forwarding_latency=nodes[name].forwarding,
-                                rng=rng_fork(seed, f"fwd:{name}{suffix}"))
-            ports.append(port)
-            bridges.append(bridge)
-            receive = bridge.receive
-        port = _build_port(engine, chain[0], cfg.shapers.get(talker.name),
-                           phc=clocks[talker.name]["phc"], system=tal_sys,
-                           hw_precision=traffic.hw_precision,
-                           rng=rng_fork(seed, f"hwprec{suffix}"), receive=receive)
-        ports.append(port)
-        return port
-
-    if cfg.frer.enabled:
-        loss = cfg.frer.loss_per_path
-        path_labels = [f"path{i}" for i in range(cfg.frer.paths)]
-        commits = itertools.count()
-
-        def make_lossy(loss_rng):
-            def receive(frame, t):
-                if loss and loss_rng.random() < loss:
-                    drops["path_loss"] += 1
-                    return
-                # copies reach the listener by (arrival, commit order) once the
-                # engine reaches them: none still to commit arrives by now
-                heappush(arrivals, (t, next(commits), frame))
-                while arrivals and arrivals[0][0] <= engine.now:
-                    t, _, frame = heappop(arrivals)
-                    listener_receive(frame, t)
-            return receive
-
-        talker_ports = [build_path(f":{label}",
-                                   make_lossy(rng_fork(seed, f"loss:{label}")))
-                        for label in path_labels]
-        seqgen = SequenceGenerator("s0")
-
-        def submit_to_wire(frame, t):
-            seqgen.stamp(frame)
-            for port, member in zip(talker_ports, replicate(frame, path_labels)):
-                port.submit(member, t)
+    talker, listener, frer = cfg.talker, cfg.listener, cfg.frer
+    if frer.enabled:
+        labels = [f"path{i}" for i in range(frer.paths)]
+        sink = Listener(engine, listener, clocks[listener.name], seed,
+                        RecoveryState(frer.window_size), frer.loss_per_path, labels)
+        paths = {label: build_path(engine, cfg, clocks, seed, sink.receive_copy, f":{label}")
+                 for label in labels}
+        source = Replicator({label: port for label, (port, _) in paths.items()})
     else:
-        submit_to_wire = build_path("", listener_receive).submit
-
-    Talker(engine, traffic, count, tal_sys, seed, submit_to_wire).plan(0)
+        sink = Listener(engine, listener, clocks[listener.name], seed)
+        paths = {"": build_path(engine, cfg, clocks, seed, sink.receive)}
+        source = paths[""][0]
+    Talker(engine, traffic, count, clocks[talker.name]["system"], seed, source.submit).plan(0)
     engine.run_all()
-    for t, _, frame in sorted(arrivals):
-        listener_receive(frame, t)
-
-    # --- collect drop counters
-
-    for port in ports:
+    sink.close()
+    drops = sink.drops
+    for port, bridges in paths.values():
         drops.update(port.queue.drops)
-    for bridge in bridges:
-        drops.update(bridge.drops)
-
-    records.sort(key=attrgetter("seq"))
+        for bridge in bridges:
+            drops.update(bridge.egress.queue.drops)
+            drops.update(bridge.drops)
+    sink.records.sort(key=attrgetter("seq"))
     metadata = {"seed": seed, "rng": RNG_ALGORITHM, "period_ns": period,
                 "count": count, "mode": traffic.mode,
                 "histogram_bin_ns": cfg.run.histogram_bin_ns}
-    return RunResult(records=records, drops=dict(drops), metadata=metadata)
+    return RunResult(records=sink.records, drops=dict(drops), metadata=metadata)

@@ -15,7 +15,7 @@ from tsnsim.cli import main as cli_main
 from tsnsim.core import ClockModel, Engine, JitterDist, rng_fork
 from tsnsim.egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
                            TaprioPort)
-from tsnsim.frer import ACCEPT, RecoveryState, SequenceGenerator, replicate
+from tsnsim.frer import ACCEPT, RecoveryState, replicate
 from tsnsim.harness import (compute_offsets, load_records, report,
                             run_scenario, stats, stats_payload)
 from tsnsim.ingress import PASS, StreamGate, StreamGateEntry
@@ -231,22 +231,21 @@ def test_criterion_05_cqf_bound():
 
 def test_criterion_06_frer_exactly_once():
     rng = random.Random(606)
-    gen = SequenceGenerator("s0")
     arrivals = []
     survivors = set()
     for i in range(10_000):
-        f = gen.stamp(Frame(id=i, size_bytes=64, priority=0))
+        f = Frame(id=i, size_bytes=64, priority=0, seq=i)
         for copy in replicate(f, ["a", "b"]):
             if rng.random() < 0.3:
                 continue
             survivors.add(copy.seq)
             arrivals.append((i * 10 + rng.randrange(0, 320), copy))
     arrivals.sort(key=lambda p: p[0])
-    state = RecoveryState("s0", window_size=64)
+    state = RecoveryState(window_size=64)
     accepted = [c.seq for _, c in arrivals if state.recover(c) == ACCEPT]
     exactly_once = (sorted(accepted) == sorted(survivors)
                     and len(accepted) == len(set(accepted)))
-    wrap = RecoveryState("s0")
+    wrap = RecoveryState()
     wrap_ok = (wrap.recover(Frame(id=0, size_bytes=64, priority=0,
                                   seq=65_535)) == ACCEPT
                and wrap.recover(Frame(id=1, size_bytes=64, priority=0,

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from tsnsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from tsnsim.harness import report
+from tsnsim.harness import report, run_scenario
+from tsnsim.scenario import load_scenario
 
 GOOD = {
     "nodes": [{"name": "talker", "role": "talker"},
@@ -142,6 +143,20 @@ class TestRun:
         count = json.loads(p.read_text())["traffic"]["count"]
         assert payload["drops"] == {"drop_closed_gate": dropped}
         assert payload["records"] == count - dropped
+
+    def test_class_no_entry_opens_is_dropped_under_guard_none(self, tmp_path):
+        # sw0's only entry opens class 1: the priority-0 frame can never
+        # leave, so it is dropped after waiting one cycle and the run ends
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(dict(
+            BRIDGED, traffic=dict(BRIDGED["traffic"], count=1),
+            shapers={"sw0": {"guard_mode": "none", "gcl": {
+                "cycle_time_ns": 100_000,
+                "entries": [{"gate_mask": 2, "duration_ns": 100_000}]}}})))
+        assert main(["validate", str(p)]) == EXIT_OK
+        result = run_scenario(load_scenario(p))
+        assert result.drops == {"taprio_oversize": 1}
+        assert result.records == []
 
 
     @pytest.mark.parametrize("section", [

@@ -249,6 +249,18 @@ class TestTaprioQueueing:
         port.enqueue(f, 0)
         assert port.select(100 * US) is f
 
+    def test_guard_none_drops_a_class_no_entry_opens_after_a_cycle(self):
+        gcl = GateControlList(0, 400 * US, [GclEntry(0x02, 400 * US)])
+        port = TaprioPort(gcl=gcl, guard_mode="none")
+        never = Frame(id=1, size_bytes=64, priority=0)
+        opens = Frame(id=2, size_bytes=64, priority=1)
+        port.enqueue(never, 0)
+        assert port.select(399 * US) is None and len(port) == 1
+        port.enqueue(opens, 399 * US)
+        assert port.select(400 * US) is opens
+        assert port.select(400 * US) is None
+        assert len(port) == 0 and port.drops == {"taprio_oversize": 1}
+
     def test_closed_gate_blocks(self):
         gcl = GateControlList(0, 400 * US, [GclEntry(0x01, 200 * US),
                                             GclEntry(0x02, 200 * US)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tsnsim.frer import (ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, SEQ_HALF,
                          SEQ_SPACE, MissingSeqError, NoPathsError, RecoveryState,
-                         SequenceGenerator, replicate)
+                         Replicator, replicate)
 from tsnsim.traffic import Frame
 
 
@@ -16,15 +16,44 @@ def frame(seq=None, fid=1):
     return Frame(id=fid, size_bytes=64, priority=0, seq=seq)
 
 
-class TestSequenceGenerator:
+class FakePort:
+    """Records what a Replicator submits to it."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, frame, t):
+        self.submitted.append((frame, t))
+
+
+def replicator(labels=("a",)):
+    ports = {label: FakePort() for label in labels}
+    return Replicator(ports), ports
+
+
+class TestReplicator:
     def test_consecutive_numbers(self):
-        gen = SequenceGenerator("s0")
-        assert [gen.stamp(frame(fid=i)).seq for i in range(3)] == [0, 1, 2]
+        rep, ports = replicator()
+        for i in range(3):
+            rep.submit(frame(fid=i), i)
+        assert [f.seq for f, _ in ports["a"].submitted] == [0, 1, 2]
 
     def test_wraps_at_65536(self):
-        gen = SequenceGenerator("s0", start=65_535)
-        assert gen.stamp(frame()).seq == 65_535
-        assert gen.stamp(frame()).seq == 0
+        rep, ports = replicator()
+        rep.next_seq = 65_535
+        rep.submit(frame(), 0)
+        rep.submit(frame(), 0)
+        assert [f.seq for f, _ in ports["a"].submitted] == [65_535, 0]
+
+    def test_one_copy_per_member_path_port(self):
+        rep, ports = replicator(("a", "b", "c"))
+        original = frame(fid=7)
+        rep.submit(original, 1234)
+        assert original.seq == 0
+        for label, port in ports.items():
+            [(copy, t)] = port.submitted
+            assert (copy.id, copy.seq, copy.route, t) == (7, 0, label, 1234)
+            assert copy is not original and copy.trace is not original.trace
 
 
 class TestReplicate:
@@ -49,25 +78,25 @@ class TestReplicate:
 
 class TestRecovery:
     def test_duplicate_discarded(self):
-        st = RecoveryState("s0")
+        st = RecoveryState()
         assert st.recover(frame(seq=0)) == ACCEPT
         assert st.recover(frame(seq=0)) == DISCARD_DUPLICATE
 
     def test_out_of_order_within_window_accepted(self):
-        st = RecoveryState("s0")
+        st = RecoveryState()
         assert st.recover(frame(seq=0)) == ACCEPT
         assert st.recover(frame(seq=2)) == ACCEPT
         assert st.recover(frame(seq=1)) == ACCEPT
         assert st.recover(frame(seq=1)) == DISCARD_DUPLICATE
 
     def test_stale_beyond_window_discarded(self):
-        st = RecoveryState("s0", window_size=64)
+        st = RecoveryState(window_size=64)
         st.recover(frame(seq=100))
         assert st.recover(frame(seq=37)) == ACCEPT      # distance 63
         assert st.recover(frame(seq=36)) == DISCARD_STALE
 
     def test_serial_arithmetic_across_wraparound(self):
-        st = RecoveryState("s0")
+        st = RecoveryState()
         assert st.recover(frame(seq=65_535)) == ACCEPT
         assert st.recover(frame(seq=0)) == ACCEPT        # newer, wrapped
         assert st.recover(frame(seq=65_535)) == DISCARD_DUPLICATE
@@ -75,7 +104,7 @@ class TestRecovery:
         assert st.highest_seq == 0
 
     def test_window_slides_forgetting_old_state(self):
-        st = RecoveryState("s0", window_size=4)
+        st = RecoveryState(window_size=4)
         for s in (0, 1, 2, 3):
             st.recover(frame(seq=s))
         st.recover(frame(seq=10))
@@ -84,14 +113,14 @@ class TestRecovery:
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
-            RecoveryState("s0", window_size=0)
+            RecoveryState(window_size=0)
 
     def test_missing_seq_rejected(self):
         with pytest.raises(MissingSeqError):
-            RecoveryState("s0").recover(frame())
+            RecoveryState().recover(frame())
 
     def test_counters_tally(self):
-        st = RecoveryState("s0")
+        st = RecoveryState()
         assert [st.recover(frame(seq=s)) for s in (0, 0, 1)] == [
             ACCEPT, DISCARD_DUPLICATE, ACCEPT]
 
@@ -102,19 +131,20 @@ class TestExactlyOnce:
         frame that survives on at least one path is accepted exactly once."""
         rng = random.Random(2718)
         n = 10_000
-        gen = SequenceGenerator("s0")
+        rep, ports = replicator(("a", "b"))
         arrivals = []
         survivors = set()
         for i in range(n):
-            f = gen.stamp(frame(fid=i))
-            for copy in replicate(f, ["a", "b"]):
+            rep.submit(frame(fid=i), i * 10)
+            for port in ports.values():
+                copy, _ = port.submitted.pop()
                 if rng.random() < 0.3:
                     continue
                 survivors.add(copy.seq)
                 # mild reordering: jitter each arrival by < half the window
                 arrivals.append((i * 10 + rng.randrange(0, 320), copy))
         arrivals.sort(key=lambda p: p[0])
-        st = RecoveryState("s0", window_size=64)
+        st = RecoveryState(window_size=64)
         accepted = []
         for _, copy in arrivals:
             if st.recover(copy) == ACCEPT:
@@ -123,9 +153,12 @@ class TestExactlyOnce:
         assert len(accepted) == len(set(accepted))
 
     def test_uninterrupted_stream_all_accepted(self):
-        st = RecoveryState("s0")
-        gen = SequenceGenerator("s0", start=65_000)
-        outcomes = [st.recover(gen.stamp(frame(fid=i))) for i in range(3000)]
+        st = RecoveryState()
+        rep, ports = replicator()
+        rep.next_seq = 65_000
+        for i in range(3000):
+            rep.submit(frame(fid=i), 0)
+        outcomes = [st.recover(f) for f, _ in ports["a"].submitted]
         assert outcomes == [ACCEPT] * 3000
 
 
@@ -172,7 +205,7 @@ class TestIncrementalWindow:
                      st.integers(0, SEQ_SPACE - 1)),
            steps)
     def test_matches_rebuilding_reference(self, window, start, steps):
-        state = RecoveryState("s0", window_size=window)
+        state = RecoveryState(window_size=window)
         ref = RebuildingRecovery(window)
         seq = start
         for step in [0] + steps:

@@ -7,18 +7,21 @@ import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import pytest
 
 import tsnsim
 from tsnsim import harness
-from tsnsim.harness import (CSV_COLUMNS, MalformedRowError, MissingTimestampError,
-                            OffsetStats, PacketRecord, compute_offsets,
-                            export_records, infer_period, load_records, report,
-                            run_scenario, stats, stats_payload)
-from tsnsim.scenario import load_scenario, parse_scenario
+from tsnsim.core import ClockModel, Engine, JitterDist, rng_fork
+from tsnsim.frer import RecoveryState
+from tsnsim.harness import (CSV_COLUMNS, Listener, MalformedRowError,
+                            MissingTimestampError, OffsetStats, PacketRecord, Talker,
+                            build_path, compute_offsets, export_records, infer_period,
+                            load_records, report, run_scenario, stats, stats_payload)
+from tsnsim.scenario import NodeCfg, load_scenario, parse_scenario
+from tsnsim.traffic import Frame
 
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 
@@ -274,3 +277,113 @@ class TestRunScenario:
         # launch, and the port checks again: rechecks more kicks, while
         # when_reading inverts only the segment of its now
         assert [e.executed for e in engines] == [2 * 200, 2 * 200 + rechecks]
+
+
+class LoggingRecovery(RecoveryState):
+    """A RecoveryState that logs the frame ids it is asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def recover(self, frame):
+        self.log.append(frame.id)
+        return super().recover(frame)
+
+
+def identity_clocks():
+    return {"system": ClockModel(), "phc": ClockModel()}
+
+
+def copy_of(fid, route="a"):
+    return Frame(id=fid, size_bytes=64, priority=0, seq=fid, route=route,
+                 trace=PacketRecord(fid, 0))
+
+
+class TestListener:
+    RX = JitterDist.uniform(0, 999)
+
+    def frer_sink(self, engine, loss=0.0, labels=("a", "b")):
+        node = NodeCfg("listener", "listener", rx_latency=self.RX)
+        return Listener(engine, node, identity_clocks(), 5, LoggingRecovery(), loss, labels)
+
+    def test_copies_reach_recovery_and_rx_in_arrival_then_commit_order(self):
+        engine = Engine()
+        sink = self.frer_sink(engine)
+        # at t=0 the copies commit as 1, 2, 3, but arrive as 2 and 3 (a
+        # tie, kept in commit order) before 1; at t=300, 4 commits
+        for fid, arrival in ((1, 500), (2, 300), (3, 300)):
+            engine.schedule(0, sink.receive_copy, copy_of(fid), arrival)
+        engine.schedule(300, sink.receive_copy, copy_of(4, "b"), 1000)
+        engine.run_until(299)
+        assert sink.recovery.log == [] and sink.records == []
+        engine.run_all()
+        assert sink.recovery.log == [2, 3]
+        sink.close()
+        assert sink.recovery.log == [2, 3, 1, 4]
+        rx = rng_fork(5, "rx")
+        assert [(r.seq, r.hw_rx, r.sw_rx) for r in sink.records] == [
+            (fid, t, t + self.RX.sample(rx))
+            for fid, t in ((2, 300), (3, 300), (1, 500), (4, 1000))]
+
+    def test_close_takes_the_copies_still_held(self):
+        engine = Engine()
+        sink = self.frer_sink(engine)
+        copies = [copy_of(1), copy_of(1, "b"), copy_of(2)]
+        for c, arrival in zip(copies, (900, 800, 700)):
+            engine.schedule(100, sink.receive_copy, c, arrival)
+        engine.run_all()
+        assert sink.recovery.log == [] and sink.drops == {}
+        sink.close()
+        assert sink.recovery.log == [2, 1, 1]
+        assert [r.seq for r in sink.records] == [2, 1]
+        assert sink.records[1] is copies[1].trace
+        assert sink.drops == {"frer_discard_duplicate": 1}
+        sink.close()
+        assert len(sink.records) == 2
+
+    def test_loss_draws_come_from_the_stream_of_the_copy_route(self):
+        engine = Engine()
+        sink = self.frer_sink(engine, loss=0.5)
+        for fid in range(40):
+            sink.receive_copy(copy_of(fid, "b"), 10)
+        sink.close()
+        b = rng_fork(5, "loss:b")
+        kept = [fid for fid in range(40) if not b.random() < 0.5]
+        assert 0 < len(kept) < 40
+        assert [r.seq for r in sink.records] == kept
+        assert sink.drops == {"path_loss": 40 - len(kept)}
+        # path a's stream is untouched
+        assert sink.loss_rngs["a"].random() == rng_fork(5, "loss:a").random()
+
+    def test_two_talkers_on_their_own_paths_feed_one_listener(self):
+        listener = {"name": "listener", "role": "listener",
+                    "rx_latency": {"kind": "constant", "value_ns": 700}}
+        bridged = parse_scenario({
+            "nodes": [{"name": "talker", "role": "talker"}, listener,
+                      {"name": "sw0", "role": "bridge", "forwarding": {"preset": "xdp"}}],
+            "links": [{"from": a, "to": b, "rate_bps": 10 ** 9, "propagation_ns": 50}
+                      for a, b in (("talker", "sw0"), ("sw0", "listener"))],
+            "traffic": {"period_ns": 500_000, "count": 40,
+                        "wake_jitter": {"kind": "uniform", "min_ns": 0, "max_ns": 900}},
+            "run": {"seed": 1}})
+        direct = parse_scenario({
+            "nodes": [{"name": "talker", "role": "talker"}, listener],
+            "links": [{"from": "talker", "to": "listener", "rate_bps": 10 ** 8}],
+            "traffic": {"period_ns": 300_000, "count": 60, "priority": 5,
+                        "frame_size_bytes": 1000,
+                        "wake_jitter": {"kind": "uniform", "min_ns": 0, "max_ns": 400}},
+            "run": {"seed": 2}})
+        engine = Engine()
+        clocks = {name: identity_clocks() for name in ("talker", "sw0", "listener")}
+        sink = Listener(engine, bridged.listener, clocks["listener"], 9)
+        for cfg, seed in ((bridged, 1), (direct, 2)):
+            port, _ = build_path(engine, cfg, clocks, seed, sink.receive)
+            Talker(engine, cfg.traffic, cfg.traffic.count, clocks["talker"]["system"], seed,
+                   port.submit).plan(0)
+        engine.run_all()
+        sink.close()
+        # each stream gets what it gets alone
+        alone = run_scenario(bridged, seed=1).records + run_scenario(direct, seed=2).records
+        assert sorted(map(astuple, sink.records)) == sorted(map(astuple, alone))
+        assert len(sink.records) == 100 and sink.drops == {}

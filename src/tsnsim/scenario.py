@@ -77,8 +77,10 @@ class _Checker:
             return default
         if lo is not None and v < lo:
             self.fail(f"{path}.{key}", f"must be >= {lo}, got {v}")
+            return default
         if hi is not None and v > hi:
             self.fail(f"{path}.{key}", f"must be <= {hi}, got {v}")
+            return default
         return v
 
     def bool_in(self, obj, key, path, default):
@@ -97,7 +99,7 @@ class _Checker:
             self.fail(p, "expected a distribution object")
             return default
         kind = cfg.get("kind")
-        if kind not in _DIST_KEYS:
+        if not isinstance(kind, str) or kind not in _DIST_KEYS:
             self.fail(f"{p}.kind", f"unknown distribution kind {kind!r}")
             return default
         self.dict(cfg, p, _DIST_KEYS[kind])
@@ -302,7 +304,8 @@ def _parse_taprio(c: _Checker, spec, p) -> TaprioCfg:
                                             "min_fragment_bytes"}):
         ec = pre.get("express_classes", [])
         if (not isinstance(ec, list)
-                or any(not isinstance(x, int) or not 0 <= x <= 7 for x in ec)):
+                or any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x <= 7
+                       for x in ec)):
             c.fail(f"{pp}.express_classes", "expected a list of classes 0-7")
             ec = []
         preemption = PreemptionConfig(
@@ -359,7 +362,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         if fwd is not None:
             if isinstance(fwd, dict) and set(fwd) == {"preset"}:
                 preset = fwd["preset"]
-                if preset not in FORWARDING_PRESETS:
+                if not isinstance(preset, str) or preset not in FORWARDING_PRESETS:
                     c.fail(f"{p}.forwarding.preset", f"unknown preset {preset!r}")
                 else:
                     node.forwarding = FORWARDING_PRESETS[preset]
@@ -388,7 +391,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             continue
         src, dst = l.get("from"), l.get("to")
         for end, key in ((src, "from"), (dst, "to")):
-            if end not in names:
+            if not isinstance(end, str) or end not in names:
                 c.fail(f"{p}.{key}", f"unknown node {end!r}")
         rate = c.int_in(l, "rate_bps", p, lo=1, required=True)
         links.append(LinkCfg(src=src, dst=dst, rate_bps=rate or 1,
@@ -423,7 +426,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                                     *_SCHEME_KEYS["etf"]}):
                 continue
             scheme = spec.get("scheme", "taprio")
-            if scheme not in _SCHEME_KEYS:
+            if not isinstance(scheme, str) or scheme not in _SCHEME_KEYS:
                 c.fail(f"{p}.scheme", f"must be taprio|etf, got {scheme!r}")
                 continue
             other = "etf" if scheme == "taprio" else "taprio"

@@ -108,6 +108,16 @@ class TestRun:
         assert f"{path}: bad distribution" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unhashable_value_is_config_error_before_run(self, tmp_path, capsys):
+        doc = dict(GOOD, traffic=dict(GOOD["traffic"], wake_jitter={"kind": []}))
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert ("traffic.wake_jitter.kind: unknown distribution kind []"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_run_delivering_nothing_reports_drops(self, tmp_path):
         doc = dict(GOOD, traffic={"period_ns": 500_000, "count": 5},
                    frer={"enabled": True, "paths": 2, "loss_per_path": 0.9999})

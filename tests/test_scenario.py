@@ -305,6 +305,49 @@ class TestRejections:
         assert [p.partition(":")[0] for p in problems] == [path]
         assert "bad distribution" in problems[0]
 
+    # a value that cannot be hashed used to crash the lookup of a name or kind
+    @pytest.mark.parametrize("doc,problem", [
+        (variant(traffic={**MINIMAL["traffic"], "wake_jitter": {"kind": []}}),
+         "traffic.wake_jitter.kind: unknown distribution kind []"),
+        (variant(nodes=[MINIMAL["nodes"][0], {**MINIMAL["nodes"][1],
+                                              "rx_latency": {"kind": {}}}]),
+         "nodes[1].rx_latency.kind: unknown distribution kind {}"),
+        (variant(clocks={"talker": {"system": {"sync_residual": {"kind": []}}}}),
+         "clocks.talker.system.sync_residual.kind: unknown distribution kind []"),
+        (variant(nodes=[{**MINIMAL["nodes"][0], "forwarding": {"kind": []}},
+                        MINIMAL["nodes"][1]]),
+         "nodes[0].forwarding.kind: unknown distribution kind []"),
+        (variant(nodes=[{**MINIMAL["nodes"][0], "forwarding": {"preset": []}},
+                        MINIMAL["nodes"][1]]),
+         "nodes[0].forwarding.preset: unknown preset []"),
+        (variant(links=[{"from": [], "to": "listener", "rate_bps": 10 ** 9}]),
+         "links[0].from: unknown node []"),
+        (variant(links=[{"from": "talker", "to": {}, "rate_bps": 10 ** 9}]),
+         "links[0].to: unknown node {}"),
+        (variant(shapers={"talker": {"scheme": []}}),
+         "shapers.talker.scheme: must be taprio|etf, got []"),
+    ], ids=["traffic_dist_kind", "rx_latency_kind", "sync_residual_kind",
+            "forwarding_kind", "forwarding_preset", "link_from", "link_to",
+            "shaper_scheme"])
+    def test_unhashable_value_rejected(self, doc, problem):
+        assert problems_of(doc) == [problem]
+
+    @pytest.mark.parametrize("ipv,problem", [
+        (8, "must be <= 7, got 8"), (-1, "must be >= 0, got -1"),
+        (2 ** 70, f"must be <= 7, got {2 ** 70}")])
+    def test_stream_gate_ipv_out_of_range_rejected(self, ipv, problem):
+        gate = {"cycle_time_ns": 1000,
+                "entries": [{"open": True, "duration_ns": 1000, "ipv": ipv}]}
+        doc = bridged(filters={"sw0": {"rules": [{"handle": "s0"}],
+                                       "gates": {"s0": gate}}})
+        assert problems_of(doc) == [f"filters.sw0.gates.s0.entries[0].ipv: {problem}"]
+
+    def test_boolean_express_class_rejected(self):
+        doc = variant(shapers={"talker": {"preemption": {"enabled": True,
+                                                         "express_classes": [True]}}})
+        assert problems_of(doc) == [
+            "shapers.talker.preemption.express_classes: expected a list of classes 0-7"]
+
 
 class TestBuiltObjects:
     def test_schedules_and_configs_built_once(self):

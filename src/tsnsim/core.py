@@ -266,7 +266,8 @@ class Engine:
     Each heap entry is (fire_time, seq, action, args): the event runs
     action(*args), so callers pass a bound method and its arguments
     instead of building a closure or partial per event. Events with equal
-    fire times run in insertion order, by seq. (now, seq) places the
+    fire times run in seq order, the order in which schedule or reserve
+    took their seq, not that of their causes. (now, seq) places the
     running event in that order; after a run, seq is the last number
     taken, so code run between runs follows every event scheduled so far.
     """

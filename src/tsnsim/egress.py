@@ -293,7 +293,8 @@ class EgressPort:
     A transmission is one step: its start stamps hw_tx (phc readings are
     pure) and commits it, calling deliver(frame, wire_start, wire_end) in
     true time; the receiver acts at wire_end plus propagation, not at
-    engine.now. Each transmission holds the wire until its end, at a seq
+    engine.now, but its events take their seq at the commit, which orders
+    them in a tie. Each transmission holds the wire until its end, at a seq
     taken at its start. There a preemptable one has its finish, which
     delivers it, unless a preemption moves the hold to the switch at the
     fragment boundary; any other has a kick there only if a frame waits.

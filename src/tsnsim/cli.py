@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .harness import (MalformedRowError, export_records, report, run_scenario,
                       stats_payload)
-from .scenario import ConfigError, load_scenario, parse_scenario
+from .scenario import ConfigError, load_document, load_scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,12 +41,10 @@ def _write_stats(payload: dict, out_dir: Path) -> None:
 
 
 def _write_outputs(result, out_dir: Path, bin_width: int):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    export_records(result.records, out_dir / "records.csv")
-    payload = stats_payload(result.records, result.metadata["period_ns"],
-                            bin_width, drops=result.drops,
+    payload = stats_payload(result.records, bin_width, drops=result.drops,
                             metadata=result.metadata)
     _write_stats(payload, out_dir)
+    export_records(result.records, out_dir / "records.csv")
     return payload
 
 
@@ -103,11 +101,9 @@ def _set_dotted(doc: dict, dotted: str, value):
 
 def cmd_sweep(args) -> int:
     try:
-        path = resolve_scenario(args.scenario)
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = load_document(resolve_scenario(args.scenario))
         parse_scenario(doc)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     values = []

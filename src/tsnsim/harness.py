@@ -23,7 +23,7 @@ from .egress import EgressPort, EtfQueue, TaprioPort
 from .frer import ACCEPT, RecoveryState, Replicator
 from .network import BridgeNode
 from .scenario import (EtfCfg, FilterCfg, LinkCfg, NodeCfg, ScenarioConfig, TaprioCfg,
-                       TrafficCfg, chain_links)
+                       TrafficCfg, chain_links, run_horizon)
 from .traffic import Frame, PacketRecord, StreamRuleSet
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
@@ -65,19 +65,17 @@ class RunResult:
 # offset analysis
 
 
-def compute_offsets(records: list[PacketRecord], period: int, kind: str) -> list[int]:
-    """Signed deviations of one timestamp kind from the intended cadence."""
+def compute_offsets(records: list[PacketRecord], kind: str) -> list[int]:
+    """Signed deviations of one timestamp kind from each record's intended_tx."""
     if not records:
         raise EmptyError("no records")
     if kind not in TIMESTAMP_KINDS:
         raise ValueError(f"unknown timestamp kind {kind!r}")
-    first = records[0]
-    base = first.intended_tx - first.seq * period
     readings = list(map(attrgetter(kind), records))
     if None in readings:
         missing = records[readings.index(None)]
         raise MissingTimestampError(f"record seq={missing.seq} has no {kind}")
-    return [reading - (base + r.seq * period) for reading, r in zip(readings, records)]
+    return [reading - r.intended_tx for reading, r in zip(readings, records)]
 
 
 def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
@@ -131,24 +129,23 @@ def infer_period(records: list[PacketRecord]) -> Optional[int]:
     return period
 
 
-def stats_payload(records: list[PacketRecord], period: Optional[int], bin_width_ns: int,
+def stats_payload(records: list[PacketRecord], bin_width_ns: int,
                   drops: Optional[dict] = None,
                   metadata: Optional[dict] = None) -> dict:
     """Offset statistics per timestamp kind, with drops and run metadata.
 
-    period may be None for fewer than two records: one record's offsets
-    are measured from its own intended_tx whatever the period.
+    period_ns is the period the records' intended_tx grid defines: None
+    for fewer than two records.
     """
     kinds = {}
     for kind in TIMESTAMP_KINDS:
         # a run that delivered nothing still reports its drops
         if not records or None in map(attrgetter(kind), records):
             continue
-        kinds[kind] = dict(vars(stats(compute_offsets(records, period or 0, kind),
-                                      bin_width_ns)))
+        kinds[kind] = dict(vars(stats(compute_offsets(records, kind), bin_width_ns)))
     return {"kinds": kinds,
             "records": len(records),
-            "period_ns": period,
+            "period_ns": infer_period(records),
             "drops": dict(sorted((drops or {}).items())),
             "metadata": metadata or {}}
 
@@ -174,7 +171,8 @@ def export_records(records: list[PacketRecord], path) -> None:
 
 def load_records(path) -> list[PacketRecord]:
     records = []
-    with open(path, newline="") as fh:
+    # an undecodable byte stays in its cell, where int() rejects it on its line
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_COLUMNS:
@@ -194,13 +192,8 @@ def load_records(path) -> list[PacketRecord]:
 
 
 def report(records_path, bin_width_ns: int = 100) -> dict:
-    """Recompute offset statistics from an exported CSV.
-
-    A CSV of fewer than two rows has no inferable period: its payload has
-    period_ns None, and no kinds when it holds no rows at all.
-    """
-    records = load_records(records_path)
-    return stats_payload(records, infer_period(records), bin_width_ns)
+    """Recompute offset statistics from an exported CSV, as the run did."""
+    return stats_payload(load_records(records_path), bin_width_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +372,9 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     seed = cfg.run.seed if seed is None else seed
     traffic = cfg.traffic
     count = cfg.run.count or traffic.count
-    period = traffic.period_ns
     engine = Engine()
     # each run resyncs its own copies of the scenario's clocks
-    horizon = (count + 101) * period
+    horizon = run_horizon(traffic, cfg.run)
     clocks = {n.name: {which: cfg.clocks.get(n.name, {}).get(which, ClockModel()).resynced(
         rng_fork(seed, f"sync:{n.name}:{which}"), horizon) for which in ("system", "phc")}
         for n in cfg.nodes}
@@ -408,7 +400,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             drops.update(bridge.egress.queue.drops)
             drops.update(bridge.drops)
     sink.records.sort(key=attrgetter("seq"))
-    metadata = {"seed": seed, "rng": RNG_ALGORITHM, "period_ns": period,
+    metadata = {"seed": seed, "rng": RNG_ALGORITHM, "period_ns": traffic.period_ns,
                 "count": count, "mode": traffic.mode,
                 "histogram_bin_ns": cfg.run.histogram_bin_ns}
     return RunResult(records=sink.records, drops=dict(drops), metadata=metadata)

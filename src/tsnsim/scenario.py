@@ -25,6 +25,12 @@ from .traffic import (MAX_FRAME_BYTES, MIN_FRAME_BYTES, DuplicateExactRuleError,
 VALID_TOP_KEYS = {"nodes", "links", "clocks", "shapers", "filters",
                   "frer", "cqf", "traffic", "run"}
 
+#: most FRER member paths: each is a full copy of the bridge chain
+MAX_FRER_PATHS = 16
+
+#: most resyncs of one clock in a run: each draws a residual, in order
+MAX_RESYNCS = 10 ** 6
+
 #: largest value of each StreamKey field
 _STREAM_FIELDS = {"dest_mac": 2 ** 48 - 1, "vlan_id": 4095, "pcp": 7}
 
@@ -224,6 +230,12 @@ class ScenarioConfig:
         return next(n for n in self.nodes if n.role == "listener")
 
 
+def run_horizon(traffic: TrafficCfg, run: RunCfg) -> int:
+    """The true time up to which a run resyncs its clocks: 101 periods past
+    the last intended transmission, at count * period_ns."""
+    return ((run.count or traffic.count) + 101) * traffic.period_ns
+
+
 def chain_links(links: list[LinkCfg], talker: str, listener: str) -> list[LinkCfg]:
     """The links from talker to listener, taking each node's first link out.
 
@@ -353,8 +365,8 @@ _TAPRIO = {"gcl": _object(_parse_gcl), "guard_mode": _choice("fit", "none"),
            "queue_capacity": _int(lo=1),
            "preemption": _object(lambda c, obj, path: c.read(obj, path, PreemptionConfig,
                                                              _PREEMPTION))}
-_FRER = {"enabled": _Checker.bool_in, "paths": _int(lo=1), "window_size": _int(lo=1),
-         "loss_per_path": _loss}
+_FRER = {"enabled": _Checker.bool_in, "paths": _int(lo=1, hi=MAX_FRER_PATHS),
+         "window_size": _int(lo=1), "loss_per_path": _loss}
 _TRAFFIC = {"period_ns": _int(lo=1), "count": _int(lo=1),
             "frame_size_bytes": _int(lo=MIN_FRAME_BYTES, hi=MAX_FRAME_BYTES),
             "mode": _choice("sleep", "txtime"), "priority": _int(lo=0, hi=7),
@@ -567,6 +579,17 @@ def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
                                "path: no other queue reads the launch time")
 
 
+def _check_resyncs(c: _Checker, clocks, horizon):
+    """Each resyncing clock resyncs at most MAX_RESYNCS times up to horizon."""
+    least = -(-horizon // MAX_RESYNCS)
+    for node, by_which in clocks.items():
+        for which, clock in by_which.items():
+            if clock.sync_interval_ns and clock.sync_interval_ns < least:
+                c.fail(f"clocks.{node}.{which}.sync_interval_ns",
+                       f"must be >= {least} to resync at most {MAX_RESYNCS} times in "
+                       f"the run's {horizon} ns, got {clock.sync_interval_ns}")
+
+
 def parse_scenario(doc: dict) -> ScenarioConfig:
     """Validate a scenario document; raises ConfigError on any problem."""
     if not isinstance(doc, dict):
@@ -587,6 +610,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     run = _parse_section(c, doc, "run", RunCfg, _RUN, required=True)
     if not c.problems:
         _check_path(c, chain, shapers, filters, cqf, traffic.mode)
+        _check_resyncs(c, clocks, run_horizon(traffic, run))
     if c.problems:
         raise ConfigError(sorted(set(c.problems)))
     return ScenarioConfig(nodes=nodes, links=links, clocks=clocks,
@@ -594,10 +618,17 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                           traffic=traffic, run=run)
 
 
+def load_document(path):
+    """The JSON document in the file at path; ConfigError when the file
+    cannot be read, is not UTF-8 text, or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"not valid JSON: {exc}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"])
+
+
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"])
-    return parse_scenario(doc)
+    return parse_scenario(load_document(path))

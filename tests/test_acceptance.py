@@ -71,9 +71,8 @@ def test_criterion_01_determinism_and_runtime(tmp_path):
 def test_criterion_02_zero_jitter_identity():
     cfg = load("direct_zero")
     res = run_scenario(cfg)
-    period = cfg.traffic.period_ns
     nonzero = sum(1 for kind in ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
-                  for v in compute_offsets(res.records, period, kind) if v)
+                  for v in compute_offsets(res.records, kind) if v)
     verdict(2, "direct_zero yields offset 0 for all kinds on all packets",
             len(res.records) == 10_000 and nonzero == 0,
             f"{len(res.records)} packets, {nonzero} nonzero offsets")
@@ -289,19 +288,18 @@ def test_criterion_07_preemption():
 
 def seeds_passing(name, check, n_seeds=100):
     cfg = load(name)
-    period = cfg.traffic.period_ns
     passing = 0
     for seed in range(1, n_seeds + 1):
         res = run_scenario(cfg, seed=seed)
-        if check(res.records, period):
+        if check(res.records):
             passing += 1
     return passing
 
 
 def test_criterion_08_calibration_fig1():
-    def check(records, period):
-        sw_tx = stats(compute_offsets(records, period, "sw_tx"))
-        sw_rx = stats(compute_offsets(records, period, "sw_rx"))
+    def check(records):
+        sw_tx = stats(compute_offsets(records, "sw_tx"))
+        sw_rx = stats(compute_offsets(records, "sw_rx"))
         return (sw_tx.p80_radius_ns <= 1_500 and sw_tx.max_ns <= 3_500
                 and sw_rx.p80_radius_ns <= 5_000 and sw_rx.max_ns <= 15_000)
 
@@ -311,8 +309,8 @@ def test_criterion_08_calibration_fig1():
 
 
 def test_criterion_09_calibration_fig2():
-    def check(records, period):
-        s = stats(compute_offsets(records, period, "hw_rx"))
+    def check(records):
+        s = stats(compute_offsets(records, "hw_rx"))
         return 3.0 <= s.mean_ns <= 7.0 and s.max_ns <= 11
 
     passing = seeds_passing("paper_fig2", check)
@@ -386,8 +384,7 @@ def test_criterion_12_csv_roundtrip(tmp_path):
     assert cli_main(["run", "paper_fig1", "--out", str(out)]) == 0
     cfg = load("paper_fig1")
     res = run_scenario(cfg)
-    in_memory = stats_payload(res.records, cfg.traffic.period_ns,
-                              cfg.run.histogram_bin_ns)
+    in_memory = stats_payload(res.records, cfg.run.histogram_bin_ns)
     reported = report(out / "records.csv", cfg.run.histogram_bin_ns)
     stats_match = reported["kinds"] == in_memory["kinds"]
 

@@ -266,15 +266,36 @@ class TestRun:
 
 
 class TestReport:
-    def test_report_round_trip(self, good_scenario, tmp_path, capsys):
+    @pytest.mark.parametrize("delivered", [0, 1, 2, 50])
+    def test_report_round_trip(self, tmp_path, capsys, delivered):
+        # two FRER paths that lose nearly every copy deliver none of 5 frames
+        doc = (dict(GOOD, traffic={"period_ns": 500_000, "count": delivered}) if delivered
+               else dict(GOOD, traffic={"period_ns": 500_000, "count": 5},
+                         frer={"enabled": True, "paths": 2, "loss_per_path": 0.9999}))
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        main(["run", str(good_scenario), "--out", str(out)])
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_OK
         rc = main(["report", str(out / "records.csv"),
                    "--out", str(tmp_path / "rep")])
         assert rc == EXIT_OK
         reported = json.loads((tmp_path / "rep" / "stats.json").read_text())
         original = json.loads((out / "stats.json").read_text())
-        assert reported["kinds"] == original["kinds"]
+        assert original["records"] == delivered
+        # the records define a period only from two on; the scenario's stays
+        assert original["period_ns"] == (500_000 if delivered >= 2 else None)
+        assert original["metadata"]["period_ns"] == 500_000
+        for key in ("kinds", "records", "period_ns"):
+            assert reported[key] == original[key]
+
+    def test_undecodable_csv_is_runtime_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
+                      b"0,1000,1010,,,\n"
+                      b"1,2000,2030,,,\xe9\n")
+        assert main(["report", str(p), "--out", str(tmp_path / "rep")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("malformed CSV: line 3: ")
+        assert not (tmp_path / "rep").exists()
 
     def test_malformed_csv_is_runtime_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -359,6 +380,31 @@ class TestValidate:
         p.write_text(json.dumps(dict(GOOD, bogus=1)))
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert "bogus" in capsys.readouterr().err
+
+
+class TestUnreadableScenario:
+    @pytest.fixture(params=["directory", "latin1", "not_json"])
+    def unreadable(self, request, tmp_path):
+        """A scenario path that cannot be read as JSON, and what is said of it."""
+        if request.param == "directory":
+            return tmp_path, f"cannot read {tmp_path}: "
+        p = tmp_path / "scn.json"
+        if request.param == "latin1":
+            p.write_bytes(b'{"run": "\xe9"}')
+            return p, f"cannot read {p}: 'utf-8' codec can't decode byte 0xe9"
+        p.write_text("{not json")
+        return p, "not valid JSON: Expecting property name"
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["run", "--out", "OUT"],
+        ["sweep", "--param", "run.seed", "--values", "1", "--out", "OUT"]])
+    def test_is_config_error(self, unreadable, tmp_path, capsys, command):
+        path, said = unreadable
+        out = tmp_path / "out"
+        argv = [command[0], str(path), *(str(out) if a == "OUT" else a for a in command[1:])]
+        assert main(argv) == EXIT_CONFIG
+        assert said in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -34,27 +34,27 @@ class TestComputeOffsets:
     def test_on_grid_is_zero(self):
         records = [rec(k, 1000 + k * 500, sw_tx=1000 + k * 500)
                    for k in range(5)]
-        assert compute_offsets(records, 500, "sw_tx") == [0] * 5
+        assert compute_offsets(records, "sw_tx") == [0] * 5
 
     def test_signed_deviations(self):
         records = [rec(0, 1000, hw_rx=1010), rec(1, 1500, hw_rx=1493)]
-        assert compute_offsets(records, 500, "hw_rx") == [10, -7]
+        assert compute_offsets(records, "hw_rx") == [10, -7]
 
     def test_base_anchored_to_first_record(self):
         # records starting mid-stream still measure against the same grid
         records = [rec(3, 2500, sw_tx=2510), rec(4, 3000, sw_tx=3000)]
-        assert compute_offsets(records, 500, "sw_tx") == [10, 0]
+        assert compute_offsets(records, "sw_tx") == [10, 0]
 
     def test_missing_timestamp_raises(self):
         with pytest.raises(MissingTimestampError):
-            compute_offsets([rec(0, 0)], 500, "sw_tx")
+            compute_offsets([rec(0, 0)], "sw_tx")
         records = [rec(0, 0, sw_tx=0), rec(1, 500), rec(2, 1000)]
         with pytest.raises(MissingTimestampError, match="seq=1 has no sw_tx"):
-            compute_offsets(records, 500, "sw_tx")
+            compute_offsets(records, "sw_tx")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            compute_offsets([rec(0, 0, sw_tx=0)], 500, "wall")
+            compute_offsets([rec(0, 0, sw_tx=0)], "wall")
 
 
 class TestStats:
@@ -201,9 +201,8 @@ class TestRunScenario:
         cfg = small_scenario("direct_zero.json")
         res = run_scenario(cfg)
         assert len(res.records) == 300
-        period = cfg.traffic.period_ns
         for kind in ("sw_tx", "hw_tx", "hw_rx", "sw_rx"):
-            assert compute_offsets(res.records, period, kind) == [0] * 300
+            assert compute_offsets(res.records, kind) == [0] * 300
 
     def test_deterministic_same_seed(self):
         cfg = small_scenario("paper_fig1.json")
@@ -224,7 +223,7 @@ class TestRunScenario:
         cfg = parse_scenario(doc)
         cfg.run.count = 200
         res = run_scenario(cfg)
-        offs = compute_offsets(res.records, cfg.traffic.period_ns, "hw_tx")
+        offs = compute_offsets(res.records, "hw_tx")
         assert offs == [7] * 200
 
     def test_bridge_chain_delivers_everything(self):
@@ -235,7 +234,7 @@ class TestRunScenario:
 
     def test_stats_payload_skips_missing_kinds(self):
         records = [rec(0, 500, sw_tx=501), rec(1, 1000, sw_tx=1002)]
-        payload = stats_payload(records, 500, 100)
+        payload = stats_payload(records, 100)
         assert set(payload["kinds"]) == {"sw_tx"}
 
     def test_metadata_records_seed_and_mode(self):

@@ -1,18 +1,26 @@
 """Validation corpus: a one-value change to a valid scenario never crashes
-parse_scenario.
+parse_scenario, and every case it accepts runs to the end.
 
 Every value in four valid documents, leaf or not, is replaced by each of
 BAD_VALUES and is deleted, and every object gets an unknown key. Each case
 must parse or raise ConfigError, and one sha256 over every case's outcome
-pins each message and each accepted case.
+pins each message and each accepted case. Each accepted case, cut to
+RUN_COUNT frames, must finish within RUN_TIMEOUT_S and account for every
+frame it sent; one sha256 pins every run's records and drops.
 """
 
+import dataclasses
 import hashlib
 import json
+import signal
 
-from tsnsim.scenario import ConfigError, ScenarioConfig, parse_scenario
+import pytest
 
-from test_scenario import MINIMAL, SCENARIOS
+from tsnsim.harness import run_scenario
+from tsnsim.scenario import (MAX_FRER_PATHS, ConfigError, ScenarioConfig,
+                             parse_scenario)
+
+from test_scenario import MINIMAL, SCENARIOS, problems_of
 
 BAD_VALUES = (None, "x", -1, 1.5, True, {}, [], 2 ** 70)
 
@@ -77,7 +85,16 @@ DOCS = {"minimal": MINIMAL, "bridged": BRIDGED, "psfp_etf": PSFP_ETF,
 
 #: sha256 over every case's outcome; only a declared change to a validation
 #: message, or to which documents are accepted, records it again
-CORPUS_DIGEST = "349b3f7d4943684852847e60b6c7a616bc71c9ba10634efc89f14130d49b6664"
+CORPUS_DIGEST = "def65d21027f96a937a35185ab97931f067e6de0207f40ca3ea350b9d3aa330a"
+
+#: frames each accepted case runs, and the seconds it may take
+RUN_COUNT = 30
+RUN_TIMEOUT_S = 2
+
+#: sha256 over every accepted case's records and sorted drops; only a
+#: declared change to the records, the drops or the accepted cases
+#: records it again
+RUN_DIGEST = "c7cb79177d6ee979fbb9e28cf8822694ff3f26d30f57157a5b2781b552b3d45c"
 
 
 def _edits(node, path=()):
@@ -108,20 +125,26 @@ def _edited(node, path, value):
     return copy
 
 
-def _outcomes():
+def _cases():
+    """(case name, edited document) for every case of the corpus."""
     for name, doc in DOCS.items():
         for path, value in _edits(doc):
             case = f"{name}:{'.'.join(map(str, path))}=" + (repr(value[0]) if value
                                                            else "<deleted>")
-            try:
-                result = parse_scenario(_edited(doc, path, value))
-            except ConfigError as exc:
-                yield case, exc.problems
-            except Exception as exc:
-                raise AssertionError(f"{case} crashed validation") from exc
-            else:
-                assert isinstance(result, ScenarioConfig), case
-                yield case, "ok"
+            yield case, _edited(doc, path, value)
+
+
+def _outcomes():
+    for case, doc in _cases():
+        try:
+            result = parse_scenario(doc)
+        except ConfigError as exc:
+            yield case, exc.problems
+        except Exception as exc:
+            raise AssertionError(f"{case} crashed validation") from exc
+        else:
+            assert isinstance(result, ScenarioConfig), case
+            yield case, "ok"
 
 
 def test_every_document_is_valid():
@@ -129,8 +152,68 @@ def test_every_document_is_valid():
         parse_scenario(doc)
 
 
+def test_frer_paths_bounded():
+    frer = BRIDGED["frer"]
+    parse_scenario(dict(BRIDGED, frer=dict(frer, paths=MAX_FRER_PATHS)))
+    assert problems_of(dict(BRIDGED, frer=dict(frer, paths=MAX_FRER_PATHS + 1))) == [
+        "frer.paths: must be <= 16, got 17"]
+
+
+def test_clock_resyncing_more_than_a_million_times_in_a_run_rejected():
+    # 20 frames span (20 + 101) periods; the talker's system clock resyncs
+    # every 1,000,000 ns, and may do so 10**6 times
+    def traffic(period_ns):
+        return dict(BRIDGED, traffic=dict(BRIDGED["traffic"], period_ns=period_ns))
+
+    parse_scenario(traffic(8_264_462_809))  # 999,999,999,889 ns
+    assert problems_of(traffic(8_264_462_810)) == [
+        "clocks.talker.system.sync_interval_ns: must be >= 1000001 to resync at most "
+        "1000000 times in the run's 1000000000010 ns, got 1000000"]
+    assert problems_of(traffic(2 ** 70)) == [
+        "clocks.talker.system.sync_interval_ns: must be >= 142851586106806768 to resync "
+        "at most 1000000 times in the run's 142851586106806767714304 ns, got 1000000"]
+
+
 def test_every_one_value_change_parses_or_is_a_config_error():
     outcomes = list(_outcomes())
     assert len(outcomes) > 1000
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == CORPUS_DIGEST
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _timeout(signum, frame):
+    raise _Timeout
+
+
+def test_every_accepted_case_runs_and_accounts_for_every_frame():
+    digest = hashlib.sha256()
+    runs = 0
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    try:
+        for case, doc in _cases():
+            try:
+                cfg = parse_scenario(doc)
+            except ConfigError:
+                continue
+            cfg.run.count = count = min(cfg.run.count or cfg.traffic.count, RUN_COUNT)
+            signal.setitimer(signal.ITIMER_REAL, RUN_TIMEOUT_S)
+            try:
+                result = run_scenario(cfg)
+            except _Timeout:
+                pytest.fail(f"{case} still running after {RUN_TIMEOUT_S} s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            # each FRER member path carries a copy of every frame
+            copies = count * (cfg.frer.paths if cfg.frer.enabled else 1)
+            assert len(result.records) + sum(result.drops.values()) == copies, case
+            digest.update(json.dumps([case, list(map(dataclasses.astuple, result.records)),
+                                      sorted(result.drops.items())]).encode())
+            runs += 1
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert runs > 300
+    assert digest.hexdigest() == RUN_DIGEST

@@ -174,20 +174,23 @@ def load_records(path) -> list[PacketRecord]:
     # an undecodable byte stays in its cell, where int() rejects it on its line
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise MalformedRowError(1, f"bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_COLUMNS):
-                raise MalformedRowError(line_no,
-                                        f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-            try:
-                seq = int(row[0])
-                intended = int(row[1])
-                opt = [None if v == "" else int(v) for v in row[2:]]
-            except ValueError as exc:
-                raise MalformedRowError(line_no, str(exc))
-            records.append(PacketRecord(seq, intended, *opt))
+        try:
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise MalformedRowError(1, f"bad header {header!r}")
+            for row in reader:
+                if len(row) != len(CSV_COLUMNS):
+                    raise MalformedRowError(
+                        reader.line_num, f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+                try:
+                    seq = int(row[0])
+                    intended = int(row[1])
+                    opt = [None if v == "" else int(v) for v in row[2:]]
+                except ValueError as exc:
+                    raise MalformedRowError(reader.line_num, str(exc))
+                records.append(PacketRecord(seq, intended, *opt))
+        except csv.Error as exc:  # e.g. a cell over the field size limit
+            raise MalformedRowError(reader.line_num, str(exc))
     return records
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import SimTime
@@ -30,7 +30,7 @@ class StreamKey:
     pcp: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     """A frame's intended time and four timestamps: its trace, then its record."""
 
@@ -42,7 +42,7 @@ class PacketRecord:
     sw_rx: Optional[SimTime] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     id: int
     size_bytes: int
@@ -64,23 +64,17 @@ class Frame:
         """Traffic class used by egress queuing: IPV metadata wins."""
         return self.ipv if self.ipv is not None else self.traffic_class
 
-    def clone(self, **changes) -> "Frame":
-        """A copy with its own trace and the given fields changed.
+    def clone(self, route: Optional[str] = None) -> "Frame":
+        """A copy with its own trace, on route if given, else on this frame's.
 
-        Copies the instance dict directly: this runs once per replicated
-        copy, where dataclasses.replace would re-run __init__ twice.
+        Every field goes to one positional constructor call, since this runs
+        once per replicated copy: a new field must be passed here as well.
         """
-        if not _FRAME_FIELDS.issuperset(changes):
-            unknown = sorted(set(changes) - _FRAME_FIELDS)
-            raise TypeError(f"Frame has no field(s) {unknown}")
-        f = object.__new__(type(self))
-        f.__dict__.update(self.__dict__, **changes)
         t = self.trace
-        f.trace = PacketRecord(t.seq, t.intended_tx, t.sw_tx, t.hw_tx, t.hw_rx, t.sw_rx)
-        return f
-
-
-_FRAME_FIELDS = frozenset(f.name for f in fields(Frame))
+        return Frame(self.id, self.size_bytes, self.priority, self.traffic_class,
+                     self.stream, self.seq, self.ipv, self.txtime,
+                     self.route if route is None else route,
+                     PacketRecord(t.seq, t.intended_tx, t.sw_tx, t.hw_tx, t.hw_rx, t.sw_rx))
 
 
 def transmission_time(size_bytes: int, link_rate_bps: int,

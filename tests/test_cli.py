@@ -297,6 +297,23 @@ class TestReport:
         assert capsys.readouterr().err.startswith("malformed CSV: line 3: ")
         assert not (tmp_path / "rep").exists()
 
+    def test_cell_over_the_csv_field_limit_is_runtime_error(self, tmp_path, capsys):
+        p = tmp_path / "long.csv"
+        p.write_text("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
+                     f"0,1000,{'1' * 200_000},,,\n")
+        assert main(["report", str(p), "--out", str(tmp_path / "rep")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("malformed CSV: line 2: ")
+        assert not (tmp_path / "rep").exists()
+
+    def test_error_names_the_physical_line_after_a_multiline_cell(self, tmp_path, capsys):
+        # a quoted cell may hold a newline that int() accepts; line 4 is the bad row
+        p = tmp_path / "multiline.csv"
+        p.write_text('seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n'
+                     '0,1000,"1010\n",,,\n'
+                     '1,2000,x,,,\n')
+        assert main(["report", str(p)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("malformed CSV: line 4: ")
+
     def test_malformed_csv_is_runtime_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"

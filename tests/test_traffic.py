@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsnsim.traffic import (DuplicateExactRuleError, Frame, StreamKey, StreamRule,
-                            ZeroRateError, make_stream_rules,
+from tsnsim.traffic import (DuplicateExactRuleError, Frame, PacketRecord, StreamKey,
+                            StreamRule, ZeroRateError, make_stream_rules,
                             transmission_time)
 
 
@@ -65,6 +67,21 @@ class TestFrame:
     def test_clone_rejects_unknown_field(self):
         with pytest.raises(TypeError):
             Frame(id=1, size_bytes=64, priority=0).clone(colour="red")
+
+    def test_clone_copies_every_field(self):
+        # clone names each field itself, so a field added later must be added there
+        values = {f.name: object() for f in fields(Frame)}
+        values["trace"] = PacketRecord(*range(1, len(fields(PacketRecord)) + 1))
+        f = Frame(**values)
+        g = f.clone()
+        for name, value in values.items():
+            if name != "trace":
+                assert getattr(g, name) is value, name
+        assert g.trace == f.trace and g.trace is not f.trace
+
+    def test_frames_and_records_are_slotted(self):
+        assert not hasattr(Frame(id=1, size_bytes=64, priority=0), "__dict__")
+        assert not hasattr(PacketRecord(), "__dict__")
 
 
 class TestStreamRules:

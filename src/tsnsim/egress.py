@@ -4,6 +4,8 @@ and frame preemption at the MAC merge layer."""
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import reduce
@@ -104,19 +106,20 @@ class TaprioPort:
         self.queues: list[deque] = [deque() for _ in range(NUM_CLASSES)]
         #: frames queued, and bit tc set while queues[tc] is non-empty; only
         #: enqueue and select append and popleft, and they keep both up to date
-        self._count = 0
+        self.count = 0
         self._occupied = 0
         self.drops: Counter = Counter()
         #: gcl.max_open_run of each class, scanned once
         self.max_open_runs = (None if gcl is None else
                               [gcl.max_open_run(tc) for tc in range(NUM_CLASSES)])
         #: classes select may drop as oversize: all (fit), or those no entry opens
-        self._oversize = 0xFF if guard_mode == "fit" else sum(
+        self._fit = guard_mode == "fit"
+        self._oversize = 0xFF if self._fit else sum(
             1 << tc for tc, run in enumerate(self.max_open_runs or ()) if run == 0)
         #: wire time by frame size, overhead included
         self._tt = _WireTimes(link_rate_bps, overhead_bytes)
-        #: when the gates next change, as the last select found it
-        self._next: Optional[SimTime] = None
+        #: the next gate change, as the last select found it, and its entry's index
+        self._next, self._next_entry = None, 0
 
     def enqueue(self, frame: Frame, t: SimTime) -> Optional[str]:
         """Queue the frame and return None, or return the drop key counted."""
@@ -126,7 +129,7 @@ class TaprioPort:
             self.drops["taprio_full"] += 1
             return "taprio_full"
         q.append((frame, t))
-        self._count += 1
+        self.count += 1
         self._occupied |= 1 << tc
         return None
 
@@ -138,14 +141,19 @@ class TaprioPort:
         if gcl is None:
             mask, fit, oversize = 0xFF, False, 0
         elif t < gcl.base_time:
-            self._next = gcl.base_time
+            self._next, self._next_entry = gcl.base_time, 0
             return None
         else:
-            # one lookup: the mask, the time left in the entry, the open time after it
-            i, phase = gcl._locate(t)
+            if t == self._next:  # the gate change the last select found: no search
+                i, phase = self._next_entry, gcl._starts[self._next_entry]
+            else:  # gcl._locate(t), inlined, as it runs per frame
+                phase = (t - gcl.base_time) % gcl.cycle_time_ns
+                i = bisect_right(gcl._starts, phase) - 1
+            # mask, time left, open time after it, and the entry that starts at its end
             mask, left, after = gcl._masks[i], gcl._ends[i] - phase, gcl._after[i]
-            self._next = t + left
-            fit, oversize = self.guard_mode == "fit", self._oversize
+            self._next, self._next_entry = t + left, (
+                i + 1 if gcl._ends[i] < gcl.cycle_time_ns else 0)
+            fit, oversize = self._fit, self._oversize
         # visit the non-empty classes only, highest first
         while occupied:
             tc = occupied.bit_length() - 1
@@ -163,7 +171,7 @@ class TaprioPort:
                     if (max_run is not None and tt > max_run
                             and t - enq_t >= gcl.cycle_time_ns):
                         q.popleft()
-                        self._count -= 1
+                        self.count -= 1
                         if not q:
                             self._occupied ^= bit
                         self.drops["taprio_oversize"] += 1
@@ -173,18 +181,18 @@ class TaprioPort:
                 if fit and after[tc] is not None and tt > left + after[tc]:
                     break
                 q.popleft()
-                self._count -= 1
+                self.count -= 1
                 if not q:
                     self._occupied ^= bit
                 return frame
         return None
 
     def __len__(self):
-        return self._count
+        return self.count
 
     def next_event_time(self, t: SimTime) -> Optional[SimTime]:
         """The next gate change; valid after select(t) returned None."""
-        return self._next if self._count else None
+        return self._next if self.count else None
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +215,7 @@ class EtfQueue:
         self.offload = offload
         self.clock = clock or ClockModel()
         self._heap: list = []
+        self.count = 0  # frames queued
         #: when the head frame falls due, as the last select found it
         self._due: Optional[SimTime] = None
         self.drops: Counter = Counter()
@@ -219,6 +228,7 @@ class EtfQueue:
             self.drops["etf_past_txtime"] += 1
             return "etf_past_txtime"
         heapq.heappush(self._heap, (frame.txtime, frame.id, frame))
+        self.count += 1
         return None
 
     def select(self, t: SimTime, classes=None) -> Optional[Frame]:
@@ -237,10 +247,12 @@ class EtfQueue:
         return self._due if self._heap else None
 
     def pop(self) -> Frame:
-        return heapq.heappop(self._heap)[2]
+        frame = heapq.heappop(self._heap)[2]
+        self.count -= 1
+        return frame
 
     def __len__(self):
-        return len(self._heap)
+        return self.count
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +295,17 @@ class EgressPort:
 
     queue is a TaprioPort (the default, ungated) or an EtfQueue; the port
     drives either through enqueue(frame, t), select(t, classes),
-    next_event_time(t), len(queue) (the frames queued; the port looks for
-    work only when a frame is suspended or this is non-zero) and drops, as
-    a netdev drives its qdisc. Like a qdisc that can be bypassed in Linux,
+    next_event_time(t), count (the frames queued; the port looks for work
+    only when a frame is suspended or this is non-zero) and drops, as a
+    netdev drives its qdisc. Like a qdisc that can be bypassed in Linux,
     an idle port sends a frame that finds its ungated TaprioPort empty
     straight to the wire: there, enqueue and select would return it.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded ETF.
     A transmission is one step: its start stamps hw_tx (phc readings are
-    pure) and commits it, calling deliver(frame, wire_start, wire_end) in
-    true time; the receiver acts at wire_end plus propagation, not at
+    pure) and commits it, calling deliver(frame, arrival, wire_start) in
+    true time, with arrival = wire end + propagation_ns (wire_start is a
+    resumed frame's first); the receiver acts at arrival, not at
     engine.now, but its events take their seq at the commit, which orders
     them in a tie. Each transmission holds the wire until its end, at a seq
     taken at its start. There a preemptable one has its finish, which
@@ -303,6 +316,7 @@ class EgressPort:
     def __init__(self, engine: Engine, rate_bps: int, *,
                  queue: Optional[TaprioPort | EtfQueue] = None,
                  overhead_bytes: int = 0,
+                 propagation_ns: int = 0,
                  phc: Optional[ClockModel] = None,
                  preemption: Optional[PreemptionConfig] = None,
                  hw_precision: Optional[JitterDist] = None,
@@ -311,6 +325,7 @@ class EgressPort:
         self.engine = engine
         self.rate_bps = rate_bps
         self.overhead_bytes = overhead_bytes
+        self.propagation_ns = propagation_ns
         self.phc = phc
         self.queue = queue if queue is not None else TaprioPort(
             link_rate_bps=rate_bps, overhead_bytes=overhead_bytes)
@@ -327,7 +342,7 @@ class EgressPort:
         #: event (a finish, a switch or a kick) is scheduled there
         self._free = (0, 0)
         self._kick_when_free = False
-        self._kick_scheduled_at: Optional[SimTime] = None
+        self._kick_scheduled_at = math.inf
         self._bypass = isinstance(self.queue, TaprioPort) and self.queue.gcl is None
         #: wire time by byte count; the counts passed include overhead_bytes
         self._tt_bytes = _WireTimes(rate_bps)
@@ -341,7 +356,7 @@ class EgressPort:
             if self.preemption.is_express(frame.egress_class):
                 # an express frame may interrupt a preemptable transmission
                 return self._do_preempt(frame, t)
-        elif (self._bypass and not self.queue._count and self._suspended is None
+        elif (self._bypass and not self.queue.count and self._suspended is None
                 and (self.engine.now, self.engine.seq) >= self._free):
             self._send(frame)
             return None
@@ -352,18 +367,10 @@ class EgressPort:
 
     # -- scheduling
 
-    def _schedule_kick(self, at: SimTime):
-        if self._kick_scheduled_at is not None and self._kick_scheduled_at <= at:
-            return
-        self._kick_scheduled_at = at
-        self.engine.schedule(at, self._kick_event)
-
-    def _kick_event(self):
-        self._kick_scheduled_at = None
-        self._kick()
-
-    def _kick(self):
+    def _kick(self, scheduled: bool = False):
         engine = self.engine
+        if scheduled:  # the kick at a gate change or ETF launch time, scheduled below
+            self._kick_scheduled_at = math.inf
         t = engine.now
         if (t, engine.seq) < self._free:
             # busy: look again when the wire frees, unless an event there will
@@ -382,8 +389,9 @@ class EgressPort:
             self._start(frame, t, done, wire_start)
         else:
             nt = self.queue.next_event_time(t)
-            if nt is not None and nt > t:
-                self._schedule_kick(nt)
+            if nt is not None and t < nt < self._kick_scheduled_at:
+                self._kick_scheduled_at = nt
+                engine.schedule(nt, self._kick, True)
 
     # -- transmission
 
@@ -411,18 +419,18 @@ class EgressPort:
             self.engine.schedule_reserved(*self._free, self._finish, frame, wire_start, end)
             return
         self._cuttable, self._kick_when_free = None, False
-        if self._suspended is not None or len(self.queue):
+        if self._suspended is not None or self.queue.count:
             self._kick()
         if self.deliver is not None:
-            self.deliver(frame, wire_start, end)
+            self.deliver(frame, end + self.propagation_ns, wire_start)
 
     def _finish(self, frame: Frame, wire_start: SimTime, end: SimTime):
         if (self.engine.now, self.engine.seq) != self._free:
             return  # preempted: the wire is held to a switch instead
         self._cuttable = None
         if self.deliver is not None:
-            self.deliver(frame, wire_start, end)
-        if self._suspended is not None or len(self.queue):
+            self.deliver(frame, end + self.propagation_ns, wire_start)
+        if self._suspended is not None or self.queue.count:
             self._kick()
 
     def _do_preempt(self, express: Frame, t: SimTime) -> Optional[str]:

@@ -205,14 +205,11 @@ def report(records_path, bin_width_ns: int = 100) -> dict:
 
 def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, clocks: dict,
                 receive, hw_precision=None, rng=None) -> EgressPort:
-    """An egress port onto link whose frames reach receive(frame, t).
+    """An egress port onto link whose frames reach receive(frame, arrival, wire_start).
 
     hw_precision applies only to offloaded ETF: only there does the NIC
     time the launch itself.
     """
-    def deliver(frame, wire_start, wire_end):
-        receive(frame, wire_end + link.propagation_ns)
-
     launch_precision = preemption = None
     if isinstance(shaper, EtfCfg):
         queue = EtfQueue(delta_ns=shaper.delta_ns, offload=shaper.offload,
@@ -227,9 +224,10 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, clocks
                            overhead_bytes=link.overhead_bytes)
         preemption = shaper.preemption
     return EgressPort(engine, link.rate_bps, queue=queue,
-                      overhead_bytes=link.overhead_bytes, phc=clocks["phc"],
+                      overhead_bytes=link.overhead_bytes,
+                      propagation_ns=link.propagation_ns, phc=clocks["phc"],
                       preemption=preemption, hw_precision=launch_precision,
-                      rng=rng, deliver=deliver)
+                      rng=rng, deliver=receive)
 
 
 class Talker:
@@ -297,13 +295,14 @@ class Talker:
 class Listener:
     """The listener as a stream sink.
 
-    receive(frame, t) takes a frame whose last bit arrives at t, stamps
-    hw_rx and sw_rx, and keeps its record. With a RecoveryState, each FRER
-    member path ends in receive_copy(frame, t) instead, which loses the copy
-    with probability loss, drawn from the loss:<label> stream of frame.route.
-    Other copies reach recovery in order of arrival, ties in commit order,
-    once the engine reaches their arrival (a copy commits before it arrives,
-    so none still to commit can arrive earlier); close() takes those left.
+    receive(frame, t, wire_start) takes a frame whose last bit arrives at t
+    (wire_start is unused), stamps hw_rx and sw_rx, and keeps its record.
+    With a RecoveryState, each FRER member path ends in receive_copy
+    instead, which loses the copy with probability loss, drawn from the
+    loss:<label> stream of frame.route. Other copies reach recovery in
+    order of arrival, ties in commit order, once the engine reaches their
+    arrival (a copy commits before it arrives, so none still to commit can
+    arrive earlier); close() takes those left.
     """
 
     def __init__(self, engine: Engine, node: NodeCfg, clocks: dict, seed: int,
@@ -318,13 +317,13 @@ class Listener:
         self._arrivals: list = []  # copies held as (arrival, commit order, frame)
         self._commits = itertools.count()
 
-    def receive(self, frame: Frame, t: SimTime):
+    def receive(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
         trace = frame.trace
         trace.hw_rx = self.phc.read(t)
         trace.sw_rx = self.system.read(t + self.rx_latency.sample(self.rx_rng))
         self.records.append(trace)
 
-    def receive_copy(self, frame: Frame, t: SimTime):
+    def receive_copy(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
         if self.loss and self.loss_rngs[frame.route].random() < self.loss:
             self.drops["path_loss"] += 1
             return
@@ -347,9 +346,10 @@ class Listener:
 
 def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, receive,
                suffix: str = "") -> tuple[EgressPort, list[BridgeNode]]:
-    """Build the talker-to-listener chain back to front, its last hop
-    delivering to receive(frame, t); return the talker's port and the
-    bridges. suffix keeps the RNG streams of FRER member paths apart."""
+    """Build the talker-to-listener chain back to front, each port calling
+    the next node's receive, the last receive(frame, arrival, wire_start);
+    return the talker's port and the bridges. suffix keeps the RNG streams
+    of FRER member paths apart."""
     nodes = {n.name: n for n in cfg.nodes}
     chain = chain_links(cfg.links, cfg.talker.name, cfg.listener.name)
     bridges = []

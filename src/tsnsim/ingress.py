@@ -3,6 +3,7 @@ internal-priority reassignment, and per-window octet budgets."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +58,8 @@ class StreamGate(CyclicSchedule):
     def process(self, frame: Frame, t: SimTime) -> PsfpDecision:
         if t < self.base_time:
             return _CLOSED
-        i, phase = self._locate(t)
+        phase = (t - self.base_time) % self.cycle_time_ns  # self._locate(t), inlined
+        i = bisect_right(self._starts, phase) - 1
         start = t - phase + self._starts[i]
         if start != self._window_start:
             self._window_start = start

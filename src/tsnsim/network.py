@@ -32,10 +32,10 @@ FORWARDING_PRESETS = {
 class BridgeNode:
     """Store-and-forward bridge: ingress PSFP, forwarding delay, one egress port.
 
-    receive() is keyed to end-of-frame reception; the PSFP decision uses
-    that instant. gates maps stream handles to gates; without stream rules
-    every frame has handle None, so a gate stored under None (as for CQF)
-    applies to all frames.
+    receive(frame, t, wire_start) is keyed to end-of-frame reception at t;
+    the PSFP decision uses that instant (wire_start is unused). gates maps
+    stream handles to gates; without stream rules every frame has handle
+    None, so a gate stored under None (as for CQF) applies to all frames.
     """
 
     def __init__(self, engine: Engine, name: str, egress: EgressPort, *,
@@ -52,7 +52,7 @@ class BridgeNode:
         self.rng = rng
         self.drops: Counter = Counter()
 
-    def receive(self, frame: Frame, t: SimTime):
+    def receive(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
         handle = None
         if self.stream_rules is not None:
             handle = self.stream_rules.identify(frame.stream)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import SimTime
 
@@ -21,9 +21,9 @@ class DuplicateExactRuleError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class StreamKey:
-    """Identifies a stream by (destination MAC, VLAN id, PCP)."""
+class StreamKey(NamedTuple):
+    """Identifies a stream by (destination MAC, VLAN id, PCP); a tuple, so
+    that identify's memo hashes it in C."""
 
     dest_mac: int
     vlan_id: int

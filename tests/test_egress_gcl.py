@@ -296,6 +296,51 @@ class TestTaprioQueueing:
         assert len(port.queues[6]) == 1
 
 
+class TestGateChangeShortcut:
+    """A select at the gate change the last select found takes the entry that
+    starts there without a search. It must agree with a twin port that
+    searches on every select, and with gcl.state."""
+
+    def test_matches_a_full_lookup(self):
+        rng = random.Random(1919)
+        shortcuts = 0
+        for n in range(150):
+            gcl = random_gcl(rng)
+            if n % 2:
+                gcl = GateControlList(rng.randrange(1, 3 * gcl.cycle_time_ns),
+                                      gcl.cycle_time_ns, gcl.entries)
+            guard = rng.choice(["fit", "none"])
+            port, twin = (TaprioPort(gcl=gcl, capacity=3, guard_mode=guard)
+                          for _ in range(2))
+            t, fid = 0, 0
+            for _ in range(80):
+                for _ in range(rng.randrange(3)):
+                    # 64-1500 B at 1 Gbps: 0.5-12 us against a 10 us cycle
+                    f = Frame(id=fid, size_bytes=rng.choice([64, 300, 900, 1500]),
+                              priority=rng.randrange(8))
+                    assert port.enqueue(f, t) == twin.enqueue(f, t)
+                    fid += 1
+                nt = port.next_event_time(t)
+                if nt is not None and rng.random() < 0.7:
+                    t = nt
+                else:
+                    t += rng.randrange(0, gcl.cycle_time_ns)
+                shortcuts += port.count > 0 and t == port._next
+                twin._next = None  # no gate change known: the twin searches
+                frame = port.select(t)
+                assert frame is twin.select(t)
+                assert port.drops == twin.drops and port.count == twin.count
+                if not port.count:
+                    assert port.next_event_time(t) is None
+                elif t < gcl.base_time:
+                    assert frame is None and port.next_event_time(t) == gcl.base_time
+                else:
+                    mask, left = gcl.state(t)
+                    assert port.next_event_time(t) == t + left
+                    assert frame is None or mask >> frame.egress_class & 1
+        assert shortcuts > 1000
+
+
 class TestGateConformance:
     """Fuzzed 802.1Qbv runs: no wire interval overlaps a closed window."""
 
@@ -305,7 +350,7 @@ class TestGateConformance:
         wires = []
         taprio = TaprioPort(gcl=gcl, link_rate_bps=rate)
         port = EgressPort(eng, rate, queue=taprio,
-                          deliver=lambda f, s, e: wires.append((f, s, e)))
+                          deliver=lambda f, e, s: wires.append((f, s, e)))
         for t, f in frames:
             eng.schedule(t, lambda f=f: port.submit(f, eng.now))
         eng.run_until(until)
@@ -393,7 +438,7 @@ class TestPendingCount:
             eng = Engine()
             taprio = CountedTaprioPort(link_rate_bps=rate, capacity=4)
             port = EgressPort(eng, rate, queue=taprio,
-                              preemption=pcfg, deliver=lambda f, s, e: None)
+                              preemption=pcfg, deliver=lambda f, e, s: None)
             do_preempt = port._do_preempt
 
             def counting_preempt(express, t, do_preempt=do_preempt, q=taprio.queues[7]):
@@ -426,7 +471,7 @@ class TestIdleBypass:
         wires = []
         taprio = CountedTaprioPort(gcl=gcl, capacity=capacity, link_rate_bps=self.RATE)
 
-        def deliver(frame, start, end):
+        def deliver(frame, end, start):
             wires.append((frame.id, start, end))
             echo = arrivals[frame.id][3] if frame.id < len(arrivals) else None
             if echo is not None:
@@ -456,7 +501,7 @@ class TestIdleBypass:
         gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)]) if gated else None
         port = EgressPort(eng, self.RATE,
                           queue=TaprioPort(gcl=gcl, link_rate_bps=self.RATE),
-                          deliver=lambda f, s, e: wires.append((f.id, s)))
+                          deliver=lambda f, e, s: wires.append((f.id, s)))
         end = transmission_time(1500, self.RATE)
         for fid, t, priority in [(0, 0, 0), (1, end, 1), (2, end, 6)]:
             eng.schedule(t, port.submit,

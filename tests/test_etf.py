@@ -63,7 +63,7 @@ class TestEtfRelease:
         port = EgressPort(eng, rate, phc=phc,
                           queue=EtfQueue(delta_ns=delta, offload=offload, clock=phc),
                           hw_precision=precision, rng=rng,
-                          deliver=lambda f, s, e: out.append((f.id, s, e)))
+                          deliver=lambda f, e, s: out.append((f.id, s, e)))
         if busy_frame is not None:
             port.submit(busy_frame, 0)
         for f in frames:
@@ -102,7 +102,7 @@ class TestEtfRelease:
         eng = Engine()
         phc = ClockModel(offset_ns=100)
         port = EgressPort(eng, 10 ** 9, phc=phc, queue=EtfQueue(clock=phc),
-                          deliver=lambda f, s, e: None)
+                          deliver=lambda f, e, s: None)
         f = frame(1, txtime=10 ** 6)
         port.submit(f, 0)
         eng.run_all()

@@ -277,6 +277,66 @@ class TestRunScenario:
         # when_reading inverts only the segment of its now
         assert [e.executed for e in engines] == [2 * 200, 2 * 200 + rechecks]
 
+    def test_gated_bridge_path_events_and_schedule_calls(self, monkeypatch):
+        # an ETF talker through three PSFP/Qbv bridges to the listener, with
+        # drifting, resynced clocks on every node; both counts are pinned as
+        # the engine of the parent change gave them
+        engines, schedules = [], Counter()
+
+        class CountingEngine(harness.Engine):
+            def __init__(self):
+                super().__init__()
+                engines.append(self)
+
+            def schedule(self, fire_time, action, *args):
+                schedules[self] += 1
+                return super().schedule(fire_time, action, *args)
+
+        monkeypatch.setattr(harness, "Engine", CountingEngine)
+        period, ipv, bridges = 500_000, 5, ("sw0", "sw1", "sw2")
+        names = ("talker", *bridges, "listener")
+        stream = {"dest_mac": 0x01005E000001, "vlan_id": 100, "pcp": 0}
+        others = 0xFF & ~(1 << ipv)
+
+        def clock(offset, drift):
+            return {"offset_ns": offset, "drift_ppm": drift, "sync_interval_ns": 8_000_000,
+                    "sync_residual": {"kind": "normal", "mean_ns": 0, "std_ns": 50}}
+
+        doc = {
+            "nodes": [{"name": "talker", "role": "talker"},
+                      *({"name": b, "role": "bridge", "forwarding": {"preset": p}}
+                        for b, p in zip(bridges, ("xdp", "af_xdp", "linux_bridge"))),
+                      {"name": "listener", "role": "listener",
+                       "rx_latency": {"kind": "uniform", "min_ns": 500, "max_ns": 9000}}],
+            "links": [{"from": a, "to": b, "rate_bps": 10 ** 9, "propagation_ns": 100 + 97 * i,
+                       "overhead_bytes": 20} for i, (a, b) in enumerate(zip(names, names[1:]))],
+            "clocks": {n: {"system": clock(-150 + 41 * i, 12.5 - 5 * i),
+                           "phc": clock(200 - 37 * i, -7.25 + 4 * i)}
+                       for i, n in enumerate(names)},
+            "shapers": {"talker": {"scheme": "etf", "etf": {"delta_ns": 0, "offload": True}},
+                        **{b: {"scheme": "taprio", "guard_mode": "fit", "gcl": {
+                            "cycle_time_ns": period, "entries": [
+                                {"gate_mask": others, "duration_ns": 10_000 + 20_000 * hop},
+                                {"gate_mask": 1 << ipv, "duration_ns": 60_000},
+                                {"gate_mask": others,
+                                 "duration_ns": period - 70_000 - 20_000 * hop}]}}
+                           for hop, b in enumerate(bridges)}},
+            "filters": {b: {"rules": [{"vlan_id": 200, "handle": "other"},
+                                      {**stream, "handle": "s0"}],
+                            "gates": {"s0": {"cycle_time_ns": period, "entries": [
+                                {"open": True, "duration_ns": 100_000, "ipv": ipv,
+                                 "max_octets": 128},
+                                {"open": False, "duration_ns": period - 100_000}]}}}
+                        for b in bridges},
+            "traffic": {"period_ns": period, "count": 200, "frame_size_bytes": 128,
+                        "mode": "txtime", "priority": 0, "stream": stream,
+                        "hw_precision": {"kind": "uniform", "min_ns": 2, "max_ns": 6}},
+            "run": {"seed": 11}}
+        result = run_scenario(parse_scenario(doc))
+        assert len(result.records) == 200 and result.drops == {}
+        [engine] = engines
+        assert (engine.executed, schedules[engine]) == (1602, 1602)
+
 
 class LoggingRecovery(RecoveryState):
     """A RecoveryState that logs the frame ids it is asked about."""

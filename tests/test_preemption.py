@@ -19,7 +19,7 @@ def run_port(pframe, express_arrivals, rate=RATE_100M):
     out = []
     port = EgressPort(eng, rate, queue=TaprioPort(link_rate_bps=rate),
                       preemption=PCFG,
-                      deliver=lambda f, s, e: out.append((f.id, s, e)))
+                      deliver=lambda f, e, s: out.append((f.id, s, e)))
     port.submit(pframe, 0)
     for t, f in express_arrivals:
         eng.schedule(t, lambda f=f: port.submit(f, eng.now))
@@ -131,7 +131,7 @@ class TestPortIntegration:
         out = []
         port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
                           preemption=PreemptionConfig(enabled=False),
-                          deliver=lambda f, s, e: out.append((f.id, s, e)))
+                          deliver=lambda f, e, s: out.append((f.id, s, e)))
         port.submit(Frame(id=1, size_bytes=9000, priority=0), 0)
         eng.schedule(100, lambda: port.submit(
             Frame(id=2, size_bytes=64, priority=7), eng.now))
@@ -155,12 +155,26 @@ class TestPortIntegration:
         taprio = TaprioPort(link_rate_bps=RATE_100M)
         out = []
         port = EgressPort(eng, RATE_100M, queue=taprio, preemption=PCFG,
-                          deliver=lambda f, s, e: out.append(
+                          deliver=lambda f, e, s: out.append(
                               (f.id, s, e, len(taprio), port._suspended is not None)))
         port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
         eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
         eng.run_all()
         assert out == [(2, 10_240, 15_360, 0, True), (1, 0, 125_120, 0, False)]
+
+    def test_deliver_gets_arrival_after_propagation_and_first_wire_start(self):
+        # express frame 2 cannot be cut and is handed over when it commits;
+        # frame 1, cut by it and resumed, at its finish with its first start
+        eng = Engine()
+        out = []
+        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
+                          propagation_ns=333, preemption=PCFG,
+                          deliver=lambda f, arrival, wire_start: out.append(
+                              (f.id, arrival, wire_start, eng.now)))
+        port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
+        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
+        eng.run_all()
+        assert out == [(2, 15_360 + 333, 10_240, 10_240), (1, 125_120 + 333, 0, 125_120)]
 
     def test_two_express_frames_back_to_back(self):
         p = Frame(id=1, size_bytes=1500, priority=0)

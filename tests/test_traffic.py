@@ -163,3 +163,15 @@ class TestStreamRules:
         b = StreamKey(1, 2, 4)
         c = StreamKey(2, 0, 0)
         assert sorted([c, b, a]) == [a, b, c]
+
+    def test_stream_key_fields_memo_and_immutability(self):
+        key = StreamKey(dest_mac=5, vlan_id=100, pcp=2)
+        assert key == StreamKey(5, 100, 2) == (5, 100, 2)
+        assert (key.dest_mac, key.vlan_id, key.pcp) == (5, 100, 2)
+        # equal keys built separately share one memo entry
+        rules = make_stream_rules([{"vlan_id": 100, "handle": "v100"}])
+        assert rules.identify(key) == rules.identify(StreamKey(5, 100, 2)) == "v100"
+        assert len(rules._memo) == 2  # None and the one key
+        for name in ("dest_mac", "vlan_id", "pcp"):
+            with pytest.raises(AttributeError):
+                setattr(key, name, 0)

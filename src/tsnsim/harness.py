@@ -15,18 +15,19 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import attrgetter
+from operator import attrgetter, floordiv, sub
 from typing import Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
 from .egress import EgressPort, EtfQueue, TaprioPort
-from .frer import ACCEPT, RecoveryState, Replicator
+from .frer import ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, RecoveryState, Replicator
 from .network import BridgeNode
 from .scenario import (EtfCfg, FilterCfg, LinkCfg, NodeCfg, ScenarioConfig, TaprioCfg,
                        TrafficCfg, chain_links, run_horizon)
 from .traffic import Frame, PacketRecord, StreamRuleSet
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
+FRER_DROP_KEYS = {outcome: f"frer_{outcome}" for outcome in (DISCARD_DUPLICATE, DISCARD_STALE)}
 
 
 class EmptyError(Exception):
@@ -75,7 +76,7 @@ def compute_offsets(records: list[PacketRecord], kind: str) -> list[int]:
     if None in readings:
         missing = records[readings.index(None)]
         raise MissingTimestampError(f"record seq={missing.seq} has no {kind}")
-    return [reading - r.intended_tx for reading, r in zip(readings, records)]
+    return list(map(sub, readings, map(attrgetter("intended_tx"), records)))
 
 
 def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
@@ -95,7 +96,7 @@ def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
     p80 = radii[math.ceil(0.8 * n) - 1]
     # bin indices come in ascending order of bin start, for either sign
     # of bin width, so the histogram needs no sort
-    bins = Counter(v // bin_width_ns for v in ordered)
+    bins = Counter(map(floordiv, ordered, itertools.repeat(bin_width_ns)))
     return OffsetStats(min_ns=ordered[0],
                        mean_ns=statistics.fmean(offsets),
                        median_ns=median,
@@ -120,12 +121,12 @@ def infer_period(records: list[PacketRecord]) -> Optional[int]:
     if steps <= 0 or span % steps:
         raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
     period = span // steps
+    base = first.intended_tx - first.seq * period  # the grid's time at seq 0
     for line_no, r in enumerate(records, start=2):
-        expected = first.intended_tx + (r.seq - first.seq) * period
-        if r.intended_tx != expected:
+        if r.intended_tx != base + r.seq * period:
             raise MalformedRowError(
                 line_no, f"intended_tx {r.intended_tx} of seq {r.seq} is off the "
-                         f"{period} ns grid (expected {expected})")
+                         f"{period} ns grid (expected {base + r.seq * period})")
     return period
 
 
@@ -138,11 +139,14 @@ def stats_payload(records: list[PacketRecord], bin_width_ns: int,
     for fewer than two records.
     """
     kinds = {}
+    intended = list(map(attrgetter("intended_tx"), records))
     for kind in TIMESTAMP_KINDS:
+        column = list(map(attrgetter(kind), records))
         # a run that delivered nothing still reports its drops
-        if not records or None in map(attrgetter(kind), records):
-            continue
-        kinds[kind] = dict(vars(stats(compute_offsets(records, kind), bin_width_ns)))
+        if column and None not in column:
+            column[:] = map(sub, column, intended)  # readings to offsets, in one list
+            kinds[kind] = dict(vars(stats(column, bin_width_ns)))
+        del column  # freed before the next kind's column is read
     return {"kinds": kinds,
             "records": len(records),
             "period_ns": infer_period(records),
@@ -249,26 +253,27 @@ class Talker:
         self.wake_rng = rng_fork(seed, "wake")
         self.stack_rng = rng_fork(seed, "stack")
         self.driver_rng = rng_fork(seed, "driver")
-        self.step = getattr(self, traffic.mode)
+        # the class's function: a bound method kept on self would make a
+        # reference cycle, which holds the whole run until the cyclic GC runs
+        self._step = getattr(type(self), traffic.mode)
+        self.period = period = traffic.period_ns
         lead = traffic.txtime_lead_ns
-        self.lead = (traffic.period_ns if traffic.mode == "sleep"
-                     else traffic.period_ns // 2 if lead is None else lead)
+        self.lead = (period if traffic.mode == "sleep"
+                     else period // 2 if lead is None else lead)
 
     def plan(self, k: int):
         # the first intended transmission is one period into the run
-        intended = (k + 1) * self.traffic.period_ns
+        intended = (k + 1) * self.period
         self.engine.schedule(max(0, intended - self.lead), self._fire, k, intended)
 
     def _fire(self, k: int, intended: SimTime):
-        if k + 1 < self.count:
-            self.plan(k + 1)
-        self.step(k, intended)
-
-    def _frame(self, k: int, intended: SimTime) -> Frame:
-        traffic = self.traffic
-        return Frame(id=k, size_bytes=traffic.frame_size_bytes,
-                     priority=traffic.priority, stream=traffic.stream,
-                     trace=PacketRecord(k, intended))
+        if k + 1 < self.count:  # plan frame k + 1, as plan(k + 1) would
+            # a product, as in plan: CPython allocates a sum of two-digit ints
+            # a digit too long, and this int lives on in frame k + 1's record
+            intended_next = (k + 2) * self.period
+            t = intended_next - self.lead
+            self.engine.schedule(t if t > 0 else 0, self._fire, k + 1, intended_next)
+        self._step(self, k, intended)
 
     def sleep(self, k: int, intended: SimTime):
         """Sleep until the system clock reads intended, then send through
@@ -279,17 +284,19 @@ class Talker:
         driver = traffic.driver_latency.sample(self.driver_rng)
         now = self.engine.now
         at_driver = max(now, self.clock.when_reading(intended, now) + wake) + stack
-        frame = self._frame(k, intended)
-        frame.trace.sw_tx = self.clock.read(at_driver)
+        # each step builds its frame in one positional call, in field order
+        frame = Frame(k, traffic.frame_size_bytes, traffic.priority, traffic.priority,
+                      traffic.stream, None, None, None, None,
+                      PacketRecord(k, intended, self.clock.read(at_driver)))
         fire = at_driver + driver
         self.engine.schedule(fire, self.submit, frame, fire)
 
     def txtime(self, k: int, intended: SimTime):
         """Send now with the launch time (SO_TXTIME) set to intended."""
-        frame = self._frame(k, intended)
-        frame.txtime = intended
-        frame.trace.sw_tx = self.clock.read(self.engine.now)
-        self.submit(frame, self.engine.now)
+        traffic, now = self.traffic, self.engine.now
+        self.submit(Frame(k, traffic.frame_size_bytes, traffic.priority, traffic.priority,
+                          traffic.stream, None, None, intended, None,
+                          PacketRecord(k, intended, self.clock.read(now))), now)
 
 
 class Listener:
@@ -341,7 +348,7 @@ class Listener:
             if outcome == ACCEPT:
                 self.receive(frame, t)
             else:
-                self.drops[f"frer_{outcome}"] += 1
+                self.drops[FRER_DROP_KEYS[outcome]] += 1
 
 
 def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, receive,

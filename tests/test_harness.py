@@ -1,6 +1,7 @@
 """Measurement harness: offset analysis, CSV round-trips, scenario runs."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -24,6 +25,9 @@ from tsnsim.scenario import NodeCfg, load_scenario, parse_scenario
 from tsnsim.traffic import Frame
 
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
+
+# a scenario run that never ends fails at the event cap instead
+pytestmark = pytest.mark.usefixtures("event_cap")
 
 
 def rec(seq, intended, **kw):
@@ -108,6 +112,104 @@ class TestStatsMatchesFormer:
             # repr tells 5 from 5.0, so the median's type is compared too
             assert repr(got) == repr(want)
 
+
+
+def former_compute_offsets(records, kind):
+    """compute_offsets() as it was before column-at-a-time: the reference."""
+    if not records:
+        raise harness.EmptyError("no records")
+    if kind not in harness.TIMESTAMP_KINDS:
+        raise ValueError(f"unknown timestamp kind {kind!r}")
+    readings = [getattr(r, kind) for r in records]
+    if None in readings:
+        missing = records[readings.index(None)]
+        raise MissingTimestampError(f"record seq={missing.seq} has no {kind}")
+    return [reading - r.intended_tx for reading, r in zip(readings, records)]
+
+
+def former_infer_period(records):
+    """infer_period() as it was before column-at-a-time: the reference."""
+    if len(records) < 2:
+        return None
+    first, last = records[0], records[-1]
+    span = last.intended_tx - first.intended_tx
+    steps = last.seq - first.seq
+    if steps <= 0 or span % steps:
+        raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
+    period = span // steps
+    for line_no, r in enumerate(records, start=2):
+        expected = first.intended_tx + (r.seq - first.seq) * period
+        if r.intended_tx != expected:
+            raise MalformedRowError(
+                line_no, f"intended_tx {r.intended_tx} of seq {r.seq} is off the "
+                         f"{period} ns grid (expected {expected})")
+    return period
+
+
+def former_stats_payload(records, bin_width_ns, drops=None, metadata=None):
+    """stats_payload() as it was before column-at-a-time, over the reference
+    stats, offsets and period."""
+    kinds = {}
+    for kind in harness.TIMESTAMP_KINDS:
+        if not records or None in (getattr(r, kind) for r in records):
+            continue
+        kinds[kind] = asdict(former_stats(former_compute_offsets(records, kind), bin_width_ns))
+    return {"kinds": kinds, "records": len(records),
+            "period_ns": former_infer_period(records),
+            "drops": dict(sorted((drops or {}).items())), "metadata": metadata or {}}
+
+
+def generated_records(rng, n, spread):
+    """n records on a grid with gaps in seq, each kind a signed offset within
+    spread of intended_tx, and None in about half the kinds, at random rows."""
+    period, base, seq = rng.randint(1, 10 ** 6), rng.randint(-10 ** 9, 10 ** 9), 0
+    gappy = [kind for kind in harness.TIMESTAMP_KINDS if rng.random() < 0.5]
+    records = []
+    for _ in range(n):
+        seq += rng.choice((1, 1, 1, 2, 7))
+        intended = base + seq * period
+        stamps = {kind: None if kind in gappy and rng.random() < 0.01
+                  else intended + rng.randint(-spread, spread // 3)
+                  for kind in harness.TIMESTAMP_KINDS}
+        records.append(rec(seq, intended, **stamps))
+    return records
+
+
+def raised(f, *args):
+    """(type, message, line number) of what f(*args) raises, or its result."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+class TestOutputStageMatchesFormer:
+    @pytest.mark.parametrize("bin_width", [1, 7, 100, -100])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5_000])
+    def test_same_stats_json(self, bin_width, n):
+        for seed in range(3):
+            rng = random.Random(seed)
+            records = generated_records(rng, n, rng.choice((3, 900, 90_000)))
+            drops = {"path_loss": seed, "frer_discard_duplicate": n}
+            got = stats_payload(records, bin_width, drops, {"seed": seed})
+            want = former_stats_payload(records, bin_width, drops, {"seed": seed})
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+            for kind in (*harness.TIMESTAMP_KINDS, "wall"):
+                assert raised(compute_offsets, records, kind) == \
+                    raised(former_compute_offsets, records, kind)
+
+    @pytest.mark.parametrize("n", [2, 3, 5_000])
+    def test_off_grid_row_raises_on_the_same_line(self, n):
+        for seed in range(5):
+            rng = random.Random(seed)
+            records = generated_records(rng, n, 100)
+            row = rng.randrange(n)
+            records[row].intended_tx += rng.choice((-1, 1, 10 ** 6))
+            got = raised(infer_period, records)
+            assert got == raised(former_infer_period, records)
+            # the ends define the grid, so an inner row is named off it
+            if 0 < row < n - 1:
+                assert (got[0], got[2]) == (MalformedRowError, row + 2)
 
 class TestInferPeriod:
     def test_uniform_grid(self):
@@ -242,6 +344,28 @@ class TestRunScenario:
         res = run_scenario(cfg, seed=42)
         assert res.metadata["seed"] == 42
         assert res.metadata["mode"] == "sleep"
+
+    @pytest.mark.parametrize("name,frer", [
+        ("paper_fig1", None), ("bridge_xdp", None),
+        ("bridge_xdp", {"enabled": True, "paths": 3, "loss_per_path": 0.1})],
+        ids=["paper_fig1", "bridge_xdp", "bridge_xdp_frer"])
+    def test_a_dropped_result_frees_the_run_without_the_cyclic_gc(self, name, frer):
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        if frer:
+            doc["frer"] = frer
+        cfg = parse_scenario(doc)
+        cfg.run.count = 300
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_scenario(cfg)
+            assert len(result.records) > 200
+            del result
+            # nothing of the run (talker, ports, clocks, engine, records)
+            # is left for the cyclic GC: reference counting freed it all
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     # paper_fig1 is sleep mode through an idle port; paper_fig2 is txtime
     # with offloaded ETF, whose hw_precision starts each frame after its kick

@@ -409,7 +409,7 @@ class EgressPort:
         if wire_start is None:
             wire_start = start
             if self.phc is not None:
-                frame.trace.hw_tx = self.phc.read(start)
+                frame.hw_tx = self.phc.read(start)
         end = start + self._tt_bytes[frame.size_bytes + self.overhead_bytes - bytes_done]
         self._free = (end, self.engine.reserve())
         preemption = self.preemption

@@ -12,10 +12,12 @@ import csv
 import itertools
 import math
 import statistics
-from collections import Counter
+from array import array
+from collections import Counter, UserList
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
-from operator import attrgetter, floordiv, sub
+from operator import attrgetter, floordiv, gt, sub
 from typing import Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
@@ -27,6 +29,7 @@ from .scenario import (EtfCfg, FilterCfg, LinkCfg, NodeCfg, ScenarioConfig, Tapr
 from .traffic import Frame, PacketRecord, StreamRuleSet
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
+RECORD_FIELDS = ("seq", "intended_tx", *TIMESTAMP_KINDS)  # PacketRecord's, in order
 FRER_DROP_KEYS = {outcome: f"frer_{outcome}" for outcome in (DISCARD_DUPLICATE, DISCARD_STALE)}
 
 
@@ -55,9 +58,52 @@ class OffsetStats:
     histogram: list  # [[bin_start_ns, count], ...]
 
 
+def _columns(records) -> tuple:
+    """The columns of a Records, or of a list of PacketRecord rows."""
+    if isinstance(records, Records) and records._columns is not None:
+        return records._columns
+    return tuple(list(map(attrgetter(name), records)) for name in RECORD_FIELDS)
+
+
+class Records(UserList):
+    """Delivered records as columns, in RECORD_FIELDS order.
+
+    A column is an array('q'), or a list where a value is None or needs
+    more than 64 bits. len and iteration (a PacketRecord per row) read the
+    columns. Any other list operation first makes UserList's data, a list
+    of rows, and the columns are read from the rows after that.
+    """
+
+    def __init__(self, rows=(), columns: Optional[tuple] = None):
+        if columns is None:
+            self.data = list(rows)
+        self._columns = columns
+
+    columns = property(_columns)
+    __copy__ = UserList.copy  # UserList's own reads data from __dict__
+
+    @cached_property
+    def data(self) -> list:
+        rows, self._columns = list(self), None
+        return rows
+
+    def __len__(self):
+        return len(self.data if self._columns is None else self._columns[0])
+
+    def __iter__(self):
+        return iter(self.data) if self._columns is None else map(PacketRecord, *self._columns)
+
+
+def _split(stamps) -> Records:
+    """Records of stamps that hold each row's six values in turn."""
+    return Records(columns=tuple(stamps[i::6] for i in range(6)))
+
+
 @dataclass
 class RunResult:
-    records: list[PacketRecord]
+    """A run's records in seq order, its drops by reason, and its metadata."""
+
+    records: Records
     drops: dict
     metadata: dict
 
@@ -66,17 +112,17 @@ class RunResult:
 # offset analysis
 
 
-def compute_offsets(records: list[PacketRecord], kind: str) -> list[int]:
+def compute_offsets(records, kind: str) -> list[int]:
     """Signed deviations of one timestamp kind from each record's intended_tx."""
     if not records:
         raise EmptyError("no records")
     if kind not in TIMESTAMP_KINDS:
         raise ValueError(f"unknown timestamp kind {kind!r}")
-    readings = list(map(attrgetter(kind), records))
-    if None in readings:
-        missing = records[readings.index(None)]
-        raise MissingTimestampError(f"record seq={missing.seq} has no {kind}")
-    return list(map(sub, readings, map(attrgetter("intended_tx"), records)))
+    columns = _columns(records)
+    readings = columns[RECORD_FIELDS.index(kind)]
+    if isinstance(readings, list) and None in readings:  # an array holds no None
+        raise MissingTimestampError(f"record seq={columns[0][readings.index(None)]} has no {kind}")
+    return list(map(sub, readings, columns[1]))
 
 
 def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
@@ -106,7 +152,7 @@ def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
                        histogram=[[k * bin_width_ns, c] for k, c in bins.items()])
 
 
-def infer_period(records: list[PacketRecord]) -> Optional[int]:
+def infer_period(records) -> Optional[int]:
     """Recover the intended cadence from the intended-tx grid.
 
     records are in CSV order, so record i is on line i + 2. Every row
@@ -115,23 +161,22 @@ def infer_period(records: list[PacketRecord]) -> Optional[int]:
     """
     if len(records) < 2:
         return None
-    first, last = records[0], records[-1]
-    span = last.intended_tx - first.intended_tx
-    steps = last.seq - first.seq
+    seqs, intended = _columns(records)[:2]
+    span = intended[-1] - intended[0]
+    steps = seqs[-1] - seqs[0]
     if steps <= 0 or span % steps:
         raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
     period = span // steps
-    base = first.intended_tx - first.seq * period  # the grid's time at seq 0
-    for line_no, r in enumerate(records, start=2):
-        if r.intended_tx != base + r.seq * period:
+    base = intended[0] - seqs[0] * period  # the grid's time at seq 0
+    for line_no, (seq, tx) in enumerate(zip(seqs, intended), start=2):
+        if tx != base + seq * period:
             raise MalformedRowError(
-                line_no, f"intended_tx {r.intended_tx} of seq {r.seq} is off the "
-                         f"{period} ns grid (expected {base + r.seq * period})")
+                line_no, f"intended_tx {tx} of seq {seq} is off the "
+                         f"{period} ns grid (expected {base + seq * period})")
     return period
 
 
-def stats_payload(records: list[PacketRecord], bin_width_ns: int,
-                  drops: Optional[dict] = None,
+def stats_payload(records, bin_width_ns: int, drops: Optional[dict] = None,
                   metadata: Optional[dict] = None) -> dict:
     """Offset statistics per timestamp kind, with drops and run metadata.
 
@@ -139,14 +184,14 @@ def stats_payload(records: list[PacketRecord], bin_width_ns: int,
     for fewer than two records.
     """
     kinds = {}
-    intended = list(map(attrgetter("intended_tx"), records))
     for kind in TIMESTAMP_KINDS:
-        column = list(map(attrgetter(kind), records))
         # a run that delivered nothing still reports its drops
-        if column and None not in column:
-            column[:] = map(sub, column, intended)  # readings to offsets, in one list
-            kinds[kind] = dict(vars(stats(column, bin_width_ns)))
-        del column  # freed before the next kind's column is read
+        try:
+            offsets = compute_offsets(records, kind)
+        except (EmptyError, MissingTimestampError):
+            continue
+        kinds[kind] = dict(vars(stats(offsets, bin_width_ns)))
+        del offsets  # freed before the next kind's offsets are computed
     return {"kinds": kinds,
             "records": len(records),
             "period_ns": infer_period(records),
@@ -161,7 +206,7 @@ CSV_COLUMNS = ["seq", "intended_tx_ns", "sw_tx_ns", "hw_tx_ns", "hw_rx_ns",
                "sw_rx_ns"]
 
 
-def export_records(records: list[PacketRecord], path) -> None:
+def export_records(records, path) -> None:
     """Write records as CSV, byte for byte as csv.writer would.
 
     Every cell is an int or None, which csv.writer writes unquoted, and
@@ -169,12 +214,13 @@ def export_records(records: list[PacketRecord], path) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(f"{r.seq},{r.intended_tx},{r.sw_tx},{r.hw_tx},{r.hw_rx},"
-                      f"{r.sw_rx}\n".replace("None", "") for r in records)
+        fh.writelines(f"{seq},{intended},{sw_tx},{hw_tx},{hw_rx},{sw_rx}\n".replace("None", "")
+                      for seq, intended, sw_tx, hw_tx, hw_rx, sw_rx in zip(*_columns(records)))
 
 
-def load_records(path) -> list[PacketRecord]:
-    records = []
+def load_records(path) -> Records:
+    stamps = array("q")
+    keep = stamps.fromlist  # appends a whole row, or on error nothing
     # an undecodable byte stays in its cell, where int() rejects it on its line
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -187,15 +233,18 @@ def load_records(path) -> list[PacketRecord]:
                     raise MalformedRowError(
                         reader.line_num, f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
                 try:
-                    seq = int(row[0])
-                    intended = int(row[1])
-                    opt = [None if v == "" else int(v) for v in row[2:]]
+                    values = [int(row[0]), int(row[1])]
+                    values += [None if v == "" else int(v) for v in row[2:]]
                 except ValueError as exc:
                     raise MalformedRowError(reader.line_num, str(exc))
-                records.append(PacketRecord(seq, intended, *opt))
+                try:
+                    keep(values)
+                except (OverflowError, TypeError):  # 2**63 or more, or an empty cell
+                    stamps = stamps.tolist() + values
+                    keep = stamps.extend
         except csv.Error as exc:  # e.g. a cell over the field size limit
             raise MalformedRowError(reader.line_num, str(exc))
-    return records
+    return _split(stamps)
 
 
 def report(records_path, bin_width_ns: int = 100) -> dict:
@@ -268,8 +317,6 @@ class Talker:
 
     def _fire(self, k: int, intended: SimTime):
         if k + 1 < self.count:  # plan frame k + 1, as plan(k + 1) would
-            # a product, as in plan: CPython allocates a sum of two-digit ints
-            # a digit too long, and this int lives on in frame k + 1's record
             intended_next = (k + 2) * self.period
             t = intended_next - self.lead
             self.engine.schedule(t if t > 0 else 0, self._fire, k + 1, intended_next)
@@ -286,8 +333,8 @@ class Talker:
         at_driver = max(now, self.clock.when_reading(intended, now) + wake) + stack
         # each step builds its frame in one positional call, in field order
         frame = Frame(k, traffic.frame_size_bytes, traffic.priority, traffic.priority,
-                      traffic.stream, None, None, None, None,
-                      PacketRecord(k, intended, self.clock.read(at_driver)))
+                      traffic.stream, None, None, None, None, intended,
+                      self.clock.read(at_driver))
         fire = at_driver + driver
         self.engine.schedule(fire, self.submit, frame, fire)
 
@@ -295,15 +342,16 @@ class Talker:
         """Send now with the launch time (SO_TXTIME) set to intended."""
         traffic, now = self.traffic, self.engine.now
         self.submit(Frame(k, traffic.frame_size_bytes, traffic.priority, traffic.priority,
-                          traffic.stream, None, None, intended, None,
-                          PacketRecord(k, intended, self.clock.read(now))), now)
+                          traffic.stream, None, None, intended, None, intended,
+                          self.clock.read(now)), now)
 
 
 class Listener:
     """The listener as a stream sink.
 
     receive(frame, t, wire_start) takes a frame whose last bit arrives at t
-    (wire_start is unused), stamps hw_rx and sw_rx, and keeps its record.
+    (wire_start is unused), stamps hw_rx and sw_rx, and keeps its record,
+    with the frame's id as seq; close() puts the records kept in records.
     With a RecoveryState, each FRER member path ends in receive_copy
     instead, which loses the copy with probability loss, drawn from the
     loss:<label> stream of frame.route. Other copies reach recovery in
@@ -317,7 +365,9 @@ class Listener:
         self.engine, self.rx_latency = engine, node.rx_latency
         self.system, self.phc = clocks["system"], clocks["phc"]
         self.rx_rng = rng_fork(seed, "rx")
-        self.records: list[PacketRecord] = []
+        self._stamps = array("q")  # each kept record's six values in turn
+        self._keep = self._stamps.fromlist  # appends a whole row, or on error nothing
+        self.records = Records()  # filled by close()
         self.drops: Counter = Counter()
         self.recovery, self.loss = recovery, loss
         self.loss_rngs = {label: rng_fork(seed, f"loss:{label}") for label in labels}
@@ -325,10 +375,13 @@ class Listener:
         self._commits = itertools.count()
 
     def receive(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
-        trace = frame.trace
-        trace.hw_rx = self.phc.read(t)
-        trace.sw_rx = self.system.read(t + self.rx_latency.sample(self.rx_rng))
-        self.records.append(trace)
+        row = [frame.id, frame.intended_tx, frame.sw_tx, frame.hw_tx, self.phc.read(t),
+               self.system.read(t + self.rx_latency.sample(self.rx_rng))]
+        try:
+            self._keep(row)
+        except (OverflowError, TypeError):  # a stamp of 2**63 or more, or None: a list from now
+            self._stamps = self._stamps.tolist() + row
+            self._keep = self._stamps.extend
 
     def receive_copy(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
         if self.loss and self.loss_rngs[frame.route].random() < self.loss:
@@ -339,6 +392,7 @@ class Listener:
 
     def close(self):
         self._recover_until(math.inf)
+        self.records = _split(self._stamps)
 
     def _recover_until(self, until: SimTime):
         arrivals = self._arrivals
@@ -409,8 +463,14 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         for bridge in bridges:
             drops.update(bridge.egress.queue.drops)
             drops.update(bridge.drops)
-    sink.records.sort(key=attrgetter("seq"))
+    records = sink.records
+    columns = records.columns
+    if any(map(gt, columns[0], itertools.islice(columns[0], 1, None))):  # only with FRER
+        order = sorted(range(len(records)), key=columns[0].__getitem__)  # a stable sort
+        records = Records(columns=tuple(column[:0] for column in columns))
+        for column, permuted in zip(columns, records.columns):
+            permuted.extend(map(column.__getitem__, order))
     metadata = {"seed": seed, "rng": RNG_ALGORITHM, "period_ns": traffic.period_ns,
                 "count": count, "mode": traffic.mode,
                 "histogram_bin_ns": cfg.run.histogram_bin_ns}
-    return RunResult(records=sink.records, drops=dict(drops), metadata=metadata)
+    return RunResult(records=records, drops=dict(drops), metadata=metadata)

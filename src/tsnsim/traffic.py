@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import SimTime
@@ -32,7 +32,7 @@ class StreamKey(NamedTuple):
 
 @dataclass(slots=True)
 class PacketRecord:
-    """A frame's intended time and four timestamps: its trace, then its record."""
+    """One delivered frame's intended time and four timestamps: a row of Records."""
 
     seq: int = 0
     intended_tx: SimTime = 0
@@ -53,7 +53,9 @@ class Frame:
     ipv: Optional[int] = None  # metadata only, never alters frame bytes
     txtime: Optional[SimTime] = None
     route: Optional[str] = None  # member-path label set by replication
-    trace: PacketRecord = field(default_factory=PacketRecord)
+    intended_tx: SimTime = 0  # this and the next two: the stamps taken before delivery
+    sw_tx: Optional[SimTime] = None
+    hw_tx: Optional[SimTime] = None
 
     def __post_init__(self):
         if self.traffic_class is None:
@@ -65,16 +67,15 @@ class Frame:
         return self.ipv if self.ipv is not None else self.traffic_class
 
     def clone(self, route: Optional[str] = None) -> "Frame":
-        """A copy with its own trace, on route if given, else on this frame's.
+        """A copy on route if given, else on this frame's.
 
         Every field goes to one positional constructor call, since this runs
         once per replicated copy: a new field must be passed here as well.
         """
-        t = self.trace
         return Frame(self.id, self.size_bytes, self.priority, self.traffic_class,
                      self.stream, self.seq, self.ipv, self.txtime,
                      self.route if route is None else route,
-                     PacketRecord(t.seq, t.intended_tx, t.sw_tx, t.hw_tx, t.hw_rx, t.sw_rx))
+                     self.intended_tx, self.sw_tx, self.hw_tx)
 
 
 def transmission_time(size_bytes: int, link_rate_bps: int,

@@ -106,4 +106,4 @@ class TestEtfRelease:
         f = frame(1, txtime=10 ** 6)
         port.submit(f, 0)
         eng.run_all()
-        assert f.trace.hw_tx == 10 ** 6
+        assert f.hw_tx == 10 ** 6

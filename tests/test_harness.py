@@ -1,5 +1,6 @@
 """Measurement harness: offset analysis, CSV round-trips, scenario runs."""
 
+import copy
 import csv
 import gc
 import io
@@ -7,8 +8,11 @@ import json
 import math
 import random
 import statistics
+import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import asdict, astuple
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -18,8 +22,8 @@ from tsnsim import harness
 from tsnsim.core import ClockModel, Engine, JitterDist, rng_fork
 from tsnsim.frer import RecoveryState
 from tsnsim.harness import (CSV_COLUMNS, Listener, MalformedRowError,
-                            MissingTimestampError, OffsetStats, PacketRecord, Talker,
-                            build_path, compute_offsets, export_records, infer_period,
+                            MissingTimestampError, OffsetStats, PacketRecord, Records,
+                            Talker, build_path, compute_offsets, export_records, infer_period,
                             load_records, report, run_scenario, stats, stats_payload)
 from tsnsim.scenario import NodeCfg, load_scenario, parse_scenario
 from tsnsim.traffic import Frame
@@ -479,8 +483,7 @@ def identity_clocks():
 
 
 def copy_of(fid, route="a"):
-    return Frame(id=fid, size_bytes=64, priority=0, seq=fid, route=route,
-                 trace=PacketRecord(fid, 0))
+    return Frame(id=fid, size_bytes=64, priority=0, seq=fid, route=route)
 
 
 class TestListener:
@@ -520,7 +523,7 @@ class TestListener:
         sink.close()
         assert sink.recovery.log == [2, 1, 1]
         assert [r.seq for r in sink.records] == [2, 1]
-        assert sink.records[1] is copies[1].trace
+        assert sink.records[1].hw_rx == 800  # copies[1]'s
         assert sink.drops == {"frer_discard_duplicate": 1}
         sink.close()
         assert len(sink.records) == 2
@@ -570,3 +573,123 @@ class TestListener:
         alone = run_scenario(bridged, seed=1).records + run_scenario(direct, seed=2).records
         assert sorted(map(astuple, sink.records)) == sorted(map(astuple, alone))
         assert len(sink.records) == 100 and sink.drops == {}
+
+
+class TestRecords:
+    """A run's records are int64 columns; rows are made only for list operations."""
+
+    @staticmethod
+    def columnar(records):
+        return all(isinstance(column, array) for column in records.columns)
+
+    def test_len_and_iteration_keep_the_columns(self):
+        records = run_scenario(small_scenario("paper_fig1.json", count=50)).records
+        rows = list(records)
+        assert len(records) == len(rows) == 50 and records
+        assert all(type(r) is PacketRecord for r in rows)
+        assert [r.seq for r in rows] == list(range(50))
+        assert [list(c) for c in records.columns] == [
+            [getattr(r, name) for r in rows] for name in harness.RECORD_FIELDS]
+        assert self.columnar(records)
+
+    def test_equality_with_a_list_of_rows(self):
+        records = run_scenario(small_scenario("paper_fig1.json", count=10)).records
+        rows = list(records)
+        assert records == rows and rows == records and records != rows[:-1]
+        assert records == copy.deepcopy(records) and records != list(reversed(rows))
+        assert Records() == [] and not Records() and tsnsim.Records is Records
+
+    def test_indexing_acts_on_a_list_of_rows(self):
+        records = run_scenario(small_scenario("paper_fig1.json", count=10)).records
+        rows = list(records)
+        assert records[-1] == rows[-1] and records[2:4] == rows[2:4]
+        assert not self.columnar(records)
+        assert list(records.columns[0]) == list(range(10))
+
+    def test_deepcopy_and_the_bench_self_test_edits(self):
+        result = run_scenario(small_scenario("paper_fig1.json", count=10))
+        rows = list(result.records)
+        lost = copy.deepcopy(result)
+        assert self.columnar(lost.records) and lost.records == rows
+        del lost.records[3]
+        assert [r.seq for r in lost.records] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
+        assert len(lost.records) == 9 and list(lost.records.columns[0]) == [
+            0, 1, 2, 4, 5, 6, 7, 8, 9]
+        swapped = copy.deepcopy(result)
+        swapped.records[1], swapped.records[2] = swapped.records[2], swapped.records[1]
+        assert [r.seq for r in swapped.records][:4] == [0, 2, 1, 3]
+        written = copy.deepcopy(result)
+        written.records[0].hw_rx = written.records[0].hw_tx
+        assert list(written.records)[0].hw_rx == rows[0].hw_tx
+        assert written.records.columns[4][0] == rows[0].hw_tx
+        # the copies left the run's records as they were
+        assert copy.copy(result.records) == rows and self.columnar(result.records)
+        assert result.records == rows
+
+    def test_frer_records_are_a_stable_sort_of_the_delivery_order(self, monkeypatch):
+        doc = json.loads((SCENARIOS / "bridge_xdp.json").read_text())
+        # forwarding jitter of four periods, so a copy can overtake an earlier frame's
+        doc["nodes"][1]["forwarding"] = {"kind": "uniform", "min_ns": 0, "max_ns": 20_000}
+        doc["traffic"]["period_ns"] = 5_000
+        doc["frer"] = {"enabled": True, "paths": 3, "loss_per_path": 0.3}
+        cfg = parse_scenario(doc)
+        cfg.run.count = 300
+        delivered = []
+        close = Listener.close
+
+        def keep_delivery_order(sink):
+            close(sink)
+            delivered.append(list(sink.records))
+
+        monkeypatch.setattr(Listener, "close", keep_delivery_order)
+        records = run_scenario(cfg).records
+        [rows] = delivered
+        seqs = [r.seq for r in rows]
+        assert sum(b < a for a, b in zip(seqs, seqs[1:])) > 10
+        assert list(records) == sorted(rows, key=attrgetter("seq"))
+        assert self.columnar(records)
+
+    def test_a_csv_with_an_empty_cell_loads_and_report_skips_its_kind(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text(",".join(CSV_COLUMNS) + "\n0,500,510,520,530,560\n1,1000,1010,,1030,1060\n")
+        records = load_records(p)
+        assert records == [rec(0, 500, sw_tx=510, hw_tx=520, hw_rx=530, sw_rx=560),
+                           rec(1, 1000, sw_tx=1010, hw_tx=None, hw_rx=1030, sw_rx=1060)]
+        assert None in records.columns[3]
+        assert set(report(p)["kinds"]) == {"sw_tx", "hw_rx", "sw_rx"}
+
+    def test_a_stamp_beyond_64_bits_round_trips(self, tmp_path):
+        engine = Engine()
+        sink = Listener(engine, NodeCfg("listener", "listener"), identity_clocks(), 5)
+        for fid, sw_tx in ((0, 10), (1, 2 ** 70), (2, 30)):
+            sink.receive(Frame(id=fid, size_bytes=64, priority=0, intended_tx=fid,
+                               sw_tx=sw_tx, hw_tx=fid), 100 * fid)
+        sink.close()
+        expected = [rec(0, 0, sw_tx=10, hw_tx=0, hw_rx=0, sw_rx=0),
+                    rec(1, 1, sw_tx=2 ** 70, hw_tx=1, hw_rx=100, sw_rx=100),
+                    rec(2, 2, sw_tx=30, hw_tx=2, hw_rx=200, sw_rx=200)]
+        assert sink.records == expected
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        export_records(sink.records, a)
+        loaded = load_records(a)
+        assert loaded == expected and loaded.columns[2][1] == 2 ** 70
+        export_records(loaded, b)
+        assert a.read_bytes() == b.read_bytes()
+        assert report(a)["kinds"]["sw_tx"]["max_ns"] == 2 ** 70 - 1
+
+    def test_a_run_keeps_at_most_60_bytes_per_record(self):
+        cfg = small_scenario("paper_fig1.json", count=100)
+        run_scenario(cfg)  # first-run allocations (caches, interned values) stay out
+        cfg.run.count = 20_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_scenario(cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 20_000
+        per_record = retained / 20_000
+        assert per_record <= 60, f"{per_record:.0f} B retained per record"

@@ -13,11 +13,12 @@ import itertools
 import math
 import statistics
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter, UserList
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import attrgetter, floordiv, gt, sub
+from operator import attrgetter, eq, gt, itemgetter, sub
 from typing import Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
@@ -58,45 +59,41 @@ class OffsetStats:
     histogram: list  # [[bin_start_ns, count], ...]
 
 
-def _columns(records) -> tuple:
-    """The columns of a Records, or of a list of PacketRecord rows."""
-    if isinstance(records, Records) and records._columns is not None:
-        return records._columns
-    return tuple(list(map(attrgetter(name), records)) for name in RECORD_FIELDS)
-
-
 class Records(UserList):
-    """Delivered records as columns, in RECORD_FIELDS order.
+    """Delivered records, row-major: six values per row, in RECORD_FIELDS order.
 
-    A column is an array('q'), or a list where a value is None or needs
-    more than 64 bits. len and iteration (a PacketRecord per row) read the
-    columns. Any other list operation first makes UserList's data, a list
-    of rows, and the columns are read from the rows after that.
+    The storage is an array('q'), or a list where a value is None or needs
+    more than 64 bits; Records(records) shares it. List operations other than
+    len, iteration, == and columns first make UserList's data, a list of
+    PacketRecord rows, which is read from then on.
     """
 
-    def __init__(self, rows=(), columns: Optional[tuple] = None):
-        if columns is None:
-            self.data = list(rows)
-        self._columns = columns
+    def __init__(self, rows=(), flat=None):
+        self._flat = getattr(rows, "_flat", None) if flat is None else flat
+        if self._flat is None:
+            self._flat = list(itertools.chain.from_iterable(map(attrgetter(*RECORD_FIELDS), rows)))
 
-    columns = property(_columns)
+    columns = property(lambda r: tuple(f[i::6] for f in [Records(r)._flat] for i in range(6)))
     __copy__ = UserList.copy  # UserList's own reads data from __dict__
 
     @cached_property
     def data(self) -> list:
-        rows, self._columns = list(self), None
+        rows, self._flat = list(self), None
         return rows
 
     def __len__(self):
-        return len(self.data if self._columns is None else self._columns[0])
+        return len(self.data) if self._flat is None else len(self._flat) // 6
 
     def __iter__(self):
-        return iter(self.data) if self._columns is None else map(PacketRecord, *self._columns)
+        flat = self._flat
+        return iter(self.data) if flat is None else map(PacketRecord, *[iter(flat)] * 6)
 
-
-def _split(stamps) -> Records:
-    """Records of stamps that hold each row's six values in turn."""
-    return Records(columns=tuple(stamps[i::6] for i in range(6)))
+    def __eq__(self, other):
+        if not isinstance(other, (list, UserList)):
+            return NotImplemented
+        a, b = self._flat, getattr(other, "_flat", None)  # None once rows are made
+        a, b = (self, other) if a is None or b is None else (a, b)
+        return len(a) == len(b) and all(map(eq, a, b))  # an array never equals a list
 
 
 @dataclass
@@ -118,15 +115,15 @@ def compute_offsets(records, kind: str) -> list[int]:
         raise EmptyError("no records")
     if kind not in TIMESTAMP_KINDS:
         raise ValueError(f"unknown timestamp kind {kind!r}")
-    columns = _columns(records)
-    readings = columns[RECORD_FIELDS.index(kind)]
+    flat = Records(records)._flat
+    readings = flat[RECORD_FIELDS.index(kind)::6]
     if isinstance(readings, list) and None in readings:  # an array holds no None
-        raise MissingTimestampError(f"record seq={columns[0][readings.index(None)]} has no {kind}")
-    return list(map(sub, readings, columns[1]))
+        raise MissingTimestampError(f"record seq={flat[6 * readings.index(None)]} has no {kind}")
+    return list(map(sub, readings, flat[1::6]))
 
 
 def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
-    """Exact order statistics plus a fixed-width histogram.
+    """Exact order statistics plus a fixed-width histogram, from one sort.
 
     The p80 value is a radius: the smallest magnitude containing at least
     80 percent of the absolute offsets.
@@ -138,18 +135,29 @@ def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
     i = n // 2
     # statistics.median's rule, on the list sorted once
     median = ordered[i] if n % 2 else (ordered[i - 1] + ordered[i]) / 2
-    radii = sorted(map(abs, ordered))
-    p80 = radii[math.ceil(0.8 * n) - 1]
-    # bin indices come in ascending order of bin start, for either sign
-    # of bin width, so the histogram needs no sort
-    bins = Counter(map(floordiv, ordered, itertools.repeat(bin_width_ns)))
+    # the least r with ceil(0.8 n) offsets in [-r, r]: the count steps only at a magnitude
+    need, lo, hi = math.ceil(0.8 * n), 0, max(-ordered[0], ordered[-1])
+    while lo < hi:
+        r = (lo + hi) // 2
+        if bisect_right(ordered, r) - bisect_left(ordered, -r) >= need:
+            hi = r
+        else:
+            lo = r + 1
+    # bin k ends before (k + 1) * width, or after k * width if width < 0: starts ascend
+    edge, shift = (bisect_left, 1) if bin_width_ns > 0 else (bisect_right, 0)
+    histogram, i = [], 0
+    while i < n:
+        k = ordered[i] // bin_width_ns
+        j = edge(ordered, (k + shift) * bin_width_ns, i)
+        histogram.append([k * bin_width_ns, j - i])
+        i = j
     return OffsetStats(min_ns=ordered[0],
                        mean_ns=statistics.fmean(offsets),
                        median_ns=median,
-                       p80_radius_ns=p80,
+                       p80_radius_ns=lo,
                        max_ns=ordered[-1],
                        bin_width_ns=bin_width_ns,
-                       histogram=[[k * bin_width_ns, c] for k, c in bins.items()])
+                       histogram=histogram)
 
 
 def infer_period(records) -> Optional[int]:
@@ -161,7 +169,8 @@ def infer_period(records) -> Optional[int]:
     """
     if len(records) < 2:
         return None
-    seqs, intended = _columns(records)[:2]
+    flat = Records(records)._flat
+    seqs, intended = flat[0::6], flat[1::6]
     span = intended[-1] - intended[0]
     steps = seqs[-1] - seqs[0]
     if steps <= 0 or span % steps:
@@ -185,13 +194,10 @@ def stats_payload(records, bin_width_ns: int, drops: Optional[dict] = None,
     """
     kinds = {}
     for kind in TIMESTAMP_KINDS:
-        # a run that delivered nothing still reports its drops
         try:
-            offsets = compute_offsets(records, kind)
-        except (EmptyError, MissingTimestampError):
-            continue
-        kinds[kind] = dict(vars(stats(offsets, bin_width_ns)))
-        del offsets  # freed before the next kind's offsets are computed
+            kinds[kind] = dict(vars(stats(compute_offsets(records, kind), bin_width_ns)))
+        except (EmptyError, MissingTimestampError):  # an empty run still reports its drops
+            pass
     return {"kinds": kinds,
             "records": len(records),
             "period_ns": infer_period(records),
@@ -204,18 +210,23 @@ def stats_payload(records, bin_width_ns: int, drops: Optional[dict] = None,
 
 CSV_COLUMNS = ["seq", "intended_tx_ns", "sw_tx_ns", "hw_tx_ns", "hw_rx_ns",
                "sw_rx_ns"]
+EXPORT_CHUNK_ROWS = 256
 
 
 def export_records(records, path) -> None:
     """Write records as CSV, byte for byte as csv.writer would.
 
     Every cell is an int or None, which csv.writer writes unquoted, and
-    None as an empty cell.
+    None as an empty cell. Each EXPORT_CHUNK_ROWS rows are one % format.
     """
+    flat, step = Records(records)._flat, 6 * EXPORT_CHUNK_ROWS
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(f"{seq},{intended},{sw_tx},{hw_tx},{hw_rx},{sw_rx}\n".replace("None", "")
-                      for seq, intended, sw_tx, hw_tx, hw_rx, sw_rx in zip(*_columns(records)))
+        for i in range(0, len(flat), step):
+            chunk = flat[i:i + step]
+            text = "%s,%s,%s,%s,%s,%s\n" * (len(chunk) // 6) % tuple(chunk)
+            # an int's decimal form never holds "None"; an array holds no None
+            fh.write(text.replace("None", "") if isinstance(flat, list) else text)
 
 
 def load_records(path) -> Records:
@@ -244,7 +255,7 @@ def load_records(path) -> Records:
                     keep = stamps.extend
         except csv.Error as exc:  # e.g. a cell over the field size limit
             raise MalformedRowError(reader.line_num, str(exc))
-    return _split(stamps)
+    return Records(flat=stamps)
 
 
 def report(records_path, bin_width_ns: int = 100) -> dict:
@@ -392,7 +403,7 @@ class Listener:
 
     def close(self):
         self._recover_until(math.inf)
-        self.records = _split(self._stamps)
+        self.records = Records(flat=self._stamps)
 
     def _recover_until(self, until: SimTime):
         arrivals = self._arrivals
@@ -463,14 +474,13 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         for bridge in bridges:
             drops.update(bridge.egress.queue.drops)
             drops.update(bridge.drops)
-    records = sink.records
-    columns = records.columns
-    if any(map(gt, columns[0], itertools.islice(columns[0], 1, None))):  # only with FRER
-        order = sorted(range(len(records)), key=columns[0].__getitem__)  # a stable sort
-        records = Records(columns=tuple(column[:0] for column in columns))
-        for column, permuted in zip(columns, records.columns):
-            permuted.extend(map(column.__getitem__, order))
+    flat = sink.records._flat
+    seqs = flat[0::6]
+    if any(map(gt, seqs, itertools.islice(seqs, 1, None))):  # only with FRER
+        rows = sorted(zip(*[iter(flat)] * 6), key=itemgetter(0))  # a stable sort
+        flat = flat[:0]
+        flat.extend(itertools.chain.from_iterable(rows))
     metadata = {"seed": seed, "rng": RNG_ALGORITHM, "period_ns": traffic.period_ns,
                 "count": count, "mode": traffic.mode,
                 "histogram_bin_ns": cfg.run.histogram_bin_ns}
-    return RunResult(records=records, drops=dict(drops), metadata=metadata)
+    return RunResult(records=Records(flat=flat), drops=dict(drops), metadata=metadata)

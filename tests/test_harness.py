@@ -179,6 +179,15 @@ def generated_records(rng, n, spread):
     return records
 
 
+def former_export_records(records, path):
+    """export_records() as it was before chunked writes: the reference."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(f"{seq},{intended},{sw_tx},{hw_tx},{hw_rx},{sw_rx}\n".replace("None", "")
+                      for seq, intended, sw_tx, hw_tx, hw_rx, sw_rx
+                      in map(attrgetter(*harness.RECORD_FIELDS), records))
+
+
 def raised(f, *args):
     """(type, message, line number) of what f(*args) raises, or its result."""
     try:
@@ -214,6 +223,46 @@ class TestOutputStageMatchesFormer:
             # the ends define the grid, so an inner row is named off it
             if 0 < row < n - 1:
                 assert (got[0], got[2]) == (MalformedRowError, row + 2)
+
+    CHUNK = harness.EXPORT_CHUNK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_same_csv_bytes(self, tmp_path, n):
+        rng = random.Random(n)
+        rows = [rec(k, 1000 * k, sw_tx=1000 * k + rng.randint(-50, 50), hw_tx=rng.randint(0, 10),
+                    hw_rx=10 ** 15 + k, sw_rx=-k) for k in range(n)]
+        flat = array("q", [v for r in rows for v in astuple(r)])
+        # list storage: an empty cell ends the first chunk, a stamp over 64 bits starts the next
+        for k, kind, value in ((self.CHUNK - 1, "hw_tx", None), (self.CHUNK, "sw_rx", 2 ** 70)):
+            if k < n:
+                rows[k] = copy.copy(rows[k])
+                setattr(rows[k], kind, value)
+        fits = n < self.CHUNK  # rows has no empty cell and no stamp over 64 bits
+        # array storage, list storage, and rows
+        for records, fitted in ((Records(flat=flat), True), (Records(rows), fits), (rows, fits)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            export_records(records, got)
+            former_export_records(records, want)
+            assert got.read_bytes() == want.read_bytes()
+            # the read-back is an array unless a value does not fit
+            loaded = load_records(got)
+            assert isinstance(loaded.columns[0], array) == fitted
+            export_records(loaded, got)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("name,bin_width,offsets", [
+        ("dense", 1, random.Random(1).sample(range(-5_000, 5_000), 10_000)),
+        ("sparse", 100, [random.Random(2).randint(-10 ** 12, 10 ** 12) for _ in range(3_000)]),
+        ("negative width", -7, [random.Random(3).randint(-900, 300) for _ in range(2_001)]),
+        ("negative width, sparse", -100, [-10 ** 9, -5, 0, 0, 99, 100, 10 ** 9]),
+        ("2**63 and more", 1_000, [2 ** 63, 2 ** 63 + 999, 2 ** 64, -2 ** 63 - 1, -2 ** 70, 0]),
+        ("all equal", 100, [-250] * 1_000),
+        ("single value", 7, [13]),
+    ])
+    def test_same_stats_on_edge_inputs(self, name, bin_width, offsets):
+        got, want = asdict(stats(offsets, bin_width)), asdict(former_stats(offsets, bin_width))
+        assert repr(got) == repr(want)
+
 
 class TestInferPeriod:
     def test_uniform_grid(self):
@@ -576,7 +625,7 @@ class TestListener:
 
 
 class TestRecords:
-    """A run's records are int64 columns; rows are made only for list operations."""
+    """A run's records are row-major int64 storage; rows are made only for list operations."""
 
     @staticmethod
     def columnar(records):
@@ -598,6 +647,10 @@ class TestRecords:
         assert records == rows and rows == records and records != rows[:-1]
         assert records == copy.deepcopy(records) and records != list(reversed(rows))
         assert Records() == [] and not Records() and tsnsim.Records is Records
+        # Records(rows) keeps a list, which holds the same values as the run's array
+        assert records == Records(rows) and Records(rows) == records != Records(rows[1:])
+        assert records != 5 and not records == None  # noqa: E711
+        assert self.columnar(records)
 
     def test_indexing_acts_on_a_list_of_rows(self):
         records = run_scenario(small_scenario("paper_fig1.json", count=10)).records
@@ -677,19 +730,51 @@ class TestRecords:
         assert a.read_bytes() == b.read_bytes()
         assert report(a)["kinds"]["sw_tx"]["max_ns"] == 2 ** 70 - 1
 
-    def test_a_run_keeps_at_most_60_bytes_per_record(self):
-        cfg = small_scenario("paper_fig1.json", count=100)
-        run_scenario(cfg)  # first-run allocations (caches, interned values) stay out
-        cfg.run.count = 20_000
+    @staticmethod
+    def traced(f):
+        """f()'s result, and the traced bytes it retained and peaked at above
+        the baseline before it."""
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            result = run_scenario(cfg)
+            result = f()
             gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return result, retained - before, peak - before
+
+    @staticmethod
+    def warm_paper_fig1(count):
+        cfg = small_scenario("paper_fig1.json", count=100)
+        run_scenario(cfg)  # first-run allocations (caches, interned values) stay out
+        cfg.run.count = count
+        return cfg
+
+    def test_a_run_keeps_at_most_60_bytes_per_record(self):
+        cfg = self.warm_paper_fig1(20_000)
+        result, retained, _ = self.traced(lambda: run_scenario(cfg))
         assert len(result.records) == 20_000
         per_record = retained / 20_000
+        assert per_record <= 60, f"{per_record:.0f} B retained per record"
+
+    def test_a_run_peaks_at_most_64_bytes_per_record(self):
+        cfg = self.warm_paper_fig1(20_000)
+        result, _, peak = self.traced(lambda: run_scenario(cfg))
+        assert len(result.records) == 20_000
+        per_record = peak / 20_000
+        assert per_record <= 64, f"{per_record:.0f} B per record at peak"
+
+    def test_equality_of_two_long_runs_keeps_both_row_major(self):
+        cfg = self.warm_paper_fig1(20_000)
+
+        def compare():
+            a, b = run_scenario(cfg).records, run_scenario(cfg).records
+            assert a == b and not a != b and len(a) == 20_000
+            return a, b
+
+        (a, b), retained, _ = self.traced(compare)
+        assert "data" not in vars(a) and "data" not in vars(b)
+        per_record = retained / 40_000
         assert per_record <= 60, f"{per_record:.0f} B retained per record"

@@ -69,15 +69,18 @@ class GateControlList(CyclicSchedule):
 
 
 class _WireTimes(dict):
-    """transmission_time by byte count, computed once per count."""
+    """transmission_time by frame size, overhead added, computed once per size."""
 
     def __init__(self, rate_bps: int, overhead_bytes: int = 0):
-        self.rate_bps = rate_bps
-        self.overhead_bytes = overhead_bytes
+        self.link = (rate_bps, overhead_bytes)
 
     def __missing__(self, nbytes: int) -> int:
-        tt = self[nbytes] = transmission_time(nbytes, self.rate_bps, self.overhead_bytes)
+        tt = self[nbytes] = transmission_time(nbytes, *self.link)
         return tt
+
+
+#: each class's open time after an entry where no gate ever closes
+_NEVER_CLOSES = (math.inf,) * NUM_CLASSES
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +94,11 @@ class TaprioPort:
     fits before its gate closes. A frame that can never fit any open
     window of its class is dropped after waiting one full cycle, as is,
     under guard_mode "none", a frame of a class that no entry opens.
+
+    The GCL is compiled once into tables: per entry, its gate mask, end
+    phase, next entry and, under "fit" only, each class's open time after
+    it; per class, the oversize limit. enqueue fixes each frame's wire time,
+    so select makes one entry lookup per call and compares wire times.
     """
 
     def __init__(self, gcl: Optional[GateControlList] = None, capacity: int = 64,
@@ -110,25 +118,30 @@ class TaprioPort:
         self._occupied = 0
         self.drops: Counter = Counter()
         #: gcl.max_open_run of each class, scanned once
-        self.max_open_runs = (None if gcl is None else
-                              [gcl.max_open_run(tc) for tc in range(NUM_CLASSES)])
-        #: classes select may drop as oversize: all (fit), or those no entry opens
-        self._fit = guard_mode == "fit"
-        self._oversize = 0xFF if self._fit else sum(
-            1 << tc for tc, run in enumerate(self.max_open_runs or ()) if run == 0)
+        self.max_open_runs = [gcl and gcl.max_open_run(tc) for tc in range(NUM_CLASSES)]
+        fit = guard_mode == "fit"
+        #: oversize limit per class: its longest open run, where select may
+        #: drop it (any class under fit, one no entry opens under none)
+        self._limits = tuple(run if run is not None and (fit or run == 0) else math.inf
+                             for run in self.max_open_runs)
+        #: per entry: (gate mask, end phase, next entry, open time after it)
+        self._entries = gcl and [
+            (m, end, (i + 1) % len(gcl.entries), tuple(
+                math.inf if a is None else a for a in after) if fit else _NEVER_CLOSES)
+            for i, (m, end, after) in enumerate(zip(gcl._masks, gcl._ends, gcl._after))]
         #: wire time by frame size, overhead included
         self._tt = _WireTimes(link_rate_bps, overhead_bytes)
-        #: the next gate change, as the last select found it, and its entry's index
-        self._next, self._next_entry = None, 0
+        #: the next gate change as the last select found it, and its entry
+        self.wake_time, self._next_entry = math.inf, 0
 
     def enqueue(self, frame: Frame, t: SimTime) -> Optional[str]:
         """Queue the frame and return None, or return the drop key counted."""
-        tc = frame.egress_class
+        tc = frame.ipv if frame.ipv is not None else frame.traffic_class  # frame.egress_class
         q = self.queues[tc]
         if len(q) >= self.capacity:
             self.drops["taprio_full"] += 1
             return "taprio_full"
-        q.append((frame, t))
+        q.append((frame, t, self._tt[frame.size_bytes]))
         self.count += 1
         self._occupied |= 1 << tc
         return None
@@ -139,21 +152,19 @@ class TaprioPort:
         if not occupied:
             return None
         if gcl is None:
-            mask, fit, oversize = 0xFF, False, 0
+            mask, left, after = 0xFF, 0, _NEVER_CLOSES
         elif t < gcl.base_time:
-            self._next, self._next_entry = gcl.base_time, 0
+            self.wake_time, self._next_entry = gcl.base_time, 0
             return None
         else:
-            if t == self._next:  # the gate change the last select found: no search
+            if t == self.wake_time:  # the gate change the last select found: no search
                 i, phase = self._next_entry, gcl._starts[self._next_entry]
             else:  # gcl._locate(t), inlined, as it runs per frame
                 phase = (t - gcl.base_time) % gcl.cycle_time_ns
                 i = bisect_right(gcl._starts, phase) - 1
-            # mask, time left, open time after it, and the entry that starts at its end
-            mask, left, after = gcl._masks[i], gcl._ends[i] - phase, gcl._after[i]
-            self._next, self._next_entry = t + left, (
-                i + 1 if gcl._ends[i] < gcl.cycle_time_ns else 0)
-            fit, oversize = self._fit, self._oversize
+            mask, end, self._next_entry, after = self._entries[i]
+            left = end - phase
+            self.wake_time = t + left
         # visit the non-empty classes only, highest first
         while occupied:
             tc = occupied.bit_length() - 1
@@ -163,22 +174,17 @@ class TaprioPort:
                 continue
             q = self.queues[tc]
             while q:
-                frame, enq_t = q[0]
-                if oversize & bit:
+                frame, enq_t, tt = q[0]
+                if tt > self._limits[tc] and t - enq_t >= gcl.cycle_time_ns:
                     # a frame that fits no open window of its class is
                     # dropped after waiting one full cycle
-                    tt, max_run = self._tt[frame.size_bytes], self.max_open_runs[tc]
-                    if (max_run is not None and tt > max_run
-                            and t - enq_t >= gcl.cycle_time_ns):
-                        q.popleft()
-                        self.count -= 1
-                        if not q:
-                            self._occupied ^= bit
-                        self.drops["taprio_oversize"] += 1
-                        continue
-                if not mask & bit:
-                    break
-                if fit and after[tc] is not None and tt > left + after[tc]:
+                    q.popleft()
+                    self.count -= 1
+                    if not q:
+                        self._occupied ^= bit
+                    self.drops["taprio_oversize"] += 1
+                    continue
+                if not mask & bit or tt > left + after[tc]:
                     break
                 q.popleft()
                 self.count -= 1
@@ -186,13 +192,6 @@ class TaprioPort:
                     self._occupied ^= bit
                 return frame
         return None
-
-    def __len__(self):
-        return self.count
-
-    def next_event_time(self, t: SimTime) -> Optional[SimTime]:
-        """The next gate change; valid after select(t) returned None."""
-        return self._next if self.count else None
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ class EtfQueue:
         self._heap: list = []
         self.count = 0  # frames queued
         #: when the head frame falls due, as the last select found it
-        self._due: Optional[SimTime] = None
+        self.wake_time: SimTime = math.inf
         self.drops: Counter = Counter()
 
     def enqueue(self, frame: Frame, now: SimTime) -> Optional[str]:
@@ -236,23 +235,16 @@ class EtfQueue:
         if not self._heap:
             return None
         txtime = self._heap[0][0]
-        self._due = self.clock.when_reading(
+        due = self.wake_time = self.clock.when_reading(
             txtime if self.offload else txtime - self.delta_ns, t)
-        if self._due > t:
+        if due > t:
             return None
         return self.pop()
-
-    def next_event_time(self, t: SimTime) -> Optional[SimTime]:
-        """When the head frame falls due; valid after select(t) returned None."""
-        return self._due if self._heap else None
 
     def pop(self) -> Frame:
         frame = heapq.heappop(self._heap)[2]
         self.count -= 1
         return frame
-
-    def __len__(self):
-        return self.count
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +286,14 @@ class EgressPort:
     the engine.
 
     queue is a TaprioPort (the default, ungated) or an EtfQueue; the port
-    drives either through enqueue(frame, t), select(t, classes),
-    next_event_time(t), count (the frames queued; the port looks for work
-    only when a frame is suspended or this is non-zero) and drops, as a
-    netdev drives its qdisc. Like a qdisc that can be bypassed in Linux,
-    an idle port sends a frame that finds its ungated TaprioPort empty
-    straight to the wire: there, enqueue and select would return it.
+    drives either through enqueue(frame, t), select(t, classes), wake_time
+    (when select, having returned None with frames queued, wants to be
+    called again: the next gate change or the head's launch time), count
+    (the frames queued; the port looks for work only when a frame is
+    suspended or this is non-zero) and drops, as a netdev drives its
+    qdisc. Like a qdisc that can be bypassed in Linux, an idle port sends a
+    frame that finds its ungated TaprioPort empty straight to the wire:
+    there, enqueue and select would return it.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded ETF.
     A transmission is one step: its start stamps hw_tx (phc readings are
@@ -344,8 +338,11 @@ class EgressPort:
         self._kick_when_free = False
         self._kick_scheduled_at = math.inf
         self._bypass = isinstance(self.queue, TaprioPort) and self.queue.gcl is None
-        #: wire time by byte count; the counts passed include overhead_bytes
-        self._tt_bytes = _WireTimes(rate_bps)
+        self._preemptive = self.preemption.enabled
+        #: wire time by frame size, overhead added: a taprio queue's on this link
+        tt = getattr(self.queue, "_tt", None)
+        self._tt = (tt if tt is not None and tt.link == (rate_bps, overhead_bytes)
+                    else _WireTimes(rate_bps, overhead_bytes))
 
     # -- submission
 
@@ -358,7 +355,7 @@ class EgressPort:
                 return self._do_preempt(frame, t)
         elif (self._bypass and not self.queue.count and self._suspended is None
                 and (self.engine.now, self.engine.seq) >= self._free):
-            self._send(frame)
+            self._start(frame)
             return None
         result = self.queue.enqueue(frame, t)
         if result is None:
@@ -382,38 +379,35 @@ class EgressPort:
         frame = self.queue.select(
             t, None if suspended is None else self.preemption.express_classes)
         if frame is not None:
-            self._send(frame)
+            self._start(frame)
         elif suspended is not None:
             self._suspended = None
             frame, wire_start, done = suspended
             self._start(frame, t, done, wire_start)
         else:
-            nt = self.queue.next_event_time(t)
-            if nt is not None and t < nt < self._kick_scheduled_at:
+            nt = self.queue.wake_time
+            if t < nt < self._kick_scheduled_at and self.queue.count:
                 self._kick_scheduled_at = nt
                 engine.schedule(nt, self._kick, True)
 
     # -- transmission
 
-    def _send(self, frame: Frame):
-        """Start frame now, or after the NIC's launch precision."""
-        start = self.engine.now
-        if self.hw_precision is not None:
-            start = max(start, start + self.hw_precision.sample(self.rng))
-        self._start(frame, start)
-
-    def _start(self, frame: Frame, start: SimTime, bytes_done: int = 0,
+    def _start(self, frame: Frame, start: Optional[SimTime] = None, bytes_done: int = 0,
                wire_start: Optional[SimTime] = None):
-        """Put frame on the wire from start, bytes_done bytes in; a resumed
-        frame keeps its first wire_start and hw_tx."""
+        """Put frame on the wire from start (by default now, after the NIC's
+        launch precision), bytes_done bytes in; a resumed frame keeps its
+        first wire_start and hw_tx."""
+        if start is None:
+            start = self.engine.now
+            if self.hw_precision is not None:
+                start = max(start, start + self.hw_precision.sample(self.rng))
         if wire_start is None:
             wire_start = start
             if self.phc is not None:
                 frame.hw_tx = self.phc.read(start)
-        end = start + self._tt_bytes[frame.size_bytes + self.overhead_bytes - bytes_done]
+        end = start + self._tt[frame.size_bytes - bytes_done]
         self._free = (end, self.engine.reserve())
-        preemption = self.preemption
-        if preemption.enabled and not preemption.is_express(frame.egress_class):
+        if self._preemptive and not self.preemption.is_express(frame.egress_class):
             self._cuttable = (frame, wire_start, start, bytes_done)
             self._kick_when_free = True
             self.engine.schedule_reserved(*self._free, self._finish, frame, wire_start, end)
@@ -444,7 +438,8 @@ class EgressPort:
         # hold the wire to the boundary instead of the pMAC finish, which
         # thereby cancels itself; until then later express frames queue
         self._cuttable = None
-        boundary = seg_start + self._tt_bytes[point - done]
+        # point and done count overhead bytes; the cache adds them itself
+        boundary = seg_start + self._tt[point - done - self.overhead_bytes]
         self._free = (max(boundary, t), self.engine.reserve())
         self.engine.schedule_reserved(*self._free, self._switch, express,
                                       (frame, wire_start, point))

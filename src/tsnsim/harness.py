@@ -18,7 +18,7 @@ from collections import Counter, UserList
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import attrgetter, eq, gt, itemgetter, sub
+from operator import add, attrgetter, eq, gt, itemgetter, mul, ne, sub
 from typing import Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
@@ -177,11 +177,13 @@ def infer_period(records) -> Optional[int]:
         raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
     period = span // steps
     base = intended[0] - seqs[0] * period  # the grid's time at seq 0
-    for line_no, (seq, tx) in enumerate(zip(seqs, intended), start=2):
-        if tx != base + seq * period:
-            raise MalformedRowError(
-                line_no, f"intended_tx {tx} of seq {seq} is off the "
-                         f"{period} ns grid (expected {base + seq * period})")
+    grid = map(add, map(mul, seqs, itertools.repeat(period)), itertools.repeat(base))
+    if any(map(ne, intended, grid)):  # a row is off the grid: name the first
+        for line_no, (seq, tx) in enumerate(zip(seqs, intended), start=2):
+            if tx != base + seq * period:
+                raise MalformedRowError(
+                    line_no, f"intended_tx {tx} of seq {seq} is off the "
+                             f"{period} ns grid (expected {base + seq * period})")
     return period
 
 

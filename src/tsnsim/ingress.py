@@ -52,6 +52,8 @@ class StreamGate(CyclicSchedule):
     def __init__(self, base_time: SimTime, cycle_time_ns: int,
                  entries: list[StreamGateEntry]):
         super().__init__(base_time, cycle_time_ns, entries)
+        #: per entry: (open, max_octets, ipv, the decision a passing frame gets)
+        self._table = [(e.open, e.max_octets, e.ipv, _PASSES[e.ipv]) for e in self.entries]
         self.running_octets = 0
         self._window_start = None  # true time at which the counted window began
 
@@ -64,14 +66,14 @@ class StreamGate(CyclicSchedule):
         if start != self._window_start:
             self._window_start = start
             self.running_octets = 0
-        entry = self.entries[i]
-        if not entry.open:
+        is_open, max_octets, ipv, decision = self._table[i]
+        if not is_open:
             return _CLOSED
-        if entry.max_octets is not None:
-            if self.running_octets + frame.size_bytes > entry.max_octets:
+        if max_octets is not None:
+            if self.running_octets + frame.size_bytes > max_octets:
                 # a frame exceeding the budget does not consume any of it
                 return _OVER_BUDGET
             self.running_octets += frame.size_bytes
-        if entry.ipv is not None:
-            frame.ipv = entry.ipv
-        return _PASSES[entry.ipv]
+        if ipv is not None:
+            frame.ipv = ipv
+        return decision

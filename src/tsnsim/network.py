@@ -46,6 +46,7 @@ class BridgeNode:
         self.engine = engine
         self.name = name
         self.egress = egress
+        self._submit = egress.submit
         self.stream_rules = stream_rules
         self.gates = gates or {}
         self.forwarding_latency = forwarding_latency
@@ -66,7 +67,7 @@ class BridgeNode:
                 self.drops[decision.outcome] += 1
                 return
         fire = t + self.forwarding_latency.sample(self.rng)
-        self.engine.schedule(fire, self.egress.submit, frame, fire)
+        self.engine.schedule(fire, self._submit, frame, fire)
 
 
 @dataclass(frozen=True)

@@ -333,7 +333,7 @@ def test_criterion_10_etf_semantics():
                         txtime=rng.randrange(0, 10 ** 12)), now=0)
     prev = -1
     sorted_ok = True
-    while len(q):
+    while q.count:
         t = q.pop().txtime
         if t < prev:
             sorted_ok = False

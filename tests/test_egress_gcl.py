@@ -1,6 +1,8 @@
 """Gate-control-list semantics checked against a 1 ns time-stepped oracle."""
 
+import math
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -255,11 +257,11 @@ class TestTaprioQueueing:
         never = Frame(id=1, size_bytes=64, priority=0)
         opens = Frame(id=2, size_bytes=64, priority=1)
         port.enqueue(never, 0)
-        assert port.select(399 * US) is None and len(port) == 1
+        assert port.select(399 * US) is None and port.count == 1
         port.enqueue(opens, 399 * US)
         assert port.select(400 * US) is opens
         assert port.select(400 * US) is None
-        assert len(port) == 0 and port.drops == {"taprio_oversize": 1}
+        assert port.count == 0 and port.drops == {"taprio_oversize": 1}
 
     def test_closed_gate_blocks(self):
         gcl = GateControlList(0, 400 * US, [GclEntry(0x01, 200 * US),
@@ -281,19 +283,25 @@ class TestTaprioQueueing:
         assert port.select(200 * US) is None
         assert port.select(400 * US) is None
         assert port.drops["taprio_oversize"] == 1
-        assert len(port) == 0
+        assert port.count == 0
 
     def test_next_event_before_base_time_is_base_time(self):
         port = TaprioPort(gcl=GateControlList(5 * US, MS, [GclEntry(0xFF, MS)]))
         port.enqueue(Frame(id=1, size_bytes=64, priority=0), 0)
         assert port.select(US) is None
-        assert port.next_event_time(US) == 5 * US
+        assert port.wake_time == 5 * US
 
     def test_ipv_overrides_class_queue(self):
         port = TaprioPort()
         f = Frame(id=1, size_bytes=64, priority=0, ipv=6)
         port.enqueue(f, 0)
         assert len(port.queues[6]) == 1
+
+
+def wake(port):
+    """When an EgressPort would kick port again, as it reads wake_time: only
+    while frames are queued, and once a select has found a gate change."""
+    return port.wake_time if port.count and port.wake_time != math.inf else None
 
 
 class TestGateChangeShortcut:
@@ -320,25 +328,150 @@ class TestGateChangeShortcut:
                               priority=rng.randrange(8))
                     assert port.enqueue(f, t) == twin.enqueue(f, t)
                     fid += 1
-                nt = port.next_event_time(t)
+                nt = wake(port)
                 if nt is not None and rng.random() < 0.7:
                     t = nt
                 else:
                     t += rng.randrange(0, gcl.cycle_time_ns)
-                shortcuts += port.count > 0 and t == port._next
-                twin._next = None  # no gate change known: the twin searches
+                shortcuts += port.count > 0 and t == port.wake_time
+                twin.wake_time = math.inf  # no gate change known: the twin searches
                 frame = port.select(t)
                 assert frame is twin.select(t)
                 assert port.drops == twin.drops and port.count == twin.count
                 if not port.count:
-                    assert port.next_event_time(t) is None
+                    assert wake(port) is None
                 elif t < gcl.base_time:
-                    assert frame is None and port.next_event_time(t) == gcl.base_time
+                    assert frame is None and wake(port) == gcl.base_time
                 else:
                     mask, left = gcl.state(t)
-                    assert port.next_event_time(t) == t + left
+                    assert wake(port) == t + left
                     assert frame is None or mask >> frame.egress_class & 1
         assert shortcuts > 1000
+
+
+class FormerTaprioPort(TaprioPort):
+    """TaprioPort.enqueue and select as they were before the per-entry tables
+    and the wire time fixed at enqueue: the reference of TestTableDrivenQueue.
+    Queued items are (frame, enqueue time); the wire time is looked up at
+    each select, and the class limits are an oversize mask and the runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.gcl is None:
+            self.max_open_runs = None
+        self._fit = self.guard_mode == "fit"
+        self._oversize = 0xFF if self._fit else sum(
+            1 << tc for tc, run in enumerate(self.max_open_runs or ()) if run == 0)
+        self._next, self._next_entry = None, 0
+
+    def enqueue(self, frame, t):
+        tc = frame.egress_class
+        q = self.queues[tc]
+        if len(q) >= self.capacity:
+            self.drops["taprio_full"] += 1
+            return "taprio_full"
+        q.append((frame, t))
+        self.count += 1
+        self._occupied |= 1 << tc
+        return None
+
+    def select(self, t, classes=None):
+        occupied, gcl = self._occupied, self.gcl
+        if not occupied:
+            return None
+        if gcl is None:
+            mask, fit, oversize = 0xFF, False, 0
+        elif t < gcl.base_time:
+            self._next, self._next_entry = gcl.base_time, 0
+            return None
+        else:
+            if t == self._next:
+                i, phase = self._next_entry, gcl._starts[self._next_entry]
+            else:
+                phase = (t - gcl.base_time) % gcl.cycle_time_ns
+                i = bisect_right(gcl._starts, phase) - 1
+            mask, left, after = gcl._masks[i], gcl._ends[i] - phase, gcl._after[i]
+            self._next, self._next_entry = t + left, (
+                i + 1 if gcl._ends[i] < gcl.cycle_time_ns else 0)
+            fit, oversize = self._fit, self._oversize
+        while occupied:
+            tc = occupied.bit_length() - 1
+            bit = 1 << tc
+            occupied ^= bit
+            if classes is not None and tc not in classes:
+                continue
+            q = self.queues[tc]
+            while q:
+                frame, enq_t = q[0]
+                if oversize & bit:
+                    tt, max_run = self._tt[frame.size_bytes], self.max_open_runs[tc]
+                    if (max_run is not None and tt > max_run
+                            and t - enq_t >= gcl.cycle_time_ns):
+                        q.popleft()
+                        self.count -= 1
+                        if not q:
+                            self._occupied ^= bit
+                        self.drops["taprio_oversize"] += 1
+                        continue
+                if not mask & bit:
+                    break
+                if fit and after[tc] is not None and tt > left + after[tc]:
+                    break
+                q.popleft()
+                self.count -= 1
+                if not q:
+                    self._occupied ^= bit
+                return frame
+        return None
+
+    def next_event_time(self, t):
+        return self._next if self.count else None
+
+
+class TestTableDrivenQueue:
+    """The per-entry tables and the wire time fixed at enqueue must give the
+    frames, drops, counts and wake times of the former queue. At 8 Gbps a
+    byte is a nanosecond on the wire, so 1-40 B frames against 60 ns cycles
+    often end exactly at a gate close, and often fit no window of their class."""
+
+    RATE = 8 * 10 ** 9
+
+    def test_matches_the_former_queue(self):
+        rng = random.Random(2323)
+        seen = Counter()
+        for n in range(400):
+            gcl = random_gcl(rng, max_cycle_ns=60)
+            if n % 3 == 0:  # one class that no entry opens
+                shut = ~(1 << rng.randrange(8))
+                gcl = GateControlList(0, 60, [GclEntry(e.gate_mask & shut, e.duration_ns)
+                                              for e in gcl.entries])
+            if n % 2:
+                gcl = GateControlList(rng.randrange(1, 180), 60, gcl.entries)
+            kwargs = dict(gcl=None if n % 25 == 0 else gcl, capacity=rng.randint(1, 3),
+                          guard_mode=("fit", "none")[n // 2 % 2],
+                          link_rate_bps=self.RATE, overhead_bytes=rng.choice([0, 2]))
+            port, former = TaprioPort(**kwargs), FormerTaprioPort(**kwargs)
+            t = 0
+            for fid in range(150):
+                if rng.random() < 0.5:
+                    f = Frame(id=fid, size_bytes=rng.randint(1, 40),
+                              priority=rng.randrange(8),
+                              ipv=rng.choice([None, None, rng.randrange(8)]))
+                    result = port.enqueue(f, t)
+                    assert result == former.enqueue(f, t)
+                    seen[result] += 1
+                else:
+                    classes = rng.choice([None, None, {7}, {0, 1, 2, 3}])
+                    frame = port.select(t, classes)
+                    assert frame is former.select(t, classes)
+                    seen["sent" if frame else "idle", classes is None] += 1
+                assert port.drops == former.drops and port.count == former.count
+                nt = wake(port)
+                assert nt == former.next_event_time(t)
+                t = nt if nt is not None and rng.random() < 0.3 else t + rng.randrange(4)
+            seen.update(port.drops)
+        assert all(seen[k] for k in (None, "taprio_full", "taprio_oversize",
+                                     ("sent", True), ("sent", False), ("idle", False)))
 
 
 class TestGateConformance:
@@ -386,7 +519,7 @@ class CountedTaprioPort(TaprioPort):
     enqueues = 0
 
     def check(self):
-        assert len(self) == sum(len(q) for q in self.queues)
+        assert self.count == sum(len(q) for q in self.queues)
         assert self._occupied == sum(1 << tc for tc, q in enumerate(self.queues) if q)
 
     def enqueue(self, frame, t):
@@ -419,9 +552,9 @@ class TestPendingCount:
                 else:
                     classes = rng.choice([None, {7}, {0, 1, 2, 3}])
                     frame = port.select(t, classes)
-                    if frame is None and classes is None and len(port):
+                    if frame is None and classes is None and port.count:
                         # the next gate change, as select found it
-                        assert port.next_event_time(t) == t + port.gcl.state(t)[1]
+                        assert port.wake_time == t + port.gcl.state(t)[1]
                     seen["sent" if frame else "idle"] += 1
             seen.update(port.drops)
         assert all(seen[k] for k in (("enqueue", None), ("enqueue", "taprio_full"),
@@ -455,7 +588,7 @@ class TestPendingCount:
                              lambda f=f: port.submit(f, eng.now))
             eng.run_all()
             taprio.check()
-            assert len(taprio) == 0
+            assert taprio.count == 0
         assert requeued
 
 

@@ -50,7 +50,7 @@ class TestEtfQueue:
         q = EtfQueue()
         for txtime, fid in items:
             q.enqueue(frame(fid, txtime=txtime), now=0)
-        out = [q.pop().txtime for _ in range(len(q))]
+        out = [q.pop().txtime for _ in range(q.count)]
         assert out == sorted(out)
 
 

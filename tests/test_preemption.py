@@ -156,7 +156,7 @@ class TestPortIntegration:
         out = []
         port = EgressPort(eng, RATE_100M, queue=taprio, preemption=PCFG,
                           deliver=lambda f, e, s: out.append(
-                              (f.id, s, e, len(taprio), port._suspended is not None)))
+                              (f.id, s, e, taprio.count, port._suspended is not None)))
         port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
         eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
         eng.run_all()

@@ -5,7 +5,7 @@ from .traffic import Frame, StreamKey, transmission_time
 from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
                      PreemptionConfig, TaprioPort)
 from .ingress import PsfpDecision, StreamGate, StreamGateEntry
-from .frer import RecoveryState, Replicator, replicate
+from .frer import RecoveryState, Replicator
 from .network import (BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound)
 from .harness import (OffsetStats, PacketRecord, Records, RunResult, compute_offsets,
                       export_records, load_records, report, run_scenario, stats)

@@ -7,10 +7,9 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
 from .traffic import NS_PER_SEC, Frame, transmission_time
@@ -22,8 +21,7 @@ class MissingTxtimeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GclEntry:
+class GclEntry(NamedTuple):
     gate_mask: int  # bit i == 1 -> traffic class i open
     duration_ns: int
 
@@ -251,14 +249,10 @@ class EtfQueue:
 # frame preemption (802.1Qbu / 802.3br)
 
 
-@dataclass(frozen=True)
-class PreemptionConfig:
+class PreemptionConfig(NamedTuple):
     enabled: bool = False
     express_classes: frozenset = frozenset()
     min_fragment_bytes: int = 64
-
-    def is_express(self, tc: int) -> bool:
-        return tc in self.express_classes
 
 
 def bytes_on_wire(start: SimTime, t: SimTime, rate_bps: int) -> int:
@@ -339,6 +333,7 @@ class EgressPort:
         self._kick_scheduled_at = math.inf
         self._bypass = isinstance(self.queue, TaprioPort) and self.queue.gcl is None
         self._preemptive = self.preemption.enabled
+        self._express = self.preemption.express_classes
         #: wire time by frame size, overhead added: a taprio queue's on this link
         tt = getattr(self.queue, "_tt", None)
         self._tt = (tt if tt is not None and tt.link == (rate_bps, overhead_bytes)
@@ -350,7 +345,7 @@ class EgressPort:
         """Hand a frame to the port: None if it was sent, queued or will
         preempt, else the drop key the queue counted."""
         if self._cuttable is not None:
-            if self.preemption.is_express(frame.egress_class):
+            if frame.egress_class in self._express:
                 # an express frame may interrupt a preemptable transmission
                 return self._do_preempt(frame, t)
         elif (self._bypass and not self.queue.count and self._suspended is None
@@ -377,7 +372,7 @@ class EgressPort:
             return
         suspended = self._suspended
         frame = self.queue.select(
-            t, None if suspended is None else self.preemption.express_classes)
+            t, None if suspended is None else self._express)
         if frame is not None:
             self._start(frame)
         elif suspended is not None:
@@ -407,7 +402,7 @@ class EgressPort:
                 frame.hw_tx = self.phc.read(start)
         end = start + self._tt[frame.size_bytes - bytes_done]
         self._free = (end, self.engine.reserve())
-        if self._preemptive and not self.preemption.is_express(frame.egress_class):
+        if self._preemptive and frame.egress_class not in self._express:
             self._cuttable = (frame, wire_start, start, bytes_done)
             self._kick_when_free = True
             self.engine.schedule_reserved(*self._free, self._finish, frame, wire_start, end)

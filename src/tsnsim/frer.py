@@ -15,37 +15,28 @@ DISCARD_DUPLICATE = "discard_duplicate"
 DISCARD_STALE = "discard_stale"
 
 
-class NoPathsError(Exception):
-    pass
-
-
 class MissingSeqError(Exception):
     pass
 
 
-def replicate(frame: Frame, member_paths: list[str]) -> list[Frame]:
-    """One identical copy per member path, tagged with the path label."""
-    if not member_paths:
-        raise NoPathsError("replication needs at least one member path")
-    if frame.seq is None:
-        raise MissingSeqError(f"frame {frame.id} has no sequence number")
-    return [frame.clone(route=path) for path in member_paths]
-
-
 class Replicator:
     """The talker end of a replicated stream: submit stamps the next mod-65536
-    sequence number and hands one copy to each member path's port, anything
-    with submit(frame, t), as ports maps the paths' labels to them."""
+    sequence number and hands one identical copy, tagged with the member
+    path's label, to each member path's port, anything with submit(frame, t),
+    as ports maps the paths' labels to them."""
 
     def __init__(self, ports: dict):
-        self.labels, self.ports = list(ports), list(ports.values())
+        if not ports:
+            raise ValueError("replication needs at least one member path")
+        #: (submit, label) of each member path, bound once
+        self.members = [(port.submit, label) for label, port in ports.items()]
         self.next_seq = 0
 
     def submit(self, frame: Frame, t: SimTime) -> None:
         frame.seq = self.next_seq
         self.next_seq = (self.next_seq + 1) % SEQ_SPACE
-        for port, member in zip(self.ports, replicate(frame, self.labels)):
-            port.submit(member, t)
+        for submit, label in self.members:
+            submit(frame.clone(label), t)
 
 
 class RecoveryState:

@@ -18,8 +18,8 @@ from collections import Counter, UserList
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import add, attrgetter, eq, gt, itemgetter, mul, ne, sub
-from typing import Optional
+from operator import attrgetter, eq, gt, itemgetter, sub
+from typing import NamedTuple, Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
 from .egress import EgressPort, EtfQueue, TaprioPort
@@ -50,6 +50,8 @@ class MalformedRowError(Exception):
 
 @dataclass
 class OffsetStats:
+    """One timestamp kind's offset statistics, as stats.json holds them."""
+
     min_ns: int
     mean_ns: float
     median_ns: float
@@ -96,8 +98,7 @@ class Records(UserList):
         return len(a) == len(b) and all(map(eq, a, b))  # an array never equals a list
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """A run's records in seq order, its drops by reason, and its metadata."""
 
     records: Records
@@ -177,13 +178,12 @@ def infer_period(records) -> Optional[int]:
         raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
     period = span // steps
     base = intended[0] - seqs[0] * period  # the grid's time at seq 0
-    grid = map(add, map(mul, seqs, itertools.repeat(period)), itertools.repeat(base))
-    if any(map(ne, intended, grid)):  # a row is off the grid: name the first
-        for line_no, (seq, tx) in enumerate(zip(seqs, intended), start=2):
-            if tx != base + seq * period:
-                raise MalformedRowError(
-                    line_no, f"intended_tx {tx} of seq {seq} is off the "
-                             f"{period} ns grid (expected {base + seq * period})")
+    for seq, tx in zip(seqs, intended):
+        if tx != base + seq * period:
+            # the first row off the grid: an earlier one equal to it would be too
+            line_no = list(zip(seqs, intended)).index((seq, tx)) + 2
+            raise MalformedRowError(line_no, f"intended_tx {tx} of seq {seq} is off the "
+                                             f"{period} ns grid (expected {base + seq * period})")
     return period
 
 
@@ -308,10 +308,14 @@ class Talker:
     def __init__(self, engine: Engine, traffic: TrafficCfg, count: int,
                  clock: ClockModel, seed: int, submit):
         self.engine = engine
-        self.traffic = traffic
         self.count = count
         self.clock = clock  # the talker's system clock
         self.submit = submit
+        # the fields each step reads, bound once: a tuple's are slower to read
+        self.size, self.priority, self.stream = (traffic.frame_size_bytes, traffic.priority,
+                                                 traffic.stream)
+        self.wake_jitter, self.stack_latency, self.driver_latency = (
+            traffic.wake_jitter, traffic.stack_latency, traffic.driver_latency)
         self.wake_rng = rng_fork(seed, "wake")
         self.stack_rng = rng_fork(seed, "stack")
         self.driver_rng = rng_fork(seed, "driver")
@@ -338,25 +342,22 @@ class Talker:
     def sleep(self, k: int, intended: SimTime):
         """Sleep until the system clock reads intended, then send through
         the stack to the driver, where sw_tx is read."""
-        traffic = self.traffic
-        wake = traffic.wake_jitter.sample(self.wake_rng)
-        stack = traffic.stack_latency.sample(self.stack_rng)
-        driver = traffic.driver_latency.sample(self.driver_rng)
+        wake = self.wake_jitter.sample(self.wake_rng)
+        stack = self.stack_latency.sample(self.stack_rng)
+        driver = self.driver_latency.sample(self.driver_rng)
         now = self.engine.now
         at_driver = max(now, self.clock.when_reading(intended, now) + wake) + stack
         # each step builds its frame in one positional call, in field order
-        frame = Frame(k, traffic.frame_size_bytes, traffic.priority, traffic.priority,
-                      traffic.stream, None, None, None, None, intended,
-                      self.clock.read(at_driver))
+        frame = Frame(k, self.size, self.priority, self.priority, self.stream, None, None,
+                      None, None, intended, self.clock.read(at_driver))
         fire = at_driver + driver
         self.engine.schedule(fire, self.submit, frame, fire)
 
     def txtime(self, k: int, intended: SimTime):
         """Send now with the launch time (SO_TXTIME) set to intended."""
-        traffic, now = self.traffic, self.engine.now
-        self.submit(Frame(k, traffic.frame_size_bytes, traffic.priority, traffic.priority,
-                          traffic.stream, None, None, intended, None, intended,
-                          self.clock.read(now)), now)
+        now = self.engine.now
+        self.submit(Frame(k, self.size, self.priority, self.priority, self.stream, None,
+                          None, intended, None, intended, self.clock.read(now)), now)
 
 
 class Listener:

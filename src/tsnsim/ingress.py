@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import CyclicSchedule, SimTime
 from .traffic import Frame
@@ -16,13 +16,12 @@ DROP_OCTET_BUDGET = "drop_octet_budget"
 DROP_NO_STREAM = "drop_no_stream"
 
 
-@dataclass(frozen=True)
-class PsfpDecision:
+class PsfpDecision(NamedTuple):
     outcome: str
     ipv: Optional[int] = None
 
 
-#: every gate returns these shared decisions, which are frozen
+#: every gate returns these shared decisions, which are immutable
 _CLOSED = PsfpDecision(DROP_CLOSED_GATE)
 _OVER_BUDGET = PsfpDecision(DROP_OCTET_BUDGET)
 _PASSES = {ipv: PsfpDecision(PASS, ipv=ipv) for ipv in (None, *range(8))}
@@ -30,6 +29,9 @@ _PASSES = {ipv: PsfpDecision(PASS, ipv=ipv) for ipv in (None, *range(8))}
 
 @dataclass(frozen=True)
 class StreamGateEntry:
+    """One window of a StreamGate's cycle: open or closed for duration_ns,
+    with the IPV a passing frame gets and the window's octet budget."""
+
     open: bool
     duration_ns: int
     ipv: Optional[int] = None

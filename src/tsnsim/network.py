@@ -72,6 +72,9 @@ class BridgeNode:
 
 @dataclass(frozen=True)
 class CqfConfig:
+    """Cyclic queuing and forwarding: the cycle, and the IPVs that collect
+    frames in even and odd cycles; cqf_compose turns it into gates."""
+
     cycle_time_ns: int
     ipv_even: int
     ipv_odd: int

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, ScheduleError
 from .egress import GateControlList, GclEntry, PreemptionConfig
@@ -139,16 +140,14 @@ class _Checker:
             return default
 
 
-@dataclass
-class NodeCfg:
+class NodeCfg(NamedTuple):
     name: str
     role: str
     forwarding: JitterDist = CONSTANT_ZERO
     rx_latency: JitterDist = CONSTANT_ZERO
 
 
-@dataclass
-class LinkCfg:
+class LinkCfg(NamedTuple):
     src: str
     dst: str
     rate_bps: int
@@ -156,38 +155,34 @@ class LinkCfg:
     overhead_bytes: int = 0
 
 
-@dataclass(frozen=True)
-class TaprioCfg:
+class TaprioCfg(NamedTuple):
     gcl: Optional[GateControlList] = None
     guard_mode: str = "fit"
     queue_capacity: int = 64
     preemption: PreemptionConfig = PreemptionConfig()
 
 
-@dataclass(frozen=True)
-class EtfCfg:
+class EtfCfg(NamedTuple):
     offload: bool = True
     delta_ns: int = 0  # 50 us by default without offload
 
 
-@dataclass
-class FilterCfg:
+class FilterCfg(NamedTuple):
     rules: Optional[StreamRuleSet] = None  # None: every frame has handle None
     #: handle -> StreamGate template; a gate counts its window's octets,
-    #: so each bridge on each path runs its own copy
-    gates: dict = field(default_factory=dict)
+    #: so each bridge on each path runs its own copy. The default, shared
+    #: by every FilterCfg(), is read-only
+    gates: dict = MappingProxyType({})
 
 
-@dataclass
-class FrerCfg:
+class FrerCfg(NamedTuple):
     enabled: bool = False
     paths: int = 2
     window_size: int = 64
     loss_per_path: float = 0.0
 
 
-@dataclass
-class TrafficCfg:
+class TrafficCfg(NamedTuple):
     period_ns: int = 500_000
     count: int = 10_000
     frame_size_bytes: int = MIN_FRAME_BYTES
@@ -203,13 +198,15 @@ class TrafficCfg:
 
 @dataclass
 class RunCfg:
+    """The run section: the seed, a frame count that overrides the traffic
+    section's, and the width of the offset histograms' bins."""
+
     seed: int = 1
     count: Optional[int] = None     # overrides traffic.count when set
     histogram_bin_ns: int = 100
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     nodes: list[NodeCfg]
     links: list[LinkCfg]
     #: node -> {"system" | "phc": ClockModel template}; a run resyncs
@@ -407,17 +404,15 @@ def _parse_nodes(c: _Checker, raw) -> tuple[list[NodeCfg], set]:
         role = c.choice(n, "role", p, ("talker", "bridge", "listener"))
         if role is None:
             continue
-        node = NodeCfg(name, role,
-                       rx_latency=c.dist(n, "rx_latency", p, default=CONSTANT_ZERO))
+        rx_latency = c.dist(n, "rx_latency", p, default=CONSTANT_ZERO)
         fwd = n.get("forwarding")
         if isinstance(fwd, dict) and set(fwd) == {"preset"}:
             preset = c.choice(fwd, "preset", f"{p}.forwarding", FORWARDING_PRESETS,
                               unknown="preset")
-            if preset is not None:
-                node.forwarding = FORWARDING_PRESETS[preset]
+            forwarding = FORWARDING_PRESETS.get(preset, CONSTANT_ZERO)
         else:
-            node.forwarding = c.dist(n, "forwarding", p, default=CONSTANT_ZERO)
-        nodes.append(node)
+            forwarding = c.dist(n, "forwarding", p, default=CONSTANT_ZERO)
+        nodes.append(NodeCfg(name, role, forwarding, rx_latency))
     if not c.problems:
         for role in ("talker", "listener"):
             if [n.role for n in nodes].count(role) != 1:
@@ -488,7 +483,6 @@ def _parse_shaper(c: _Checker, spec, path) -> Optional[TaprioCfg | EtfCfg]:
 
 
 def _parse_filter(c: _Checker, spec, path) -> FilterCfg:
-    fc = FilterCfg()
     rules = spec.get("rules", [])
     if not isinstance(rules, list):
         c.fail(f"{path}.rules", "expected a list")
@@ -502,18 +496,18 @@ def _parse_filter(c: _Checker, spec, path) -> FilterCfg:
             for k, hi in _STREAM_FIELDS.items():  # absent or null matches any
                 c.int_in(r, k, rp, lo=0, hi=hi, nullable=True)
     # the bridges share this rule set, so it is built only when valid
+    rule_set = None
     if rules and len(c.problems) == before:
         try:
-            fc.rules = make_stream_rules(rules)
+            rule_set = make_stream_rules(rules)
         except DuplicateExactRuleError as exc:
             c.fail(f"{path}.rules", str(exc))
     gates = spec.get("gates", {})
     if not isinstance(gates, dict):
         c.fail(f"{path}.gates", "expected an object")
         gates = {}
-    fc.gates = {handle: _parse_stream_gate(c, g, f"{path}.gates.{handle}")
-                for handle, g in gates.items()}
-    return fc
+    return FilterCfg(rule_set, {handle: _parse_stream_gate(c, g, f"{path}.gates.{handle}")
+                                for handle, g in gates.items()})
 
 
 def _parse_cqf(c: _Checker, raw) -> Optional[CqfConfig]:
@@ -567,7 +561,7 @@ def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
             elif shaper.gcl is not None:
                 c.fail(f"shapers.{b}.gcl", "cqf sets the gcl of this bridge")
             else:
-                shapers[b] = replace(shaper, gcl=gcl)
+                shapers[b] = shaper._replace(gcl=gcl)
             filters[b] = FilterCfg(gates={None: gate})
     etf = [link.src for link in chain if isinstance(shapers.get(link.src), EtfCfg)]
     if mode == "sleep":

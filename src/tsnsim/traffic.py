@@ -44,6 +44,9 @@ class PacketRecord:
 
 @dataclass(slots=True)
 class Frame:
+    """A frame in flight: its size, priority and stream, the metadata set on
+    the way (FRER seq, IPV, launch time, member path) and its tx stamps."""
+
     id: int
     size_bytes: int
     priority: int
@@ -88,8 +91,7 @@ def transmission_time(size_bytes: int, link_rate_bps: int,
     return q + (1 if 2 * r >= link_rate_bps else 0)
 
 
-@dataclass(frozen=True)
-class StreamRule:
+class StreamRule(NamedTuple):
     """Wildcard pattern over StreamKey fields; None matches anything."""
 
     dest_mac: Optional[int]

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsnsim.frer import (ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, SEQ_HALF,
-                         SEQ_SPACE, MissingSeqError, NoPathsError, RecoveryState,
-                         Replicator, replicate)
+                         SEQ_SPACE, MissingSeqError, RecoveryState, Replicator)
 from tsnsim.traffic import Frame
 
 
@@ -57,23 +56,26 @@ class TestReplicator:
 
 
 class TestReplicate:
+    """The copies Replicator.submit hands to its member paths' ports."""
+
     def test_one_copy_per_path(self):
-        copies = replicate(frame(seq=7), ["a", "b"])
+        rep, ports = replicator(("a", "b"))
+        rep.next_seq = 7
+        rep.submit(frame(), 0)
+        copies = [f for port in ports.values() for f, _ in port.submitted]
         assert [c.route for c in copies] == ["a", "b"]
         assert all(c.seq == 7 and c.size_bytes == 64 for c in copies)
 
     def test_copies_have_independent_traces(self):
-        a, b = replicate(frame(seq=0), ["a", "b"])
+        rep, ports = replicator(("a", "b"))
+        rep.submit(frame(), 0)
+        [(a, _)], [(b, _)] = ports["a"].submitted, ports["b"].submitted
         a.hw_tx = 123
         assert b.hw_tx is None
 
     def test_no_paths_rejected(self):
-        with pytest.raises(NoPathsError):
-            replicate(frame(seq=0), [])
-
-    def test_unstamped_frame_rejected(self):
-        with pytest.raises(MissingSeqError):
-            replicate(frame(), ["a"])
+        with pytest.raises(ValueError, match="at least one member path"):
+            Replicator({})
 
 
 class TestRecovery:

@@ -10,7 +10,7 @@ import tsnsim
 from tsnsim.egress import GateControlList, PreemptionConfig
 from tsnsim.ingress import StreamGate, StreamGateEntry
 from tsnsim.network import CqfConfig, cqf_compose
-from tsnsim.scenario import (ConfigError, EtfCfg, TaprioCfg, load_scenario,
+from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, TaprioCfg, load_scenario,
                              parse_scenario)
 from tsnsim.traffic import StreamKey
 
@@ -350,6 +350,17 @@ class TestRejections:
 
 
 class TestBuiltObjects:
+    def test_value_records_are_read_only(self):
+        # every FilterCfg() shares its default gates
+        assert FilterCfg().gates is FilterCfg().gates
+        with pytest.raises(TypeError):
+            FilterCfg().gates["s0"] = None
+        cfg = parse_scenario(MINIMAL)
+        for record, field in ((cfg, "traffic"), (cfg.traffic, "period_ns"),
+                              (cfg.nodes[0], "role")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
     def test_schedules_and_configs_built_once(self):
         gcl = {"cycle_time_ns": 1000, "entries": [{"gate_mask": 1, "duration_ns": 1000}]}
         gate = {"base_time": 5, "cycle_time_ns": 1000, "entries": [

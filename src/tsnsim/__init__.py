@@ -7,8 +7,8 @@ from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
 from .ingress import PsfpDecision, StreamGate, StreamGateEntry
 from .frer import RecoveryState, Replicator
 from .network import (BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound)
-from .harness import (OffsetStats, PacketRecord, Records, RunResult, compute_offsets,
-                      export_records, load_records, report, run_scenario, stats)
+from .harness import (PacketRecord, Records, RunResult, compute_offsets, export_records,
+                      load_records, report, run_scenario, stats)
 from .scenario import ConfigError, ScenarioConfig, load_scenario, parse_scenario
 
 __version__ = "0.1.0"

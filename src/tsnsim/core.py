@@ -12,7 +12,6 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
@@ -49,23 +48,52 @@ def rng_fork(seed: int, stream_label: str) -> random.Random:
     return random.Random(key)
 
 
-@dataclass(frozen=True)
-class JitterDist:
+class Record:
+    """Base of the slotted records: a subclass names its fields in order in _fields
+    and all its attributes in __slots__. Records of one type with equal fields are
+    equal; repr lists the fields and iteration yields them. With frozen=True a
+    subclass is read-only and hashable; its __init__ sets fields with _set."""
+
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._read_only
+            cls.__hash__ = lambda self: hash(tuple(self))
+            cls.__reduce__ = lambda self: (type(self), tuple(self))
+
+    def _read_only(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __iter__(self):
+        return map(self.__getattribute__, self._fields)
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
+
+
+class JitterDist(Record, frozen=True):
     """A nanosecond-valued jitter distribution.
 
     kinds: constant, uniform(min,max), normal(mean,std) truncated at
     4 sigma (and optionally at a lower bound), empirical weighted points.
     """
 
-    kind: str
-    value_ns: int = 0
-    min_ns: Optional[int] = None
-    max_ns: Optional[int] = None
-    mean_ns: float = 0.0
-    std_ns: float = 0.0
-    points: tuple = ()  # ((value_ns, weight), ...)
+    _fields = ("kind", "value_ns", "min_ns", "max_ns", "mean_ns", "std_ns", "points")
+    __slots__ = (*_fields, "_span", "_bits", "_lo", "_hi", "_values", "_cum_weights", "_total",
+                 "_last")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, value_ns: int = 0, min_ns: Optional[int] = None,
+                 max_ns: Optional[int] = None, mean_ns: float = 0.0, std_ns: float = 0.0,
+                 points: tuple = ()):  # ((value_ns, weight), ...)
+        self._set(kind, value_ns, min_ns, max_ns, mean_ns, std_ns, points)
         bind = partial(object.__setattr__, self)
         if self.kind == "uniform":
             # sample draws as rng.randint does, via _randbelow_with_getrandbits
@@ -163,8 +191,7 @@ def _as_ppm_fraction(drift_ppm) -> Fraction:
     return Fraction(str(drift_ppm))
 
 
-@dataclass
-class ClockModel:
+class ClockModel(Record):
     """Per-node clock with static offset, linear drift and periodic resync,
     read as a pure function of true time.
 
@@ -182,13 +209,14 @@ class ClockModel:
     segment; it is fixed at construction.
     """
 
-    offset_ns: int = 0
-    drift_ppm: Fraction = Fraction(0)
-    sync_interval_ns: Optional[int] = None
-    sync_residual: JitterDist = CONSTANT_ZERO
+    _fields = ("offset_ns", "drift_ppm", "sync_interval_ns", "sync_residual")
+    __slots__ = (*_fields, "_drift_num", "_drift_den", "_rate_den", "_syncs", "_offsets", "_rng",
+                 "_start", "_offset", "_lo", "_hi")
 
-    def __post_init__(self):
-        self.drift_ppm = _as_ppm_fraction(self.drift_ppm)
+    def __init__(self, offset_ns: int = 0, drift_ppm: Fraction = Fraction(0),
+                 sync_interval_ns: Optional[int] = None, sync_residual: JitterDist = CONSTANT_ZERO):
+        self.offset_ns, self.sync_interval_ns = offset_ns, sync_interval_ns
+        self.sync_residual, self.drift_ppm = sync_residual, _as_ppm_fraction(drift_ppm)
         if self.drift_ppm <= -PPM:
             raise ValueError(f"drift_ppm must be > {-PPM}, got {self.drift_ppm}")
         self._drift_num = self.drift_ppm.numerator
@@ -197,15 +225,15 @@ class ClockModel:
         # bound above keeps positive
         self._rate_den = self._drift_den + self._drift_num
         #: K, the number of resyncs, and o_k at index k as drawn so far
-        self._syncs = 0
-        self._offsets = [self.offset_ns]
+        self._syncs, self._offsets = 0, [self.offset_ns]
         self._rng: Optional[random.Random] = None
         #: s_k and o_k of the segment k last entered, which holds [_lo, _hi)
         self._start, self._offset = 0, self.offset_ns
 
     def resynced(self, rng: random.Random, horizon: SimTime) -> "ClockModel":
         """A fresh copy that resyncs up to horizon, its residuals drawn from rng."""
-        clock = replace(self)
+        clock = ClockModel(self.offset_ns, self.drift_ppm, self.sync_interval_ns,
+                           self.sync_residual)
         if self.sync_interval_ns:
             clock._syncs, clock._rng = max(1, horizon // self.sync_interval_ns), rng
             clock._enter(0)

@@ -15,7 +15,6 @@ import statistics
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, UserList
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import attrgetter, eq, gt, itemgetter, sub
@@ -46,19 +45,6 @@ class MalformedRowError(Exception):
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {reason}")
-
-
-@dataclass
-class OffsetStats:
-    """One timestamp kind's offset statistics, as stats.json holds them."""
-
-    min_ns: int
-    mean_ns: float
-    median_ns: float
-    p80_radius_ns: int
-    max_ns: int
-    bin_width_ns: int
-    histogram: list  # [[bin_start_ns, count], ...]
 
 
 class Records(UserList):
@@ -123,8 +109,10 @@ def compute_offsets(records, kind: str) -> list[int]:
     return list(map(sub, readings, flat[1::6]))
 
 
-def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
-    """Exact order statistics plus a fixed-width histogram, from one sort.
+def stats(offsets: list[int], bin_width_ns: int = 100) -> dict:
+    """Exact order statistics plus a fixed-width histogram, from one sort, as
+    the dict stats.json holds for one timestamp kind; histogram is
+    [[bin_start_ns, count], ...].
 
     The p80 value is a radius: the smallest magnitude containing at least
     80 percent of the absolute offsets.
@@ -152,13 +140,9 @@ def stats(offsets: list[int], bin_width_ns: int = 100) -> OffsetStats:
         j = edge(ordered, (k + shift) * bin_width_ns, i)
         histogram.append([k * bin_width_ns, j - i])
         i = j
-    return OffsetStats(min_ns=ordered[0],
-                       mean_ns=statistics.fmean(offsets),
-                       median_ns=median,
-                       p80_radius_ns=lo,
-                       max_ns=ordered[-1],
-                       bin_width_ns=bin_width_ns,
-                       histogram=histogram)
+    return {"min_ns": ordered[0], "mean_ns": statistics.fmean(offsets), "median_ns": median,
+            "p80_radius_ns": lo, "max_ns": ordered[-1], "bin_width_ns": bin_width_ns,
+            "histogram": histogram}
 
 
 def infer_period(records) -> Optional[int]:
@@ -197,7 +181,7 @@ def stats_payload(records, bin_width_ns: int, drops: Optional[dict] = None,
     kinds = {}
     for kind in TIMESTAMP_KINDS:
         try:
-            kinds[kind] = dict(vars(stats(compute_offsets(records, kind), bin_width_ns)))
+            kinds[kind] = stats(compute_offsets(records, kind), bin_width_ns)
         except (EmptyError, MissingTimestampError):  # an empty run still reports its drops
             pass
     return {"kinds": kinds,

@@ -4,10 +4,9 @@ internal-priority reassignment, and per-window octet budgets."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .core import CyclicSchedule, SimTime
+from .core import CyclicSchedule, Record, SimTime
 from .traffic import Frame
 
 PASS = "pass"
@@ -27,19 +26,17 @@ _OVER_BUDGET = PsfpDecision(DROP_OCTET_BUDGET)
 _PASSES = {ipv: PsfpDecision(PASS, ipv=ipv) for ipv in (None, *range(8))}
 
 
-@dataclass(frozen=True)
-class StreamGateEntry:
+class StreamGateEntry(Record, frozen=True):
     """One window of a StreamGate's cycle: open or closed for duration_ns,
     with the IPV a passing frame gets and the window's octet budget."""
 
-    open: bool
-    duration_ns: int
-    ipv: Optional[int] = None
-    max_octets: Optional[int] = None
+    __slots__ = _fields = ("open", "duration_ns", "ipv", "max_octets")
 
-    def __post_init__(self):
-        if self.ipv is not None and not 0 <= self.ipv <= 7:
-            raise ValueError(f"ipv {self.ipv} out of range")
+    def __init__(self, open: bool, duration_ns: int, ipv: Optional[int] = None,
+                 max_octets: Optional[int] = None):
+        if ipv is not None and not 0 <= ipv <= 7:
+            raise ValueError(f"ipv {ipv} out of range")
+        self._set(open, duration_ns, ipv, max_octets)
 
 
 class StreamGate(CyclicSchedule):

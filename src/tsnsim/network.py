@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import CONSTANT_ZERO, Engine, JitterDist, SimTime
+from .core import CONSTANT_ZERO, Engine, JitterDist, Record, SimTime
 from .egress import EgressPort, GateControlList, GclEntry
 from .ingress import DROP_NO_STREAM, PASS, StreamGate, StreamGateEntry
 from .traffic import Frame, StreamRuleSet
@@ -70,21 +69,18 @@ class BridgeNode:
         self.engine.schedule(fire, self._submit, frame, fire)
 
 
-@dataclass(frozen=True)
-class CqfConfig:
+class CqfConfig(Record, frozen=True):
     """Cyclic queuing and forwarding: the cycle, and the IPVs that collect
     frames in even and odd cycles; cqf_compose turns it into gates."""
 
-    cycle_time_ns: int
-    ipv_even: int
-    ipv_odd: int
-    base_time: SimTime = 0
+    __slots__ = _fields = ("cycle_time_ns", "ipv_even", "ipv_odd", "base_time")
 
-    def __post_init__(self):
-        if self.ipv_even == self.ipv_odd:
+    def __init__(self, cycle_time_ns: int, ipv_even: int, ipv_odd: int, base_time: SimTime = 0):
+        if ipv_even == ipv_odd:
             raise ValueError("ipv_even and ipv_odd must differ")
-        if self.cycle_time_ns <= 0:
+        if cycle_time_ns <= 0:
             raise ValueError("cycle_time_ns must be > 0")
+        self._set(cycle_time_ns, ipv_even, ipv_odd, base_time)
 
 
 def cqf_compose(cfg: CqfConfig) -> tuple[StreamGate, GateControlList]:

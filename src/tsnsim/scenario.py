@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, ScheduleError
+from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, Record, ScheduleError
 from .egress import GateControlList, GclEntry, PreemptionConfig
 from .ingress import StreamGate, StreamGateEntry
 from .network import FORWARDING_PRESETS, CqfConfig, cqf_compose
@@ -196,14 +195,14 @@ class TrafficCfg(NamedTuple):
     txtime_lead_ns: Optional[int] = None
 
 
-@dataclass
-class RunCfg:
+class RunCfg(Record):
     """The run section: the seed, a frame count that overrides the traffic
-    section's, and the width of the offset histograms' bins."""
+    section's when set, and the width of the offset histograms' bins."""
 
-    seed: int = 1
-    count: Optional[int] = None     # overrides traffic.count when set
-    histogram_bin_ns: int = 100
+    __slots__ = _fields = ("seed", "count", "histogram_bin_ns")
+
+    def __init__(self, seed: int = 1, count: Optional[int] = None, histogram_bin_ns: int = 100):
+        self.seed, self.count, self.histogram_bin_ns = seed, count, histogram_bin_ns
 
 
 class ScenarioConfig(NamedTuple):

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .core import SimTime
+from .core import Record, SimTime
 
 MIN_FRAME_BYTES = 64
 MAX_FRAME_BYTES = 9000
@@ -30,39 +29,36 @@ class StreamKey(NamedTuple):
     pcp: int
 
 
-@dataclass(slots=True)
-class PacketRecord:
+class PacketRecord(Record):
     """One delivered frame's intended time and four timestamps: a row of Records."""
 
-    seq: int = 0
-    intended_tx: SimTime = 0
-    sw_tx: Optional[SimTime] = None
-    hw_tx: Optional[SimTime] = None
-    hw_rx: Optional[SimTime] = None
-    sw_rx: Optional[SimTime] = None
+    __slots__ = _fields = ("seq", "intended_tx", "sw_tx", "hw_tx", "hw_rx", "sw_rx")
+
+    def __init__(self, seq: int = 0, intended_tx: SimTime = 0, sw_tx: Optional[SimTime] = None,
+                 hw_tx: Optional[SimTime] = None, hw_rx: Optional[SimTime] = None,
+                 sw_rx: Optional[SimTime] = None):
+        self.seq, self.intended_tx, self.sw_tx = seq, intended_tx, sw_tx
+        self.hw_tx, self.hw_rx, self.sw_rx = hw_tx, hw_rx, sw_rx
 
 
-@dataclass(slots=True)
-class Frame:
+class Frame(Record):
     """A frame in flight: its size, priority and stream, the metadata set on
-    the way (FRER seq, IPV, launch time, member path) and its tx stamps."""
+    the way (FRER seq, IPV, launch time, member path) and its tx stamps. The
+    IPV never alters frame bytes; route is the member path's label."""
 
-    id: int
-    size_bytes: int
-    priority: int
-    traffic_class: Optional[int] = None
-    stream: Optional[StreamKey] = None
-    seq: Optional[int] = None
-    ipv: Optional[int] = None  # metadata only, never alters frame bytes
-    txtime: Optional[SimTime] = None
-    route: Optional[str] = None  # member-path label set by replication
-    intended_tx: SimTime = 0  # this and the next two: the stamps taken before delivery
-    sw_tx: Optional[SimTime] = None
-    hw_tx: Optional[SimTime] = None
+    __slots__ = _fields = ("id", "size_bytes", "priority", "traffic_class", "stream", "seq",
+                           "ipv", "txtime", "route", "intended_tx", "sw_tx", "hw_tx")
 
-    def __post_init__(self):
-        if self.traffic_class is None:
-            self.traffic_class = self.priority
+    def __init__(self, id: int, size_bytes: int, priority: int, traffic_class: Optional[int] = None,
+                 stream: Optional[StreamKey] = None, seq: Optional[int] = None,
+                 ipv: Optional[int] = None, txtime: Optional[SimTime] = None,
+                 route: Optional[str] = None, intended_tx: SimTime = 0,
+                 sw_tx: Optional[SimTime] = None, hw_tx: Optional[SimTime] = None):
+        self.id, self.size_bytes, self.priority = id, size_bytes, priority
+        self.traffic_class = priority if traffic_class is None else traffic_class
+        self.stream, self.seq, self.ipv = stream, seq, ipv
+        self.txtime, self.route, self.intended_tx = txtime, route, intended_tx
+        self.sw_tx, self.hw_tx = sw_tx, hw_tx
 
     @property
     def egress_class(self) -> int:

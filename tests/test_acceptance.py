@@ -300,8 +300,8 @@ def test_criterion_08_calibration_fig1():
     def check(records):
         sw_tx = stats(compute_offsets(records, "sw_tx"))
         sw_rx = stats(compute_offsets(records, "sw_rx"))
-        return (sw_tx.p80_radius_ns <= 1_500 and sw_tx.max_ns <= 3_500
-                and sw_rx.p80_radius_ns <= 5_000 and sw_rx.max_ns <= 15_000)
+        return (sw_tx["p80_radius_ns"] <= 1_500 and sw_tx["max_ns"] <= 3_500
+                and sw_rx["p80_radius_ns"] <= 5_000 and sw_rx["max_ns"] <= 15_000)
 
     passing = seeds_passing("paper_fig1", check)
     verdict(8, "paper_fig1 sw-tx/sw-rx radii within calibration targets",
@@ -311,7 +311,7 @@ def test_criterion_08_calibration_fig1():
 def test_criterion_09_calibration_fig2():
     def check(records):
         s = stats(compute_offsets(records, "hw_rx"))
-        return 3.0 <= s.mean_ns <= 7.0 and s.max_ns <= 11
+        return 3.0 <= s["mean_ns"] <= 7.0 and s["max_ns"] <= 11
 
     passing = seeds_passing("paper_fig2", check)
     verdict(9, "paper_fig2 hw-rx mean 5 ns +/- 2 ns, max <= 11 ns",

@@ -1,9 +1,13 @@
 """CLI subcommands and exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tsnsim
 from tsnsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from tsnsim.harness import report, run_scenario
 from tsnsim.scenario import load_scenario
@@ -31,6 +35,15 @@ CLOSED_GCL = {"cycle_time_ns": 500_000,
 CLOSED_GATE = {"cycle_time_ns": 500_000,
                "entries": [{"open": False, "duration_ns": 500_000}]}
 TXTIME = dict(GOOD["traffic"], mode="txtime")
+
+
+def test_import_loads_no_dataclasses():
+    # every command starts with this import: it generates no class code
+    code = "import sys, tsnsim, tsnsim.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=Path(tsnsim.__file__).resolve().parents[1])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.fixture

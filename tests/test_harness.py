@@ -11,7 +11,6 @@ import statistics
 import tracemalloc
 from array import array
 from collections import Counter
-from dataclasses import asdict, astuple
 from operator import attrgetter
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from tsnsim import harness
 from tsnsim.core import ClockModel, Engine, JitterDist, rng_fork
 from tsnsim.frer import RecoveryState
 from tsnsim.harness import (CSV_COLUMNS, Listener, MalformedRowError,
-                            MissingTimestampError, OffsetStats, PacketRecord, Records,
+                            MissingTimestampError, PacketRecord, Records,
                             Talker, build_path, compute_offsets, export_records, infer_period,
                             load_records, report, run_scenario, stats, stats_payload)
 from tsnsim.scenario import NodeCfg, load_scenario, parse_scenario
@@ -68,25 +67,25 @@ class TestComputeOffsets:
 class TestStats:
     def test_order_statistics(self):
         s = stats(list(range(1, 11)))
-        assert s.min_ns == 1 and s.max_ns == 10
-        assert s.mean_ns == 5.5 and s.median_ns == 5.5
-        assert s.p80_radius_ns == 8
+        assert s["min_ns"] == 1 and s["max_ns"] == 10
+        assert s["mean_ns"] == 5.5 and s["median_ns"] == 5.5
+        assert s["p80_radius_ns"] == 8
 
     def test_p80_radius_uses_magnitudes(self):
         s = stats([-9, -9, 1, 1, 1])
-        assert s.p80_radius_ns == 9
+        assert s["p80_radius_ns"] == 9
 
     def test_small_sample(self):
         s = stats([5, 5, 11])
-        assert s.mean_ns == 7 and s.max_ns == 11 and s.p80_radius_ns == 11
+        assert s["mean_ns"] == 7 and s["max_ns"] == 11 and s["p80_radius_ns"] == 11
 
     def test_histogram_bins(self):
         s = stats([0, 50, 99, 100, 250], bin_width_ns=100)
-        assert s.histogram == [[0, 3], [100, 1], [200, 1]]
+        assert s["histogram"] == [[0, 3], [100, 1], [200, 1]]
 
     def test_negative_offsets_bin_below_zero(self):
         s = stats([-1, 1], bin_width_ns=100)
-        assert s.histogram == [[-100, 1], [0, 1]]
+        assert s["histogram"] == [[-100, 1], [0, 1]]
 
 
 def former_stats(offsets, bin_width_ns=100):
@@ -96,11 +95,11 @@ def former_stats(offsets, bin_width_ns=100):
     bins = Counter()
     for v in offsets:
         bins[(v // bin_width_ns) * bin_width_ns] += 1
-    return OffsetStats(min_ns=min(offsets), mean_ns=statistics.fmean(offsets),
-                       median_ns=statistics.median(offsets),
-                       p80_radius_ns=radii[math.ceil(0.8 * n) - 1],
-                       max_ns=max(offsets), bin_width_ns=bin_width_ns,
-                       histogram=[[k, bins[k]] for k in sorted(bins)])
+    return dict(min_ns=min(offsets), mean_ns=statistics.fmean(offsets),
+                median_ns=statistics.median(offsets),
+                p80_radius_ns=radii[math.ceil(0.8 * n) - 1],
+                max_ns=max(offsets), bin_width_ns=bin_width_ns,
+                histogram=[[k, bins[k]] for k in sorted(bins)])
 
 
 class TestStatsMatchesFormer:
@@ -111,8 +110,8 @@ class TestStatsMatchesFormer:
         for seed in range(5):
             rng = random.Random(seed)
             offsets = [rng.randint(lo, hi) for _ in range(n)]
-            got = asdict(stats(offsets, bin_width))
-            want = asdict(former_stats(offsets, bin_width))
+            got = stats(offsets, bin_width)
+            want = former_stats(offsets, bin_width)
             # repr tells 5 from 5.0, so the median's type is compared too
             assert repr(got) == repr(want)
 
@@ -157,7 +156,7 @@ def former_stats_payload(records, bin_width_ns, drops=None, metadata=None):
     for kind in harness.TIMESTAMP_KINDS:
         if not records or None in (getattr(r, kind) for r in records):
             continue
-        kinds[kind] = asdict(former_stats(former_compute_offsets(records, kind), bin_width_ns))
+        kinds[kind] = former_stats(former_compute_offsets(records, kind), bin_width_ns)
     return {"kinds": kinds, "records": len(records),
             "period_ns": former_infer_period(records),
             "drops": dict(sorted((drops or {}).items())), "metadata": metadata or {}}
@@ -231,7 +230,7 @@ class TestOutputStageMatchesFormer:
         rng = random.Random(n)
         rows = [rec(k, 1000 * k, sw_tx=1000 * k + rng.randint(-50, 50), hw_tx=rng.randint(0, 10),
                     hw_rx=10 ** 15 + k, sw_rx=-k) for k in range(n)]
-        flat = array("q", [v for r in rows for v in astuple(r)])
+        flat = array("q", [v for r in rows for v in tuple(r)])
         # list storage: an empty cell ends the first chunk, a stamp over 64 bits starts the next
         for k, kind, value in ((self.CHUNK - 1, "hw_tx", None), (self.CHUNK, "sw_rx", 2 ** 70)):
             if k < n:
@@ -260,7 +259,7 @@ class TestOutputStageMatchesFormer:
         ("single value", 7, [13]),
     ])
     def test_same_stats_on_edge_inputs(self, name, bin_width, offsets):
-        got, want = asdict(stats(offsets, bin_width)), asdict(former_stats(offsets, bin_width))
+        got, want = stats(offsets, bin_width), former_stats(offsets, bin_width)
         assert repr(got) == repr(want)
 
 
@@ -620,7 +619,7 @@ class TestListener:
         sink.close()
         # each stream gets what it gets alone
         alone = run_scenario(bridged, seed=1).records + run_scenario(direct, seed=2).records
-        assert sorted(map(astuple, sink.records)) == sorted(map(astuple, alone))
+        assert sorted(map(tuple, sink.records)) == sorted(map(tuple, alone))
         assert len(sink.records) == 100 and sink.drops == {}
 
 

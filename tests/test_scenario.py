@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tsnsim
-from tsnsim.egress import GateControlList, PreemptionConfig
+from tsnsim.egress import GateControlList, GclEntry, PreemptionConfig
 from tsnsim.ingress import StreamGate, StreamGateEntry
 from tsnsim.network import CqfConfig, cqf_compose
 from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, TaprioCfg, load_scenario,
@@ -374,17 +374,22 @@ class TestBuiltObjects:
                              "gates": {"s0": gate}}},
             traffic={"mode": "txtime",
                      "stream": {"dest_mac": 1, "vlan_id": 2, "pcp": 3}}))
+        # a NamedTuple record equals any tuple of its values: each == has its type check
         assert cfg.shapers["talker"] == EtfCfg(offload=False, delta_ns=50_000)
+        assert type(cfg.shapers["talker"]) is EtfCfg
         taprio = cfg.shapers["sw0"]
         assert isinstance(taprio.gcl, GateControlList)
         assert taprio.gcl.state(0) == (1, 1000)
         assert taprio.preemption == PreemptionConfig(enabled=True,
                                                      express_classes=frozenset({3}))
+        assert type(taprio.preemption) is PreemptionConfig
         sg = cfg.filters["sw0"].gates["s0"]
         assert isinstance(sg, StreamGate) and sg.base_time == 5
         assert sg.entries == [StreamGateEntry(open=True, duration_ns=1000,
                                               max_octets=128)]
+        assert [type(e) for e in sg.entries] == [StreamGateEntry]
         assert cfg.traffic.stream == StreamKey(dest_mac=1, vlan_id=2, pcp=3)
+        assert type(cfg.traffic.stream) is StreamKey
 
     def test_cqf_compiled_into_each_bridge_on_the_path(self):
         preemption = {"enabled": True, "express_classes": [5]}
@@ -408,8 +413,12 @@ class TestBuiltObjects:
             assert isinstance(compiled, GateControlList)
             assert (compiled.base_time, compiled.cycle_time_ns, compiled.entries) == (
                 gcl.base_time, gcl.cycle_time_ns, gcl.entries)
+            assert {type(e) for e in sg.entries} == {StreamGateEntry}
+            assert {type(e) for e in compiled.entries} == {GclEntry}
         assert cfg.shapers["sw0"] == TaprioCfg(
             gcl=cfg.shapers["sw0"].gcl, guard_mode="none", queue_capacity=2,
             preemption=PreemptionConfig(enabled=True, express_classes=frozenset({5})))
+        assert type(cfg.shapers["sw0"].preemption) is PreemptionConfig
         assert cfg.shapers["sw1"] == TaprioCfg(gcl=cfg.shapers["sw1"].gcl)
+        assert type(cfg.shapers["sw0"]) is type(cfg.shapers["sw1"]) is TaprioCfg
         assert "talker" not in cfg.shapers and "talker" not in cfg.filters

@@ -9,7 +9,6 @@ RUN_COUNT frames, must finish within RUN_TIMEOUT_S and account for every
 frame it sent; one sha256 pins every run's records and drops.
 """
 
-import dataclasses
 import hashlib
 import json
 import signal
@@ -210,7 +209,7 @@ def test_every_accepted_case_runs_and_accounts_for_every_frame():
             # each FRER member path carries a copy of every frame
             copies = count * (cfg.frer.paths if cfg.frer.enabled else 1)
             assert len(result.records) + sum(result.drops.values()) == copies, case
-            digest.update(json.dumps([case, list(map(dataclasses.astuple, result.records)),
+            digest.update(json.dumps([case, list(map(tuple, result.records)),
                                       sorted(result.drops.items())]).encode())
             runs += 1
     finally:

@@ -34,10 +34,6 @@ class ScheduleError(Exception):
     """A malformed cyclic schedule, or a lookup before its base time."""
 
 
-class BeforeBaseTimeError(ScheduleError):
-    pass
-
-
 def rng_fork(seed: int, stream_label: str) -> random.Random:
     """Return an independent deterministic RNG stream for (seed, label).
 
@@ -49,25 +45,37 @@ def rng_fork(seed: int, stream_label: str) -> random.Random:
 
 
 class Record:
-    """Base of the slotted records: a subclass names its fields in order in _fields
-    and all its attributes in __slots__. Records of one type with equal fields are
-    equal; repr lists the fields and iteration yields them. With frozen=True a
-    subclass is read-only and hashable; its __init__ sets fields with _set."""
+    """Base of the value records. A subclass declares its fields in order as class
+    annotations, a default as the class value. One built per frame or holding derived state
+    names them in _fields and all its attributes in __slots__, and sets them in its own
+    __init__ (through Record.__init__ when frozen). Records of one type with equal fields
+    are equal; repr lists the fields, iteration yields them. With frozen=True a record is
+    read-only and hashable."""
 
     __slots__ = _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls, frozen: bool = False):
+        if "_fields" not in vars(cls):
+            cls._fields = tuple(cls.__annotations__)  # the class's own, from Python 3.10
+            cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
         if frozen:
             cls.__setattr__ = cls.__delattr__ = Record._read_only
             cls.__hash__ = lambda self: hash(tuple(self))
             cls.__reduce__ = lambda self: (type(self), tuple(self))
 
+    def __init__(self, *args, **kwargs):
+        """Each field from args in order, else from kwargs, else its default."""
+        fields, given = self._fields, dict(zip(self._fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs.keys() or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes each of {fields} once, all but "
+                            f"{tuple(self._defaults)} required: got {args} and {kwargs}")
+        for field in fields:
+            object.__setattr__(self, field, values[field])
+
     def _read_only(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def __iter__(self):
         return map(self.__getattribute__, self._fields)
@@ -93,7 +101,7 @@ class JitterDist(Record, frozen=True):
     def __init__(self, kind: str, value_ns: int = 0, min_ns: Optional[int] = None,
                  max_ns: Optional[int] = None, mean_ns: float = 0.0, std_ns: float = 0.0,
                  points: tuple = ()):  # ((value_ns, weight), ...)
-        self._set(kind, value_ns, min_ns, max_ns, mean_ns, std_ns, points)
+        super().__init__(kind, value_ns, min_ns, max_ns, mean_ns, std_ns, points)
         bind = partial(object.__setattr__, self)
         if self.kind == "uniform":
             # sample draws as rng.randint does, via _randbelow_with_getrandbits
@@ -155,6 +163,15 @@ class JitterDist(Record, frozen=True):
         if kind == "empirical":
             return cls.empirical(cfg["points"])
         raise ValueError(f"unknown jitter kind: {kind!r}")
+
+    @property
+    def lowest(self) -> int:
+        """The smallest value sample can return."""
+        if self.kind == "normal":
+            return round(self._lo) if self.min_ns is None else max(round(self._lo), self.min_ns)
+        if self.kind == "empirical":
+            return min(self._values)
+        return self.value_ns if self.kind == "constant" else self.min_ns
 
     def sample(self, rng: random.Random) -> int:
         if self.kind == "constant":
@@ -325,17 +342,6 @@ class Engine:
             raise PastTimeError(f"fire_time {fire_time} < now {self.now}")
         heappush(self._heap, (fire_time, seq, action, args))
 
-    def run_until(self, t_end: SimTime) -> int:
-        count = 0
-        heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            self.now, self.seq, action, args = heappop(heap)
-            action(*args)
-            count += 1
-        self.now, self.seq = t_end, self._seq
-        self.executed += count
-        return count
-
     def run_all(self) -> int:
         count = 0
         heap = self._heap
@@ -368,10 +374,3 @@ class CyclicSchedule:
         self.base_time = base_time
         self.cycle_time_ns = cycle_time_ns
         self.entries = list(entries)
-
-    def _locate(self, t: SimTime) -> tuple[int, int]:
-        """(entry index, phase within cycle) for time t."""
-        if t < self.base_time:
-            raise BeforeBaseTimeError(f"t={t} < base_time={self.base_time}")
-        phase = (t - self.base_time) % self.cycle_time_ns
-        return bisect_right(self._starts, phase) - 1, phase

@@ -9,9 +9,9 @@ from bisect import bisect_right
 from collections import Counter, deque
 from functools import reduce
 from operator import and_
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
-from .core import ClockModel, CyclicSchedule, Engine, JitterDist, SimTime
+from .core import ClockModel, CyclicSchedule, Engine, JitterDist, Record, SimTime
 from .traffic import NS_PER_SEC, Frame, transmission_time
 
 NUM_CLASSES = 8  # a gate mask has one bit per traffic class
@@ -21,7 +21,7 @@ class MissingTxtimeError(Exception):
     pass
 
 
-class GclEntry(NamedTuple):
+class GclEntry(Record, frozen=True):
     gate_mask: int  # bit i == 1 -> traffic class i open
     duration_ns: int
 
@@ -43,20 +43,6 @@ class GateControlList(CyclicSchedule):
                                        for tc, r in enumerate(run))
             d, m = self.entries[j % n].duration_ns, masks[j % n]
             run = [r + d if m >> tc & 1 else 0 for tc, r in enumerate(run)]
-
-    def state(self, t: SimTime) -> tuple[int, int]:
-        """(open mask, time until the next entry boundary) at time t."""
-        i, phase = self._locate(t)
-        return self._masks[i], self._ends[i] - phase
-
-    def time_until_close(self, tc: int, t: SimTime) -> Optional[int]:
-        """Time until class tc's gate closes, or None if it never does.
-
-        Only meaningful when the gate is open at t.
-        """
-        i, phase = self._locate(t)
-        after = self._after[i][tc]
-        return None if after is None else self._ends[i] - phase + after
 
     def max_open_run(self, tc: int) -> Optional[int]:
         """Longest contiguous open stretch for class tc (None = always open)."""
@@ -157,7 +143,7 @@ class TaprioPort:
         else:
             if t == self.wake_time:  # the gate change the last select found: no search
                 i, phase = self._next_entry, gcl._starts[self._next_entry]
-            else:  # gcl._locate(t), inlined, as it runs per frame
+            else:  # the entry that holds t's phase
                 phase = (t - gcl.base_time) % gcl.cycle_time_ns
                 i = bisect_right(gcl._starts, phase) - 1
             mask, end, self._next_entry, after = self._entries[i]
@@ -249,10 +235,13 @@ class EtfQueue:
 # frame preemption (802.1Qbu / 802.3br)
 
 
-class PreemptionConfig(NamedTuple):
+class PreemptionConfig(Record, frozen=True):
     enabled: bool = False
     express_classes: frozenset = frozenset()
     min_fragment_bytes: int = 64
+
+
+NO_PREEMPTION = PreemptionConfig()
 
 
 def bytes_on_wire(start: SimTime, t: SimTime, rate_bps: int) -> int:
@@ -317,7 +306,7 @@ class EgressPort:
         self.phc = phc
         self.queue = queue if queue is not None else TaprioPort(
             link_rate_bps=rate_bps, overhead_bytes=overhead_bytes)
-        self.preemption = preemption or PreemptionConfig()
+        self.preemption = preemption or NO_PREEMPTION
         self.hw_precision = hw_precision
         self.rng = rng
         self.deliver = deliver

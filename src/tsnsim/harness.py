@@ -18,14 +18,14 @@ from collections import Counter, UserList
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import attrgetter, eq, gt, itemgetter, sub
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .core import ClockModel, Engine, RNG_ALGORITHM, SimTime, rng_fork
+from .core import ClockModel, Engine, RNG_ALGORITHM, Record, SimTime, rng_fork
 from .egress import EgressPort, EtfQueue, TaprioPort
 from .frer import ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, RecoveryState, Replicator
 from .network import BridgeNode
-from .scenario import (EtfCfg, FilterCfg, LinkCfg, NodeCfg, ScenarioConfig, TaprioCfg,
-                       TrafficCfg, chain_links, run_horizon)
+from .scenario import (NO_FILTER, NO_SHAPER, EtfCfg, LinkCfg, NodeCfg, ScenarioConfig,
+                       TaprioCfg, TrafficCfg, chain_links, run_horizon)
 from .traffic import Frame, PacketRecord, StreamRuleSet
 
 TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
@@ -84,7 +84,7 @@ class Records(UserList):
         return len(a) == len(b) and all(map(eq, a, b))  # an array never equals a list
 
 
-class RunResult(NamedTuple):
+class RunResult(Record, frozen=True):
     """A run's records in seq order, its drops by reason, and its metadata."""
 
     records: Records
@@ -267,7 +267,7 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, clocks
         if shaper.offload:
             launch_precision = hw_precision
     else:
-        shaper = shaper or TaprioCfg()
+        shaper = shaper or NO_SHAPER
         queue = TaprioPort(gcl=shaper.gcl, capacity=shaper.queue_capacity,
                            guard_mode=shaper.guard_mode,
                            link_rate_bps=link.rate_bps,
@@ -295,7 +295,7 @@ class Talker:
         self.count = count
         self.clock = clock  # the talker's system clock
         self.submit = submit
-        # the fields each step reads, bound once: a tuple's are slower to read
+        # the fields each step reads, bound once: one attribute read each, not two
         self.size, self.priority, self.stream = (traffic.frame_size_bytes, traffic.priority,
                                                  traffic.stream)
         self.wake_jitter, self.stack_latency, self.driver_latency = (
@@ -415,7 +415,7 @@ def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, rec
     for link in reversed(chain[1:]):
         name = link.src
         port = _build_port(engine, link, cfg.shapers.get(name), clocks[name], receive)
-        fcfg = cfg.filters.get(name) or FilterCfg()
+        fcfg = cfg.filters.get(name) or NO_FILTER
         rules = fcfg.rules and StreamRuleSet(fcfg.rules.rules)  # a fresh identify memo
         bridge = BridgeNode(engine, name, port, stream_rules=rules,
                             gates={h: copy.copy(g) for h, g in fcfg.gates.items()},
@@ -423,7 +423,7 @@ def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, rec
                             rng=rng_fork(seed, f"fwd:{name}{suffix}"))
         bridges.append(bridge)
         receive = bridge.receive
-    talker = cfg.talker.name
+    talker = chain[0].src
     port = _build_port(engine, chain[0], cfg.shapers.get(talker), clocks[talker], receive,
                        cfg.traffic.hw_precision, rng_fork(seed, f"hwprec{suffix}"))
     return port, bridges

@@ -4,7 +4,7 @@ internal-priority reassignment, and per-window octet budgets."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import CyclicSchedule, Record, SimTime
 from .traffic import Frame
@@ -15,7 +15,7 @@ DROP_OCTET_BUDGET = "drop_octet_budget"
 DROP_NO_STREAM = "drop_no_stream"
 
 
-class PsfpDecision(NamedTuple):
+class PsfpDecision(Record, frozen=True):
     outcome: str
     ipv: Optional[int] = None
 
@@ -36,7 +36,7 @@ class StreamGateEntry(Record, frozen=True):
                  max_octets: Optional[int] = None):
         if ipv is not None and not 0 <= ipv <= 7:
             raise ValueError(f"ipv {ipv} out of range")
-        self._set(open, duration_ns, ipv, max_octets)
+        super().__init__(open, duration_ns, ipv, max_octets)
 
 
 class StreamGate(CyclicSchedule):
@@ -59,7 +59,7 @@ class StreamGate(CyclicSchedule):
     def process(self, frame: Frame, t: SimTime) -> PsfpDecision:
         if t < self.base_time:
             return _CLOSED
-        phase = (t - self.base_time) % self.cycle_time_ns  # self._locate(t), inlined
+        phase = (t - self.base_time) % self.cycle_time_ns
         i = bisect_right(self._starts, phase) - 1
         start = t - phase + self._starts[i]
         if start != self._window_start:

@@ -80,7 +80,7 @@ class CqfConfig(Record, frozen=True):
             raise ValueError("ipv_even and ipv_odd must differ")
         if cycle_time_ns <= 0:
             raise ValueError("cycle_time_ns must be > 0")
-        self._set(cycle_time_ns, ipv_even, ipv_odd, base_time)
+        super().__init__(cycle_time_ns, ipv_even, ipv_odd, base_time)
 
 
 def cqf_compose(cfg: CqfConfig) -> tuple[StreamGate, GateControlList]:

@@ -13,14 +13,14 @@ import json
 import math
 from functools import partial
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, Record, ScheduleError
-from .egress import GateControlList, GclEntry, PreemptionConfig
+from .egress import NO_PREEMPTION, GateControlList, GclEntry, PreemptionConfig
 from .ingress import StreamGate, StreamGateEntry
 from .network import FORWARDING_PRESETS, CqfConfig, cqf_compose
 from .traffic import (MAX_FRAME_BYTES, MIN_FRAME_BYTES, DuplicateExactRuleError,
-                      StreamKey, StreamRuleSet, make_stream_rules)
+                      StreamKey, StreamRule, StreamRuleSet)
 
 VALID_TOP_KEYS = {"nodes", "links", "clocks", "shapers", "filters",
                   "frer", "cqf", "traffic", "run"}
@@ -120,7 +120,8 @@ class _Checker:
                   else f"must be {'|'.join(choices)}, got {v!r}")
         return None
 
-    def dist(self, obj, key, path, default=None):
+    def dist(self, obj, key, path, default=None, latency=False):
+        """A JitterDist; a latency, which delays an event, never draws below 0."""
         if key not in obj or obj[key] is None:
             return default
         cfg = obj[key]
@@ -133,20 +134,24 @@ class _Checker:
             return default
         self.dict(cfg, p, _DIST_KEYS[kind])
         try:
-            return JitterDist.from_config(cfg)
+            dist = JitterDist.from_config(cfg)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             self.fail(p, f"bad distribution: {exc}")
             return default
+        if latency and dist.lowest < 0:
+            self.fail(p, f"a latency must not draw below 0, but can draw {dist.lowest}")
+            return default
+        return dist
 
 
-class NodeCfg(NamedTuple):
+class NodeCfg(Record, frozen=True):
     name: str
     role: str
     forwarding: JitterDist = CONSTANT_ZERO
     rx_latency: JitterDist = CONSTANT_ZERO
 
 
-class LinkCfg(NamedTuple):
+class LinkCfg(Record, frozen=True):
     src: str
     dst: str
     rate_bps: int
@@ -154,19 +159,19 @@ class LinkCfg(NamedTuple):
     overhead_bytes: int = 0
 
 
-class TaprioCfg(NamedTuple):
+class TaprioCfg(Record, frozen=True):
     gcl: Optional[GateControlList] = None
     guard_mode: str = "fit"
     queue_capacity: int = 64
-    preemption: PreemptionConfig = PreemptionConfig()
+    preemption: PreemptionConfig = NO_PREEMPTION
 
 
-class EtfCfg(NamedTuple):
+class EtfCfg(Record, frozen=True):
     offload: bool = True
     delta_ns: int = 0  # 50 us by default without offload
 
 
-class FilterCfg(NamedTuple):
+class FilterCfg(Record, frozen=True):
     rules: Optional[StreamRuleSet] = None  # None: every frame has handle None
     #: handle -> StreamGate template; a gate counts its window's octets,
     #: so each bridge on each path runs its own copy. The default, shared
@@ -174,14 +179,14 @@ class FilterCfg(NamedTuple):
     gates: dict = MappingProxyType({})
 
 
-class FrerCfg(NamedTuple):
+class FrerCfg(Record, frozen=True):
     enabled: bool = False
     paths: int = 2
     window_size: int = 64
     loss_per_path: float = 0.0
 
 
-class TrafficCfg(NamedTuple):
+class TrafficCfg(Record, frozen=True):
     period_ns: int = 500_000
     count: int = 10_000
     frame_size_bytes: int = MIN_FRAME_BYTES
@@ -195,17 +200,20 @@ class TrafficCfg(NamedTuple):
     txtime_lead_ns: Optional[int] = None
 
 
+#: the configs of a port with no shaper and of a bridge with no filter
+NO_SHAPER, NO_FILTER = TaprioCfg(), FilterCfg()
+
+
 class RunCfg(Record):
     """The run section: the seed, a frame count that overrides the traffic
     section's when set, and the width of the offset histograms' bins."""
 
-    __slots__ = _fields = ("seed", "count", "histogram_bin_ns")
+    seed: int = 1
+    count: Optional[int] = None
+    histogram_bin_ns: int = 100
 
-    def __init__(self, seed: int = 1, count: Optional[int] = None, histogram_bin_ns: int = 100):
-        self.seed, self.count, self.histogram_bin_ns = seed, count, histogram_bin_ns
 
-
-class ScenarioConfig(NamedTuple):
+class ScenarioConfig(Record, frozen=True):
     nodes: list[NodeCfg]
     links: list[LinkCfg]
     #: node -> {"system" | "phc": ClockModel template}; a run resyncs
@@ -353,6 +361,8 @@ def _classes(c: _Checker, obj, key, path):
     return frozenset(ec)
 
 
+_latency = partial(_Checker.dist, latency=True)
+
 _CLOCK = {"offset_ns": _int(), "drift_ppm": _drift,
           "sync_interval_ns": _int(lo=1, nullable=True), "sync_residual": _Checker.dist}
 _PREEMPTION = {"enabled": _Checker.bool_in, "express_classes": _classes,
@@ -367,7 +377,7 @@ _TRAFFIC = {"period_ns": _int(lo=1), "count": _int(lo=1),
             "frame_size_bytes": _int(lo=MIN_FRAME_BYTES, hi=MAX_FRAME_BYTES),
             "mode": _choice("sleep", "txtime"), "priority": _int(lo=0, hi=7),
             "stream": _object(_parse_stream_key), "wake_jitter": _Checker.dist,
-            "stack_latency": _Checker.dist, "driver_latency": _Checker.dist,
+            "stack_latency": _latency, "driver_latency": _latency,
             "hw_precision": _Checker.dist, "txtime_lead_ns": _int(lo=0, nullable=True)}
 _RUN = {"seed": _int(lo=0), "count": _int(lo=1, nullable=True),
         "histogram_bin_ns": _int(lo=1)}
@@ -410,7 +420,7 @@ def _parse_nodes(c: _Checker, raw) -> tuple[list[NodeCfg], set]:
                               unknown="preset")
             forwarding = FORWARDING_PRESETS.get(preset, CONSTANT_ZERO)
         else:
-            forwarding = c.dist(n, "forwarding", p, default=CONSTANT_ZERO)
+            forwarding = c.dist(n, "forwarding", p, default=CONSTANT_ZERO, latency=True)
         nodes.append(NodeCfg(name, role, forwarding, rx_latency))
     if not c.problems:
         for role in ("talker", "listener"):
@@ -498,7 +508,8 @@ def _parse_filter(c: _Checker, spec, path) -> FilterCfg:
     rule_set = None
     if rules and len(c.problems) == before:
         try:
-            rule_set = make_stream_rules(rules)
+            rule_set = StreamRuleSet([StreamRule(r.get("dest_mac"), r.get("vlan_id"),
+                                                 r.get("pcp"), r["handle"]) for r in rules])
         except DuplicateExactRuleError as exc:
             c.fail(f"{path}.rules", str(exc))
     gates = spec.get("gates", {})
@@ -552,7 +563,7 @@ def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
             c.fail("cqf.enabled", "no bridge on the talker-to-listener path")
         gate, gcl = cqf_compose(cqf)
         for b in bridges:
-            shaper = shapers.get(b, TaprioCfg())
+            shaper = shapers.get(b, NO_SHAPER)
             if b in filters:
                 c.fail(f"filters.{b}", "cqf sets the stream gate of this bridge")
             if isinstance(shaper, EtfCfg):
@@ -560,7 +571,8 @@ def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
             elif shaper.gcl is not None:
                 c.fail(f"shapers.{b}.gcl", "cqf sets the gcl of this bridge")
             else:
-                shapers[b] = shaper._replace(gcl=gcl)
+                shapers[b] = TaprioCfg(gcl, shaper.guard_mode, shaper.queue_capacity,
+                                       shaper.preemption)
             filters[b] = FilterCfg(gates={None: gate})
     etf = [link.src for link in chain if isinstance(shapers.get(link.src), EtfCfg)]
     if mode == "sleep":

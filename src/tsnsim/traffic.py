@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import Optional
 
 from .core import Record, SimTime
 
@@ -20,13 +21,21 @@ class DuplicateExactRuleError(Exception):
     pass
 
 
-class StreamKey(NamedTuple):
-    """Identifies a stream by (destination MAC, VLAN id, PCP); a tuple, so
-    that identify's memo hashes it in C."""
+class StreamKey(tuple):
+    """Identifies a stream by (destination MAC, VLAN id, PCP): a tuple, so
+    that identify's memo hashes it in C, with a tuple's equality and order."""
 
-    dest_mac: int
-    vlan_id: int
-    pcp: int
+    __slots__ = ()
+    dest_mac, vlan_id, pcp = (property(itemgetter(i)) for i in range(3))
+
+    def __new__(cls, dest_mac: int, vlan_id: int, pcp: int):
+        return tuple.__new__(cls, (dest_mac, vlan_id, pcp))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with the fields
+        return tuple(self)
+
+    def __repr__(self):
+        return "StreamKey(dest_mac=%r, vlan_id=%r, pcp=%r)" % self
 
 
 class PacketRecord(Record):
@@ -87,7 +96,7 @@ def transmission_time(size_bytes: int, link_rate_bps: int,
     return q + (1 if 2 * r >= link_rate_bps else 0)
 
 
-class StreamRule(NamedTuple):
+class StreamRule(Record, frozen=True):
     """Wildcard pattern over StreamKey fields; None matches anything."""
 
     dest_mac: Optional[int]
@@ -122,12 +131,3 @@ class StreamRuleSet:
             handle = self._memo[key] = next((r.handle for r in self.rules
                                              if r.matches(key)), None)
             return handle
-
-
-def make_stream_rules(config: list[dict]) -> StreamRuleSet:
-    """Build a rule set from config entries of {dest_mac?, vlan_id?, pcp?, handle}."""
-    rules = [StreamRule(dest_mac=e.get("dest_mac"),
-                        vlan_id=e.get("vlan_id"),
-                        pcp=e.get("pcp"),
-                        handle=e["handle"]) for e in config]
-    return StreamRuleSet(rules)

@@ -13,24 +13,25 @@ class RunawayRunError(Exception):
     pass
 
 
+class CappedEngine(harness.Engine):
+    """An Engine that raises RunawayRunError past EVENT_CAP events."""
+
+    def schedule(self, fire_time, action, *args):
+        self._check_cap()
+        return super().schedule(fire_time, action, *args)
+
+    def reserve(self):
+        self._check_cap()
+        return super().reserve()
+
+    def _check_cap(self):
+        if self._seq >= EVENT_CAP:
+            raise RunawayRunError(f"more than {EVENT_CAP} engine events at t={self.now}")
+
+
 @pytest.fixture
 def event_cap(monkeypatch):
-    """Make every engine run_scenario builds raise RunawayRunError past
-    EVENT_CAP events, so a port that reschedules its kick forever (a queued
-    frame whose gate never opens) fails the test within seconds instead of
-    hanging the suite."""
-
-    class CappedEngine(harness.Engine):
-        def schedule(self, fire_time, action, *args):
-            self._check_cap()
-            return super().schedule(fire_time, action, *args)
-
-        def reserve(self):
-            self._check_cap()
-            return super().reserve()
-
-        def _check_cap(self):
-            if self._seq >= EVENT_CAP:
-                raise RunawayRunError(f"more than {EVENT_CAP} engine events at t={self.now}")
-
+    """Make every engine run_scenario builds a CappedEngine, so a port that
+    reschedules its kick forever (a queued frame whose gate never opens)
+    fails the test within seconds instead of hanging the suite."""
     monkeypatch.setattr(harness, "Engine", CappedEngine)

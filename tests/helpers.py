@@ -1,0 +1,59 @@
+"""Lookups and drivers that only tests use.
+
+The simulator reads its compiled gate tables inline and runs each scenario
+to the end with Engine.run_all; these give tests a schedule's state at any
+instant, an engine run up to a time, and a stream rule set from config
+entries.
+"""
+
+from bisect import bisect_right
+from heapq import heappop
+
+from tsnsim.core import ScheduleError
+from tsnsim.traffic import StreamRule, StreamRuleSet
+
+
+class BeforeBaseTimeError(ScheduleError):
+    pass
+
+
+def locate(schedule, t: int) -> tuple[int, int]:
+    """(entry index, phase within the cycle) of a CyclicSchedule at time t."""
+    if t < schedule.base_time:
+        raise BeforeBaseTimeError(f"t={t} < base_time={schedule.base_time}")
+    phase = (t - schedule.base_time) % schedule.cycle_time_ns
+    return bisect_right(schedule._starts, phase) - 1, phase
+
+
+def gcl_state(gcl, t: int) -> tuple[int, int]:
+    """(open mask, time until the next entry boundary) of a GCL at time t."""
+    i, phase = locate(gcl, t)
+    return gcl._masks[i], gcl._ends[i] - phase
+
+
+def time_until_close(gcl, tc: int, t: int):
+    """Time until class tc's gate closes, or None if it never does; only
+    meaningful when the gate is open at t."""
+    i, phase = locate(gcl, t)
+    after = gcl._after[i][tc]
+    return None if after is None else gcl._ends[i] - phase + after
+
+
+def run_until(engine, t_end: int) -> int:
+    """Run every event due by t_end, then set the engine's time to t_end;
+    return the number of events run."""
+    count = 0
+    heap = engine._heap
+    while heap and heap[0][0] <= t_end:
+        engine.now, engine.seq, action, args = heappop(heap)
+        action(*args)
+        count += 1
+    engine.now, engine.seq = t_end, engine._seq
+    engine.executed += count
+    return count
+
+
+def make_stream_rules(config: list[dict]) -> StreamRuleSet:
+    """A rule set from config entries of {dest_mac?, vlan_id?, pcp?, handle}."""
+    return StreamRuleSet([StreamRule(e.get("dest_mac"), e.get("vlan_id"), e.get("pcp"),
+                                     e["handle"]) for e in config])

@@ -1,5 +1,6 @@
 """CLI subcommands and exit codes."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -44,6 +45,19 @@ def test_import_loads_no_dataclasses():
                           timeout=60, cwd=Path(tsnsim.__file__).resolve().parents[1])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_import_creates_no_named_tuple_class():
+    # typing.NamedTuple compiles its fields at class creation; every record
+    # in tsnsim is a core.Record, and StreamKey a plain tuple subclass
+    code = ("import sys, tsnsim, tsnsim.cli\n"
+            "print(sorted(f'{m.__name__}.{n}' for m in list(sys.modules.values())\n"
+            "             if m.__name__.startswith('tsnsim') for n, v in vars(m).items()\n"
+            "             if isinstance(v, type) and hasattr(v, '_field_defaults')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=Path(tsnsim.__file__).resolve().parents[1])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -120,6 +134,35 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"{path}: bad distribution" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_stack_latency_is_config_error_before_run(self, tmp_path, capsys):
+        # it scheduled the driver hand-over in the past: PastTimeError, exit 3
+        doc = json.loads((Path(tsnsim.__file__).parent / "scenarios" / "paper_fig1.json")
+                         .read_text())
+        doc["traffic"]["stack_latency"] = {"kind": "constant", "value_ns": -600_000}
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert ("traffic.stack_latency: a latency must not draw below 0, but can draw -600000"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_forwarding_that_can_draw_below_zero_is_config_error(self, tmp_path, capsys):
+        # round(228 - 4 * 408) = -1404: BridgeNode.receive scheduled the
+        # forwarded frame in the past
+        normal = {"kind": "normal", "mean_ns": 228, "std_ns": 408}
+        doc = copy.deepcopy(BRIDGED)
+        doc["nodes"][2]["forwarding"] = normal
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert ("nodes[2].forwarding: a latency must not draw below 0, but can draw -1404"
+                in capsys.readouterr().err)
+        doc["nodes"][2]["forwarding"] = dict(normal, min_ns=0)
+        p.write_text(json.dumps(doc))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_unhashable_value_is_config_error_before_run(self, tmp_path, capsys):
         doc = dict(GOOD, traffic=dict(GOOD["traffic"], wake_jitter={"kind": []}))

@@ -16,6 +16,8 @@ from tsnsim.core import (ClockModel, Engine, JitterDist, PastTimeError,
 from tsnsim.network import FORWARDING_PRESETS
 from tsnsim.scenario import load_scenario
 
+from helpers import run_until
+
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 
 
@@ -121,7 +123,7 @@ class TestEngine:
         eng = Engine()
         fired = []
         eng.schedule(0, lambda: fired.append(1))
-        eng.run_until(0)
+        run_until(eng, 0)
         assert fired == [1]
 
     def test_equal_times_fifo(self):
@@ -129,32 +131,32 @@ class TestEngine:
         order = []
         eng.schedule(100, lambda: order.append("A"))
         eng.schedule(100, lambda: order.append("B"))
-        eng.run_until(100)
+        run_until(eng, 100)
         assert order == ["A", "B"]
 
     def test_past_time_rejected(self):
         eng = Engine()
-        eng.run_until(10)
+        run_until(eng, 10)
         with pytest.raises(PastTimeError):
             eng.schedule(5, lambda: None)
 
     def test_run_until_empty(self):
         eng = Engine()
-        assert eng.run_until(10 ** 9) == 0
+        assert run_until(eng, 10 ** 9) == 0
         assert eng.now == 10 ** 9
 
     def test_run_until_partial(self):
         eng = Engine()
         for t in (1, 2, 3):
             eng.schedule(t, lambda: None)
-        assert eng.run_until(2) == 2
+        assert run_until(eng, 2) == 2
 
     def test_reentrant_scheduling(self):
         eng = Engine()
         fired = []
         eng.schedule(1, lambda: (fired.append(1),
                                  eng.schedule(2, lambda: fired.append(2))))
-        eng.run_until(10)
+        run_until(eng, 10)
         assert fired == [1, 2]
 
     @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=50))
@@ -163,7 +165,7 @@ class TestEngine:
         fired = []
         for t in times:
             eng.schedule(t, lambda t=t: fired.append(t))
-        eng.run_until(10 ** 6)
+        run_until(eng, 10 ** 6)
         assert fired == sorted(fired)
 
     def test_schedule_passes_arguments(self):
@@ -187,7 +189,7 @@ class TestEngine:
             else:
                 eng.schedule(100, lambda i=i: order.append(i))
         eng.schedule(50, order.append, "first")
-        assert (eng.run_all() if run == "run_all" else eng.run_until(100)) == 21
+        assert (eng.run_all() if run == "run_all" else run_until(eng, 100)) == 21
         assert order == ["first", *range(20)]
         assert eng.executed == 21
 
@@ -200,7 +202,7 @@ class TestEngine:
         eng.schedule(100, lambda: (order.append("after"), seen.append((eng.now, eng.seq))))
         # added last, the reserved event still runs between the two
         eng.schedule_reserved(100, reserved, order.append, "reserved")
-        getattr(eng, run)(*([] if run == "run_all" else [100]))
+        eng.run_all() if run == "run_all" else run_until(eng, 100)
         assert order == ["before", "reserved", "after"]
         assert seen == [(100, reserved + 1)]
         # between runs, code follows every seq taken so far

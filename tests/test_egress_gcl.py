@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsnsim.core import BeforeBaseTimeError, Engine, JitterDist, ScheduleError
+from tsnsim.core import Engine, JitterDist, ScheduleError
 from tsnsim.egress import (EgressPort, GateControlList, GclEntry, PreemptionConfig,
                            TaprioPort)
 from tsnsim.traffic import Frame, transmission_time
+
+from helpers import BeforeBaseTimeError, gcl_state, run_until, time_until_close
 
 US = 1000
 MS = 1000 * US
@@ -61,25 +63,25 @@ class TestGclState:
     def test_single_entry_always_open(self):
         gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)])
         for t in (0, 1, 999, MS, 5 * MS + 123):
-            assert gcl.state(t)[0] == 0xFF
+            assert gcl_state(gcl, t)[0] == 0xFF
 
     def test_two_entry_example(self):
         gcl = GateControlList(0, 500 * US, [GclEntry(0x01, 250 * US),
                                             GclEntry(0x02, 250 * US)])
-        mask, remaining = gcl.state(300 * US)
+        mask, remaining = gcl_state(gcl, 300 * US)
         assert mask == 0x02 and remaining == 200 * US
 
     def test_cycle_boundary_uses_first_entry(self):
         gcl = GateControlList(0, 500 * US, [GclEntry(0x01, 250 * US),
                                             GclEntry(0x02, 250 * US)])
         for k in range(4):
-            mask, remaining = gcl.state(k * 500 * US)
+            mask, remaining = gcl_state(gcl, k * 500 * US)
             assert mask == 0x01 and remaining == 250 * US
 
     def test_before_base_time_rejected(self):
         gcl = GateControlList(1000, MS, [GclEntry(0xFF, MS)])
         with pytest.raises(BeforeBaseTimeError):
-            gcl.state(999)
+            gcl_state(gcl, 999)
 
     def test_durations_must_sum_to_cycle(self):
         with pytest.raises(ScheduleError):
@@ -96,7 +98,7 @@ class TestGclState:
             table = mask_table(gcl)
             for _ in range(500):
                 t = gcl.base_time + rng.randrange(0, 3 * gcl.cycle_time_ns)
-                mask, remaining = gcl.state(t)
+                mask, remaining = gcl_state(gcl, t)
                 phase = (t - gcl.base_time) % gcl.cycle_time_ns
                 assert mask == table[phase]
                 # remaining time: the mask entry stays the same until then
@@ -123,7 +125,7 @@ class TestGclState:
                 phase = (t - gcl.base_time) % gcl.cycle_time_ns
                 for tc in range(8):
                     if table[phase] >> tc & 1:
-                        assert gcl.time_until_close(tc, t) == until[tc][phase]
+                        assert time_until_close(gcl, tc, t) == until[tc][phase]
                         checked += 1
         assert checked > 1000
 
@@ -133,7 +135,7 @@ class TestGclState:
         gcl = random_gcl(rng)
         for _ in range(10 ** 6):
             t = gcl.base_time + rng.randrange(0, 10 ** 12)
-            mask, remaining = gcl.state(t)
+            mask, remaining = gcl_state(gcl, t)
             assert 0 < remaining <= gcl.cycle_time_ns
 
 
@@ -151,10 +153,10 @@ class TestGclTables:
         for cycle in (0, 3):
             for phase, mask in enumerate(table):
                 t = gcl.base_time + cycle * gcl.cycle_time_ns + phase
-                assert gcl.state(t) == (mask, left[phase])
+                assert gcl_state(gcl, t) == (mask, left[phase])
                 for tc in range(8):
                     if mask >> tc & 1:
-                        assert gcl.time_until_close(tc, t) == until[tc][phase]
+                        assert time_until_close(gcl, tc, t) == until[tc][phase]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.one_of(st.just(0), st.just(0xFF), st.integers(0, 255)),
@@ -182,8 +184,8 @@ class TestGclTables:
                                         GclEntry(0x05, 6), GclEntry(0x04, 4)])
         self.check_every_phase(gcl)
         assert gcl.max_open_run(2) == 15
-        assert gcl.time_until_close(2, 100 + 21) == 5 + 4 + 5
-        assert gcl.time_until_close(2, 100 + 30 + 2) == 3
+        assert time_until_close(gcl, 2, 100 + 21) == 5 + 4 + 5
+        assert time_until_close(gcl, 2, 100 + 30 + 2) == 3
 
 
 def random_gcl(rng: random.Random, max_cycle_ns: int = 10 * US) -> GateControlList:
@@ -343,7 +345,7 @@ class TestGateChangeShortcut:
                 elif t < gcl.base_time:
                     assert frame is None and wake(port) == gcl.base_time
                 else:
-                    mask, left = gcl.state(t)
+                    mask, left = gcl_state(gcl, t)
                     assert wake(port) == t + left
                     assert frame is None or mask >> frame.egress_class & 1
         assert shortcuts > 1000
@@ -486,7 +488,7 @@ class TestGateConformance:
                           deliver=lambda f, e, s: wires.append((f, s, e)))
         for t, f in frames:
             eng.schedule(t, lambda f=f: port.submit(f, eng.now))
-        eng.run_until(until)
+        run_until(eng, until)
         return wires
 
     def test_fuzzed_gate_conformance(self):
@@ -554,7 +556,7 @@ class TestPendingCount:
                     frame = port.select(t, classes)
                     if frame is None and classes is None and port.count:
                         # the next gate change, as select found it
-                        assert port.wake_time == t + port.gcl.state(t)[1]
+                        assert port.wake_time == t + gcl_state(port.gcl, t)[1]
                     seen["sent" if frame else "idle"] += 1
             seen.update(port.drops)
         assert all(seen[k] for k in (("enqueue", None), ("enqueue", "taprio_full"),

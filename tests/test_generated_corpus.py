@@ -1,0 +1,248 @@
+"""Generated-scenario corpus: seeded random scenarios over every mechanism.
+
+generate(seed) builds a scenario document from random.Random(seed): 0-3
+bridges; taprio under fit and none, with base times and preemption; PSFP
+gates with IPVs and octet budgets; offloaded and software ETF; FRER over
+1-3 lossy paths; CQF; resyncing, drifting clocks. Every latency it draws
+is non-negative. For each of SEEDS scenarios: one that validates finishes
+run_scenario under the event cap, accounts for every frame it sent, and
+gives the same records and drops when run again. One sha256 over every
+scenario's outcome, records.csv and sorted drops pins them all.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from tsnsim import harness
+from tsnsim.egress import EgressPort
+from tsnsim.harness import export_records, run_scenario
+from tsnsim.scenario import ConfigError, parse_scenario
+
+from conftest import CappedEngine
+
+pytestmark = pytest.mark.usefixtures("event_cap")
+
+SEEDS = range(300)
+
+#: sha256 over every seed's outcome, records.csv and sorted drops; only a
+#: declared change to the records, the drops or the generator records it again
+CORPUS_RUN_DIGEST = "1553623e5c34f7fb09448d8c01ba56aafd0b561bdd2b9c6eb517b7b53c4be6ee"
+
+DROP_KEYS = {"taprio_full", "taprio_oversize", "etf_past_txtime", "drop_closed_gate",
+             "drop_octet_budget", "drop_no_stream", "path_loss",
+             "frer_discard_duplicate", "frer_discard_stale"}
+
+STREAM = {"dest_mac": 1, "vlan_id": 100, "pcp": 2}
+#: the traffic classes a frame may be sent in or tagged with, and those
+#: that may be express: a gate that tags both kinds makes preemptions
+CLASSES = (0, 1, 2, 5)
+EXPRESS = (2, 5)
+
+
+def _latency(r: random.Random, scale: int) -> dict:
+    """A jitter distribution that never draws below 0."""
+    kind = r.choice(("constant", "uniform", "normal", "empirical"))
+    if kind == "constant":
+        return {"kind": kind, "value_ns": r.randrange(scale)}
+    if kind == "uniform":
+        lo = r.randrange(scale)
+        return {"kind": kind, "min_ns": lo, "max_ns": lo + r.randrange(scale)}
+    if kind == "normal":
+        return {"kind": kind, "mean_ns": r.randrange(scale), "std_ns": r.randrange(scale),
+                "min_ns": 0}
+    return {"kind": kind, "points": [[r.randrange(scale), r.randint(1, 9)]
+                                     for _ in range(r.randint(1, 4))]}
+
+
+def _clock(r: random.Random) -> dict:
+    clock = {"offset_ns": r.randint(-5_000, 5_000), "drift_ppm": r.choice((0, -12.5, 3, 40))}
+    if r.random() < 0.6:
+        clock["sync_interval_ns"] = r.choice((100_000, 1_000_000))
+        clock["sync_residual"] = {"kind": "normal", "mean_ns": 0, "std_ns": r.randint(0, 200)}
+    return clock
+
+
+def _durations(r: random.Random, cycle: int, n: int) -> list:
+    cuts = sorted(r.sample(range(1, cycle), n - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, cycle])]
+
+
+def _gcl(r: random.Random, period: int) -> dict:
+    cycle = r.choice((period // 2, period, 2 * period))
+    masks = (0xFF, 0x00, *(1 << tc for tc in CLASSES), *(0xFF ^ 1 << tc for tc in CLASSES))
+    gcl = {"cycle_time_ns": cycle,
+           "entries": [{"gate_mask": r.choice(masks), "duration_ns": d}
+                       for d in _durations(r, cycle, r.randint(1, 4))]}
+    if r.random() < 0.5:
+        gcl["base_time"] = r.randrange(3 * period)
+    return gcl
+
+
+def _taprio(r: random.Random, period: int, gated: bool) -> dict:
+    shaper = {"scheme": "taprio", "guard_mode": r.choice(("fit", "none")),
+              "queue_capacity": r.choice((1, 2, 4, 64))}
+    if gated:
+        shaper["gcl"] = _gcl(r, period)
+    if r.random() < 0.5:
+        shaper["preemption"] = {"enabled": True, "min_fragment_bytes": r.choice((64, 128)),
+                                "express_classes": r.sample(EXPRESS, r.randint(1, 2))}
+    return shaper
+
+
+def _etf(r: random.Random) -> dict:
+    offload = r.random() < 0.5
+    return {"scheme": "etf", "etf": {"offload": offload,
+                                     "delta_ns": r.choice((0, 5_000, 40_000))}}
+
+
+def _filter(r: random.Random, period: int) -> dict:
+    rules = [{"vlan_id": 200, "handle": "other"}]
+    if r.random() < 0.15:  # the stream matches no rule
+        return {"rules": rules}
+    rules.append({**r.choice(({"dest_mac": 1}, {"vlan_id": 100}, STREAM)), "handle": "s0"})
+    r.shuffle(rules)
+    cycle = r.choice((period, 2 * period))
+    entries = [{"open": r.random() < 0.8, "duration_ns": d,
+                "ipv": r.choice((None, *CLASSES)),
+                "max_octets": r.choice((None, None, 64, 300, 2_000))}
+               for d in _durations(r, cycle, r.randint(1, 3))]
+    gate = {"cycle_time_ns": cycle, "entries": entries}
+    if r.random() < 0.3:
+        gate["base_time"] = r.randrange(period)
+    return {"rules": rules, "gates": {"s0": gate} if r.random() < 0.8 else {}}
+
+
+def generate(seed: int) -> dict:
+    """A scenario document drawn from random.Random(seed)."""
+    r = random.Random(seed)
+    bridges = [f"sw{i}" for i in range(r.randint(0, 3))]
+    hops = ["talker", *bridges, "listener"]
+    period = r.choice((20_000, 50_000, 100_000, 250_000))
+    mode = "txtime" if r.random() < 0.35 else "sleep"
+    nodes = [{"name": "talker", "role": "talker"}]
+    for b in bridges:
+        node = {"name": b, "role": "bridge"}
+        if r.random() < 0.4:
+            node["forwarding"] = {"preset": r.choice(("zero", "xdp", "af_xdp", "linux_bridge"))}
+        elif r.random() < 0.7:
+            node["forwarding"] = _latency(r, r.choice((2_000, 30_000, 4 * period, 4 * period)))
+        nodes.append(node)
+    nodes.append({"name": "listener", "role": "listener", "rx_latency": _latency(r, 3_000)})
+    links = [{"from": a, "to": b, "rate_bps": r.choice((100_000_000, 10 ** 9)),
+              "propagation_ns": r.randrange(500), "overhead_bytes": r.choice((0, 20))}
+             for a, b in zip(hops, hops[1:])]
+    doc = {"nodes": nodes, "links": links}
+
+    cqf = bool(bridges) and r.random() < 0.15
+    if cqf:
+        doc["cqf"] = {"enabled": True, "cycle_time_ns": r.choice((period // 2, period)),
+                      "ipv_even": 5, "ipv_odd": r.choice((1, 2)),
+                      "base_time": r.randrange(period)}
+    shapers, filters = {}, {}
+    etf_nodes = {n for n in hops[:-1] if r.random() < 0.3}
+    if mode == "txtime" and not etf_nodes:
+        etf_nodes = {r.choice(hops[:-1])}
+    for node in hops[:-1]:
+        bridge_in_cqf = cqf and node != "talker"
+        if mode == "txtime" and node in etf_nodes and not bridge_in_cqf:
+            shapers[node] = _etf(r)
+        elif r.random() < 0.6:
+            shapers[node] = _taprio(r, period, gated=not bridge_in_cqf and r.random() < 0.7)
+        if node != "talker" and not cqf and r.random() < 0.5:
+            filters[node] = _filter(r, period)
+    if mode == "txtime" and not any(s["scheme"] == "etf" for s in shapers.values()):
+        shapers["talker"] = _etf(r)
+    if shapers:
+        doc["shapers"] = shapers
+    if filters:
+        doc["filters"] = filters
+
+    clocks = {}
+    for node in hops:
+        which = {w: _clock(r) for w in ("system", "phc") if r.random() < 0.3}
+        if which:
+            clocks[node] = which
+    if clocks:
+        doc["clocks"] = clocks
+    if r.random() < 0.35:
+        doc["frer"] = {"enabled": True, "paths": r.randint(1, 3),
+                       "window_size": r.choice((1, 1, 2, 64)),
+                       "loss_per_path": r.choice((0.0, 0.05, 0.3))}
+
+    traffic = {"period_ns": period, "count": r.randint(6, 24),
+               "frame_size_bytes": r.choice((64, 200, 800, 1500)), "mode": mode,
+               "priority": r.choice(CLASSES),
+               "wake_jitter": _latency(r, r.choice((500, 5_000, period))),
+               "stack_latency": _latency(r, 5_000), "driver_latency": _latency(r, 2_000),
+               "hw_precision": _latency(r, 100)}
+    if r.random() < 0.8:
+        traffic["stream"] = STREAM
+    if mode == "txtime":
+        traffic["txtime_lead_ns"] = r.choice((None, 1_000, period // 4, period))
+    doc["traffic"] = traffic
+    doc["run"] = {"seed": r.randrange(1_000), "histogram_bin_ns": 100}
+    return doc
+
+
+def _outcome(seed: int, out_dir):
+    """(accepted, the digest input of the seed's scenario, its drops); the
+    input of a scenario that fails validation is its problems."""
+    try:
+        cfg = parse_scenario(generate(seed))
+    except ConfigError as exc:
+        return False, json.dumps([seed, exc.problems]).encode(), {}
+    result = run_scenario(cfg)
+    copies = (cfg.run.count or cfg.traffic.count) * (cfg.frer.paths if cfg.frer.enabled else 1)
+    assert len(result.records) + sum(result.drops.values()) == copies, seed
+    path = out_dir / "records.csv"
+    export_records(result.records, path)
+    drops = sorted(result.drops.items())
+    return True, path.read_bytes() + json.dumps([seed, drops]).encode(), result.drops
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The outcome of every seed, and the preemptions made in the corpus."""
+    out_dir = tmp_path_factory.mktemp("corpus")
+    switches = []
+    switch = EgressPort._switch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "Engine", CappedEngine)
+        mp.setattr(EgressPort, "_switch",
+                   lambda port, *args: (switches.append(1), switch(port, *args))[1])
+        outcomes = [_outcome(seed, out_dir) for seed in SEEDS]
+    return outcomes, len(switches)
+
+
+def test_generated_scenarios_validate_run_and_conserve_frames(corpus):
+    outcomes, _ = corpus
+    # the generator draws valid scenarios; each one ran and conserved frames
+    rejected = [seed for seed, (ok, *_) in zip(SEEDS, outcomes) if not ok]
+    assert rejected == []
+
+
+def test_corpus_reaches_every_drop_key_and_preempts(corpus):
+    outcomes, preemptions = corpus
+    seen = set()
+    for _, _, drops in outcomes:
+        seen.update(drops)
+    assert seen == DROP_KEYS
+    assert preemptions > 0
+
+
+def test_same_seed_gives_same_outputs(corpus, tmp_path):
+    outcomes, _ = corpus
+    for seed in SEEDS:
+        assert generate(seed) == generate(seed)
+        assert _outcome(seed, tmp_path)[1] == outcomes[seed][1], seed
+
+
+def test_corpus_digest_unchanged(corpus):
+    outcomes, _ = corpus
+    digest = hashlib.sha256()
+    for _, data, _ in outcomes:
+        digest.update(hashlib.sha256(data).digest())
+    assert digest.hexdigest() == CORPUS_RUN_DIGEST

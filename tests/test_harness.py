@@ -27,6 +27,8 @@ from tsnsim.harness import (CSV_COLUMNS, Listener, MalformedRowError,
 from tsnsim.scenario import NodeCfg, load_scenario, parse_scenario
 from tsnsim.traffic import Frame
 
+from helpers import run_until
+
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 
 # a scenario run that never ends fails at the event cap instead
@@ -549,7 +551,7 @@ class TestListener:
         for fid, arrival in ((1, 500), (2, 300), (3, 300)):
             engine.schedule(0, sink.receive_copy, copy_of(fid), arrival)
         engine.schedule(300, sink.receive_copy, copy_of(4, "b"), 1000)
-        engine.run_until(299)
+        run_until(engine, 299)
         assert sink.recovery.log == [] and sink.records == []
         engine.run_all()
         assert sink.recovery.log == [2, 3]

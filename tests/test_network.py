@@ -10,7 +10,9 @@ from tsnsim.ingress import DROP_NO_STREAM
 from tsnsim.network import (FORWARDING_PRESETS, BridgeNode, CqfConfig,
                             ZeroHopsError, cqf_compose, cqf_latency_bound)
 from tsnsim.scenario import ConfigError, parse_scenario
-from tsnsim.traffic import Frame, StreamKey, make_stream_rules
+from tsnsim.traffic import Frame, StreamKey
+
+from helpers import make_stream_rules
 
 US = 1000
 MS = 1000 * US

@@ -14,6 +14,8 @@ from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, TaprioCfg, load_sce
                              parse_scenario)
 from tsnsim.traffic import StreamKey
 
+from helpers import gcl_state
+
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 
 MINIMAL = {
@@ -305,6 +307,44 @@ class TestRejections:
         assert [p.partition(":")[0] for p in problems] == [path]
         assert "bad distribution" in problems[0]
 
+    @pytest.mark.parametrize("dist,lowest", [
+        ({"kind": "constant", "value_ns": -1}, -1),
+        ({"kind": "uniform", "min_ns": -5, "max_ns": 900}, -5),
+        ({"kind": "normal", "mean_ns": 228, "std_ns": 408}, -1404),
+        ({"kind": "normal", "mean_ns": 100, "std_ns": 30, "min_ns": -3}, -3),
+        ({"kind": "empirical", "points": [[700, 1], [-20, 5]]}, -20),
+    ], ids=["constant", "uniform", "normal", "normal_min", "empirical"])
+    @pytest.mark.parametrize("path", ["nodes[2].forwarding", "traffic.stack_latency",
+                                      "traffic.driver_latency"])
+    def test_latency_that_can_draw_below_zero_rejected(self, dist, lowest, path):
+        doc = copy.deepcopy(bridged())
+        section, key = path.split(".")
+        (doc["nodes"][2] if section == "nodes[2]" else doc["traffic"])[key] = dist
+        assert problems_of(doc) == [
+            f"{path}: a latency must not draw below 0, but can draw {lowest}"]
+
+    @pytest.mark.parametrize("dist", [
+        {"kind": "constant", "value_ns": 0}, {"kind": "uniform", "min_ns": 0, "max_ns": 9},
+        {"kind": "normal", "mean_ns": 400, "std_ns": 100},
+        {"kind": "normal", "mean_ns": 0, "std_ns": 500, "min_ns": 0},
+        {"kind": "empirical", "points": [[0, 1], [50, 2]]}],
+        ids=["constant", "uniform", "normal", "normal_min", "empirical"])
+    def test_latency_whose_lowest_draw_is_zero_or_more_accepted(self, dist):
+        doc = copy.deepcopy(bridged(traffic=dict(MINIMAL["traffic"], stack_latency=dist,
+                                                 driver_latency=dist)))
+        doc["nodes"][2]["forwarding"] = dist
+        parse_scenario(doc)
+
+    def test_jitter_that_may_draw_below_zero_still_accepted(self):
+        # wake_jitter and hw_precision are clamped where they are used;
+        # rx_latency and a sync residual shift a reading, not an event
+        below = {"kind": "uniform", "min_ns": -50, "max_ns": 50}
+        doc = bridged(traffic=dict(MINIMAL["traffic"], wake_jitter=below, hw_precision=below),
+                      clocks={"sw0": {"phc": {"sync_interval_ns": 100_000,
+                                              "sync_residual": below}}})
+        doc["nodes"][1] = dict(doc["nodes"][1], rx_latency=below)
+        parse_scenario(doc)
+
     # a value that cannot be hashed used to crash the lookup of a name or kind
     @pytest.mark.parametrize("doc,problem", [
         (variant(traffic={**MINIMAL["traffic"], "wake_jitter": {"kind": []}}),
@@ -374,12 +414,12 @@ class TestBuiltObjects:
                              "gates": {"s0": gate}}},
             traffic={"mode": "txtime",
                      "stream": {"dest_mac": 1, "vlan_id": 2, "pcp": 3}}))
-        # a NamedTuple record equals any tuple of its values: each == has its type check
+        # redundant now that a record equals only its own type, each == keeps its type check
         assert cfg.shapers["talker"] == EtfCfg(offload=False, delta_ns=50_000)
         assert type(cfg.shapers["talker"]) is EtfCfg
         taprio = cfg.shapers["sw0"]
         assert isinstance(taprio.gcl, GateControlList)
-        assert taprio.gcl.state(0) == (1, 1000)
+        assert gcl_state(taprio.gcl, 0) == (1, 1000)
         assert taprio.preemption == PreemptionConfig(enabled=True,
                                                      express_classes=frozenset({3}))
         assert type(taprio.preemption) is PreemptionConfig

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsnsim.traffic import (DuplicateExactRuleError, Frame, PacketRecord, StreamKey,
-                            StreamRule, ZeroRateError, make_stream_rules,
-                            transmission_time)
+                            StreamRule, ZeroRateError, transmission_time)
+
+from helpers import make_stream_rules
 
 
 class TestTransmissionTime:

@@ -1,9 +1,8 @@
 """Deterministic discrete-event simulator of TSN data paths."""
 
-from .core import ClockModel, Engine, JitterDist, PastTimeError, SimTime, rng_fork
+from .core import ClockModel, CyclicSchedule, Engine, JitterDist, PastTimeError, SimTime, rng_fork
 from .traffic import Frame, StreamKey, transmission_time
-from .egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
-                     PreemptionConfig, TaprioPort)
+from .egress import EgressPort, EtfQueue, GclEntry, PreemptionConfig, TaprioPort
 from .ingress import PsfpDecision, StreamGate, StreamGateEntry
 from .frer import RecoveryState, Replicator
 from .network import (BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound)

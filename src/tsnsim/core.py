@@ -228,7 +228,7 @@ class ClockModel(Record):
 
     _fields = ("offset_ns", "drift_ppm", "sync_interval_ns", "sync_residual")
     __slots__ = (*_fields, "_drift_num", "_drift_den", "_rate_den", "_syncs", "_offsets", "_rng",
-                 "_start", "_offset", "_lo", "_hi")
+                 "_start", "_offset", "_hi")
 
     def __init__(self, offset_ns: int = 0, drift_ppm: Fraction = Fraction(0),
                  sync_interval_ns: Optional[int] = None, sync_residual: JitterDist = CONSTANT_ZERO):
@@ -244,7 +244,7 @@ class ClockModel(Record):
         #: K, the number of resyncs, and o_k at index k as drawn so far
         self._syncs, self._offsets = 0, [self.offset_ns]
         self._rng: Optional[random.Random] = None
-        #: s_k and o_k of the segment k last entered, which holds [_lo, _hi)
+        #: s_k and o_k of the segment k last entered, which holds [_start, _hi)
         self._start, self._offset = 0, self.offset_ns
 
     def resynced(self, rng: random.Random, horizon: SimTime) -> "ClockModel":
@@ -261,12 +261,12 @@ class ClockModel(Record):
         k = min(max(t // self.sync_interval_ns, 0), self._syncs)
         while len(self._offsets) <= k:
             self._offsets.append(self.sync_residual.sample(self._rng))
-        self._lo = self._start = k * self.sync_interval_ns
+        self._start = k * self.sync_interval_ns
         self._offset = self._offsets[k]
         self._hi = self._start + self.sync_interval_ns if k < self._syncs else math.inf
 
     def read(self, true_time: SimTime) -> SimTime:
-        if self._syncs and not self._lo <= true_time < self._hi:
+        if self._syncs and not self._start <= true_time < self._hi:
             self._enter(true_time)
         num = self._drift_num
         if not num:
@@ -291,7 +291,7 @@ class ClockModel(Record):
         smallest such t. Callers take the later of this and now. Later
         resyncs are ignored: the answer is exact only within now's segment.
         """
-        if self._syncs and not self._lo <= now < self._hi:
+        if self._syncs and not self._start <= now < self._hi:
             self._enter(now)
         if not self._drift_num:
             return reading - self._offset
@@ -355,7 +355,9 @@ class Engine:
 
 
 class CyclicSchedule:
-    """Entries whose durations partition a cycle repeating from base_time.
+    """Entries whose durations partition a cycle repeating from base_time: a
+    GCL's GclEntry list or a stream gate's StreamGateEntry windows. It holds
+    no run state; the TaprioPort or StreamGate that runs it compiles its tables.
 
     Entries cover half-open intervals [start, end) of the cycle phase, so
     an instant on a boundary belongs to the entry starting there.

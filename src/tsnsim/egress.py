@@ -26,32 +26,6 @@ class GclEntry(Record, frozen=True):
     duration_ns: int
 
 
-class GateControlList(CyclicSchedule):
-    """Cyclic (gate mask, duration) schedule of an egress port. _after[i][tc]
-    is how long class tc stays open after entry i ends, None if it never closes."""
-
-    def __init__(self, base_time: SimTime, cycle_time_ns: int, entries: list):
-        super().__init__(base_time, cycle_time_ns, entries)
-        masks = self._masks = [e.gate_mask for e in self.entries]
-        n, never_closed = len(masks), reduce(and_, masks)
-        # one backward pass over two cycles: run[tc] is class tc's open time
-        # from the end of entry j % n
-        run, self._after = [0] * NUM_CLASSES, [None] * n
-        for j in range(2 * n - 1, -1, -1):
-            if j < n:
-                self._after[j] = tuple(None if never_closed >> tc & 1 else r
-                                       for tc, r in enumerate(run))
-            d, m = self.entries[j % n].duration_ns, masks[j % n]
-            run = [r + d if m >> tc & 1 else 0 for tc, r in enumerate(run)]
-
-    def max_open_run(self, tc: int) -> Optional[int]:
-        """Longest contiguous open stretch for class tc (None = always open)."""
-        if self._after[0][tc] is None:
-            return None
-        return max((e.duration_ns + a[tc] for e, a in zip(self.entries, self._after)
-                    if e.gate_mask >> tc & 1), default=0)
-
-
 class _WireTimes(dict):
     """transmission_time by frame size, overhead added, computed once per size."""
 
@@ -63,7 +37,7 @@ class _WireTimes(dict):
         return tt
 
 
-#: each class's open time after an entry where no gate ever closes
+#: each class's open time after an entry, or its oversize limit, where no gate closes
 _NEVER_CLOSES = (math.inf,) * NUM_CLASSES
 
 
@@ -79,13 +53,14 @@ class TaprioPort:
     window of its class is dropped after waiting one full cycle, as is,
     under guard_mode "none", a frame of a class that no entry opens.
 
-    The GCL is compiled once into tables: per entry, its gate mask, end
-    phase, next entry and, under "fit" only, each class's open time after
-    it; per class, the oversize limit. enqueue fixes each frame's wire time,
-    so select makes one entry lookup per call and compares wire times.
+    The GCL, a CyclicSchedule of GclEntry, is compiled here into tables: per
+    entry, its gate mask, end phase, next entry and, under "fit" only, each
+    class's open time after it; per class, the oversize limit. enqueue fixes
+    each frame's wire time, so select makes one entry lookup per call and
+    compares wire times.
     """
 
-    def __init__(self, gcl: Optional[GateControlList] = None, capacity: int = 64,
+    def __init__(self, gcl: Optional[CyclicSchedule] = None, capacity: int = 64,
                  guard_mode: str = "fit", link_rate_bps: int = 10 ** 9,
                  overhead_bytes: int = 0):
         if guard_mode not in ("fit", "none"):
@@ -101,18 +76,25 @@ class TaprioPort:
         self.count = 0
         self._occupied = 0
         self.drops: Counter = Counter()
-        #: gcl.max_open_run of each class, scanned once
-        self.max_open_runs = [gcl and gcl.max_open_run(tc) for tc in range(NUM_CLASSES)]
-        fit = guard_mode == "fit"
-        #: oversize limit per class: its longest open run, where select may
-        #: drop it (any class under fit, one no entry opens under none)
-        self._limits = tuple(run if run is not None and (fit or run == 0) else math.inf
-                             for run in self.max_open_runs)
-        #: per entry: (gate mask, end phase, next entry, open time after it)
-        self._entries = gcl and [
-            (m, end, (i + 1) % len(gcl.entries), tuple(
-                math.inf if a is None else a for a in after) if fit else _NEVER_CLOSES)
-            for i, (m, end, after) in enumerate(zip(gcl._masks, gcl._ends, gcl._after))]
+        #: per entry: (gate mask, end phase, next entry, open time after it);
+        #: per class, the oversize limit: its longest open run, where select
+        #: may drop it (any class under fit, one no entry opens under none)
+        self._entries, self._limits = None, _NEVER_CLOSES
+        if gcl is not None:
+            fit, entries, n = guard_mode == "fit", gcl.entries, len(gcl.entries)
+            always_open = reduce(and_, [e.gate_mask for e in entries])
+            # one backward pass over two cycles: run[tc] is class tc's open
+            # time from the end of entry j % n, inf if no entry closes it
+            run = [math.inf if always_open >> tc & 1 else 0 for tc in range(NUM_CLASSES)]
+            self._entries, runs = [None] * n, []
+            for j in range(2 * n - 1, -1, -1):
+                mask, d = entries[j % n].gate_mask, entries[j % n].duration_ns
+                if j < n:
+                    self._entries[j] = (mask, gcl._ends[j], (j + 1) % n,
+                                        tuple(run) if fit else _NEVER_CLOSES)
+                run = [r + d if mask >> tc & 1 else 0 for tc, r in enumerate(run)]
+                runs.append(run)  # from the start of entry j % n
+            self._limits = tuple([r if fit or not r else math.inf for r in map(max, *runs)])
         #: wire time by frame size, overhead included
         self._tt = _WireTimes(link_rate_bps, overhead_bytes)
         #: the next gate change as the last select found it, and its entry
@@ -120,7 +102,7 @@ class TaprioPort:
 
     def enqueue(self, frame: Frame, t: SimTime) -> Optional[str]:
         """Queue the frame and return None, or return the drop key counted."""
-        tc = frame.ipv if frame.ipv is not None else frame.traffic_class  # frame.egress_class
+        tc = frame.ipv if frame.ipv is not None else frame.priority  # frame.egress_class
         q = self.queues[tc]
         if len(q) >= self.capacity:
             self.drops["taprio_full"] += 1

@@ -7,7 +7,6 @@ transmission grid, and produces offset statistics and histograms.
 
 from __future__ import annotations
 
-import copy
 import csv
 import itertools
 import math
@@ -23,13 +22,14 @@ from typing import Optional
 from .core import ClockModel, Engine, RNG_ALGORITHM, Record, SimTime, rng_fork
 from .egress import EgressPort, EtfQueue, TaprioPort
 from .frer import ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, RecoveryState, Replicator
+from .ingress import StreamGate
 from .network import BridgeNode
 from .scenario import (NO_FILTER, NO_SHAPER, EtfCfg, LinkCfg, NodeCfg, ScenarioConfig,
                        TaprioCfg, TrafficCfg, chain_links, run_horizon)
 from .traffic import Frame, PacketRecord, StreamRuleSet
 
-TIMESTAMP_KINDS = ("sw_tx", "hw_tx", "hw_rx", "sw_rx")
-RECORD_FIELDS = ("seq", "intended_tx", *TIMESTAMP_KINDS)  # PacketRecord's, in order
+RECORD_FIELDS = PacketRecord._fields
+TIMESTAMP_KINDS = RECORD_FIELDS[2:]  # the four stamps, after seq and intended_tx
 FRER_DROP_KEYS = {outcome: f"frer_{outcome}" for outcome in (DISCARD_DUPLICATE, DISCARD_STALE)}
 
 
@@ -332,16 +332,16 @@ class Talker:
         now = self.engine.now
         at_driver = max(now, self.clock.when_reading(intended, now) + wake) + stack
         # each step builds its frame in one positional call, in field order
-        frame = Frame(k, self.size, self.priority, self.priority, self.stream, None, None,
-                      None, None, intended, self.clock.read(at_driver))
+        frame = Frame(k, self.size, self.priority, self.stream, None, None, None, None,
+                      intended, self.clock.read(at_driver))
         fire = at_driver + driver
         self.engine.schedule(fire, self.submit, frame, fire)
 
     def txtime(self, k: int, intended: SimTime):
         """Send now with the launch time (SO_TXTIME) set to intended."""
         now = self.engine.now
-        self.submit(Frame(k, self.size, self.priority, self.priority, self.stream, None,
-                          None, intended, None, intended, self.clock.read(now)), now)
+        self.submit(Frame(k, self.size, self.priority, self.stream, None, None, intended,
+                          None, intended, self.clock.read(now)), now)
 
 
 class Listener:
@@ -418,7 +418,7 @@ def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, rec
         fcfg = cfg.filters.get(name) or NO_FILTER
         rules = fcfg.rules and StreamRuleSet(fcfg.rules.rules)  # a fresh identify memo
         bridge = BridgeNode(engine, name, port, stream_rules=rules,
-                            gates={h: copy.copy(g) for h, g in fcfg.gates.items()},
+                            gates={h: StreamGate(s) for h, s in fcfg.gates.items()},
                             forwarding_latency=nodes[name].forwarding,
                             rng=rng_fork(seed, f"fwd:{name}{suffix}"))
         bridges.append(bridge)

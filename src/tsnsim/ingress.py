@@ -27,7 +27,7 @@ _PASSES = {ipv: PsfpDecision(PASS, ipv=ipv) for ipv in (None, *range(8))}
 
 
 class StreamGateEntry(Record, frozen=True):
-    """One window of a StreamGate's cycle: open or closed for duration_ns,
+    """One window of a stream gate's cycle: open or closed for duration_ns,
     with the IPV a passing frame gets and the window's octet budget."""
 
     __slots__ = _fields = ("open", "duration_ns", "ipv", "max_octets")
@@ -39,20 +39,22 @@ class StreamGateEntry(Record, frozen=True):
         super().__init__(open, duration_ns, ipv, max_octets)
 
 
-class StreamGate(CyclicSchedule):
-    """Single-stream ingress gate with a cyclic open/close schedule.
+class StreamGate:
+    """Single-stream ingress gate running a CyclicSchedule of StreamGateEntry
+    windows. A gate counts its window's octets, so each bridge on each path
+    runs its own StreamGate of the scenario's schedule.
 
     The octet budget, when configured, applies per window occurrence and
     resets at each window start. Frames arriving exactly on a boundary
     belong to the window starting there (half-open intervals). Before
-    base_time the gate is closed, as every gate of a GateControlList is.
+    base_time the gate is closed, as every gate of a GCL is.
     """
 
-    def __init__(self, base_time: SimTime, cycle_time_ns: int,
-                 entries: list[StreamGateEntry]):
-        super().__init__(base_time, cycle_time_ns, entries)
+    def __init__(self, schedule: CyclicSchedule):
+        self.base_time, self.cycle_time_ns = schedule.base_time, schedule.cycle_time_ns
+        self._starts = schedule._starts
         #: per entry: (open, max_octets, ipv, the decision a passing frame gets)
-        self._table = [(e.open, e.max_octets, e.ipv, _PASSES[e.ipv]) for e in self.entries]
+        self._table = [(e.open, e.max_octets, e.ipv, _PASSES[e.ipv]) for e in schedule.entries]
         self.running_octets = 0
         self._window_start = None  # true time at which the counted window began
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .core import CONSTANT_ZERO, Engine, JitterDist, Record, SimTime
-from .egress import EgressPort, GateControlList, GclEntry
-from .ingress import DROP_NO_STREAM, PASS, StreamGate, StreamGateEntry
+from .core import CONSTANT_ZERO, CyclicSchedule, Engine, JitterDist, Record, SimTime
+from .egress import EgressPort, GclEntry
+from .ingress import DROP_NO_STREAM, PASS, StreamGateEntry
 from .traffic import Frame, StreamRuleSet
 
 
@@ -33,7 +33,7 @@ class BridgeNode:
 
     receive(frame, t, wire_start) is keyed to end-of-frame reception at t;
     the PSFP decision uses that instant (wire_start is unused). gates maps
-    stream handles to gates; without stream rules every frame has handle
+    stream handles to StreamGates; without stream rules every frame has handle
     None, so a gate stored under None (as for CQF) applies to all frames.
     """
 
@@ -71,7 +71,7 @@ class BridgeNode:
 
 class CqfConfig(Record, frozen=True):
     """Cyclic queuing and forwarding: the cycle, and the IPVs that collect
-    frames in even and odd cycles; cqf_compose turns it into gates."""
+    frames in even and odd cycles; cqf_compose turns it into schedules."""
 
     __slots__ = _fields = ("cycle_time_ns", "ipv_even", "ipv_odd", "base_time")
 
@@ -83,8 +83,8 @@ class CqfConfig(Record, frozen=True):
         super().__init__(cycle_time_ns, ipv_even, ipv_odd, base_time)
 
 
-def cqf_compose(cfg: CqfConfig) -> tuple[StreamGate, GateControlList]:
-    """Derive the coordinated ingress gate and egress schedule for one bridge.
+def cqf_compose(cfg: CqfConfig) -> tuple[CyclicSchedule, CyclicSchedule]:
+    """Derive the coordinated ingress gate windows and egress GCL of a bridge.
 
     The ingress gate is always open but tags frames with alternating IPVs
     per cycle; the egress schedule keeps the collecting IPV's gate closed
@@ -92,11 +92,11 @@ def cqf_compose(cfg: CqfConfig) -> tuple[StreamGate, GateControlList]:
     stay open throughout.
     """
     c = cfg.cycle_time_ns
-    ingress = StreamGate(cfg.base_time, 2 * c, [
+    ingress = CyclicSchedule(cfg.base_time, 2 * c, [
         StreamGateEntry(open=True, duration_ns=c, ipv=cfg.ipv_even),
         StreamGateEntry(open=True, duration_ns=c, ipv=cfg.ipv_odd),
     ])
-    egress = GateControlList(cfg.base_time, 2 * c, [
+    egress = CyclicSchedule(cfg.base_time, 2 * c, [
         GclEntry(gate_mask=0xFF & ~(1 << cfg.ipv_even), duration_ns=c),
         GclEntry(gate_mask=0xFF & ~(1 << cfg.ipv_odd), duration_ns=c),
     ])

@@ -3,8 +3,8 @@
 A scenario is a JSON document with top-level sections nodes, links,
 clocks, shapers, filters, frer, cqf, traffic, run. Validation rejects
 unknown keys and reports every problem with its dotted path. An enabled
-cqf section is compiled into the stream gate and GCL of each bridge on
-the talker-to-listener path.
+cqf section is compiled into the stream gate windows and GCL of each
+bridge on the talker-to-listener path.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from functools import partial
 from types import MappingProxyType
 from typing import Optional
 
-from .core import CONSTANT_ZERO, PPM, ClockModel, JitterDist, Record, ScheduleError
-from .egress import NO_PREEMPTION, GateControlList, GclEntry, PreemptionConfig
-from .ingress import StreamGate, StreamGateEntry
+from .core import CONSTANT_ZERO, PPM, ClockModel, CyclicSchedule, JitterDist, Record, ScheduleError
+from .egress import NO_PREEMPTION, GclEntry, PreemptionConfig
+from .ingress import StreamGateEntry
 from .network import FORWARDING_PRESETS, CqfConfig, cqf_compose
 from .traffic import (MAX_FRAME_BYTES, MIN_FRAME_BYTES, DuplicateExactRuleError,
                       StreamKey, StreamRule, StreamRuleSet)
@@ -86,11 +86,8 @@ class _Checker:
         values = {k: read(self, obj, k, path) for k, read in fields.items() if k in obj}
         return cls(**{k: v for k, v in values.items() if v is not None})
 
-    def int_in(self, obj, key, path, lo=None, hi=None, default=None, required=False,
-               nullable=False):
+    def int_in(self, obj, key, path, lo=None, hi=None, default=None, nullable=False):
         if key not in obj or nullable and obj[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "missing required key")
             return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, int):
@@ -160,7 +157,7 @@ class LinkCfg(Record, frozen=True):
 
 
 class TaprioCfg(Record, frozen=True):
-    gcl: Optional[GateControlList] = None
+    gcl: Optional[CyclicSchedule] = None  # of GclEntry
     guard_mode: str = "fit"
     queue_capacity: int = 64
     preemption: PreemptionConfig = NO_PREEMPTION
@@ -173,9 +170,9 @@ class EtfCfg(Record, frozen=True):
 
 class FilterCfg(Record, frozen=True):
     rules: Optional[StreamRuleSet] = None  # None: every frame has handle None
-    #: handle -> StreamGate template; a gate counts its window's octets,
-    #: so each bridge on each path runs its own copy. The default, shared
-    #: by every FilterCfg(), is read-only
+    #: handle -> CyclicSchedule of StreamGateEntry, which each bridge on
+    #: each path runs as a StreamGate of its own. The default, shared by
+    #: every FilterCfg(), is read-only
     gates: dict = MappingProxyType({})
 
 
@@ -260,8 +257,8 @@ def chain_links(links: list[LinkCfg], talker: str, listener: str) -> list[LinkCf
     return chain
 
 
-def _parse_schedule(c: _Checker, obj, path, schedule, required, optional, make_entry):
-    """Build schedule(base_time, cycle_time_ns, entries), or None on a problem.
+def _parse_schedule(c: _Checker, obj, path, required, optional, make_entry):
+    """A CyclicSchedule(base_time, cycle_time_ns, entries), or None on a problem.
 
     Each entry has duration_ns, the keys required and any of optional.
     make_entry(entry, entry_path, duration_ns) checks an entry's other
@@ -272,7 +269,7 @@ def _parse_schedule(c: _Checker, obj, path, schedule, required, optional, make_e
         return None
     before = len(c.problems)
     base = c.int_in(obj, "base_time", path, lo=0, default=0)
-    cycle = c.int_in(obj, "cycle_time_ns", path, lo=1, required=True)
+    cycle = c.int_in(obj, "cycle_time_ns", path, lo=1)
     entries = c.nonempty(obj.get("entries"), f"{path}.entries")
     if not entries:
         return None
@@ -282,29 +279,28 @@ def _parse_schedule(c: _Checker, obj, path, schedule, required, optional, make_e
         if c.dict(e, ep, {"duration_ns", *required, *optional},
                   required=("duration_ns", *required)):
             built.append(make_entry(e, ep, c.int_in(e, "duration_ns", ep, lo=1)))
-    if len(c.problems) > before:
+    if len(c.problems) > before or cycle is None:  # dict reported a missing cycle
         return None
     try:
-        return schedule(base, cycle, built)
+        return CyclicSchedule(base, cycle, built)
     except ScheduleError as exc:
         c.fail(f"{path}.entries", str(exc))
         return None
 
 
-def _parse_gcl(c: _Checker, obj, path) -> Optional[GateControlList]:
+def _parse_gcl(c: _Checker, obj, path) -> Optional[CyclicSchedule]:
     def entry(e, ep, duration):
         return GclEntry(c.int_in(e, "gate_mask", ep, lo=0, hi=0xFF), duration)
-    return _parse_schedule(c, obj, path, GateControlList, ("gate_mask",), (), entry)
+    return _parse_schedule(c, obj, path, ("gate_mask",), (), entry)
 
 
-def _parse_stream_gate(c: _Checker, obj, path) -> Optional[StreamGate]:
+def _parse_stream_gate(c: _Checker, obj, path) -> Optional[CyclicSchedule]:
     def entry(e, ep, duration):
         # a null ipv or max_octets is the same as none
         return StreamGateEntry(c.bool_in(e, "open", ep), duration,
                                c.int_in(e, "ipv", ep, lo=0, hi=7, nullable=True),
                                c.int_in(e, "max_octets", ep, lo=0, nullable=True))
-    return _parse_schedule(c, obj, path, StreamGate, ("open",), ("ipv", "max_octets"),
-                           entry)
+    return _parse_schedule(c, obj, path, ("open",), ("ipv", "max_octets"), entry)
 
 
 def _parse_stream_key(c: _Checker, obj, path) -> Optional[StreamKey]:
@@ -440,7 +436,7 @@ def _parse_links(c: _Checker, raw, nodes, names) -> tuple[list[LinkCfg], list[Li
         for key in ("from", "to"):
             c.choice(l, key, p, names, unknown="node")
         links.append(LinkCfg(l.get("from"), l.get("to"),
-                             c.int_in(l, "rate_bps", p, lo=1, required=True),
+                             c.int_in(l, "rate_bps", p, lo=1),
                              c.int_in(l, "propagation_ns", p, lo=0, default=0),
                              c.int_in(l, "overhead_bytes", p, lo=0, default=0)))
     if not c.problems:
@@ -542,7 +538,7 @@ def _parse_cqf(c: _Checker, raw) -> Optional[CqfConfig]:
 
 def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
     """The checks across sections, made once each is valid on its own; an
-    enabled cqf is compiled into the stream gate and GCL of each bridge."""
+    enabled cqf is compiled into the stream gate windows and GCL of each bridge."""
     bridges = [link.src for link in chain[1:]]
     # the runner builds egress ports and bridges only on the path
     for section, by_node, users, who in (

@@ -51,20 +51,20 @@ class PacketRecord(Record):
 
 
 class Frame(Record):
-    """A frame in flight: its size, priority and stream, the metadata set on
-    the way (FRER seq, IPV, launch time, member path) and its tx stamps. The
-    IPV never alters frame bytes; route is the member path's label."""
+    """A frame in flight: its size, priority (its traffic class) and stream,
+    the metadata set on the way (FRER seq, IPV, launch time, member path) and
+    its tx stamps. The IPV never alters frame bytes; route is the member
+    path's label."""
 
-    __slots__ = _fields = ("id", "size_bytes", "priority", "traffic_class", "stream", "seq",
-                           "ipv", "txtime", "route", "intended_tx", "sw_tx", "hw_tx")
+    __slots__ = _fields = ("id", "size_bytes", "priority", "stream", "seq", "ipv", "txtime",
+                           "route", "intended_tx", "sw_tx", "hw_tx")
 
-    def __init__(self, id: int, size_bytes: int, priority: int, traffic_class: Optional[int] = None,
+    def __init__(self, id: int, size_bytes: int, priority: int,
                  stream: Optional[StreamKey] = None, seq: Optional[int] = None,
                  ipv: Optional[int] = None, txtime: Optional[SimTime] = None,
                  route: Optional[str] = None, intended_tx: SimTime = 0,
                  sw_tx: Optional[SimTime] = None, hw_tx: Optional[SimTime] = None):
         self.id, self.size_bytes, self.priority = id, size_bytes, priority
-        self.traffic_class = priority if traffic_class is None else traffic_class
         self.stream, self.seq, self.ipv = stream, seq, ipv
         self.txtime, self.route, self.intended_tx = txtime, route, intended_tx
         self.sw_tx, self.hw_tx = sw_tx, hw_tx
@@ -72,7 +72,7 @@ class Frame(Record):
     @property
     def egress_class(self) -> int:
         """Traffic class used by egress queuing: IPV metadata wins."""
-        return self.ipv if self.ipv is not None else self.traffic_class
+        return self.ipv if self.ipv is not None else self.priority
 
     def clone(self, route: Optional[str] = None) -> "Frame":
         """A copy on route if given, else on this frame's.
@@ -80,9 +80,8 @@ class Frame(Record):
         Every field goes to one positional constructor call, since this runs
         once per replicated copy: a new field must be passed here as well.
         """
-        return Frame(self.id, self.size_bytes, self.priority, self.traffic_class,
-                     self.stream, self.seq, self.ipv, self.txtime,
-                     self.route if route is None else route,
+        return Frame(self.id, self.size_bytes, self.priority, self.stream, self.seq, self.ipv,
+                     self.txtime, self.route if route is None else route,
                      self.intended_tx, self.sw_tx, self.hw_tx)
 
 

@@ -2,14 +2,17 @@
 
 The simulator reads its compiled gate tables inline and runs each scenario
 to the end with Engine.run_all; these give tests a schedule's state at any
-instant, an engine run up to a time, and a stream rule set from config
-entries.
+instant, read from the tables a TaprioPort compiles from a GCL, an engine
+run up to a time, and a stream rule set from config entries.
 """
 
+import math
 from bisect import bisect_right
+from functools import lru_cache
 from heapq import heappop
 
 from tsnsim.core import ScheduleError
+from tsnsim.egress import TaprioPort
 from tsnsim.traffic import StreamRule, StreamRuleSet
 
 
@@ -25,18 +28,31 @@ def locate(schedule, t: int) -> tuple[int, int]:
     return bisect_right(schedule._starts, phase) - 1, phase
 
 
+@lru_cache(maxsize=64)
+def compiled(gcl) -> TaprioPort:
+    """A guard-fit TaprioPort of the GCL, whose tables the lookups below read."""
+    return TaprioPort(gcl=gcl)
+
+
 def gcl_state(gcl, t: int) -> tuple[int, int]:
     """(open mask, time until the next entry boundary) of a GCL at time t."""
     i, phase = locate(gcl, t)
-    return gcl._masks[i], gcl._ends[i] - phase
+    return compiled(gcl)._entries[i][0], gcl._ends[i] - phase
 
 
 def time_until_close(gcl, tc: int, t: int):
     """Time until class tc's gate closes, or None if it never does; only
     meaningful when the gate is open at t."""
     i, phase = locate(gcl, t)
-    after = gcl._after[i][tc]
-    return None if after is None else gcl._ends[i] - phase + after
+    after = compiled(gcl)._entries[i][3][tc]
+    return None if after == math.inf else gcl._ends[i] - phase + after
+
+
+def max_open_run(gcl, tc: int):
+    """Longest contiguous open stretch of class tc (None = always open): the
+    oversize limit of a guard-fit TaprioPort."""
+    run = compiled(gcl)._limits[tc]
+    return None if run == math.inf else run
 
 
 def run_until(engine, t_end: int) -> int:

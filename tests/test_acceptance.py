@@ -12,9 +12,8 @@ import pytest
 
 import tsnsim
 from tsnsim.cli import main as cli_main
-from tsnsim.core import ClockModel, Engine, JitterDist, rng_fork
-from tsnsim.egress import (EgressPort, EtfQueue, GateControlList, GclEntry,
-                           TaprioPort)
+from tsnsim.core import ClockModel, CyclicSchedule, Engine, JitterDist, rng_fork
+from tsnsim.egress import EgressPort, EtfQueue, GclEntry, TaprioPort
 from tsnsim.frer import ACCEPT, RecoveryState
 from tsnsim.harness import (compute_offsets, load_records, report,
                             run_scenario, stats, stats_payload)
@@ -86,9 +85,9 @@ def random_gcl(rng, max_cycle_ns=10 * US):
     n = rng.randint(2, 8)
     cuts = sorted(rng.sample(range(1, max_cycle_ns), n - 1))
     durations = [b - a for a, b in zip([0] + cuts, cuts + [max_cycle_ns])]
-    return GateControlList(0, max_cycle_ns,
-                           [GclEntry(rng.randrange(0, 256), d)
-                            for d in durations])
+    return CyclicSchedule(0, max_cycle_ns,
+                          [GclEntry(rng.randrange(0, 256), d)
+                           for d in durations])
 
 
 def mask_table(gcl):
@@ -154,7 +153,7 @@ def test_criterion_04_psfp_budget():
         entries = [StreamGateEntry(open=rng.random() < 0.6, duration_ns=d,
                                    max_octets=rng.choice([1000, 3000, None]))
                    for d in durations]
-        gate = StreamGate(0, cycle, entries)
+        gate = StreamGate(CyclicSchedule(0, cycle, entries))
         table = []
         for i, e in enumerate(entries):
             table.extend([i] * e.duration_ns)
@@ -194,7 +193,7 @@ def run_cqf_chain(hops, cycle, inject_at):
         port = EgressPort(eng, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
                           deliver=deliver_next)
         br = BridgeNode(eng, "br", port, stream_rules=rules,
-                        gates={"s0": ingress})
+                        gates={"s0": StreamGate(ingress)})
         bridges.append(br)
         deliver_next = (lambda node: lambda f, e, s: node.receive(f, e))(br)
     first = bridges[-1]

@@ -4,23 +4,24 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsnsim.core import Engine, JitterDist, ScheduleError
-from tsnsim.egress import (EgressPort, GateControlList, GclEntry, PreemptionConfig,
-                           TaprioPort)
+from tsnsim.core import CyclicSchedule, Engine, JitterDist, ScheduleError
+from tsnsim.egress import EgressPort, GclEntry, PreemptionConfig, TaprioPort
 from tsnsim.traffic import Frame, transmission_time
 
-from helpers import BeforeBaseTimeError, gcl_state, run_until, time_until_close
+from helpers import BeforeBaseTimeError, gcl_state, max_open_run, run_until, time_until_close
 
 US = 1000
 MS = 1000 * US
 
 
-def mask_table(gcl: GateControlList) -> list:
+def mask_table(gcl: CyclicSchedule) -> list:
     """Independent oracle: per-nanosecond open mask over one cycle."""
     table = []
     for e in gcl.entries:
@@ -54,42 +55,42 @@ def open_time_oracle(table: list, tc: int) -> list:
     return until[:n]
 
 
-def remaining_oracle(gcl: GateControlList) -> list:
+def remaining_oracle(gcl: CyclicSchedule) -> list:
     """Per-nanosecond time left in the entry that holds each phase."""
     return [e.duration_ns - k for e in gcl.entries for k in range(e.duration_ns)]
 
 
 class TestGclState:
     def test_single_entry_always_open(self):
-        gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)])
+        gcl = CyclicSchedule(0, MS, [GclEntry(0xFF, MS)])
         for t in (0, 1, 999, MS, 5 * MS + 123):
             assert gcl_state(gcl, t)[0] == 0xFF
 
     def test_two_entry_example(self):
-        gcl = GateControlList(0, 500 * US, [GclEntry(0x01, 250 * US),
-                                            GclEntry(0x02, 250 * US)])
+        gcl = CyclicSchedule(0, 500 * US, [GclEntry(0x01, 250 * US),
+                                           GclEntry(0x02, 250 * US)])
         mask, remaining = gcl_state(gcl, 300 * US)
         assert mask == 0x02 and remaining == 200 * US
 
     def test_cycle_boundary_uses_first_entry(self):
-        gcl = GateControlList(0, 500 * US, [GclEntry(0x01, 250 * US),
-                                            GclEntry(0x02, 250 * US)])
+        gcl = CyclicSchedule(0, 500 * US, [GclEntry(0x01, 250 * US),
+                                           GclEntry(0x02, 250 * US)])
         for k in range(4):
             mask, remaining = gcl_state(gcl, k * 500 * US)
             assert mask == 0x01 and remaining == 250 * US
 
     def test_before_base_time_rejected(self):
-        gcl = GateControlList(1000, MS, [GclEntry(0xFF, MS)])
+        gcl = CyclicSchedule(1000, MS, [GclEntry(0xFF, MS)])
         with pytest.raises(BeforeBaseTimeError):
             gcl_state(gcl, 999)
 
     def test_durations_must_sum_to_cycle(self):
         with pytest.raises(ScheduleError):
-            GateControlList(0, MS, [GclEntry(0xFF, MS - 1)])
+            CyclicSchedule(0, MS, [GclEntry(0xFF, MS - 1)])
         with pytest.raises(ScheduleError):
-            GateControlList(0, MS, [])
+            CyclicSchedule(0, MS, [])
         with pytest.raises(ScheduleError):
-            GateControlList(0, MS, [GclEntry(0xFF, MS), GclEntry(0, 0)])
+            CyclicSchedule(0, MS, [GclEntry(0xFF, MS), GclEntry(0, 0)])
 
     def test_matches_time_stepped_oracle(self):
         rng = random.Random(101)
@@ -108,8 +109,8 @@ class TestGclState:
             port = TaprioPort(gcl=gcl)
             for tc in range(8):
                 expected = max_open_run_oracle(table, tc)
-                assert gcl.max_open_run(tc) == expected
-                assert port.max_open_runs[tc] == expected
+                assert max_open_run(gcl, tc) == expected
+                assert port._limits[tc] == (math.inf if expected is None else expected)
 
     def test_time_until_close_matches_oracle(self):
         # TaprioPort.select reads the same table directly, so only these
@@ -140,16 +141,16 @@ class TestGclState:
 
 
 class TestGclTables:
-    """state, time_until_close and max_open_run read per-entry tables built
-    once per GCL; every phase of small generated GCLs is checked against
-    the per-nanosecond oracles."""
+    """gcl_state, time_until_close and max_open_run read the per-entry and
+    per-class tables a TaprioPort compiles from its GCL; every phase of small
+    generated GCLs is checked against the per-nanosecond oracles."""
 
     @staticmethod
     def check_every_phase(gcl):
         table, left = mask_table(gcl), remaining_oracle(gcl)
         until = [open_time_oracle(table, tc) for tc in range(8)]
         for tc in range(8):
-            assert gcl.max_open_run(tc) == max_open_run_oracle(table, tc)
+            assert max_open_run(gcl, tc) == max_open_run_oracle(table, tc)
         for cycle in (0, 3):
             for phase, mask in enumerate(table):
                 t = gcl.base_time + cycle * gcl.cycle_time_ns + phase
@@ -164,36 +165,36 @@ class TestGclTables:
            st.integers(0, 1000))
     def test_every_phase_matches_oracle(self, spec, base_time):
         entries = [GclEntry(m, d) for m, d in spec]
-        self.check_every_phase(GateControlList(base_time, sum(d for _, d in spec), entries))
+        self.check_every_phase(CyclicSchedule(base_time, sum(d for _, d in spec), entries))
 
     def test_single_entry(self):
         for mask in (0, 0x5A, 0xFF):
-            gcl = GateControlList(7, 50, [GclEntry(mask, 50)])
+            gcl = CyclicSchedule(7, 50, [GclEntry(mask, 50)])
             self.check_every_phase(gcl)
-            assert [gcl.max_open_run(tc) for tc in (0, 1)] == {
+            assert [max_open_run(gcl, tc) for tc in (0, 1)] == {
                 0: [0, 0], 0x5A: [0, None], 0xFF: [None, None]}[mask]
 
     def test_never_open_class(self):
-        gcl = GateControlList(0, 30, [GclEntry(0x01, 10), GclEntry(0x03, 20)])
+        gcl = CyclicSchedule(0, 30, [GclEntry(0x01, 10), GclEntry(0x03, 20)])
         self.check_every_phase(gcl)
-        assert [gcl.max_open_run(tc) for tc in (0, 1, 2)] == [None, 20, 0]
+        assert [max_open_run(gcl, tc) for tc in (0, 1, 2)] == [None, 20, 0]
 
     def test_run_wrapping_the_cycle_end(self):
         # class 2 is open in the last two entries and the first: 6 + 4 + 5
-        gcl = GateControlList(100, 30, [GclEntry(0x04, 5), GclEntry(0x01, 15),
-                                        GclEntry(0x05, 6), GclEntry(0x04, 4)])
+        gcl = CyclicSchedule(100, 30, [GclEntry(0x04, 5), GclEntry(0x01, 15),
+                                       GclEntry(0x05, 6), GclEntry(0x04, 4)])
         self.check_every_phase(gcl)
-        assert gcl.max_open_run(2) == 15
+        assert max_open_run(gcl, 2) == 15
         assert time_until_close(gcl, 2, 100 + 21) == 5 + 4 + 5
         assert time_until_close(gcl, 2, 100 + 30 + 2) == 3
 
 
-def random_gcl(rng: random.Random, max_cycle_ns: int = 10 * US) -> GateControlList:
+def random_gcl(rng: random.Random, max_cycle_ns: int = 10 * US) -> CyclicSchedule:
     n = rng.randint(2, 8)
     cuts = sorted(rng.sample(range(1, max_cycle_ns), n - 1))
     durations = [b - a for a, b in zip([0] + cuts, cuts + [max_cycle_ns])]
     entries = [GclEntry(rng.randrange(0, 256), d) for d in durations]
-    return GateControlList(0, max_cycle_ns, entries)
+    return CyclicSchedule(0, max_cycle_ns, entries)
 
 
 class TestTaprioQueueing:
@@ -227,7 +228,7 @@ class TestTaprioQueueing:
         assert port.select(0) is b
 
     def test_higher_class_wins(self):
-        gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)])
+        gcl = CyclicSchedule(0, MS, [GclEntry(0xFF, MS)])
         port = TaprioPort(gcl=gcl)
         lo = Frame(id=1, size_bytes=64, priority=2)
         hi = Frame(id=2, size_bytes=64, priority=5)
@@ -237,8 +238,8 @@ class TestTaprioQueueing:
 
     def test_guard_fit_defers_to_next_window(self):
         # 1500 B @ 100 Mbps = 120 us does not fit 100 us remaining
-        gcl = GateControlList(0, 400 * US, [GclEntry(0x01, 200 * US),
-                                            GclEntry(0x02, 200 * US)])
+        gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x01, 200 * US),
+                                           GclEntry(0x02, 200 * US)])
         port = TaprioPort(gcl=gcl, link_rate_bps=100_000_000)
         f = Frame(id=1, size_bytes=1500, priority=0)
         port.enqueue(f, 0)
@@ -246,15 +247,15 @@ class TestTaprioQueueing:
         assert port.select(400 * US) is f  # next window start
 
     def test_guard_none_transmits_regardless_of_fit(self):
-        gcl = GateControlList(0, 400 * US, [GclEntry(0x01, 200 * US),
-                                            GclEntry(0x02, 200 * US)])
+        gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x01, 200 * US),
+                                           GclEntry(0x02, 200 * US)])
         port = TaprioPort(gcl=gcl, link_rate_bps=100_000_000, guard_mode="none")
         f = Frame(id=1, size_bytes=1500, priority=0)
         port.enqueue(f, 0)
         assert port.select(100 * US) is f
 
     def test_guard_none_drops_a_class_no_entry_opens_after_a_cycle(self):
-        gcl = GateControlList(0, 400 * US, [GclEntry(0x02, 400 * US)])
+        gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x02, 400 * US)])
         port = TaprioPort(gcl=gcl, guard_mode="none")
         never = Frame(id=1, size_bytes=64, priority=0)
         opens = Frame(id=2, size_bytes=64, priority=1)
@@ -266,8 +267,8 @@ class TestTaprioQueueing:
         assert port.count == 0 and port.drops == {"taprio_oversize": 1}
 
     def test_closed_gate_blocks(self):
-        gcl = GateControlList(0, 400 * US, [GclEntry(0x01, 200 * US),
-                                            GclEntry(0x02, 200 * US)])
+        gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x01, 200 * US),
+                                           GclEntry(0x02, 200 * US)])
         port = TaprioPort(gcl=gcl)
         f = Frame(id=1, size_bytes=64, priority=1)
         port.enqueue(f, 0)
@@ -276,8 +277,8 @@ class TestTaprioQueueing:
 
     def test_oversize_frame_dropped_after_one_cycle(self):
         # 9000 B @ 100 Mbps = 720 us fits no 200 us window
-        gcl = GateControlList(0, 400 * US, [GclEntry(0x01, 200 * US),
-                                            GclEntry(0x02, 200 * US)])
+        gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x01, 200 * US),
+                                           GclEntry(0x02, 200 * US)])
         port = TaprioPort(gcl=gcl, link_rate_bps=100_000_000)
         f = Frame(id=1, size_bytes=9000, priority=0)
         port.enqueue(f, 0)
@@ -288,7 +289,7 @@ class TestTaprioQueueing:
         assert port.count == 0
 
     def test_next_event_before_base_time_is_base_time(self):
-        port = TaprioPort(gcl=GateControlList(5 * US, MS, [GclEntry(0xFF, MS)]))
+        port = TaprioPort(gcl=CyclicSchedule(5 * US, MS, [GclEntry(0xFF, MS)]))
         port.enqueue(Frame(id=1, size_bytes=64, priority=0), 0)
         assert port.select(US) is None
         assert port.wake_time == 5 * US
@@ -317,8 +318,8 @@ class TestGateChangeShortcut:
         for n in range(150):
             gcl = random_gcl(rng)
             if n % 2:
-                gcl = GateControlList(rng.randrange(1, 3 * gcl.cycle_time_ns),
-                                      gcl.cycle_time_ns, gcl.entries)
+                gcl = CyclicSchedule(rng.randrange(1, 3 * gcl.cycle_time_ns),
+                                     gcl.cycle_time_ns, gcl.entries)
             guard = rng.choice(["fit", "none"])
             port, twin = (TaprioPort(gcl=gcl, capacity=3, guard_mode=guard)
                           for _ in range(2))
@@ -355,12 +356,30 @@ class FormerTaprioPort(TaprioPort):
     """TaprioPort.enqueue and select as they were before the per-entry tables
     and the wire time fixed at enqueue: the reference of TestTableDrivenQueue.
     Queued items are (frame, enqueue time); the wire time is looked up at
-    each select, and the class limits are an oversize mask and the runs."""
+    each select, and the class limits are an oversize mask and the runs.
+    The GCL tables are compiled as the former GateControlList did: masks,
+    and per entry each class's open time after it, None if it never closes."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if self.gcl is None:
+        gcl = self.gcl
+        if gcl is None:
             self.max_open_runs = None
+        else:
+            masks = self._masks = [e.gate_mask for e in gcl.entries]
+            n, never_closed = len(masks), reduce(and_, masks)
+            run, self._after = [0] * 8, [None] * n
+            for j in range(2 * n - 1, -1, -1):
+                if j < n:
+                    self._after[j] = tuple(None if never_closed >> tc & 1 else r
+                                           for tc, r in enumerate(run))
+                d, m = gcl.entries[j % n].duration_ns, masks[j % n]
+                run = [r + d if m >> tc & 1 else 0 for tc, r in enumerate(run)]
+            self.max_open_runs = [
+                None if self._after[0][tc] is None else max(
+                    (e.duration_ns + a[tc] for e, a in zip(gcl.entries, self._after)
+                     if e.gate_mask >> tc & 1), default=0)
+                for tc in range(8)]
         self._fit = self.guard_mode == "fit"
         self._oversize = 0xFF if self._fit else sum(
             1 << tc for tc, run in enumerate(self.max_open_runs or ()) if run == 0)
@@ -392,7 +411,7 @@ class FormerTaprioPort(TaprioPort):
             else:
                 phase = (t - gcl.base_time) % gcl.cycle_time_ns
                 i = bisect_right(gcl._starts, phase) - 1
-            mask, left, after = gcl._masks[i], gcl._ends[i] - phase, gcl._after[i]
+            mask, left, after = self._masks[i], gcl._ends[i] - phase, self._after[i]
             self._next, self._next_entry = t + left, (
                 i + 1 if gcl._ends[i] < gcl.cycle_time_ns else 0)
             fit, oversize = self._fit, self._oversize
@@ -445,10 +464,10 @@ class TestTableDrivenQueue:
             gcl = random_gcl(rng, max_cycle_ns=60)
             if n % 3 == 0:  # one class that no entry opens
                 shut = ~(1 << rng.randrange(8))
-                gcl = GateControlList(0, 60, [GclEntry(e.gate_mask & shut, e.duration_ns)
-                                              for e in gcl.entries])
+                gcl = CyclicSchedule(0, 60, [GclEntry(e.gate_mask & shut, e.duration_ns)
+                                            for e in gcl.entries])
             if n % 2:
-                gcl = GateControlList(rng.randrange(1, 180), 60, gcl.entries)
+                gcl = CyclicSchedule(rng.randrange(1, 180), 60, gcl.entries)
             kwargs = dict(gcl=None if n % 25 == 0 else gcl, capacity=rng.randint(1, 3),
                           guard_mode=("fit", "none")[n // 2 % 2],
                           link_rate_bps=self.RATE, overhead_bytes=rng.choice([0, 2]))
@@ -633,7 +652,7 @@ class TestIdleBypass:
         # they find the wire busy and queue, and the higher class goes first
         eng = Engine()
         wires = []
-        gcl = GateControlList(0, MS, [GclEntry(0xFF, MS)]) if gated else None
+        gcl = CyclicSchedule(0, MS, [GclEntry(0xFF, MS)]) if gated else None
         port = EgressPort(eng, self.RATE,
                           queue=TaprioPort(gcl=gcl, link_rate_bps=self.RATE),
                           deliver=lambda f, e, s: wires.append((f.id, s)))
@@ -653,7 +672,7 @@ class TestIdleBypass:
                                                      preempt, precise):
         preemption = PreemptionConfig(enabled=preempt, express_classes=frozenset({7}))
         precision = JitterDist.uniform(0, 3 * US) if precise else None
-        always_open = GateControlList(0, MS, [GclEntry(0xFF, MS)])
+        always_open = CyclicSchedule(0, MS, [GclEntry(0xFF, MS)])
         ungated = self.run_port(arrivals, None, capacity, preemption, precision)
         gated = self.run_port(arrivals, always_open, capacity, preemption, precision)
         assert ungated[:2] == gated[:2]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tsnsim.core import Engine, ScheduleError
+from tsnsim.core import CyclicSchedule, Engine, ScheduleError
 from tsnsim.egress import EgressPort
 from tsnsim.ingress import (DROP_CLOSED_GATE, DROP_OCTET_BUDGET, PASS,
                             StreamGate, StreamGateEntry)
@@ -20,9 +20,9 @@ def frame(size=1000, fid=1, priority=0):
 
 
 def open_close_gate(cycle=MS, open_ns=500 * US, **kw):
-    return StreamGate(0, cycle, [
+    return StreamGate(CyclicSchedule(0, cycle, [
         StreamGateEntry(open=True, duration_ns=open_ns, **kw),
-        StreamGateEntry(open=False, duration_ns=cycle - open_ns)])
+        StreamGateEntry(open=False, duration_ns=cycle - open_ns)]))
 
 
 def bridge_drops(gate, arrivals):
@@ -50,20 +50,20 @@ class TestSchedule:
         assert g.process(frame(), MS).outcome == PASS
 
     def test_closed_before_base_time(self):
-        g = StreamGate(1000, MS, [StreamGateEntry(True, MS)])
+        g = StreamGate(CyclicSchedule(1000, MS, [StreamGateEntry(True, MS)]))
         assert g.process(frame(), 999).outcome == DROP_CLOSED_GATE
         assert g.process(frame(), 1000).outcome == PASS
-        gate = StreamGate(1000, MS, [StreamGateEntry(True, MS)])
+        gate = StreamGate(CyclicSchedule(1000, MS, [StreamGateEntry(True, MS)]))
         assert bridge_drops(gate, [(1000, 0), (1000, 999)]) == {DROP_CLOSED_GATE: 2}
 
     def test_bad_schedules_rejected(self):
         with pytest.raises(ScheduleError):
-            StreamGate(0, MS, [])
+            StreamGate(CyclicSchedule(0, MS, []))
         with pytest.raises(ScheduleError):
-            StreamGate(0, MS, [StreamGateEntry(True, MS - 1)])
+            StreamGate(CyclicSchedule(0, MS, [StreamGateEntry(True, MS - 1)]))
         with pytest.raises(ScheduleError):
-            StreamGate(0, MS, [StreamGateEntry(True, MS),
-                               StreamGateEntry(False, 0)])
+            StreamGate(CyclicSchedule(0, MS, [StreamGateEntry(True, MS),
+                                              StreamGateEntry(False, 0)]))
 
 
 class TestOctetBudget:
@@ -111,7 +111,6 @@ class TestIpv:
         assert f.ipv == 6
         assert f.size_bytes == 1000
         assert f.priority == 2
-        assert f.traffic_class == 2
 
     @pytest.mark.parametrize("ipv", [-1, 8])
     def test_entry_ipv_out_of_range_rejected_at_construction(self, ipv):
@@ -132,7 +131,7 @@ class TestIpv:
         assert a.process(frame(), 600 * US) is b.process(frame(), 700 * US)
 
 
-def random_gate(rng):
+def random_windows(rng):
     cycle = rng.choice([10 * US, 40 * US, 100 * US])
     n = rng.randint(2, 5)
     cuts = sorted(rng.sample(range(1, cycle), n - 1))
@@ -140,13 +139,13 @@ def random_gate(rng):
     entries = [StreamGateEntry(open=rng.random() < 0.6, duration_ns=d,
                                max_octets=rng.choice([None, 1500, 4000]))
                for d in durations]
-    return StreamGate(0, cycle, entries)
+    return CyclicSchedule(0, cycle, entries)
 
 
-def oracle_open_table(gate):
+def oracle_open_table(windows):
     """Per-nanosecond (open, entry index) table over one cycle."""
     table = []
-    for i, e in enumerate(gate.entries):
+    for i, e in enumerate(windows.entries):
         table.extend([(e.open, i)] * e.duration_ns)
     return table
 
@@ -155,8 +154,8 @@ class TestOracleFuzz:
     def test_closed_gate_decisions_match_table(self):
         rng = random.Random(404)
         for _ in range(30):
-            gate = random_gate(rng)
-            table = oracle_open_table(gate)
+            windows = random_windows(rng)
+            gate, table = StreamGate(windows), oracle_open_table(windows)
             budgets = {}
             times = sorted(rng.randrange(0, 5 * gate.cycle_time_ns)
                            for _ in range(400))
@@ -168,7 +167,7 @@ class TestOracleFuzz:
                 if not is_open:
                     assert d.outcome == DROP_CLOSED_GATE
                     continue
-                cap = gate.entries[idx].max_octets
+                cap = windows.entries[idx].max_octets
                 used = budgets.get(window, 0)
                 if cap is not None and used + size > cap:
                     assert d.outcome == DROP_OCTET_BUDGET

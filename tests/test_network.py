@@ -6,9 +6,10 @@ import pytest
 
 from tsnsim.core import CONSTANT_ZERO, Engine
 from tsnsim.egress import EgressPort, TaprioPort
-from tsnsim.ingress import DROP_NO_STREAM
+from tsnsim.ingress import DROP_NO_STREAM, StreamGate
 from tsnsim.network import (FORWARDING_PRESETS, BridgeNode, CqfConfig,
                             ZeroHopsError, cqf_compose, cqf_latency_bound)
+from tsnsim.harness import compute_offsets, run_scenario
 from tsnsim.scenario import ConfigError, parse_scenario
 from tsnsim.traffic import Frame, StreamKey
 
@@ -169,7 +170,7 @@ def run_cqf_chain(hops, cycle, inject_at):
         port = EgressPort(eng, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
                           deliver=out_sink)
         br = BridgeNode(eng, "br", port, stream_rules=rules,
-                        gates={"s0": ingress})
+                        gates={"s0": StreamGate(ingress)})
         bridges.append(br)
         deliver_next = (lambda node: lambda f, e, s: node.receive(f, e))(br)
     first = bridges[-1]  # chain was built back to front
@@ -208,3 +209,31 @@ class TestCqfEventTrace:
                     if latency > hops * cycle:
                         saw_above_smaller_bound = True
                 assert saw_above_smaller_bound
+
+
+def ipv_chain(sw0_tags: bool) -> dict:
+    """talker -> sw0 -> sw1 -> listener at 1 Gb/s, one 64 B priority-0 frame per
+    500 us cycle. sw1's GCL closes class 5 for the first 200 us of each cycle;
+    sw0's gate, when sw0_tags, is always open and assigns IPV 5."""
+    names = ["talker", "sw0", "sw1", "listener"]
+    tag = {"rules": [{"handle": "s0"}], "gates": {"s0": {"cycle_time_ns": 500_000, "entries": [
+        {"open": True, "duration_ns": 500_000, "ipv": 5}]}}}
+    return {"nodes": [{"name": n, "role": "bridge" if n.startswith("sw") else n} for n in names],
+            "links": [{"from": a, "to": b, "rate_bps": 10 ** 9} for a, b in zip(names, names[1:])],
+            "shapers": {"sw1": {"gcl": {"cycle_time_ns": 500_000, "entries": [
+                {"gate_mask": 0xFF & ~(1 << 5), "duration_ns": 200_000},
+                {"gate_mask": 0xFF, "duration_ns": 300_000}]}}},
+            "filters": {"sw0": tag} if sw0_tags else {},
+            "traffic": {"period_ns": 500_000, "count": 20, "priority": 0,
+                        "stream": {"dest_mac": 1, "vlan_id": 1, "pcp": 0}},
+            "run": {"seed": 1}}
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: the IPV a bridge assigns follows the frame "
+                   "to every later bridge, which queues it by that IPV")
+def test_ipv_applies_only_inside_the_bridge_that_assigns_it():
+    # under 802.1Qci the next bridge queues by the frame's priority, 0 here,
+    # which sw1 never closes: three 512 ns wire times, with or without sw0's tag
+    for sw0_tags in (False, True):
+        result = run_scenario(parse_scenario(ipv_chain(sw0_tags)))
+        assert compute_offsets(result.records, "hw_rx") == [1_536] * 20, sw0_tags

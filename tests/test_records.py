@@ -200,7 +200,7 @@ def test_frames_and_records_mutable_by_value_without_dict():
         assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):
             obj.colour = "red"
-    assert frame.traffic_class == 3 and Frame(1, 64, 3, traffic_class=0).traffic_class == 0
+    assert frame.priority == 3 and Frame(1, 64, 3).egress_class == 3  # the priority is the class
 
 
 def test_run_cfg_and_clock_are_mutable():

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import tsnsim
-from tsnsim.egress import GateControlList, GclEntry, PreemptionConfig
-from tsnsim.ingress import StreamGate, StreamGateEntry
+from tsnsim.core import CyclicSchedule
+from tsnsim.egress import GclEntry, PreemptionConfig
+from tsnsim.ingress import StreamGateEntry
 from tsnsim.network import CqfConfig, cqf_compose
 from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, TaprioCfg, load_scenario,
                              parse_scenario)
@@ -28,8 +29,9 @@ MINIMAL = {
 
 
 def variant(**overrides):
+    """MINIMAL with overrides, both copied: editing the result never edits them."""
     doc = copy.deepcopy(MINIMAL)
-    doc.update(overrides)
+    doc.update(copy.deepcopy(overrides))
     return doc
 
 
@@ -84,6 +86,14 @@ class TestValidDocuments:
         # CQF is off: a bridge gets no stream gate and no GCL
         plain = parse_scenario(bridged())
         assert not cfg.frer.enabled and plain.filters == {} and plain.shapers == {}
+
+    def test_builders_copy_what_they_are_given(self):
+        # bridged() passes MINIMAL's own node dicts to variant(), which copies them
+        before = copy.deepcopy(MINIMAL)
+        doc = bridged()
+        doc["nodes"][1]["rx_latency"] = {"kind": "constant", "value_ns": 7}
+        doc["nodes"][0]["name"] = "renamed"
+        assert MINIMAL == before
 
 
 class TestRejections:
@@ -418,13 +428,13 @@ class TestBuiltObjects:
         assert cfg.shapers["talker"] == EtfCfg(offload=False, delta_ns=50_000)
         assert type(cfg.shapers["talker"]) is EtfCfg
         taprio = cfg.shapers["sw0"]
-        assert isinstance(taprio.gcl, GateControlList)
+        assert isinstance(taprio.gcl, CyclicSchedule)
         assert gcl_state(taprio.gcl, 0) == (1, 1000)
         assert taprio.preemption == PreemptionConfig(enabled=True,
                                                      express_classes=frozenset({3}))
         assert type(taprio.preemption) is PreemptionConfig
         sg = cfg.filters["sw0"].gates["s0"]
-        assert isinstance(sg, StreamGate) and sg.base_time == 5
+        assert isinstance(sg, CyclicSchedule) and sg.base_time == 5
         assert sg.entries == [StreamGateEntry(open=True, duration_ns=1000,
                                               max_octets=128)]
         assert [type(e) for e in sg.entries] == [StreamGateEntry]
@@ -446,11 +456,11 @@ class TestBuiltObjects:
             fc = cfg.filters[b]
             assert fc.rules is None and list(fc.gates) == [None]
             sg = fc.gates[None]
-            assert isinstance(sg, StreamGate)
+            assert isinstance(sg, CyclicSchedule)
             assert (sg.base_time, sg.cycle_time_ns, sg.entries) == (
                 gate.base_time, gate.cycle_time_ns, gate.entries)
             compiled = cfg.shapers[b].gcl
-            assert isinstance(compiled, GateControlList)
+            assert isinstance(compiled, CyclicSchedule)
             assert (compiled.base_time, compiled.cycle_time_ns, compiled.entries) == (
                 gcl.base_time, gcl.cycle_time_ns, gcl.entries)
             assert {type(e) for e in sg.entries} == {StreamGateEntry}

@@ -13,8 +13,8 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsnsim.core import Engine
-from tsnsim.egress import EgressPort, GateControlList, GclEntry, TaprioPort
+from tsnsim.core import CyclicSchedule, Engine
+from tsnsim.egress import EgressPort, GclEntry, TaprioPort
 from tsnsim.traffic import Frame, transmission_time
 
 RATE = 10 ** 9  # a 64 B frame is 512 ns on the wire, a 1,522 B one 12,176 ns
@@ -130,8 +130,8 @@ def reference(base_time, entries, arrivals):
 def egress_port(base_time, entries, arrivals):
     eng = Engine()
     wire = []
-    gcl = GateControlList(base_time, sum(d for _, d in entries),
-                          [GclEntry(m, d) for m, d in entries])
+    gcl = CyclicSchedule(base_time, sum(d for _, d in entries),
+                         [GclEntry(m, d) for m, d in entries])
     taprio = TaprioPort(gcl=gcl, capacity=len(arrivals), link_rate_bps=RATE)
     port = EgressPort(eng, RATE, queue=taprio,
                       deliver=lambda f, end, start: wire.append((f.id, start, end)))

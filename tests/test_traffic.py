@@ -37,8 +37,8 @@ class TestTransmissionTime:
 
 
 class TestFrame:
-    def test_traffic_class_defaults_to_priority(self):
-        assert Frame(id=1, size_bytes=64, priority=5).traffic_class == 5
+    def test_egress_class_defaults_to_priority(self):
+        assert Frame(id=1, size_bytes=64, priority=5).egress_class == 5
 
     def test_egress_class_prefers_ipv(self):
         f = Frame(id=1, size_bytes=64, priority=0)
@@ -54,13 +54,13 @@ class TestFrame:
 
     def test_clone_copies_fields_and_applies_changes(self):
         key = StreamKey(dest_mac=1, vlan_id=2, pcp=3)
-        f = Frame(id=4, size_bytes=128, priority=1, traffic_class=5, stream=key,
+        f = Frame(id=4, size_bytes=128, priority=1, stream=key,
                   seq=6, ipv=7, txtime=8_000, route="a")
         f.intended_tx, f.sw_tx = 10, 11
         g = f.clone(route="b")
-        assert (g.id, g.size_bytes, g.priority, g.traffic_class, g.stream, g.seq,
+        assert (g.id, g.size_bytes, g.priority, g.stream, g.seq,
                 g.ipv, g.txtime, g.route, g.intended_tx, g.sw_tx, g.hw_tx) == (
-                    4, 128, 1, 5, key, 6, 7, 8_000, "b", 10, 11, None)
+                    4, 128, 1, key, 6, 7, 8_000, "b", 10, 11, None)
         assert f.route == "a"
         assert f.clone().route == "a"
 

@@ -261,10 +261,10 @@ class EgressPort:
     there, enqueue and select would return it.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded ETF.
-    A transmission is one step: its start stamps hw_tx (phc readings are
-    pure) and commits it, calling deliver(frame, arrival, wire_start) in
-    true time, with arrival = wire end + propagation_ns (wire_start is a
-    resumed frame's first); the receiver acts at arrival, not at
+    A transmission is one step: its start stamps hw_tx on phc (the
+    identity clock by default), unless it resumes a preempted frame, and
+    commits it, calling deliver(frame, arrival) in true time, with arrival
+    = wire end + propagation_ns; the receiver acts at arrival, not at
     engine.now, but its events take their seq at the commit, which orders
     them in a tie. Each transmission holds the wire until its end, at a seq
     taken at its start. There a preemptable one has its finish, which
@@ -280,12 +280,12 @@ class EgressPort:
                  preemption: Optional[PreemptionConfig] = None,
                  hw_precision: Optional[JitterDist] = None,
                  rng=None,
-                 deliver: Optional[Callable] = None):
+                 deliver: Callable):
         self.engine = engine
         self.rate_bps = rate_bps
         self.overhead_bytes = overhead_bytes
         self.propagation_ns = propagation_ns
-        self.phc = phc
+        self.phc = phc or ClockModel()
         self.queue = queue if queue is not None else TaprioPort(
             link_rate_bps=rate_bps, overhead_bytes=overhead_bytes)
         self.preemption = preemption or NO_PREEMPTION
@@ -293,9 +293,9 @@ class EgressPort:
         self.rng = rng
         self.deliver = deliver
         #: a transmission an express frame may still preempt, as (frame,
-        #: wire_start, segment start, bytes sent before the segment), else None
+        #: segment start, bytes sent before the segment), else None
         self._cuttable: Optional[tuple] = None
-        #: a preempted frame as (frame, wire_start, bytes_done)
+        #: a preempted frame as (frame, bytes_done)
         self._suspended: Optional[tuple] = None
         #: the (time, seq) until which the wire is held, and whether an
         #: event (a finish, a switch or a kick) is scheduled there
@@ -312,21 +312,19 @@ class EgressPort:
 
     # -- submission
 
-    def submit(self, frame: Frame, t: SimTime) -> Optional[str]:
-        """Hand a frame to the port: None if it was sent, queued or will
-        preempt, else the drop key the queue counted."""
+    def submit(self, frame: Frame, t: SimTime):
+        """Send, queue or preempt with frame, or drop it into the queue's drops."""
         if self._cuttable is not None:
             if frame.egress_class in self._express:
                 # an express frame may interrupt a preemptable transmission
-                return self._do_preempt(frame, t)
+                self._do_preempt(frame, t)
+                return
         elif (self._bypass and not self.queue.count and self._suspended is None
                 and (self.engine.now, self.engine.seq) >= self._free):
             self._start(frame)
-            return None
-        result = self.queue.enqueue(frame, t)
-        if result is None:
+            return
+        if self.queue.enqueue(frame, t) is None:
             self._kick()
-        return result
 
     # -- scheduling
 
@@ -342,14 +340,12 @@ class EgressPort:
                 engine.schedule_reserved(*self._free, self._kick)
             return
         suspended = self._suspended
-        frame = self.queue.select(
-            t, None if suspended is None else self._express)
+        frame = self.queue.select(t, None if suspended is None else self._express)
         if frame is not None:
             self._start(frame)
         elif suspended is not None:
             self._suspended = None
-            frame, wire_start, done = suspended
-            self._start(frame, t, done, wire_start)
+            self._start(*suspended, t)
         else:
             nt = self.queue.wake_time
             if t < nt < self._kick_scheduled_at and self.queue.count:
@@ -358,60 +354,54 @@ class EgressPort:
 
     # -- transmission
 
-    def _start(self, frame: Frame, start: Optional[SimTime] = None, bytes_done: int = 0,
-               wire_start: Optional[SimTime] = None):
-        """Put frame on the wire from start (by default now, after the NIC's
-        launch precision), bytes_done bytes in; a resumed frame keeps its
-        first wire_start and hw_tx."""
+    def _start(self, frame: Frame, bytes_done: int = 0, start: Optional[SimTime] = None):
+        """Put frame on the wire bytes_done bytes in, from start (by default
+        now, after the NIC's launch precision); a resumed frame, never cut
+        before min_fragment_bytes, keeps its first hw_tx."""
         if start is None:
             start = self.engine.now
             if self.hw_precision is not None:
                 start = max(start, start + self.hw_precision.sample(self.rng))
-        if wire_start is None:
-            wire_start = start
-            if self.phc is not None:
-                frame.hw_tx = self.phc.read(start)
+        if not bytes_done:
+            frame.hw_tx = self.phc.read(start)
         end = start + self._tt[frame.size_bytes - bytes_done]
         self._free = (end, self.engine.reserve())
         if self._preemptive and frame.egress_class not in self._express:
-            self._cuttable = (frame, wire_start, start, bytes_done)
+            self._cuttable = (frame, start, bytes_done)
             self._kick_when_free = True
-            self.engine.schedule_reserved(*self._free, self._finish, frame, wire_start, end)
+            self.engine.schedule_reserved(*self._free, self._finish, frame, end)
             return
         self._cuttable, self._kick_when_free = None, False
         if self._suspended is not None or self.queue.count:
             self._kick()
-        if self.deliver is not None:
-            self.deliver(frame, end + self.propagation_ns, wire_start)
+        self.deliver(frame, end + self.propagation_ns)
 
-    def _finish(self, frame: Frame, wire_start: SimTime, end: SimTime):
+    def _finish(self, frame: Frame, end: SimTime):
         if (self.engine.now, self.engine.seq) != self._free:
             return  # preempted: the wire is held to a switch instead
         self._cuttable = None
-        if self.deliver is not None:
-            self.deliver(frame, end + self.propagation_ns, wire_start)
+        self.deliver(frame, end + self.propagation_ns)
         if self._suspended is not None or self.queue.count:
             self._kick()
 
-    def _do_preempt(self, express: Frame, t: SimTime) -> Optional[str]:
-        frame, wire_start, seg_start, done = self._cuttable
+    def _do_preempt(self, express: Frame, t: SimTime):
+        frame, seg_start, done = self._cuttable
         point = _preemption_point(
             done + bytes_on_wire(seg_start, t, self.rate_bps),
             frame.size_bytes + self.overhead_bytes, self.preemption.min_fragment_bytes)
         if point is None:
             # no legal split: express waits its turn in the queue
-            return self.queue.enqueue(express, t)
+            self.queue.enqueue(express, t)
+            return
         # hold the wire to the boundary instead of the pMAC finish, which
         # thereby cancels itself; until then later express frames queue
         self._cuttable = None
         # point and done count overhead bytes; the cache adds them itself
         boundary = seg_start + self._tt[point - done - self.overhead_bytes]
         self._free = (max(boundary, t), self.engine.reserve())
-        self.engine.schedule_reserved(*self._free, self._switch, express,
-                                      (frame, wire_start, point))
-        return None
+        self.engine.schedule_reserved(*self._free, self._switch, express, (frame, point))
 
     def _switch(self, express: Frame, suspended: tuple):
         """At the fragment boundary: suspend the preempted frame and send express."""
         self._suspended = suspended
-        self._start(express, self.engine.now)
+        self._start(express, start=self.engine.now)

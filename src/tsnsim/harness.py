@@ -159,7 +159,7 @@ def infer_period(records) -> Optional[int]:
     span = intended[-1] - intended[0]
     steps = seqs[-1] - seqs[0]
     if steps <= 0 or span % steps:
-        raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
+        raise MalformedRowError(len(records) + 1, "intended_tx values are not on a uniform grid")
     period = span // steps
     base = intended[0] - seqs[0] * period  # the grid's time at seq 0
     for seq, tx in zip(seqs, intended):
@@ -255,7 +255,7 @@ def report(records_path, bin_width_ns: int = 100) -> dict:
 
 def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, clocks: dict,
                 receive, hw_precision=None, rng=None) -> EgressPort:
-    """An egress port onto link whose frames reach receive(frame, arrival, wire_start).
+    """An egress port onto link whose frames reach receive(frame, arrival).
 
     hw_precision applies only to offloaded ETF: only there does the NIC
     time the launch itself.
@@ -347,9 +347,9 @@ class Talker:
 class Listener:
     """The listener as a stream sink.
 
-    receive(frame, t, wire_start) takes a frame whose last bit arrives at t
-    (wire_start is unused), stamps hw_rx and sw_rx, and keeps its record,
-    with the frame's id as seq; close() puts the records kept in records.
+    receive(frame, t) takes a frame whose last bit arrives at t, stamps
+    hw_rx and sw_rx, and keeps its record, with the frame's id as seq;
+    close() puts the records kept in records.
     With a RecoveryState, each FRER member path ends in receive_copy
     instead, which loses the copy with probability loss, drawn from the
     loss:<label> stream of frame.route. Other copies reach recovery in
@@ -372,7 +372,7 @@ class Listener:
         self._arrivals: list = []  # copies held as (arrival, commit order, frame)
         self._commits = itertools.count()
 
-    def receive(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
+    def receive(self, frame: Frame, t: SimTime):
         row = [frame.id, frame.intended_tx, frame.sw_tx, frame.hw_tx, self.phc.read(t),
                self.system.read(t + self.rx_latency.sample(self.rx_rng))]
         try:
@@ -381,7 +381,7 @@ class Listener:
             self._stamps = self._stamps.tolist() + row
             self._keep = self._stamps.extend
 
-    def receive_copy(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
+    def receive_copy(self, frame: Frame, t: SimTime):
         if self.loss and self.loss_rngs[frame.route].random() < self.loss:
             self.drops["path_loss"] += 1
             return
@@ -406,7 +406,7 @@ class Listener:
 def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, receive,
                suffix: str = "") -> tuple[EgressPort, list[BridgeNode]]:
     """Build the talker-to-listener chain back to front, each port calling
-    the next node's receive, the last receive(frame, arrival, wire_start);
+    the next node's receive, the last receive(frame, arrival);
     return the talker's port and the bridges. suffix keeps the RNG streams
     of FRER member paths apart."""
     nodes = {n.name: n for n in cfg.nodes}

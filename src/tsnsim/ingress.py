@@ -17,13 +17,12 @@ DROP_NO_STREAM = "drop_no_stream"
 
 class PsfpDecision(Record, frozen=True):
     outcome: str
-    ipv: Optional[int] = None
 
 
 #: every gate returns these shared decisions, which are immutable
 _CLOSED = PsfpDecision(DROP_CLOSED_GATE)
 _OVER_BUDGET = PsfpDecision(DROP_OCTET_BUDGET)
-_PASSES = {ipv: PsfpDecision(PASS, ipv=ipv) for ipv in (None, *range(8))}
+_PASS = PsfpDecision(PASS)
 
 
 class StreamGateEntry(Record, frozen=True):
@@ -53,8 +52,8 @@ class StreamGate:
     def __init__(self, schedule: CyclicSchedule):
         self.base_time, self.cycle_time_ns = schedule.base_time, schedule.cycle_time_ns
         self._starts = schedule._starts
-        #: per entry: (open, max_octets, ipv, the decision a passing frame gets)
-        self._table = [(e.open, e.max_octets, e.ipv, _PASSES[e.ipv]) for e in schedule.entries]
+        #: per entry: (open, max_octets, the IPV a passing frame gets)
+        self._table = [(e.open, e.max_octets, e.ipv) for e in schedule.entries]
         self.running_octets = 0
         self._window_start = None  # true time at which the counted window began
 
@@ -67,7 +66,7 @@ class StreamGate:
         if start != self._window_start:
             self._window_start = start
             self.running_octets = 0
-        is_open, max_octets, ipv, decision = self._table[i]
+        is_open, max_octets, ipv = self._table[i]
         if not is_open:
             return _CLOSED
         if max_octets is not None:
@@ -77,4 +76,4 @@ class StreamGate:
             self.running_octets += frame.size_bytes
         if ipv is not None:
             frame.ipv = ipv
-        return decision
+        return _PASS

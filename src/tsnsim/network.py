@@ -31,10 +31,10 @@ FORWARDING_PRESETS = {
 class BridgeNode:
     """Store-and-forward bridge: ingress PSFP, forwarding delay, one egress port.
 
-    receive(frame, t, wire_start) is keyed to end-of-frame reception at t;
-    the PSFP decision uses that instant (wire_start is unused). gates maps
-    stream handles to StreamGates; without stream rules every frame has handle
-    None, so a gate stored under None (as for CQF) applies to all frames.
+    receive(frame, t) is keyed to end-of-frame reception at t, the instant
+    the PSFP decision uses. gates maps stream handles to StreamGates;
+    without stream rules every frame has handle None, so a gate stored
+    under None (as for CQF) applies to all frames.
     """
 
     def __init__(self, engine: Engine, name: str, egress: EgressPort, *,
@@ -52,7 +52,7 @@ class BridgeNode:
         self.rng = rng
         self.drops: Counter = Counter()
 
-    def receive(self, frame: Frame, t: SimTime, wire_start: Optional[SimTime] = None):
+    def receive(self, frame: Frame, t: SimTime):
         handle = None
         if self.stream_rules is not None:
             handle = self.stream_rules.identify(frame.stream)
@@ -60,11 +60,10 @@ class BridgeNode:
                 self.drops[DROP_NO_STREAM] += 1
                 return
         gate = self.gates.get(handle)
-        if gate is not None:
-            decision = gate.process(frame, t)
-            if decision.outcome != PASS:
-                self.drops[decision.outcome] += 1
-                return
+        outcome = PASS if gate is None else gate.process(frame, t).outcome
+        if outcome != PASS:
+            self.drops[outcome] += 1
+            return
         fire = t + self.forwarding_latency.sample(self.rng)
         self.engine.schedule(fire, self._submit, frame, fire)
 

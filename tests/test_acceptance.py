@@ -101,7 +101,7 @@ def run_taprio(gcl, frames, rate=10 ** 9, until=20 * MS):
     eng = Engine()
     wires = []
     port = EgressPort(eng, rate, queue=TaprioPort(gcl=gcl, link_rate_bps=rate),
-                      deliver=lambda f, e, s: wires.append((f, s, e)))
+                      deliver=lambda f, e: wires.append((f, f.hw_tx, e)))
     for t, f in frames:
         eng.schedule(t, lambda f=f: port.submit(f, eng.now))
     run_until(eng, until)
@@ -186,7 +186,7 @@ def run_cqf_chain(hops, cycle, inject_at):
     cfg = CqfConfig(cycle_time_ns=cycle, ipv_even=5, ipv_odd=6)
     rules = make_stream_rules([{"handle": "s0"}])
     done = []
-    deliver_next = lambda f, e, s: done.append(e)
+    deliver_next = lambda f, e: done.append(e)
     bridges = []
     for _ in range(hops):
         ingress, gcl = cqf_compose(cfg)
@@ -195,7 +195,7 @@ def run_cqf_chain(hops, cycle, inject_at):
         br = BridgeNode(eng, "br", port, stream_rules=rules,
                         gates={"s0": StreamGate(ingress)})
         bridges.append(br)
-        deliver_next = (lambda node: lambda f, e, s: node.receive(f, e))(br)
+        deliver_next = br.receive
     first = bridges[-1]
     f = Frame(id=1, size_bytes=64, priority=0,
               stream=StreamKey(dest_mac=1, vlan_id=1, pcp=0))
@@ -343,7 +343,7 @@ def test_criterion_10_etf_semantics():
     eng = Engine()
     wires = []
     port = EgressPort(eng, 10 ** 9, phc=ClockModel(), queue=EtfQueue(),
-                      deliver=lambda f, e, s: wires.append(s))
+                      deliver=lambda f, e: wires.append(f.hw_tx))
     port.submit(Frame(id=1, size_bytes=64, priority=0, txtime=5 * US), 0)
     eng.run_all()
     offload_ok = wires == [5 * US]

@@ -386,6 +386,17 @@ class TestReport:
         assert main(["report", str(p)]) == EXIT_RUNTIME
         assert "line 3" in capsys.readouterr().err
 
+    def test_ends_on_no_grid_name_the_last_row(self, tmp_path, capsys):
+        # seqs 0 and 2 lie 11 ns apart: no integral period, named at the last row
+        p = tmp_path / "gridless.csv"
+        p.write_text("seq,intended_tx_ns,sw_tx_ns,hw_tx_ns,hw_rx_ns,sw_rx_ns\n"
+                     "0,10,10,,,\n"
+                     "1,15,15,,,\n"
+                     "2,21,21,,,\n")
+        assert main(["report", str(p)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == ("malformed CSV: line 4: intended_tx values are "
+                                           "not on a uniform grid\n")
+
     def test_run_delivering_nothing_reports_no_period(self, tmp_path, capsys):
         doc = dict(GOOD, traffic={"period_ns": 500_000, "count": 5},
                    frer={"enabled": True, "paths": 2, "loss_per_path": 0.9999})

@@ -504,7 +504,7 @@ class TestGateConformance:
         wires = []
         taprio = TaprioPort(gcl=gcl, link_rate_bps=rate)
         port = EgressPort(eng, rate, queue=taprio,
-                          deliver=lambda f, e, s: wires.append((f, s, e)))
+                          deliver=lambda f, e: wires.append((f, f.hw_tx, e)))
         for t, f in frames:
             eng.schedule(t, lambda f=f: port.submit(f, eng.now))
         run_until(eng, until)
@@ -592,7 +592,7 @@ class TestPendingCount:
             eng = Engine()
             taprio = CountedTaprioPort(link_rate_bps=rate, capacity=4)
             port = EgressPort(eng, rate, queue=taprio,
-                              preemption=pcfg, deliver=lambda f, e, s: None)
+                              preemption=pcfg, deliver=lambda f, e: None)
             do_preempt = port._do_preempt
 
             def counting_preempt(express, t, do_preempt=do_preempt, q=taprio.queues[7]):
@@ -625,8 +625,8 @@ class TestIdleBypass:
         wires = []
         taprio = CountedTaprioPort(gcl=gcl, capacity=capacity, link_rate_bps=self.RATE)
 
-        def deliver(frame, end, start):
-            wires.append((frame.id, start, end))
+        def deliver(frame, end):
+            wires.append((frame.id, frame.hw_tx, end))
             echo = arrivals[frame.id][3] if frame.id < len(arrivals) else None
             if echo is not None:
                 # deliver is called when the transmission commits; the echo
@@ -655,7 +655,7 @@ class TestIdleBypass:
         gcl = CyclicSchedule(0, MS, [GclEntry(0xFF, MS)]) if gated else None
         port = EgressPort(eng, self.RATE,
                           queue=TaprioPort(gcl=gcl, link_rate_bps=self.RATE),
-                          deliver=lambda f, e, s: wires.append((f.id, s)))
+                          deliver=lambda f, e: wires.append((f.id, f.hw_tx)))
         end = transmission_time(1500, self.RATE)
         for fid, t, priority in [(0, 0, 0), (1, end, 1), (2, end, 6)]:
             eng.schedule(t, port.submit,

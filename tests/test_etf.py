@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from tsnsim.core import ClockModel, Engine, JitterDist
 from tsnsim.egress import EgressPort, EtfQueue, MissingTxtimeError
-from tsnsim.traffic import Frame
+from tsnsim.traffic import Frame, transmission_time
 
 
 def frame(fid, txtime=None, size=64):
@@ -60,10 +60,14 @@ class TestEtfRelease:
                  precision=JitterDist.constant(0), rng=None, busy_frame=None):
         eng = Engine()
         out = []
+
+        def deliver(f, end):
+            # the true wire start, whatever the PHC reads; nothing is preempted
+            out.append((f.id, end - transmission_time(f.size_bytes, rate), end))
+
         port = EgressPort(eng, rate, phc=phc,
                           queue=EtfQueue(delta_ns=delta, offload=offload, clock=phc),
-                          hw_precision=precision, rng=rng,
-                          deliver=lambda f, e, s: out.append((f.id, s, e)))
+                          hw_precision=precision, rng=rng, deliver=deliver)
         if busy_frame is not None:
             port.submit(busy_frame, 0)
         for f in frames:
@@ -102,7 +106,7 @@ class TestEtfRelease:
         eng = Engine()
         phc = ClockModel(offset_ns=100)
         port = EgressPort(eng, 10 ** 9, phc=phc, queue=EtfQueue(clock=phc),
-                          deliver=lambda f, e, s: None)
+                          deliver=lambda f, e: None)
         f = frame(1, txtime=10 ** 6)
         port.submit(f, 0)
         eng.run_all()

@@ -224,9 +224,9 @@ def corpus(tmp_path_factory):
                                                 harness.Listener.receive)
 
     def reached(node, receive):
-        def hook(self, frame, t, wire_start=None):
+        def hook(self, frame, t):
             times[node or self.name, frame.id, frame.route] = t
-            return receive(self, frame, t, wire_start)
+            return receive(self, frame, t)
         return hook
 
     with pytest.MonkeyPatch.context() as mp:

@@ -140,7 +140,7 @@ def former_infer_period(records):
     span = last.intended_tx - first.intended_tx
     steps = last.seq - first.seq
     if steps <= 0 or span % steps:
-        raise MalformedRowError(0, "intended_tx values are not on a uniform grid")
+        raise MalformedRowError(len(records) + 1, "intended_tx values are not on a uniform grid")
     period = span // steps
     for line_no, r in enumerate(records, start=2):
         expected = first.intended_tx + (r.seq - first.seq) * period

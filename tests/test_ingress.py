@@ -28,7 +28,8 @@ def open_close_gate(cycle=MS, open_ns=500 * US, **kw):
 def bridge_drops(gate, arrivals):
     """BridgeNode.drops once frames of (size, t) reach a bridge with gate."""
     eng = Engine()
-    br = BridgeNode(eng, "br", EgressPort(eng, 10 ** 9), gates={None: gate})
+    port = EgressPort(eng, 10 ** 9, deliver=lambda f, arrival: None)
+    br = BridgeNode(eng, "br", port, gates={None: gate})
     for size, t in arrivals:
         br.receive(frame(size), t)
     return br.drops
@@ -101,8 +102,7 @@ class TestIpv:
         g = open_close_gate(ipv=5)
         f = frame(priority=2)
         d = g.process(f, 0)
-        assert d.outcome == PASS and d.ipv == 5
-        assert f.ipv == 5
+        assert d.outcome == PASS and f.ipv == 5
         assert f.egress_class == 5
 
     def test_ipv_is_metadata_only(self):
@@ -121,7 +121,7 @@ class TestIpv:
     def test_no_ipv_leaves_frame_untouched(self):
         g = open_close_gate()
         f = frame(priority=3)
-        assert g.process(f, 0).ipv is None
+        assert g.process(f, 0).outcome == PASS
         assert f.ipv is None and f.egress_class == 3
 
     def test_decisions_are_shared(self):

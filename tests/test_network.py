@@ -59,7 +59,7 @@ class TestForwardingPresets:
 def make_bridge(engine, out, *, gates=None, rules=None,
                 forwarding=CONSTANT_ZERO, rng=None, gcl=None):
     port = EgressPort(engine, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
-                      deliver=lambda f, e, s: out.append((f, s, e)))
+                      deliver=lambda f, e: out.append((f, f.hw_tx, e)))
     return BridgeNode(engine, "br", port, stream_rules=rules, gates=gates,
                       forwarding_latency=forwarding, rng=rng)
 
@@ -163,7 +163,7 @@ def run_cqf_chain(hops, cycle, inject_at):
     rules = make_stream_rules([{"handle": "s0"}])
     done = []
     bridges = []
-    deliver_next = lambda f, e, s: done.append(e)
+    deliver_next = lambda f, e: done.append(e)
     for _ in range(hops):
         ingress, gcl = cqf_compose(cfg)
         out_sink = deliver_next
@@ -172,7 +172,7 @@ def run_cqf_chain(hops, cycle, inject_at):
         br = BridgeNode(eng, "br", port, stream_rules=rules,
                         gates={"s0": StreamGate(ingress)})
         bridges.append(br)
-        deliver_next = (lambda node: lambda f, e, s: node.receive(f, e))(br)
+        deliver_next = br.receive
     first = bridges[-1]  # chain was built back to front
     f = Frame(id=1, size_bytes=64, priority=0, stream=KEY)
     eng.schedule(inject_at, lambda: first.receive(f, eng.now))

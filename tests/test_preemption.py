@@ -3,7 +3,9 @@ a byte-step oracle."""
 
 import random
 
-from tsnsim.core import Engine
+import pytest
+
+from tsnsim.core import ClockModel, Engine
 from tsnsim.egress import EgressPort, PreemptionConfig, TaprioPort
 from tsnsim.traffic import Frame, transmission_time
 
@@ -19,7 +21,7 @@ def run_port(pframe, express_arrivals, rate=RATE_100M):
     out = []
     port = EgressPort(eng, rate, queue=TaprioPort(link_rate_bps=rate),
                       preemption=PCFG,
-                      deliver=lambda f, e, s: out.append((f.id, s, e)))
+                      deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
     port.submit(pframe, 0)
     for t, f in express_arrivals:
         eng.schedule(t, lambda f=f: port.submit(f, eng.now))
@@ -131,22 +133,24 @@ class TestPortIntegration:
         out = []
         port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
                           preemption=PreemptionConfig(enabled=False),
-                          deliver=lambda f, e, s: out.append((f.id, s, e)))
+                          deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
         port.submit(Frame(id=1, size_bytes=9000, priority=0), 0)
         eng.schedule(100, lambda: port.submit(
             Frame(id=2, size_bytes=64, priority=7), eng.now))
         eng.run_all()
         assert dict((f, (s, e)) for f, s, e in out)[2][0] == 720_000
 
-    def test_submit_returns_the_drop_key_of_a_requeued_express_frame(self):
+    def test_a_requeued_express_frame_is_dropped_by_a_full_queue(self):
         # a 100 B frame cannot be split, so each express frame goes back to
         # the one-slot queue, and the second finds it full
         taprio = TaprioPort(link_rate_bps=RATE_100M, capacity=1)
-        port = EgressPort(Engine(), RATE_100M, queue=taprio, preemption=PCFG)
-        assert port.submit(Frame(id=1, size_bytes=100, priority=0), 0) is None
-        assert port.submit(Frame(id=2, size_bytes=64, priority=7), 0) is None
-        assert port.submit(Frame(id=3, size_bytes=64, priority=7), 0) == "taprio_full"
-        assert taprio.drops["taprio_full"] == 1
+        port = EgressPort(Engine(), RATE_100M, queue=taprio, preemption=PCFG,
+                          deliver=lambda f, e: None)
+        port.submit(Frame(id=1, size_bytes=100, priority=0), 0)
+        port.submit(Frame(id=2, size_bytes=64, priority=7), 0)
+        assert not port.queue.drops and taprio.count == 1
+        port.submit(Frame(id=3, size_bytes=64, priority=7), 0)
+        assert port.queue.drops == {"taprio_full": 1}
 
     def test_preempted_frame_resumes_when_express_leaves_queue_empty(self):
         # the express frame's completion finds nothing queued, only the
@@ -155,8 +159,8 @@ class TestPortIntegration:
         taprio = TaprioPort(link_rate_bps=RATE_100M)
         out = []
         port = EgressPort(eng, RATE_100M, queue=taprio, preemption=PCFG,
-                          deliver=lambda f, e, s: out.append(
-                              (f.id, s, e, taprio.count, port._suspended is not None)))
+                          deliver=lambda f, e: out.append(
+                              (f.id, f.hw_tx, e, taprio.count, port._suspended is not None)))
         port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
         eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
         eng.run_all()
@@ -169,12 +173,32 @@ class TestPortIntegration:
         out = []
         port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
                           propagation_ns=333, preemption=PCFG,
-                          deliver=lambda f, arrival, wire_start: out.append(
-                              (f.id, arrival, wire_start, eng.now)))
+                          deliver=lambda f, arrival: out.append(
+                              (f.id, arrival, f.hw_tx, eng.now)))
         port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
         eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
         eng.run_all()
         assert out == [(2, 15_360 + 333, 10_240, 10_240), (1, 125_120 + 333, 0, 125_120)]
+
+    @pytest.mark.parametrize("phc", [ClockModel(offset_ns=777, drift_ppm=50), None],
+                             ids=["phc", "identity"])
+    def test_a_resumed_frame_keeps_the_hw_tx_of_its_first_wire_start(self, phc):
+        # frame 1 starts at 0, is cut at 10_240 by express frame 2 and resumes
+        # at 15_360; a port without a PHC stamps on the identity clock
+        eng = Engine()
+        out = []
+        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M), phc=phc,
+                          preemption=PCFG, deliver=lambda f, e: out.append((f.id, e)))
+        cut = Frame(id=1, size_bytes=1500, priority=0)
+        express = Frame(id=2, size_bytes=64, priority=7)
+        port.submit(cut, 0)
+        eng.schedule(10_000, port.submit, express, 10_000)
+        eng.run_all()
+        assert out == [(2, 15_360), (1, 125_120)]
+        read = (phc or ClockModel()).read
+        assert (cut.hw_tx, express.hw_tx) == (read(0), read(10_240))
+        if phc is None:
+            assert (cut.hw_tx, express.hw_tx) == (0, 10_240)
 
     def test_two_express_frames_back_to_back(self):
         p = Frame(id=1, size_bytes=1500, priority=0)

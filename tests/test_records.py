@@ -25,7 +25,7 @@ SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 FROZEN = (JitterDist.uniform(-3, 9), StreamGateEntry(open=True, duration_ns=10, ipv=2),
           CqfConfig(cycle_time_ns=500, ipv_even=2, ipv_odd=3), GclEntry(0x21, 700),
           PreemptionConfig(enabled=True, express_classes=frozenset({5})),
-          PsfpDecision("pass", ipv=3), StreamRule(1, None, 2, "s0"),
+          PsfpDecision("pass"), StreamRule(1, None, 2, "s0"),
           NodeCfg("sw0", "bridge", forwarding=JitterDist.constant(5)),
           LinkCfg("a", "b", 10 ** 9, propagation_ns=50), TaprioCfg(guard_mode="none"),
           EtfCfg(offload=False, delta_ns=50_000), FrerCfg(enabled=True, paths=3),

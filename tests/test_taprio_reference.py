@@ -134,7 +134,7 @@ def egress_port(base_time, entries, arrivals):
                          [GclEntry(m, d) for m, d in entries])
     taprio = TaprioPort(gcl=gcl, capacity=len(arrivals), link_rate_bps=RATE)
     port = EgressPort(eng, RATE, queue=taprio,
-                      deliver=lambda f, end, start: wire.append((f.id, start, end)))
+                      deliver=lambda f, end: wire.append((f.id, f.hw_tx, end)))
     for fid, (t, size, priority) in enumerate(arrivals):
         eng.schedule(t, port.submit, Frame(id=fid, size_bytes=size, priority=priority), t)
     eng.run_all()

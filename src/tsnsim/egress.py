@@ -250,15 +250,15 @@ class EgressPort:
     """One egress port: a queue discipline, the MAC and the wire, driven by
     the engine.
 
-    queue is a TaprioPort (the default, ungated) or an EtfQueue; the port
-    drives either through enqueue(frame, t), select(t, classes), wake_time
-    (when select, having returned None with frames queued, wants to be
-    called again: the next gate change or the head's launch time), count
-    (the frames queued; the port looks for work only when a frame is
-    suspended or this is non-zero) and drops, as a netdev drives its
-    qdisc. Like a qdisc that can be bypassed in Linux, an idle port sends a
-    frame that finds its ungated TaprioPort empty straight to the wire:
-    there, enqueue and select would return it.
+    queue is a TaprioPort or an EtfQueue; the port drives either through
+    enqueue(frame, t), select(t, classes), wake_time (when select, having
+    returned None with frames queued, wants to be called again: the next
+    gate change or the head's launch time), count (the frames queued; the
+    port looks for work only when a frame is suspended or this is non-zero)
+    and drops, as a netdev drives its qdisc. Like a qdisc that can be
+    bypassed in Linux, an idle port sends a frame that finds its ungated
+    TaprioPort empty straight to the wire: there, enqueue and select would
+    return it.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded ETF.
     A transmission is one step: its start stamps hw_tx on phc (the
@@ -273,7 +273,7 @@ class EgressPort:
     """
 
     def __init__(self, engine: Engine, rate_bps: int, *,
-                 queue: Optional[TaprioPort | EtfQueue] = None,
+                 queue: TaprioPort | EtfQueue,
                  overhead_bytes: int = 0,
                  propagation_ns: int = 0,
                  phc: Optional[ClockModel] = None,
@@ -286,8 +286,7 @@ class EgressPort:
         self.overhead_bytes = overhead_bytes
         self.propagation_ns = propagation_ns
         self.phc = phc or ClockModel()
-        self.queue = queue if queue is not None else TaprioPort(
-            link_rate_bps=rate_bps, overhead_bytes=overhead_bytes)
+        self.queue = queue
         self.preemption = preemption or NO_PREEMPTION
         self.hw_precision = hw_precision
         self.rng = rng

@@ -463,7 +463,8 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             drops.update(bridge.drops)
     flat = sink.records._flat
     seqs = flat[0::6]
-    if any(map(gt, seqs, itertools.islice(seqs, 1, None))):  # only with FRER
+    # FRER, or a stream gate giving frames other IPVs, can deliver out of order
+    if any(map(gt, seqs, itertools.islice(seqs, 1, None))):
         rows = sorted(zip(*[iter(flat)] * 6), key=itemgetter(0))  # a stable sort
         flat = flat[:0]
         flat.extend(itertools.chain.from_iterable(rows))

@@ -69,17 +69,15 @@ class BridgeNode:
 
 
 class CqfConfig(Record, frozen=True):
-    """Cyclic queuing and forwarding: the cycle, and the IPVs that collect
-    frames in even and odd cycles; cqf_compose turns it into schedules."""
+    """Cyclic queuing and forwarding, a scenario's cqf section: the cycle, and
+    the IPVs that collect frames in even and odd cycles; cqf_compose turns it
+    into schedules."""
 
-    __slots__ = _fields = ("cycle_time_ns", "ipv_even", "ipv_odd", "base_time")
-
-    def __init__(self, cycle_time_ns: int, ipv_even: int, ipv_odd: int, base_time: SimTime = 0):
-        if ipv_even == ipv_odd:
-            raise ValueError("ipv_even and ipv_odd must differ")
-        if cycle_time_ns <= 0:
-            raise ValueError("cycle_time_ns must be > 0")
-        super().__init__(cycle_time_ns, ipv_even, ipv_odd, base_time)
+    enabled: bool = False
+    cycle_time_ns: int = 500_000
+    ipv_even: int = 2
+    ipv_odd: int = 3
+    base_time: SimTime = 0
 
 
 def cqf_compose(cfg: CqfConfig) -> tuple[CyclicSchedule, CyclicSchedule]:
@@ -88,8 +86,11 @@ def cqf_compose(cfg: CqfConfig) -> tuple[CyclicSchedule, CyclicSchedule]:
     The ingress gate is always open but tags frames with alternating IPVs
     per cycle; the egress schedule keeps the collecting IPV's gate closed
     during its cycle and drains it in the next one. Best-effort classes
-    stay open throughout.
+    stay open throughout. Raises ValueError when the two IPVs are equal,
+    and ScheduleError when the cycle is not positive.
     """
+    if cfg.ipv_even == cfg.ipv_odd:
+        raise ValueError("ipv_even and ipv_odd must differ")
     c = cfg.cycle_time_ns
     ingress = CyclicSchedule(cfg.base_time, 2 * c, [
         StreamGateEntry(open=True, duration_ns=c, ipv=cfg.ipv_even),

@@ -78,12 +78,17 @@ class _Checker:
         self.fail(path, "expected a non-empty list")
         return []
 
-    def read(self, obj, path, cls, fields, check=True):
-        """cls(**values) from the object at path, each key read by fields[key]: one
-        absent or read as None keeps cls's default. check=False: keys already checked."""
-        if check and not self.dict(obj, path, fields):
-            return cls()
-        values = {k: read(self, obj, k, path) for k, read in fields.items() if k in obj}
+    def read(self, obj, path, cls, fields, required=()):
+        """cls(**values) from the object at path, each key read by fields[key], a
+        required one also when absent: one absent or read as None keeps cls's
+        default. None when obj is not an object or a value is missing or bad."""
+        if not self.dict(obj, path, fields, required):
+            return None
+        before = len(self.problems)
+        values = {k: read(self, obj, k, path) for k, read in fields.items()
+                  if k in obj or k in required}
+        if len(self.problems) > before or not obj.keys() >= set(required):
+            return None
         return cls(**{k: v for k, v in values.items() if v is not None})
 
     def int_in(self, obj, key, path, lo=None, hi=None, default=None, nullable=False):
@@ -257,57 +262,25 @@ def chain_links(links: list[LinkCfg], talker: str, listener: str) -> list[LinkCf
     return chain
 
 
-def _parse_schedule(c: _Checker, obj, path, required, optional, make_entry):
-    """A CyclicSchedule(base_time, cycle_time_ns, entries), or None on a problem.
-
-    Each entry has duration_ns, the keys required and any of optional.
-    make_entry(entry, entry_path, duration_ns) checks an entry's other
-    keys and builds it; the schedule checks the entries' sum.
-    """
+def _parse_schedule(c: _Checker, obj, path, cls, fields, required):
+    """A CyclicSchedule(base_time, cycle_time_ns, entries) of cls entries, each
+    read by fields with the keys required, or None on a problem; the schedule
+    checks the entries' sum."""
     if not c.dict(obj, path, {"base_time", "cycle_time_ns", "entries"},
                   required=("cycle_time_ns", "entries")):
         return None
     before = len(c.problems)
     base = c.int_in(obj, "base_time", path, lo=0, default=0)
     cycle = c.int_in(obj, "cycle_time_ns", path, lo=1)
-    entries = c.nonempty(obj.get("entries"), f"{path}.entries")
-    if not entries:
-        return None
-    built = []
-    for i, e in enumerate(entries):
-        ep = f"{path}.entries[{i}]"
-        if c.dict(e, ep, {"duration_ns", *required, *optional},
-                  required=("duration_ns", *required)):
-            built.append(make_entry(e, ep, c.int_in(e, "duration_ns", ep, lo=1)))
+    entries = [c.read(e, f"{path}.entries[{i}]", cls, fields, required)
+               for i, e in enumerate(c.nonempty(obj.get("entries"), f"{path}.entries"))]
     if len(c.problems) > before or cycle is None:  # dict reported a missing cycle
         return None
     try:
-        return CyclicSchedule(base, cycle, built)
+        return CyclicSchedule(base, cycle, entries)
     except ScheduleError as exc:
         c.fail(f"{path}.entries", str(exc))
         return None
-
-
-def _parse_gcl(c: _Checker, obj, path) -> Optional[CyclicSchedule]:
-    def entry(e, ep, duration):
-        return GclEntry(c.int_in(e, "gate_mask", ep, lo=0, hi=0xFF), duration)
-    return _parse_schedule(c, obj, path, ("gate_mask",), (), entry)
-
-
-def _parse_stream_gate(c: _Checker, obj, path) -> Optional[CyclicSchedule]:
-    def entry(e, ep, duration):
-        # a null ipv or max_octets is the same as none
-        return StreamGateEntry(c.bool_in(e, "open", ep), duration,
-                               c.int_in(e, "ipv", ep, lo=0, hi=7, nullable=True),
-                               c.int_in(e, "max_octets", ep, lo=0, nullable=True))
-    return _parse_schedule(c, obj, path, ("open",), ("ipv", "max_octets"), entry)
-
-
-def _parse_stream_key(c: _Checker, obj, path) -> Optional[StreamKey]:
-    if not c.dict(obj, path, _STREAM_FIELDS, required=_STREAM_FIELDS):
-        return None
-    return StreamKey(**{k: c.int_in(obj, k, path, lo=0, hi=hi)
-                        for k, hi in _STREAM_FIELDS.items()})
 
 
 # Field readers for _Checker.read: reader(checker, obj, key, path) returns
@@ -321,10 +294,10 @@ def _choice(*choices):
     return partial(_Checker.choice, choices=choices)
 
 
-def _object(parse):
-    """The reader of a nested object by parse(checker, obj, path); null is absent."""
+def _object(parse, *args):
+    """The reader of a nested object by parse(c, obj, path, *args); null is absent."""
     return lambda c, obj, key, path: (None if obj[key] is None
-                                      else parse(c, obj[key], f"{path}.{key}"))
+                                      else parse(c, obj[key], f"{path}.{key}", *args))
 
 
 def _drift(c: _Checker, obj, key, path):
@@ -363,27 +336,36 @@ _CLOCK = {"offset_ns": _int(), "drift_ppm": _drift,
           "sync_interval_ns": _int(lo=1, nullable=True), "sync_residual": _Checker.dist}
 _PREEMPTION = {"enabled": _Checker.bool_in, "express_classes": _classes,
                "min_fragment_bytes": _int(lo=1)}
-_TAPRIO = {"gcl": _object(_parse_gcl), "guard_mode": _choice("fit", "none"),
-           "queue_capacity": _int(lo=1),
-           "preemption": _object(lambda c, obj, path: c.read(obj, path, PreemptionConfig,
-                                                             _PREEMPTION))}
+# a schedule entry's keys are all required but a stream gate's ipv and
+# max_octets, where null is the same as absent
+_GCL_ENTRY = {"gate_mask": _int(lo=0, hi=0xFF), "duration_ns": _int(lo=1)}
+_GATE_ENTRY = {"open": _Checker.bool_in, "duration_ns": _int(lo=1),
+               "ipv": _int(lo=0, hi=7, nullable=True), "max_octets": _int(lo=0, nullable=True)}
+_TAPRIO = {"gcl": _object(_parse_schedule, GclEntry, _GCL_ENTRY, tuple(_GCL_ENTRY)),
+           "guard_mode": _choice("fit", "none"), "queue_capacity": _int(lo=1),
+           "preemption": _object(_Checker.read, PreemptionConfig, _PREEMPTION)}
+_ETF = {"offload": _Checker.bool_in, "delta_ns": _int(lo=0)}
 _FRER = {"enabled": _Checker.bool_in, "paths": _int(lo=1, hi=MAX_FRER_PATHS),
          "window_size": _int(lo=1), "loss_per_path": _loss}
+_STREAM_KEY = {k: _int(lo=0, hi=hi) for k, hi in _STREAM_FIELDS.items()}
 _TRAFFIC = {"period_ns": _int(lo=1), "count": _int(lo=1),
             "frame_size_bytes": _int(lo=MIN_FRAME_BYTES, hi=MAX_FRAME_BYTES),
             "mode": _choice("sleep", "txtime"), "priority": _int(lo=0, hi=7),
-            "stream": _object(_parse_stream_key), "wake_jitter": _Checker.dist,
-            "stack_latency": _latency, "driver_latency": _latency,
+            "stream": _object(_Checker.read, StreamKey, _STREAM_KEY, tuple(_STREAM_FIELDS)),
+            "wake_jitter": _Checker.dist, "stack_latency": _latency, "driver_latency": _latency,
             "hw_precision": _Checker.dist, "txtime_lead_ns": _int(lo=0, nullable=True)}
 _RUN = {"seed": _int(lo=0), "count": _int(lo=1, nullable=True),
         "histogram_bin_ns": _int(lo=1)}
+_CQF = {"enabled": _Checker.bool_in, "cycle_time_ns": _int(lo=1),
+        "ipv_even": _int(lo=0, hi=7), "ipv_odd": _int(lo=0, hi=7), "base_time": _int(lo=0)}
 
 #: shaper keys that configure only one scheme's queue
 _SCHEME_KEYS = {"taprio": _TAPRIO.keys(), "etf": {"etf"}}
 
 
 def _parse_section(c: _Checker, doc, key, cls, fields, required=False):
-    """cls read from a top-level section; an absent or null one is cls()."""
+    """cls read from a top-level section; an absent or null one is cls(), and
+    one that is not an object or has a bad value is None."""
     if doc.get(key) is None:
         if required:
             c.fail(key, "missing required section")
@@ -475,16 +457,14 @@ def _parse_shaper(c: _Checker, spec, path) -> Optional[TaprioCfg | EtfCfg]:
     for k in sorted(_SCHEME_KEYS[other] & spec.keys()):
         c.fail(f"{path}.{k}", f"applies only to scheme {other}, not {scheme}")
     if scheme == "taprio":
-        # the shaper's keys were checked with the etf ones
-        return c.read(spec, path, TaprioCfg, _TAPRIO, check=False)
+        # the shaper's keys were checked with the etf ones: read only taprio's
+        return c.read({k: spec[k] for k in spec if k in _TAPRIO}, path, TaprioCfg, _TAPRIO)
     etf = spec.get("etf")
-    if etf is None or not c.dict(etf, f"{path}.etf", {"delta_ns", "offload"}):
-        return EtfCfg()
-    offload = c.bool_in(etf, "offload", f"{path}.etf", True)
+    cfg = EtfCfg() if etf is None else c.read(etf, f"{path}.etf", EtfCfg, _ETF)
     # without offload the kernel needs time to hand the frame to the NIC
-    return EtfCfg(offload=offload,
-                  delta_ns=c.int_in(etf, "delta_ns", f"{path}.etf", lo=0,
-                                    default=0 if offload else 50_000))
+    if cfg is not None and not cfg.offload and "delta_ns" not in etf:
+        return EtfCfg(offload=False, delta_ns=50_000)
+    return cfg
 
 
 def _parse_filter(c: _Checker, spec, path) -> FilterCfg:
@@ -512,33 +492,25 @@ def _parse_filter(c: _Checker, spec, path) -> FilterCfg:
     if not isinstance(gates, dict):
         c.fail(f"{path}.gates", "expected an object")
         gates = {}
-    return FilterCfg(rule_set, {handle: _parse_stream_gate(c, g, f"{path}.gates.{handle}")
-                                for handle, g in gates.items()})
+    return FilterCfg(rule_set, {h: _parse_schedule(c, g, f"{path}.gates.{h}", StreamGateEntry,
+                                                   _GATE_ENTRY, ("open", "duration_ns"))
+                                for h, g in gates.items()})
 
 
-def _parse_cqf(c: _Checker, raw) -> Optional[CqfConfig]:
-    """The cqf section's config when it is enabled, else None."""
-    if raw is None or not c.dict(raw, "cqf", {"enabled", "cycle_time_ns", "ipv_even",
-                                              "ipv_odd", "base_time"}):
-        return None
-    before = len(c.problems)
-    enabled = c.bool_in(raw, "enabled", "cqf", False)
-    fields = {"cycle_time_ns": c.int_in(raw, "cycle_time_ns", "cqf", lo=1, default=500_000),
-              "ipv_even": c.int_in(raw, "ipv_even", "cqf", lo=0, hi=7, default=2),
-              "ipv_odd": c.int_in(raw, "ipv_odd", "cqf", lo=0, hi=7, default=3),
-              "base_time": c.int_in(raw, "base_time", "cqf", lo=0, default=0)}
-    if not enabled or len(c.problems) > before:
-        return None
-    try:
-        return CqfConfig(**fields)
-    except ValueError as exc:  # the only check left: distinct IPVs
-        c.fail("cqf.ipv_odd", str(exc))
-        return None
+def _parse_cqf(c: _Checker, doc) -> Optional[tuple[CyclicSchedule, CyclicSchedule]]:
+    """The stream gate windows and GCL of an enabled and valid cqf section, else None."""
+    cqf = _parse_section(c, doc, "cqf", CqfConfig, _CQF)
+    if cqf is not None and cqf.enabled:
+        try:
+            return cqf_compose(cqf)
+        except ValueError as exc:  # the only check left: distinct IPVs
+            c.fail("cqf.ipv_odd", str(exc))
+    return None
 
 
 def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
-    """The checks across sections, made once each is valid on its own; an
-    enabled cqf is compiled into the stream gate windows and GCL of each bridge."""
+    """The checks across sections, made once each is valid on its own; cqf, the
+    schedules of an enabled cqf section, sets each bridge's gate windows and GCL."""
     bridges = [link.src for link in chain[1:]]
     # the runner builds egress ports and bridges only on the path
     for section, by_node, users, who in (
@@ -557,7 +529,7 @@ def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
     if cqf is not None:
         if not bridges:
             c.fail("cqf.enabled", "no bridge on the talker-to-listener path")
-        gate, gcl = cqf_compose(cqf)
+        gate, gcl = cqf
         for b in bridges:
             shaper = shapers.get(b, NO_SHAPER)
             if b in filters:
@@ -606,7 +578,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                              _parse_shaper)
     filters = _parse_by_node(c, doc, "filters", names, {"rules", "gates"}, _parse_filter)
     frer = _parse_section(c, doc, "frer", FrerCfg, _FRER)
-    cqf = _parse_cqf(c, doc.get("cqf"))
+    cqf = _parse_cqf(c, doc)
     traffic = _parse_section(c, doc, "traffic", TrafficCfg, _TRAFFIC, required=True)
     run = _parse_section(c, doc, "run", RunCfg, _RUN, required=True)
     if not c.problems:

@@ -388,6 +388,33 @@ class TestRunScenario:
         assert len(res.records) == 200
         assert [r.seq for r in res.records] == list(range(200))
 
+    def test_a_stream_gate_that_alternates_ipvs_reorders_frames_without_frer(self):
+        # odd frames get IPV 2 and pass sw0 at once; even ones get IPV 5, whose
+        # class the GCL holds for 150 us of each 200 us cycle, so each odd
+        # frame overtakes the even one sent before it
+        doc = {
+            "nodes": [{"name": "talker", "role": "talker"},
+                      {"name": "sw0", "role": "bridge"},
+                      {"name": "listener", "role": "listener"}],
+            "links": [{"from": a, "to": b, "rate_bps": 10 ** 9}
+                      for a, b in (("talker", "sw0"), ("sw0", "listener"))],
+            "shapers": {"sw0": {"gcl": {"cycle_time_ns": 200_000, "entries": [
+                {"gate_mask": 0xFF & ~(1 << 5), "duration_ns": 150_000},
+                {"gate_mask": 0xFF, "duration_ns": 50_000}]}}},
+            "filters": {"sw0": {"rules": [{"handle": "s0"}], "gates": {"s0": {
+                "cycle_time_ns": 200_000, "entries": [
+                    {"open": True, "duration_ns": 100_000, "ipv": 5},
+                    {"open": True, "duration_ns": 100_000, "ipv": 2}]}}}},
+            "traffic": {"period_ns": 100_000, "count": 6,
+                        "stream": {"dest_mac": 1, "vlan_id": 100, "pcp": 0}},
+            "run": {"seed": 1}}
+        res = run_scenario(parse_scenario(doc))
+        assert res.drops == {}
+        assert [r.seq for r in res.records] == list(range(6))
+        hw_rx = [r.hw_rx for r in res.records]
+        assert hw_rx == [101_024, 350_512, 301_024, 550_512, 501_024, 750_512]
+        assert any(b < a for a, b in zip(hw_rx, hw_rx[1:]))
+
     def test_stats_payload_skips_missing_kinds(self):
         records = [rec(0, 500, sw_tx=501), rec(1, 1000, sw_tx=1002)]
         payload = stats_payload(records, 100)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tsnsim.core import CyclicSchedule, Engine, ScheduleError
-from tsnsim.egress import EgressPort
+from tsnsim.egress import EgressPort, TaprioPort
 from tsnsim.ingress import (DROP_CLOSED_GATE, DROP_OCTET_BUDGET, PASS,
                             StreamGate, StreamGateEntry)
 from tsnsim.network import BridgeNode
@@ -28,7 +28,8 @@ def open_close_gate(cycle=MS, open_ns=500 * US, **kw):
 def bridge_drops(gate, arrivals):
     """BridgeNode.drops once frames of (size, t) reach a bridge with gate."""
     eng = Engine()
-    port = EgressPort(eng, 10 ** 9, deliver=lambda f, arrival: None)
+    port = EgressPort(eng, 10 ** 9, queue=TaprioPort(link_rate_bps=10 ** 9),
+                      deliver=lambda f, arrival: None)
     br = BridgeNode(eng, "br", port, gates={None: gate})
     for size, t in arrivals:
         br.receive(frame(size), t)

@@ -143,7 +143,7 @@ class TestCqfCompose:
 
     def test_same_ipvs_rejected(self):
         with pytest.raises(ValueError):
-            CqfConfig(cycle_time_ns=100 * US, ipv_even=5, ipv_odd=5)
+            cqf_compose(CqfConfig(cycle_time_ns=100 * US, ipv_even=5, ipv_odd=5))
 
 
 class TestCqfBound:

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 import tsnsim
-from tsnsim.core import CyclicSchedule
+from tsnsim import scenario
+from tsnsim.core import ClockModel, CyclicSchedule
 from tsnsim.egress import GclEntry, PreemptionConfig
 from tsnsim.ingress import StreamGateEntry
 from tsnsim.network import CqfConfig, cqf_compose
-from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, TaprioCfg, load_scenario,
-                             parse_scenario)
+from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, FrerCfg, RunCfg, TaprioCfg,
+                             TrafficCfg, load_scenario, parse_scenario)
 from tsnsim.traffic import StreamKey
 
 from helpers import gcl_state
@@ -398,6 +399,25 @@ class TestRejections:
         assert problems_of(doc) == [
             "shapers.talker.preemption.express_classes: expected a list of classes 0-7"]
 
+    # the one-value corpus cannot see two faults at once
+    @pytest.mark.parametrize("doc,problems", [
+        (bridged(cqf={"enabled": True, "ipv_even": 3, "ipv_odd": 3}, run={"seed": -1}),
+         ["cqf.ipv_odd: ipv_even and ipv_odd must differ", "run.seed: must be >= 0, got -1"]),
+        (bridged(cqf={"enabled": True, "ipv_even": 3, "ipv_odd": 3, "colour": 1}),
+         ["cqf.colour: unknown key", "cqf.ipv_odd: ipv_even and ipv_odd must differ"]),
+        # the default ipv_even, 2, is not compared with ipv_odd
+        (bridged(cqf={"enabled": True, "ipv_even": "x", "ipv_odd": 2}),
+         ["cqf.ipv_even: expected an integer, got 'x'"]),
+        (bridged(cqf={"enabled": False, "cycle_time_ns": 0}),
+         ["cqf.cycle_time_ns: must be >= 1, got 0"]),
+        (bridged(cqf="x", shapers={"talker": {"scheme": "etf", "etf": "x"}}),
+         ["cqf: expected an object, got str",
+          "shapers.talker.etf: expected an object, got str"]),
+    ], ids=["equal_ipvs_and_bad_seed", "equal_ipvs_and_unknown_key", "bad_ipv_even",
+            "disabled_bad_cycle", "cqf_and_etf_not_objects"])
+    def test_every_problem_of_several_reported(self, doc, problems):
+        assert problems_of(doc) == problems
+
 
 class TestBuiltObjects:
     def test_value_records_are_read_only(self):
@@ -472,3 +492,18 @@ class TestBuiltObjects:
         assert cfg.shapers["sw1"] == TaprioCfg(gcl=cfg.shapers["sw1"].gcl)
         assert type(cfg.shapers["sw0"]) is type(cfg.shapers["sw1"]) is TaprioCfg
         assert "talker" not in cfg.shapers and "talker" not in cfg.filters
+
+
+@pytest.mark.parametrize("fields,names", [
+    (scenario._CLOCK, ClockModel._fields), (scenario._PREEMPTION, PreemptionConfig._fields),
+    (scenario._TAPRIO, TaprioCfg._fields), (scenario._FRER, FrerCfg._fields),
+    (scenario._TRAFFIC, TrafficCfg._fields), (scenario._RUN, RunCfg._fields),
+    (scenario._CQF, CqfConfig._fields), (scenario._ETF, EtfCfg._fields),
+    (scenario._GCL_ENTRY, GclEntry._fields), (scenario._GATE_ENTRY, StreamGateEntry._fields),
+    (scenario._STREAM_KEY, tuple(scenario._STREAM_FIELDS)),
+], ids=["clock", "preemption", "taprio", "frer", "traffic", "run", "cqf", "etf",
+        "gcl_entry", "gate_entry", "stream_key"])
+def test_each_reader_table_reads_its_records_fields(fields, names):
+    # a key that is not a field reaches cls(**values) and raises TypeError,
+    # a crash of validate where a scenario should be rejected
+    assert tuple(fields) == names

@@ -3,8 +3,9 @@ parse_scenario, and every case it accepts runs to the end.
 
 Every value in four valid documents, leaf or not, is replaced by each of
 BAD_VALUES and is deleted, and every object gets an unknown key. Each case
-must parse or raise ConfigError, and one sha256 over every case's outcome
-pins each message and each accepted case. Each accepted case, cut to
+must parse or raise ConfigError, and one sha256 over every case's outcome,
+with one over each document's cases, pins each message and each accepted
+case. Each accepted case, cut to
 RUN_COUNT frames, must finish within RUN_TIMEOUT_S and account for every
 frame it sent; one sha256 pins every run's records and drops.
 """
@@ -85,6 +86,13 @@ DOCS = {"minimal": MINIMAL, "bridged": BRIDGED, "psfp_etf": PSFP_ETF,
 #: sha256 over every case's outcome; only a declared change to a validation
 #: message, or to which documents are accepted, records it again
 CORPUS_DIGEST = "bffa0239a5cec00c4c4ec7152921975ca27029b8d6d98b0c2730d5f0d1a82d20"
+#: the same over each document's cases, so that a change names its document
+DOC_DIGESTS = {
+    "minimal": "4cfddad4be579cee401e2dcfb2deb741aa411ea338d309764bd5b07ea9edc8d9",
+    "bridged": "04e35621e902b47d302f07ff8a47c24b2aea7919d3aa20c60db001f3f48954fd",
+    "psfp_etf": "7446bf2cd7ea16b34f6492bd3fa61c271ce45b46c734b579ea139f863ca92ff1",
+    "bridge_xdp": "36497ce0fa3a4d80e827ed63239b176bbdd3c8f62071b2a116c6da791048c946",
+}
 
 #: frames each accepted case runs, and the seconds it may take
 RUN_COUNT = 30
@@ -176,6 +184,10 @@ def test_clock_resyncing_more_than_a_million_times_in_a_run_rejected():
 def test_every_one_value_change_parses_or_is_a_config_error():
     outcomes = list(_outcomes())
     assert len(outcomes) > 1000
+    assert DOC_DIGESTS.keys() == DOCS.keys()
+    for name, expected in DOC_DIGESTS.items():
+        mine = [(case, out) for case, out in outcomes if case.startswith(f"{name}:")]
+        assert hashlib.sha256(json.dumps(mine).encode()).hexdigest() == expected, name
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == CORPUS_DIGEST
 

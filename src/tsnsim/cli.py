@@ -48,19 +48,22 @@ def _write_outputs(result, out_dir: Path, bin_width: int):
     return payload
 
 
-def cmd_run(args) -> int:
+class _RunError(Exception):
+    """A scenario that failed as it ran or wrote its outputs: exit 3."""
+
+
+def _run_and_write(cfg, seed, out_dir: Path, where: str = ""):
+    """(result, stats payload) of cfg's run, its outputs written to out_dir."""
     try:
-        cfg = load_scenario(resolve_scenario(args.scenario))
-    except (ConfigError, FileNotFoundError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = run_scenario(cfg, seed=args.seed)
-        payload = _write_outputs(result, Path(args.out),
-                                 cfg.run.histogram_bin_ns)
+        result = run_scenario(cfg, seed=seed)
+        return result, _write_outputs(result, out_dir, cfg.run.histogram_bin_ns)
     except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise _RunError(f"runtime error{where}: {exc}") from exc
+
+
+def cmd_run(args) -> int:
+    cfg = load_scenario(resolve_scenario(args.scenario))
+    result, payload = _run_and_write(cfg, args.seed, Path(args.out))
     print(f"{len(result.records)} records -> {args.out}")
     for kind, st in payload["kinds"].items():
         print(f"  {kind}: mean {st['mean_ns']:.1f} ns, "
@@ -100,44 +103,30 @@ def _set_dotted(doc: dict, dotted: str, value):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        doc = load_document(resolve_scenario(args.scenario))
-        parse_scenario(doc)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    values = []
+    """Parse the scenario at every value first, then run each."""
+    doc = load_document(resolve_scenario(args.scenario))
+    parse_scenario(doc)
+    variants = []
     for raw in args.values.split(","):
         try:
-            values.append(json.loads(raw))
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            values.append(raw)
-    for value in values:
+            value = raw
         variant = json.loads(json.dumps(doc))
         try:
             _set_dotted(variant, args.param, value)
-            cfg = parse_scenario(variant)
+            variants.append((f"{args.param}={value}", parse_scenario(variant)))
         except ConfigError as exc:
-            print(f"{args.param}={value}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            result = run_scenario(cfg, seed=args.seed)
-            out_dir = Path(args.out) / f"{args.param}={value}"
-            _write_outputs(result, out_dir, cfg.run.histogram_bin_ns)
-        except Exception as exc:
-            print(f"runtime error at {args.param}={value}: {exc}",
-                  file=sys.stderr)
-            return EXIT_RUNTIME
-        print(f"{args.param}={value}: {len(result.records)} records")
+            exc.args = (f"{args.param}={value}: {exc}",)  # as main prints it
+            raise
+    for name, cfg in variants:
+        result, _ = _run_and_write(cfg, args.seed, Path(args.out) / name, f" at {name}")
+        print(f"{name}: {len(result.records)} records")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_scenario(resolve_scenario(args.scenario))
-    except (ConfigError, FileNotFoundError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+    load_scenario(resolve_scenario(args.scenario))
     print("ok")
     return EXIT_OK
 
@@ -175,7 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except _RunError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

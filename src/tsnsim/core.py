@@ -149,21 +149,6 @@ class JitterDist(Record, frozen=True):
             raise ValueError("empirical: total of weights must be finite")
         return cls(kind="empirical", points=pts)
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "JitterDist":
-        kind = cfg.get("kind")
-        if kind == "constant":
-            return cls.constant(int(cfg["value_ns"]))
-        if kind == "uniform":
-            return cls.uniform(int(cfg["min_ns"]), int(cfg["max_ns"]))
-        if kind == "normal":
-            lo = cfg.get("min_ns")
-            return cls.normal(float(cfg["mean_ns"]), float(cfg["std_ns"]),
-                              None if lo is None else int(lo))
-        if kind == "empirical":
-            return cls.empirical(cfg["points"])
-        raise ValueError(f"unknown jitter kind: {kind!r}")
-
     @property
     def lowest(self) -> int:
         """The smallest value sample can return."""

@@ -54,10 +54,10 @@ class TaprioPort:
     under guard_mode "none", a frame of a class that no entry opens.
 
     The GCL, a CyclicSchedule of GclEntry, is compiled here into tables: per
-    entry, its gate mask, end phase, next entry and, under "fit" only, each
-    class's open time after it; per class, the oversize limit. enqueue fixes
-    each frame's wire time, so select makes one entry lookup per call and
-    compares wire times.
+    entry, its gate mask, end phase and, under "fit" only, each class's open
+    time after it; per class, the oversize limit. enqueue fixes each frame's
+    wire time, so select makes one entry lookup per call, a bisection of
+    t's phase, and compares wire times.
     """
 
     def __init__(self, gcl: Optional[CyclicSchedule] = None, capacity: int = 64,
@@ -76,7 +76,7 @@ class TaprioPort:
         self.count = 0
         self._occupied = 0
         self.drops: Counter = Counter()
-        #: per entry: (gate mask, end phase, next entry, open time after it);
+        #: per entry: (gate mask, end phase, open time after it);
         #: per class, the oversize limit: its longest open run, where select
         #: may drop it (any class under fit, one no entry opens under none)
         self._entries, self._limits = None, _NEVER_CLOSES
@@ -90,15 +90,14 @@ class TaprioPort:
             for j in range(2 * n - 1, -1, -1):
                 mask, d = entries[j % n].gate_mask, entries[j % n].duration_ns
                 if j < n:
-                    self._entries[j] = (mask, gcl._ends[j], (j + 1) % n,
-                                        tuple(run) if fit else _NEVER_CLOSES)
+                    self._entries[j] = (mask, gcl._ends[j], tuple(run) if fit else _NEVER_CLOSES)
                 run = [r + d if mask >> tc & 1 else 0 for tc, r in enumerate(run)]
                 runs.append(run)  # from the start of entry j % n
             self._limits = tuple([r if fit or not r else math.inf for r in map(max, *runs)])
         #: wire time by frame size, overhead included
         self._tt = _WireTimes(link_rate_bps, overhead_bytes)
-        #: the next gate change as the last select found it, and its entry
-        self.wake_time, self._next_entry = math.inf, 0
+        #: the next gate change as the last select found it
+        self.wake_time = math.inf
 
     def enqueue(self, frame: Frame, t: SimTime) -> Optional[str]:
         """Queue the frame and return None, or return the drop key counted."""
@@ -120,15 +119,11 @@ class TaprioPort:
         if gcl is None:
             mask, left, after = 0xFF, 0, _NEVER_CLOSES
         elif t < gcl.base_time:
-            self.wake_time, self._next_entry = gcl.base_time, 0
+            self.wake_time = gcl.base_time
             return None
-        else:
-            if t == self.wake_time:  # the gate change the last select found: no search
-                i, phase = self._next_entry, gcl._starts[self._next_entry]
-            else:  # the entry that holds t's phase
-                phase = (t - gcl.base_time) % gcl.cycle_time_ns
-                i = bisect_right(gcl._starts, phase) - 1
-            mask, end, self._next_entry, after = self._entries[i]
+        else:  # the entry that holds t's phase
+            phase = (t - gcl.base_time) % gcl.cycle_time_ns
+            mask, end, after = self._entries[bisect_right(gcl._starts, phase) - 1]
             left = end - phase
             self.wake_time = t + left
         # visit the non-empty classes only, highest first
@@ -226,18 +221,17 @@ class PreemptionConfig(Record, frozen=True):
 NO_PREEMPTION = PreemptionConfig()
 
 
-def bytes_on_wire(start: SimTime, t: SimTime, rate_bps: int) -> int:
-    """Whole bytes transmitted by time t of a transmission started at start."""
-    return ((t - start) * rate_bps) // (8 * NS_PER_SEC)
+def _preemption_point(done: int, start: SimTime, t: SimTime, rate_bps: int, total: int,
+                      frag: int) -> Optional[int]:
+    """The fragment boundary at which an express frame may interrupt, at t, a
+    transmission of total bytes that sent done bytes before its segment began
+    at start, at rate_bps.
 
-
-def _preemption_point(sent: int, total: int, frag: int) -> Optional[int]:
-    """The fragment boundary at which an express frame may interrupt.
-
-    The smallest multiple of frag strictly greater than the bytes already
-    sent (at least one minimum fragment), or None if less than one
-    minimum fragment would remain after it.
+    The smallest multiple of frag strictly greater than the whole bytes sent
+    by t (at least one minimum fragment), or None if less than one minimum
+    fragment would remain after it.
     """
+    sent = done + (t - start) * rate_bps // (8 * NS_PER_SEC)
     point = max(frag, frag * (sent // frag + 1))
     return None if point > total - frag else point
 
@@ -385,9 +379,9 @@ class EgressPort:
 
     def _do_preempt(self, express: Frame, t: SimTime):
         frame, seg_start, done = self._cuttable
-        point = _preemption_point(
-            done + bytes_on_wire(seg_start, t, self.rate_bps),
-            frame.size_bytes + self.overhead_bytes, self.preemption.min_fragment_bytes)
+        point = _preemption_point(done, seg_start, t, self.rate_bps,
+                                  frame.size_bytes + self.overhead_bytes,
+                                  self.preemption.min_fragment_bytes)
         if point is None:
             # no legal split: express waits its turn in the queue
             self.queue.enqueue(express, t)

@@ -34,11 +34,12 @@ MAX_RESYNCS = 10 ** 6
 #: largest value of each StreamKey field
 _STREAM_FIELDS = {"dest_mac": 2 ** 48 - 1, "vlan_id": 4095, "pcp": 7}
 
-_DIST_KEYS = {
-    "constant": {"kind", "value_ns"},
-    "uniform": {"kind", "min_ns", "max_ns"},
-    "normal": {"kind", "mean_ns", "std_ns", "min_ns"},
-    "empirical": {"kind", "points"},
+#: per distribution kind, the arguments of JitterDist.<kind> in order, each with its conversion
+_DISTS = {
+    "constant": {"value_ns": int},
+    "uniform": {"min_ns": int, "max_ns": int},
+    "normal": {"mean_ns": float, "std_ns": float, "min_ns": int},
+    "empirical": {"points": lambda points: points},
 }
 
 
@@ -131,12 +132,14 @@ class _Checker:
         if not isinstance(cfg, dict):
             self.fail(p, "expected a distribution object")
             return default
-        kind = self.choice(cfg, "kind", p, _DIST_KEYS, unknown="distribution kind")
+        kind = self.choice(cfg, "kind", p, _DISTS, unknown="distribution kind")
         if kind is None:
             return default
-        self.dict(cfg, p, _DIST_KEYS[kind])
-        try:
-            dist = JitterDist.from_config(cfg)
+        self.dict(cfg, p, {"kind", *_DISTS[kind]})
+        try:  # normal's min_ns alone may be absent or null: left out, it is normal's default
+            dist = getattr(JitterDist, kind)(*[
+                conv(cfg[k]) for k, conv in _DISTS[kind].items()
+                if k != "min_ns" or kind != "normal" or cfg.get(k) is not None])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             self.fail(p, f"bad distribution: {exc}")
             return default

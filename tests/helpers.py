@@ -44,7 +44,7 @@ def time_until_close(gcl, tc: int, t: int):
     """Time until class tc's gate closes, or None if it never does; only
     meaningful when the gate is open at t."""
     i, phase = locate(gcl, t)
-    after = compiled(gcl)._entries[i][3][tc]
+    after = compiled(gcl)._entries[i][2][tc]
     return None if after == math.inf else gcl._ends[i] - phase + after
 
 

@@ -505,6 +505,27 @@ class TestSweep:
                    "--values", "warp", "--out", str(tmp_path / "s")])
         assert rc == EXIT_CONFIG
 
+    def test_out_that_is_a_file_is_runtime_error(self, good_scenario, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["run", str(good_scenario), "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        rc = main(["sweep", str(good_scenario), "--param", "run.seed", "--values", "1,2",
+                   "--out", str(out)])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error at run.seed=1: ")
+
+    def test_every_value_is_checked_before_the_first_run(self, good_scenario, tmp_path,
+                                                          capsys):
+        out = tmp_path / "s"
+        rc = main(["sweep", str(good_scenario), "--param", "traffic.mode",
+                   "--values", "sleep,warp", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("traffic.mode=warp: invalid scenario:\n")
+        assert "traffic.mode: must be sleep|txtime, got 'warp'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("param", ["nodes.1.rx_latency", "run.seed.x"])
     def test_param_through_a_non_object_is_config_error(self, good_scenario,
                                                         tmp_path, capsys, param):

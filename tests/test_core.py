@@ -502,13 +502,3 @@ class TestJitterDist:
         # sample skips rng.choices' checks, so construction makes them
         with pytest.raises(ValueError, match="finite"):
             make()
-
-    def test_config_round_trip(self):
-        for cfg, dist in (
-                ({"kind": "constant", "value_ns": 5}, JitterDist.constant(5)),
-                ({"kind": "uniform", "min_ns": 1, "max_ns": 2}, JitterDist.uniform(1, 2)),
-                ({"kind": "normal", "mean_ns": 3.0, "std_ns": 1.5, "min_ns": 0},
-                 JitterDist.normal(3.0, 1.5, min_ns=0)),
-                ({"kind": "empirical", "points": [[1, 2.0], [3, 4.0]]},
-                 JitterDist.empirical([(1, 2.0), (3, 4.0)]))):
-            assert JitterDist.from_config(cfg) == dist

@@ -307,14 +307,15 @@ def wake(port):
     return port.wake_time if port.count and port.wake_time != math.inf else None
 
 
-class TestGateChangeShortcut:
-    """A select at the gate change the last select found takes the entry that
-    starts there without a search. It must agree with a twin port that
-    searches on every select, and with gcl.state."""
+class TestSelectAtAGateChange:
+    """An EgressPort selects again at the wake_time the last select found, the
+    gate change where the next entry starts. A select there must agree with a
+    twin port whose last wake_time is cleared, and set wake_time to t plus the
+    time left in the entry that holds t, as gcl_state finds it."""
 
-    def test_matches_a_full_lookup(self):
+    def test_matches_a_port_with_no_known_gate_change(self):
         rng = random.Random(1919)
-        shortcuts = 0
+        at_gate_changes = 0
         for n in range(150):
             gcl = random_gcl(rng)
             if n % 2:
@@ -336,8 +337,8 @@ class TestGateChangeShortcut:
                     t = nt
                 else:
                     t += rng.randrange(0, gcl.cycle_time_ns)
-                shortcuts += port.count > 0 and t == port.wake_time
-                twin.wake_time = math.inf  # no gate change known: the twin searches
+                at_gate_changes += port.count > 0 and t == port.wake_time
+                twin.wake_time = math.inf  # the twin knows no gate change
                 frame = port.select(t)
                 assert frame is twin.select(t)
                 assert port.drops == twin.drops and port.count == twin.count
@@ -349,7 +350,7 @@ class TestGateChangeShortcut:
                     mask, left = gcl_state(gcl, t)
                     assert wake(port) == t + left
                     assert frame is None or mask >> frame.egress_class & 1
-        assert shortcuts > 1000
+        assert at_gate_changes > 1000
 
 
 class FormerTaprioPort(TaprioPort):

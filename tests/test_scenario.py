@@ -1,6 +1,7 @@
 """Scenario schema validation: strict keys, dotted-path diagnostics."""
 
 import copy
+import inspect
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 import tsnsim
 from tsnsim import scenario
-from tsnsim.core import ClockModel, CyclicSchedule
+from tsnsim.core import ClockModel, CyclicSchedule, JitterDist
 from tsnsim.egress import GclEntry, PreemptionConfig
 from tsnsim.ingress import StreamGateEntry
 from tsnsim.network import CqfConfig, cqf_compose
@@ -507,3 +508,34 @@ def test_each_reader_table_reads_its_records_fields(fields, names):
     # a key that is not a field reaches cls(**values) and raises TypeError,
     # a crash of validate where a scenario should be rejected
     assert tuple(fields) == names
+
+
+@pytest.mark.parametrize("cfg,dist", [
+    ({"kind": "constant", "value_ns": 5}, JitterDist.constant(5)),
+    ({"kind": "uniform", "min_ns": 1, "max_ns": 2}, JitterDist.uniform(1, 2)),
+    ({"kind": "normal", "mean_ns": 3.0, "std_ns": 1.5, "min_ns": 0},
+     JitterDist.normal(3.0, 1.5, min_ns=0)),
+    ({"kind": "empirical", "points": [[1, 2.0], [3, 4.0]]},
+     JitterDist.empirical([(1, 2.0), (3, 4.0)])),
+    ({"kind": "normal", "mean_ns": 3.0, "std_ns": 1.5}, JitterDist.normal(3.0, 1.5)),
+    ({"kind": "normal", "mean_ns": 3.0, "std_ns": 1.5, "min_ns": None},
+     JitterDist.normal(3.0, 1.5)),
+], ids=["constant", "uniform", "normal", "empirical", "normal_no_min", "normal_null_min"])
+def test_distribution_config_round_trip(cfg, dist):
+    read = parse_scenario(variant(traffic={**MINIMAL["traffic"], "wake_jitter": cfg}))
+    assert read.traffic.wake_jitter == dist
+    assert type(read.traffic.wake_jitter) is JitterDist
+
+
+def test_only_normal_min_may_be_null():
+    doc = variant(traffic={**MINIMAL["traffic"],
+                           "wake_jitter": {"kind": "uniform", "min_ns": None, "max_ns": 2}})
+    assert [p.split(":")[:2] for p in problems_of(doc)] == [
+        ["traffic.wake_jitter", " bad distribution"]]
+
+
+@pytest.mark.parametrize("kind", sorted(scenario._DISTS))
+def test_each_distribution_kind_reads_its_arguments_in_order(kind):
+    # _Checker.dist passes the keys' values positionally to JitterDist.<kind>
+    params = inspect.signature(getattr(JitterDist, kind)).parameters
+    assert list(scenario._DISTS[kind]) == list(params)

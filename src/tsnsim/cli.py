@@ -165,6 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # run.seed's rule
+            raise ConfigError([f"--seed: must be >= 0, got {args.seed}"])
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)

@@ -24,8 +24,8 @@ from .egress import EgressPort, EtfQueue, TaprioPort
 from .frer import ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, RecoveryState, Replicator
 from .ingress import StreamGate
 from .network import BridgeNode
-from .scenario import (NO_FILTER, NO_SHAPER, EtfCfg, LinkCfg, NodeCfg, ScenarioConfig,
-                       TaprioCfg, TrafficCfg, chain_links, run_horizon)
+from .scenario import (EtfCfg, LinkCfg, NodeCfg, ScenarioConfig, TaprioCfg, TrafficCfg,
+                       run_horizon)
 from .traffic import Frame, PacketRecord, StreamRuleSet
 
 RECORD_FIELDS = PacketRecord._fields
@@ -253,7 +253,7 @@ def report(records_path, bin_width_ns: int = 100) -> dict:
 # scenario execution
 
 
-def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, clocks: dict,
+def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg, clocks: dict,
                 receive, hw_precision=None, rng=None) -> EgressPort:
     """An egress port onto link whose frames reach receive(frame, arrival).
 
@@ -267,7 +267,6 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg | None, clocks
         if shaper.offload:
             launch_precision = hw_precision
     else:
-        shaper = shaper or NO_SHAPER
         queue = TaprioPort(gcl=shaper.gcl, capacity=shaper.queue_capacity,
                            guard_mode=shaper.guard_mode,
                            link_rate_bps=link.rate_bps,
@@ -405,26 +404,22 @@ class Listener:
 
 def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, receive,
                suffix: str = "") -> tuple[EgressPort, list[BridgeNode]]:
-    """Build the talker-to-listener chain back to front, each port calling
-    the next node's receive, the last receive(frame, arrival);
-    return the talker's port and the bridges. suffix keeps the RNG streams
-    of FRER member paths apart."""
-    nodes = {n.name: n for n in cfg.nodes}
-    chain = chain_links(cfg.links, cfg.talker.name, cfg.listener.name)
+    """Build cfg.path back to front, each port calling the next node's
+    receive, the last receive(frame, arrival); return the talker's port and
+    the bridges. suffix keeps the RNG streams of FRER member paths apart."""
+    talker, *hops = cfg.path
     bridges = []
-    for link in reversed(chain[1:]):
-        name = link.src
-        port = _build_port(engine, link, cfg.shapers.get(name), clocks[name], receive)
-        fcfg = cfg.filters.get(name) or NO_FILTER
+    for hop in reversed(hops):
+        name, fcfg = hop.node.name, hop.filter
+        port = _build_port(engine, hop.link, hop.shaper, clocks[name], receive)
         rules = fcfg.rules and StreamRuleSet(fcfg.rules.rules)  # a fresh identify memo
         bridge = BridgeNode(engine, name, port, stream_rules=rules,
                             gates={h: StreamGate(s) for h, s in fcfg.gates.items()},
-                            forwarding_latency=nodes[name].forwarding,
+                            forwarding_latency=hop.node.forwarding,
                             rng=rng_fork(seed, f"fwd:{name}{suffix}"))
         bridges.append(bridge)
         receive = bridge.receive
-    talker = chain[0].src
-    port = _build_port(engine, chain[0], cfg.shapers.get(talker), clocks[talker], receive,
+    port = _build_port(engine, talker.link, talker.shaper, clocks[talker.node.name], receive,
                        cfg.traffic.hw_precision, rng_fork(seed, f"hwprec{suffix}"))
     return port, bridges
 
@@ -437,10 +432,10 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     engine = Engine()
     # each run resyncs its own copies of the scenario's clocks
     horizon = run_horizon(traffic, cfg.run)
+    talker, listener, frer = cfg.path[0].node, cfg.listener, cfg.frer
     clocks = {n.name: {which: cfg.clocks.get(n.name, {}).get(which, ClockModel()).resynced(
         rng_fork(seed, f"sync:{n.name}:{which}"), horizon) for which in ("system", "phc")}
-        for n in cfg.nodes}
-    talker, listener, frer = cfg.talker, cfg.listener, cfg.frer
+        for n in [*(hop.node for hop in cfg.path), listener]}
     if frer.enabled:
         labels = [f"path{i}" for i in range(frer.paths)]
         sink = Listener(engine, listener, clocks[listener.name], seed,

@@ -2,9 +2,11 @@
 
 A scenario is a JSON document with top-level sections nodes, links,
 clocks, shapers, filters, frer, cqf, traffic, run. Validation rejects
-unknown keys and reports every problem with its dotted path. An enabled
-cqf section is compiled into the stream gate windows and GCL of each
-bridge on the talker-to-listener path.
+unknown keys and reports every problem with its dotted path. The links
+must make one path from the talker through the bridges to the listener,
+which parse_scenario compiles into hops, each with its node, link out,
+shaper and filter; a node or link off it is rejected. An enabled cqf
+section sets the stream gate windows and GCL of each bridge hop.
 """
 
 from __future__ import annotations
@@ -183,6 +185,10 @@ class FilterCfg(Record, frozen=True):
     #: every FilterCfg(), is read-only
     gates: dict = MappingProxyType({})
 
+    def __reduce_ex__(self, protocol):
+        """A copy or pickle gets gates of its own: a read-only mapping cannot be copied."""
+        return FilterCfg, (self.rules, dict(self.gates))
+
 
 class FrerCfg(Record, frozen=True):
     enabled: bool = False
@@ -209,6 +215,16 @@ class TrafficCfg(Record, frozen=True):
 NO_SHAPER, NO_FILTER = TaprioCfg(), FilterCfg()
 
 
+class Hop(Record, frozen=True):
+    """A node on the talker-to-listener path with its link out, the shaper of
+    its egress port and, on a bridge, its filter."""
+
+    node: NodeCfg
+    link: LinkCfg
+    shaper: TaprioCfg | EtfCfg = NO_SHAPER
+    filter: FilterCfg = NO_FILTER
+
+
 class RunCfg(Record):
     """The run section: the seed, a frame count that overrides the traffic
     section's when set, and the width of the offset histograms' bins."""
@@ -219,50 +235,21 @@ class RunCfg(Record):
 
 
 class ScenarioConfig(Record, frozen=True):
-    nodes: list[NodeCfg]
-    links: list[LinkCfg]
+    #: the talker's hop, then each bridge's in order; the last link ends at listener
+    path: tuple[Hop, ...]
+    listener: NodeCfg
     #: node -> {"system" | "phc": ClockModel template}; a run resyncs
     #: copies of its own
     clocks: dict[str, dict[str, ClockModel]]
-    shapers: dict[str, TaprioCfg | EtfCfg]
-    filters: dict[str, FilterCfg]
     frer: FrerCfg
     traffic: TrafficCfg
     run: RunCfg
-
-    @property
-    def talker(self) -> NodeCfg:
-        return next(n for n in self.nodes if n.role == "talker")
-
-    @property
-    def listener(self) -> NodeCfg:
-        return next(n for n in self.nodes if n.role == "listener")
 
 
 def run_horizon(traffic: TrafficCfg, run: RunCfg) -> int:
     """The true time up to which a run resyncs its clocks: 101 periods past
     the last intended transmission, at count * period_ns."""
     return ((run.count or traffic.count) + 101) * traffic.period_ns
-
-
-def chain_links(links: list[LinkCfg], talker: str, listener: str) -> list[LinkCfg]:
-    """The links from talker to listener, taking each node's first link out.
-
-    Raises ValueError when that walk ends or loops before the listener.
-    """
-    succ = {}
-    for l in links:
-        succ.setdefault(l.src, l)
-    chain = []
-    node = talker
-    while node != listener:
-        link = succ.get(node)
-        # a walk longer than the number of nodes with a link out repeats one
-        if link is None or len(chain) >= len(succ):
-            raise ValueError(f"no forwarding path from {node} to {listener}")
-        chain.append(link)
-        node = link.dst
-    return chain
 
 
 def _parse_schedule(c: _Checker, obj, path, cls, fields, required):
@@ -410,8 +397,9 @@ def _parse_nodes(c: _Checker, raw) -> tuple[list[NodeCfg], set]:
     return nodes, names
 
 
-def _parse_links(c: _Checker, raw, nodes, names) -> tuple[list[LinkCfg], list[LinkCfg]]:
-    """The links, and their chain from talker to listener once all are valid."""
+def _parse_links(c: _Checker, raw, nodes, names) -> list[LinkCfg]:
+    """The links from talker to listener, each node's link out in turn, once
+    every node and link is valid; [] on a problem, or with any off that path."""
     links = []
     for i, l in enumerate(c.nonempty(raw, "links")):
         p = f"links[{i}]"
@@ -424,13 +412,26 @@ def _parse_links(c: _Checker, raw, nodes, names) -> tuple[list[LinkCfg], list[Li
                              c.int_in(l, "rate_bps", p, lo=1),
                              c.int_in(l, "propagation_ns", p, lo=0, default=0),
                              c.int_in(l, "overhead_bytes", p, lo=0, default=0)))
-    if not c.problems:
-        ends = {n.role: n.name for n in nodes}
-        try:
-            return links, chain_links(links, ends["talker"], ends["listener"])
-        except ValueError as exc:
-            c.fail("links", str(exc))
-    return links, []
+    if c.problems:
+        return []
+    ends = {n.role: n.name for n in nodes}
+    listener, node, walk, out = ends["listener"], ends["talker"], [], {}
+    for i, link in enumerate(links):
+        out.setdefault(link.src, i)
+    while node != listener:
+        # a walk longer than the number of nodes with a link out repeats one
+        if node not in out or len(walk) >= len(out):
+            c.fail("links", f"no forwarding path from {node} to {listener}")
+            return []
+        walk.append(out[node])
+        node = links[out[node]].dst
+    for i in sorted(set(range(len(links))) - set(walk)):
+        c.fail(f"links[{i}]", "not on the talker-to-listener path")
+    on_path = {listener, *(links[i].src for i in walk)}
+    for i, n in enumerate(nodes):
+        if n.name not in on_path:
+            c.fail(f"nodes[{i}]", "not on the talker-to-listener path")
+    return [links[i] for i in walk]
 
 
 def _parse_by_node(c: _Checker, doc, section, names, keys, parse) -> dict:
@@ -511,48 +512,48 @@ def _parse_cqf(c: _Checker, doc) -> Optional[tuple[CyclicSchedule, CyclicSchedul
     return None
 
 
-def _check_path(c: _Checker, chain, shapers, filters, cqf, mode):
-    """The checks across sections, made once each is valid on its own; cqf, the
-    schedules of an enabled cqf section, sets each bridge's gate windows and GCL."""
-    bridges = [link.src for link in chain[1:]]
+def _check_path(c: _Checker, by_name, chain, shapers, filters, cqf, mode) -> tuple[Hop, ...]:
+    """The hop of each link of chain, made once each section is valid on its own,
+    with the checks across sections; cqf, the schedules of an enabled cqf
+    section, sets each bridge's gate windows and GCL."""
+    names = [link.src for link in chain]  # the talker, then each bridge
     # the runner builds egress ports and bridges only on the path
     for section, by_node, users, who in (
-            ("shapers", shapers, {link.src for link in chain}, "the talker and bridges"),
-            ("filters", filters, set(bridges), "bridges")):
-        for node in sorted(by_node.keys() - users):
+            ("shapers", shapers, names, "the talker and bridges"),
+            ("filters", filters, names[1:], "bridges")):
+        for node in sorted(by_node.keys() - set(users)):
             c.fail(f"{section}.{node}",
                    f"applies only to {who} on the talker-to-listener path")
-    # a bridge looks its gate up by the handle of the rule a frame matches
-    for b in sorted(filters.keys() & set(bridges)):
-        fc = filters[b]
-        named = {r.handle for r in fc.rules.rules} if fc.rules else set()
-        for handle in sorted(fc.gates.keys() - named):
-            c.fail(f"filters.{b}.gates.{handle}",
-                   f"no rule in filters.{b}.rules names this handle")
-    if cqf is not None:
-        if not bridges:
-            c.fail("cqf.enabled", "no bridge on the talker-to-listener path")
-        gate, gcl = cqf
-        for b in bridges:
-            shaper = shapers.get(b, NO_SHAPER)
-            if b in filters:
-                c.fail(f"filters.{b}", "cqf sets the stream gate of this bridge")
+    if cqf is not None and len(chain) == 1:
+        c.fail("cqf.enabled", "no bridge on the talker-to-listener path")
+    path = []
+    for name, link in zip(names, chain):
+        shaper, fc = shapers.get(name, NO_SHAPER), filters.get(name, NO_FILTER)
+        # past the talker, a bridge looks its gate up by the handle of the rule a frame matches
+        if path:
+            named = {r.handle for r in fc.rules.rules} if fc.rules else set()
+            for handle in sorted(fc.gates.keys() - named):
+                c.fail(f"filters.{name}.gates.{handle}",
+                       f"no rule in filters.{name}.rules names this handle")
+        if path and cqf is not None:
+            if name in filters:
+                c.fail(f"filters.{name}", "cqf sets the stream gate of this bridge")
             if isinstance(shaper, EtfCfg):
-                c.fail(f"shapers.{b}.scheme", "cqf needs taprio on this bridge")
+                c.fail(f"shapers.{name}.scheme", "cqf needs taprio on this bridge")
             elif shaper.gcl is not None:
-                c.fail(f"shapers.{b}.gcl", "cqf sets the gcl of this bridge")
+                c.fail(f"shapers.{name}.gcl", "cqf sets the gcl of this bridge")
             else:
-                shapers[b] = TaprioCfg(gcl, shaper.guard_mode, shaper.queue_capacity,
-                                       shaper.preemption)
-            filters[b] = FilterCfg(gates={None: gate})
-    etf = [link.src for link in chain if isinstance(shapers.get(link.src), EtfCfg)]
-    if mode == "sleep":
-        for node in etf:
-            c.fail(f"shapers.{node}.scheme",
+                shaper = TaprioCfg(cqf[1], shaper.guard_mode, shaper.queue_capacity,
+                                   shaper.preemption)
+            fc = FilterCfg(gates={None: cqf[0]})
+        if isinstance(shaper, EtfCfg) and mode == "sleep":
+            c.fail(f"shapers.{name}.scheme",
                    "etf needs traffic.mode txtime: a sleep-mode talker sets no txtime")
-    elif not etf:
+        path.append(Hop(by_name[name], link, shaper, fc))
+    if mode == "txtime" and not any(isinstance(hop.shaper, EtfCfg) for hop in path):
         c.fail("traffic.mode", "txtime needs an etf shaper on the talker-to-listener "
                                "path: no other queue reads the launch time")
+    return tuple(path)
 
 
 def _check_resyncs(c: _Checker, clocks, horizon):
@@ -575,7 +576,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         if k not in VALID_TOP_KEYS:
             c.fail(k, "unknown top-level section")
     nodes, names = _parse_nodes(c, doc.get("nodes"))
-    links, chain = _parse_links(c, doc.get("links"), nodes, names)
+    chain = _parse_links(c, doc.get("links"), nodes, names)
     clocks = _parse_by_node(c, doc, "clocks", names, {"system", "phc"}, _parse_clocks)
     shapers = _parse_by_node(c, doc, "shapers", names, {"scheme", *_TAPRIO, "etf"},
                              _parse_shaper)
@@ -585,13 +586,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     traffic = _parse_section(c, doc, "traffic", TrafficCfg, _TRAFFIC, required=True)
     run = _parse_section(c, doc, "run", RunCfg, _RUN, required=True)
     if not c.problems:
-        _check_path(c, chain, shapers, filters, cqf, traffic.mode)
+        by_name = {n.name: n for n in nodes}
+        path = _check_path(c, by_name, chain, shapers, filters, cqf, traffic.mode)
         _check_resyncs(c, clocks, run_horizon(traffic, run))
     if c.problems:
         raise ConfigError(sorted(set(c.problems)))
-    return ScenarioConfig(nodes=nodes, links=links, clocks=clocks,
-                          shapers=shapers, filters=filters, frer=frer,
-                          traffic=traffic, run=run)
+    return ScenarioConfig(path, by_name[chain[-1].dst], clocks, frer, traffic, run)
 
 
 def load_document(path):

@@ -25,17 +25,19 @@ GOOD = {
 BRIDGED = dict(GOOD, nodes=GOOD["nodes"] + [{"name": "sw0", "role": "bridge"}],
                links=[{"from": a, "to": b, "rate_bps": 10 ** 9}
                       for a, b in (("talker", "sw0"), ("sw0", "listener"))])
-
-#: BRIDGED with a bridge sw9 linked only to the listener
-OFF_PATH = dict(BRIDGED, nodes=BRIDGED["nodes"] + [{"name": "sw9", "role": "bridge"}],
-                links=BRIDGED["links"] + [{"from": "sw9", "to": "listener",
-                                           "rate_bps": 10 ** 9}])
 CQF = {"enabled": True, "cycle_time_ns": 100_000}
 CLOSED_GCL = {"cycle_time_ns": 500_000,
               "entries": [{"gate_mask": 0, "duration_ns": 500_000}]}
 CLOSED_GATE = {"cycle_time_ns": 500_000,
                "entries": [{"open": False, "duration_ns": 500_000}]}
 TXTIME = dict(GOOD["traffic"], mode="txtime")
+
+
+def off_path_error(paths) -> str:
+    """What validate and run print for a document whose only problems are the
+    links and nodes at paths, off the talker-to-listener path."""
+    return "invalid scenario:\n" + "".join(
+        f"  - {path}: not on the talker-to-listener path\n" for path in paths)
 
 
 def test_import_loads_no_dataclasses():
@@ -304,21 +306,83 @@ class TestRun:
          "shapers.sw0.scheme"),
         ({"cqf": CQF, "nodes": GOOD["nodes"], "links": GOOD["links"]}, "cqf.enabled"),
         ({"traffic": TXTIME}, "traffic.mode"),
-        ({"shapers": {"sw9": {"gcl": CLOSED_GCL}}}, "shapers.sw9"),
-        ({"filters": {"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}},
-         "filters.sw9"),
         ({"filters": {"sw0": {"gates": {"s0": CLOSED_GATE}}}}, "filters.sw0.gates.s0"),
     ], ids=["cqf_filters", "cqf_gcl", "cqf_etf", "cqf_no_bridge", "txtime_no_etf",
-            "off_path_shaper", "off_path_filters", "gate_no_rule_names"])
+            "gate_no_rule_names"])
     def test_config_run_would_ignore_is_config_error(self, tmp_path, capsys, section,
                                                     path):
-        doc = dict(OFF_PATH, **section)
+        doc = dict(BRIDGED, **section)
         p = tmp_path / "scn.json"
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"{path}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("nodes,links,section,off", [
+        (["sw9"], [("sw9", "listener")], {"shapers": {"sw9": {"gcl": CLOSED_GCL}}},
+         ["links[2]", "nodes[3]"]),
+        (["sw9"], [("sw9", "listener")],
+         {"filters": {"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}},
+         ["links[2]", "nodes[3]"]),
+        ([], [("listener", "talker")], {}, ["links[2]"]),
+        (["sw9"], [], {"clocks": {"sw9": {"system": {"offset_ns": 5}}}}, ["nodes[3]"]),
+    ], ids=["off_path_shaper", "off_path_filters", "listener_to_talker", "off_path_clocks"])
+    def test_link_or_node_off_the_path_is_config_error(self, tmp_path, capsys, nodes, links,
+                                                       section, off):
+        doc = dict(BRIDGED, nodes=BRIDGED["nodes"] + [{"name": n, "role": "bridge"}
+                                                      for n in nodes],
+                   links=BRIDGED["links"] + [{"from": a, "to": b, "rate_bps": 10 ** 9}
+                                             for a, b in links], **section)
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == off_path_error(off) * 2
+        assert not (tmp_path / "out").exists()
+
+    def test_second_frer_path_is_config_error(self, tmp_path, capsys):
+        # it ran both member paths through a, and the slow path through b never
+        fast, slow = 10 ** 9, 10 ** 6
+        doc = dict(GOOD, nodes=[{"name": "t", "role": "talker"}, {"name": "a", "role": "bridge"},
+                                {"name": "b", "role": "bridge"},
+                                {"name": "l", "role": "listener"}],
+                   links=[{"from": x, "to": y, "rate_bps": rate}
+                          for x, y, rate in (("t", "a", fast), ("a", "l", fast),
+                                             ("t", "b", slow), ("b", "l", slow))],
+                   frer={"enabled": True, "paths": 2})
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        off = off_path_error(["links[2]", "links[3]", "nodes[2]"])
+        assert capsys.readouterr().err == off * 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-7", "-1"])
+    def test_negative_seed_is_config_error_before_run(self, good_scenario, tmp_path, capsys,
+                                                      seed):
+        out = tmp_path / "out"
+        assert main(["run", str(good_scenario), "--out", str(out), "--seed", seed]) == (
+            EXIT_CONFIG)
+        assert f"--seed: must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_override_wins_over_the_file(self, good_scenario, tmp_path):
+        doc = dict(GOOD, traffic=dict(
+            GOOD["traffic"], wake_jitter={"kind": "uniform", "min_ns": 0, "max_ns": 2000}),
+            run={"seed": 9})
+        p = tmp_path / "jitter.json"
+        p.write_text(json.dumps(doc))
+        overridden, again, direct = tmp_path / "o", tmp_path / "a", tmp_path / "d"
+        assert main(["run", str(p), "--out", str(overridden), "--seed", "0"]) == EXIT_OK
+        assert main(["run", str(p), "--out", str(again), "--seed", "0"]) == EXIT_OK
+        p.write_text(json.dumps(dict(doc, run={"seed": 0})))
+        assert main(["run", str(p), "--out", str(direct)]) == EXIT_OK
+        for name in ("records.csv", "stats.json"):
+            assert ((overridden / name).read_bytes() == (again / name).read_bytes()
+                    == (direct / name).read_bytes())
+        assert json.loads((overridden / "stats.json").read_text())["metadata"]["seed"] == 0
 
 
 class TestReport:
@@ -525,6 +589,28 @@ class TestSweep:
         assert err.startswith("traffic.mode=warp: invalid scenario:\n")
         assert "traffic.mode: must be sleep|txtime, got 'warp'" in err
         assert not out.exists()
+
+    def test_negative_seed_is_config_error_before_any_run(self, good_scenario, tmp_path,
+                                                          capsys):
+        out = tmp_path / "s"
+        rc = main(["sweep", str(good_scenario), "--param", "run.seed", "--values", "1,2",
+                   "--out", str(out), "--seed", "-7"])
+        assert rc == EXIT_CONFIG
+        assert "--seed: must be >= 0, got -7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_override_wins_over_a_swept_seed(self, good_scenario, tmp_path):
+        doc = dict(GOOD, traffic=dict(
+            GOOD["traffic"], wake_jitter={"kind": "uniform", "min_ns": 0, "max_ns": 2000}))
+        p = tmp_path / "jitter.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "s"
+        assert main(["sweep", str(p), "--param", "run.seed", "--values", "1,2",
+                     "--out", str(out), "--seed", "5"]) == EXIT_OK
+        assert main(["run", str(p), "--out", str(tmp_path / "r"), "--seed", "5"]) == EXIT_OK
+        for value in ("1", "2"):
+            assert ((out / f"run.seed={value}" / "records.csv").read_bytes()
+                    == (tmp_path / "r" / "records.csv").read_bytes())
 
     @pytest.mark.parametrize("param", ["nodes.1.rx_latency", "run.seed.x"])
     def test_param_through_a_non_object_is_config_error(self, good_scenario,

@@ -22,8 +22,8 @@ import pytest
 from tsnsim import harness
 from tsnsim.egress import EgressPort
 from tsnsim.harness import export_records, run_scenario
-from tsnsim.network import BridgeNode, cqf_latency_bound
-from tsnsim.scenario import NO_SHAPER, ConfigError, EtfCfg, chain_links, parse_scenario
+from tsnsim.network import BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound
+from tsnsim.scenario import ConfigError, EtfCfg, parse_scenario
 from tsnsim.traffic import transmission_time
 
 from conftest import CappedEngine
@@ -277,7 +277,7 @@ def _identity_clocks(cfg) -> bool:
 
 
 def _software_etf(cfg) -> bool:
-    return any(isinstance(s, EtfCfg) and not s.offload for s in cfg.shapers.values())
+    return any(isinstance(hop.shaper, EtfCfg) and not hop.shaper.offload for hop in cfg.path)
 
 
 def _acausal(cfg, records) -> list:
@@ -336,24 +336,44 @@ def test_cqf_latency_within_bound(corpus):
         if cqf is None:
             continue
         cycle, base = cqf["cycle_time_ns"], cqf["base_time"]
-        chain = chain_links(cfg.links, cfg.talker.name, cfg.listener.name)
-        forwarding = {n.name: n.forwarding for n in cfg.nodes}
-        first, last = chain[0].dst, chain[-1]
-        shapers = [cfg.shapers.get(link.src, NO_SHAPER) for link in chain[1:]]
+        bridges = cfg.path[1:]
+        first, last = bridges[0].node.name, bridges[-1].link
         received = Counter((route, (t - base) // cycle)
                            for (node, _, route), t in times.items() if node == first)
-        if (any(s.guard_mode != "fit" or s.preemption.enabled for s in shapers)
-                or any(_largest(forwarding[link.src]) + link.propagation_ns + transmission_time(
-                    cfg.traffic.frame_size_bytes, link.rate_bps, link.overhead_bytes) > cycle
-                       for link in chain[1:])
+        if (any(hop.shaper.guard_mode != "fit" or hop.shaper.preemption.enabled
+                for hop in bridges)
+                or any(_largest(hop.node.forwarding) + hop.link.propagation_ns
+                       + transmission_time(cfg.traffic.frame_size_bytes, hop.link.rate_bps,
+                                           hop.link.overhead_bytes) > cycle
+                       for hop in bridges)
                 or any(n > 1 for n in received.values())):
             continue
-        bound = cqf_latency_bound(len(chain) - 1, cycle)
+        bound = cqf_latency_bound(len(bridges), cycle)
         for (node, fid, route), t in times.items():
             if node == "listener":
                 assert t - last.propagation_ns - times[first, fid, route] <= bound, (seed, fid)
                 checked += 1
     assert checked > 40
+
+
+def test_compiled_path_is_the_generated_chain(corpus):
+    checked = 0
+    for seed, cfg, _, _ in _runs(corpus, lambda cfg: True):
+        doc = generate(seed)
+        names = [hop.node.name for hop in cfg.path] + [cfg.listener.name]
+        assert names == [link["from"] for link in doc["links"]] + ["listener"], seed
+        # each hop's link leaves its node for the next hop's, the last for the listener
+        assert [(hop.link.src, hop.link.dst) for hop in cfg.path] == list(
+            zip(names, names[1:])), seed
+        if "cqf" in doc:
+            gate, gcl = cqf_compose(CqfConfig(**doc["cqf"]))
+            for hop in cfg.path[1:]:
+                assert hop.filter.rules is None and list(hop.filter.gates) == [None], seed
+                for got, want in ((hop.filter.gates[None], gate), (hop.shaper.gcl, gcl)):
+                    assert (got.base_time, got.cycle_time_ns, got.entries) == (
+                        want.base_time, want.cycle_time_ns, want.entries), seed
+                checked += 1
+    assert checked > 60  # 69 bridge hops of 32 CQF seeds
 
 
 def test_corpus_digest_unchanged(corpus):

@@ -29,7 +29,7 @@ def parse_link(**link):
 
 class TestLink:
     def test_fields(self):
-        link = parse_link(rate_bps=10 ** 9, propagation_ns=500).links[0]
+        link = parse_link(rate_bps=10 ** 9, propagation_ns=500).path[0].link
         assert link.rate_bps == 10 ** 9 and link.propagation_ns == 500
 
     def test_zero_rate_rejected(self):

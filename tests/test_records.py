@@ -13,7 +13,7 @@ from tsnsim.egress import GclEntry, PreemptionConfig
 from tsnsim.harness import PacketRecord, Records, RunResult, run_scenario
 from tsnsim.ingress import PsfpDecision, StreamGateEntry
 from tsnsim.network import CqfConfig
-from tsnsim.scenario import (EtfCfg, FilterCfg, FrerCfg, LinkCfg, NodeCfg, RunCfg,
+from tsnsim.scenario import (EtfCfg, FilterCfg, FrerCfg, Hop, LinkCfg, NodeCfg, RunCfg,
                              ScenarioConfig, TaprioCfg, TrafficCfg, load_scenario,
                              parse_scenario)
 from tsnsim.traffic import Frame, StreamKey, StreamRule
@@ -32,7 +32,8 @@ FROZEN = (JitterDist.uniform(-3, 9), StreamGateEntry(open=True, duration_ns=10, 
           TrafficCfg(count=7, stream=StreamKey(1, 100, 2)))
 #: read-only records with a field that does not hash: a dict, a list or a mapping
 UNHASHABLE = (FilterCfg(), RunResult(Records(), {"path_loss": 1}, {"seed": 1}),
-              parse_scenario(gated_psfp_chain(5)))
+              parse_scenario(gated_psfp_chain(5)),
+              Hop(NodeCfg("talker", "talker"), LinkCfg("talker", "sw0", 10 ** 9)))
 MUTABLE = (ClockModel(offset_ns=5, drift_ppm=2), RunCfg(seed=4), Frame(1, 64, 3),
            PacketRecord(7, 700, sw_tx=701))
 RECORDS = FROZEN + UNHASHABLE + MUTABLE
@@ -49,7 +50,7 @@ def _subclasses(cls):
 def test_every_record_type_is_covered():
     made_here = {cls for cls in _subclasses(Record) if cls.__module__.startswith("tsnsim.")}
     assert made_here == {type(r) for r in RECORDS}
-    assert len(made_here) == len(RECORDS) == 20 and len(DECLARED) == 15
+    assert len(made_here) == len(RECORDS) == 21 and len(DECLARED) == 16
 
 
 def test_jitter_dist_equal_and_hashed_by_value():
@@ -172,12 +173,16 @@ def test_deepcopy_of_a_parsed_scenario_runs_alike():
     cfg = parse_scenario(gated_psfp_chain(30))
     clone = copy.deepcopy(cfg)
     assert type(clone) is ScenarioConfig and clone is not cfg
-    for name in ("nodes", "links", "clocks", "frer", "traffic", "run"):
+    for name in ("listener", "clocks", "frer", "traffic", "run"):
         assert getattr(clone, name) == getattr(cfg, name), name
     assert clone.traffic.stream == (1, 100, 0) and type(clone.traffic.stream) is StreamKey
-    assert {n: type(s) for n, s in clone.shapers.items()} == {
-        n: type(s) for n, s in cfg.shapers.items()}
-    assert clone.shapers["sw0"].gcl is not cfg.shapers["sw0"].gcl
+    # a CyclicSchedule equals only itself: the path's schedules are compared by their entries
+    for mine, theirs in zip(clone.path, cfg.path, strict=True):
+        assert (mine.node, mine.link, type(mine.shaper)) == (
+            theirs.node, theirs.link, type(theirs.shaper))
+        assert mine.filter.gates.keys() == theirs.filter.gates.keys()
+    gcl, their_gcl = clone.path[1].shaper.gcl, cfg.path[1].shaper.gcl
+    assert gcl is not their_gcl and gcl.entries == their_gcl.entries
     first, second = run_scenario(cfg), run_scenario(clone)
     assert first == second and len(first.records) == 30
 

@@ -13,8 +13,8 @@ from tsnsim.core import ClockModel, CyclicSchedule, JitterDist
 from tsnsim.egress import GclEntry, PreemptionConfig
 from tsnsim.ingress import StreamGateEntry
 from tsnsim.network import CqfConfig, cqf_compose
-from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, FrerCfg, RunCfg, TaprioCfg,
-                             TrafficCfg, load_scenario, parse_scenario)
+from tsnsim.scenario import (NO_FILTER, NO_SHAPER, ConfigError, EtfCfg, FilterCfg, FrerCfg,
+                             RunCfg, TaprioCfg, TrafficCfg, load_scenario, parse_scenario)
 from tsnsim.traffic import StreamKey
 
 from helpers import gcl_state
@@ -45,14 +45,6 @@ def bridged(**overrides):
                    **overrides)
 
 
-def off_path(**overrides):
-    """bridged() with a bridge sw9 linked only to the listener."""
-    doc = bridged(**overrides)
-    doc["nodes"].append({"name": "sw9", "role": "bridge"})
-    doc["links"].append({"from": "sw9", "to": "listener", "rate_bps": 10 ** 9})
-    return doc
-
-
 CQF = {"enabled": True, "cycle_time_ns": 100_000}
 CLOSED_GCL = {"cycle_time_ns": 500_000,
               "entries": [{"gate_mask": 0, "duration_ns": 500_000}]}
@@ -71,8 +63,8 @@ def problems_of(doc):
 class TestValidDocuments:
     def test_minimal_accepted(self):
         cfg = parse_scenario(MINIMAL)
-        assert cfg.talker.name == "talker"
-        assert cfg.listener.name == "listener"
+        assert [hop.node.name for hop in cfg.path] == ["talker"]
+        assert cfg.path[0].link.dst == cfg.listener.name == "listener"
         assert cfg.traffic.count == 100
 
     @pytest.mark.parametrize("name", ["direct_zero.json", "paper_fig1.json",
@@ -87,7 +79,8 @@ class TestValidDocuments:
         assert cfg.traffic.mode == "sleep"
         # CQF is off: a bridge gets no stream gate and no GCL
         plain = parse_scenario(bridged())
-        assert not cfg.frer.enabled and plain.filters == {} and plain.shapers == {}
+        assert not cfg.frer.enabled
+        assert [(hop.shaper, hop.filter) for hop in plain.path] == [(NO_SHAPER, NO_FILTER)] * 2
 
     def test_builders_copy_what_they_are_given(self):
         # bridged() passes MINIMAL's own node dicts to variant(), which copies them
@@ -234,11 +227,10 @@ class TestRejections:
     def test_filter_rules_built_once(self):
         doc = bridged(filters={"sw0": {"rules": [
             {"vlan_id": 100, "handle": "s0"}, {"dest_mac": None, "handle": "any"}]}})
-        rules = parse_scenario(doc).filters["sw0"].rules
+        rules = parse_scenario(doc).path[1].filter.rules
         assert rules.identify(StreamKey(dest_mac=5, vlan_id=100, pcp=0)) == "s0"
         assert rules.identify(StreamKey(dest_mac=5, vlan_id=7, pcp=0)) == "any"
-        assert parse_scenario(bridged(filters={"sw0": {}})).filters[
-            "sw0"].rules is None
+        assert parse_scenario(bridged(filters={"sw0": {}})).path[1].filter.rules is None
 
     @pytest.mark.parametrize("links,stuck", [
         ([("listener", "talker")], "talker"),
@@ -278,18 +270,38 @@ class TestRejections:
          "shapers.sw0.scheme"),
         (variant(cqf=CQF), "cqf.enabled"),
         (bridged(traffic=TXTIME), "traffic.mode"),
-        (off_path(shapers={"sw9": {"gcl": CLOSED_GCL}}), "shapers.sw9"),
-        (off_path(filters={"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}),
-         "filters.sw9"),
         (bridged(filters={"sw0": {"gates": {"s0": CLOSED_GATE}}}), "filters.sw0.gates.s0"),
         (bridged(filters={"sw0": {"rules": [{"vlan_id": 7, "handle": "s1"}],
                                   "gates": {"s0": CLOSED_GATE, "s1": CLOSED_GATE}}}),
          "filters.sw0.gates.s0"),
     ], ids=["cqf_filters", "cqf_gcl", "cqf_etf", "cqf_no_bridge", "txtime_no_etf",
-            "off_path_shaper", "off_path_filters", "gate_without_rules",
-            "gate_no_rule_names"])
+            "gate_without_rules", "gate_no_rule_names"])
     def test_config_run_would_ignore_rejected(self, doc, path):
         assert [p.partition(":")[0] for p in problems_of(doc)] == [path]
+
+    # a run builds only the path, so a link or node off it would have no effect
+    @pytest.mark.parametrize("nodes,links,sections,off", [
+        # every FRER member path went through a; b's slow links were never used
+        (["a", "b"], [("talker", "a"), ("a", "listener"), ("talker", "b"), ("b", "listener")],
+         {"frer": {"enabled": True, "paths": 2}}, ["links[2]", "links[3]", "nodes[3]"]),
+        (["sw0", "sw9"], [("talker", "sw0"), ("sw0", "listener"), ("sw9", "listener")],
+         {"shapers": {"sw9": {"gcl": CLOSED_GCL}}}, ["links[2]", "nodes[3]"]),
+        (["sw0", "sw9"], [("talker", "sw0"), ("sw0", "listener"), ("sw9", "listener")],
+         {"filters": {"sw9": {"rules": [{"vlan_id": 7, "handle": "s0"}]}}},
+         ["links[2]", "nodes[3]"]),
+        (["sw0"], [("talker", "sw0"), ("sw0", "listener"), ("listener", "talker")], {},
+         ["links[2]"]),
+        (["sw0"], [("talker", "sw0"), ("sw0", "listener"), ("talker", "listener")], {},
+         ["links[2]"]),
+        (["sw0", "sw9"], [("talker", "sw0"), ("sw0", "listener")],
+         {"clocks": {"sw9": {"phc": {"drift_ppm": 5}}}}, ["nodes[3]"]),
+    ], ids=["second_path", "off_path_shaper", "off_path_filters", "listener_to_talker",
+            "second_link_out", "clocks_on_unlinked_node"])
+    def test_links_and_nodes_off_the_path_rejected(self, nodes, links, sections, off):
+        doc = variant(nodes=MINIMAL["nodes"] + [{"name": n, "role": "bridge"} for n in nodes],
+                      links=[{"from": a, "to": b, "rate_bps": 10 ** 9} for a, b in links],
+                      **sections)
+        assert problems_of(doc) == [f"{p}: not on the talker-to-listener path" for p in off]
 
     # the runner cannot sample any of these
     @pytest.mark.parametrize("node,traffic,path", [
@@ -428,7 +440,7 @@ class TestBuiltObjects:
             FilterCfg().gates["s0"] = None
         cfg = parse_scenario(MINIMAL)
         for record, field in ((cfg, "traffic"), (cfg.traffic, "period_ns"),
-                              (cfg.nodes[0], "role")):
+                              (cfg.path[0], "shaper"), (cfg.path[0].node, "role")):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
 
@@ -446,15 +458,16 @@ class TestBuiltObjects:
             traffic={"mode": "txtime",
                      "stream": {"dest_mac": 1, "vlan_id": 2, "pcp": 3}}))
         # redundant now that a record equals only its own type, each == keeps its type check
-        assert cfg.shapers["talker"] == EtfCfg(offload=False, delta_ns=50_000)
-        assert type(cfg.shapers["talker"]) is EtfCfg
-        taprio = cfg.shapers["sw0"]
+        talker, sw0 = cfg.path
+        assert talker.shaper == EtfCfg(offload=False, delta_ns=50_000)
+        assert type(talker.shaper) is EtfCfg
+        taprio = sw0.shaper
         assert isinstance(taprio.gcl, CyclicSchedule)
         assert gcl_state(taprio.gcl, 0) == (1, 1000)
         assert taprio.preemption == PreemptionConfig(enabled=True,
                                                      express_classes=frozenset({3}))
         assert type(taprio.preemption) is PreemptionConfig
-        sg = cfg.filters["sw0"].gates["s0"]
+        sg = sw0.filter.gates["s0"]
         assert isinstance(sg, CyclicSchedule) and sg.base_time == 5
         assert sg.entries == [StreamGateEntry(open=True, duration_ns=1000,
                                               max_octets=128)]
@@ -473,26 +486,27 @@ class TestBuiltObjects:
                              "preemption": preemption}},
             cqf={"enabled": True, "cycle_time_ns": 2000}))
         gate, gcl = cqf_compose(CqfConfig(cycle_time_ns=2000, ipv_even=2, ipv_odd=3))
-        for b in ("sw0", "sw1"):
-            fc = cfg.filters[b]
+        talker, sw0, sw1 = cfg.path
+        for hop in (sw0, sw1):
+            fc = hop.filter
             assert fc.rules is None and list(fc.gates) == [None]
             sg = fc.gates[None]
             assert isinstance(sg, CyclicSchedule)
             assert (sg.base_time, sg.cycle_time_ns, sg.entries) == (
                 gate.base_time, gate.cycle_time_ns, gate.entries)
-            compiled = cfg.shapers[b].gcl
+            compiled = hop.shaper.gcl
             assert isinstance(compiled, CyclicSchedule)
             assert (compiled.base_time, compiled.cycle_time_ns, compiled.entries) == (
                 gcl.base_time, gcl.cycle_time_ns, gcl.entries)
             assert {type(e) for e in sg.entries} == {StreamGateEntry}
             assert {type(e) for e in compiled.entries} == {GclEntry}
-        assert cfg.shapers["sw0"] == TaprioCfg(
-            gcl=cfg.shapers["sw0"].gcl, guard_mode="none", queue_capacity=2,
+        assert sw0.shaper == TaprioCfg(
+            gcl=sw0.shaper.gcl, guard_mode="none", queue_capacity=2,
             preemption=PreemptionConfig(enabled=True, express_classes=frozenset({5})))
-        assert type(cfg.shapers["sw0"].preemption) is PreemptionConfig
-        assert cfg.shapers["sw1"] == TaprioCfg(gcl=cfg.shapers["sw1"].gcl)
-        assert type(cfg.shapers["sw0"]) is type(cfg.shapers["sw1"]) is TaprioCfg
-        assert "talker" not in cfg.shapers and "talker" not in cfg.filters
+        assert type(sw0.shaper.preemption) is PreemptionConfig
+        assert sw1.shaper == TaprioCfg(gcl=sw1.shaper.gcl)
+        assert type(sw0.shaper) is type(sw1.shaper) is TaprioCfg
+        assert talker.shaper is NO_SHAPER and talker.filter is NO_FILTER
 
 
 @pytest.mark.parametrize("fields,names", [

@@ -339,25 +339,27 @@ class Engine:
         return count
 
 
-class CyclicSchedule:
+class CyclicSchedule(Record, frozen=True):
     """Entries whose durations partition a cycle repeating from base_time: a
-    GCL's GclEntry list or a stream gate's StreamGateEntry windows. It holds
+    GCL's GclEntry tuple or a stream gate's StreamGateEntry windows. It holds
     no run state; the TaprioPort or StreamGate that runs it compiles its tables.
 
     Entries cover half-open intervals [start, end) of the cycle phase, so
     an instant on a boundary belongs to the entry starting there.
     """
 
-    def __init__(self, base_time: SimTime, cycle_time_ns: int, entries: list):
+    _fields = ("base_time", "cycle_time_ns", "entries")
+    __slots__ = (*_fields, "_starts", "_ends")
+
+    def __init__(self, base_time: SimTime, cycle_time_ns: int, entries):
+        super().__init__(base_time, cycle_time_ns, entries := tuple(entries))
         if not entries:
             raise ScheduleError("schedule needs at least one entry")
         if any(e.duration_ns <= 0 for e in entries):
             raise ScheduleError("every entry duration must be > 0")
-        self._ends = list(accumulate(e.duration_ns for e in entries))
-        self._starts = [0, *self._ends[:-1]]
-        if self._ends[-1] != cycle_time_ns:
-            raise ScheduleError(f"durations sum to {self._ends[-1]}, not cycle_time_ns "
+        ends = list(accumulate(e.duration_ns for e in entries))
+        if ends[-1] != cycle_time_ns:
+            raise ScheduleError(f"durations sum to {ends[-1]}, not cycle_time_ns "
                                 f"{cycle_time_ns}")
-        self.base_time = base_time
-        self.cycle_time_ns = cycle_time_ns
-        self.entries = list(entries)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_starts", [0, *ends[:-1]])

@@ -412,9 +412,9 @@ def build_path(engine: Engine, cfg: ScenarioConfig, clocks: dict, seed: int, rec
     for hop in reversed(hops):
         name, fcfg = hop.node.name, hop.filter
         port = _build_port(engine, hop.link, hop.shaper, clocks[name], receive)
-        rules = fcfg.rules and StreamRuleSet(fcfg.rules.rules)  # a fresh identify memo
+        rules = StreamRuleSet(fcfg.rules) if fcfg.rules else None  # a fresh identify memo
         bridge = BridgeNode(engine, name, port, stream_rules=rules,
-                            gates={h: StreamGate(s) for h, s in fcfg.gates.items()},
+                            gates={h: StreamGate(s) for h, s in fcfg.gates},
                             forwarding_latency=hop.node.forwarding,
                             rng=rng_fork(seed, f"fwd:{name}{suffix}"))
         bridges.append(bridge)

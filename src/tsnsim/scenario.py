@@ -1,12 +1,13 @@
 """Declarative scenario files: schema, validation, and typed access.
 
 A scenario is a JSON document with top-level sections nodes, links,
-clocks, shapers, filters, frer, cqf, traffic, run. Validation rejects
-unknown keys and reports every problem with its dotted path. The links
-must make one path from the talker through the bridges to the listener,
-which parse_scenario compiles into hops, each with its node, link out,
-shaper and filter; a node or link off it is rejected. An enabled cqf
-section sets the stream gate windows and GCL of each bridge hop.
+clocks, shapers, filters, frer, cqf, traffic, run. Each object is read
+by one field reader into a value record, so a parsed scenario holds no
+run state. Validation rejects unknown keys and reports every problem with
+its dotted path. The links must make one path from the talker through the
+bridges to the listener, which parse_scenario compiles into hops, each with
+its node, link out, shaper and filter; a node or link off it is rejected.
+An enabled cqf section sets the stream gate windows and GCL of each bridge hop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from functools import partial
-from types import MappingProxyType
 from typing import Optional
 
 from .core import CONSTANT_ZERO, PPM, ClockModel, CyclicSchedule, JitterDist, Record, ScheduleError
@@ -54,8 +54,9 @@ class ConfigError(Exception):
 
 
 class _Checker:
-    """Collects problems. Readers take (obj, key, path) and return obj[key], or
-    default when it is absent or bad (choice returns None when it is bad)."""
+    """Collects problems. read makes each scenario object a record, one reader per
+    field; readers take (obj, key, path) and return obj[key], or default when it
+    is absent or bad (choice returns None when it is bad)."""
 
     def __init__(self):
         self.problems: list[str] = []
@@ -179,15 +180,12 @@ class EtfCfg(Record, frozen=True):
 
 
 class FilterCfg(Record, frozen=True):
-    rules: Optional[StreamRuleSet] = None  # None: every frame has handle None
-    #: handle -> CyclicSchedule of StreamGateEntry, which each bridge on
-    #: each path runs as a StreamGate of its own. The default, shared by
-    #: every FilterCfg(), is read-only
-    gates: dict = MappingProxyType({})
+    """A bridge's stream rules, first match wins (none: every frame has handle
+    None), and its (handle, CyclicSchedule of StreamGateEntry) pairs. Each bridge
+    on each path builds a StreamRuleSet and StreamGates of its own from them."""
 
-    def __reduce_ex__(self, protocol):
-        """A copy or pickle gets gates of its own: a read-only mapping cannot be copied."""
-        return FilterCfg, (self.rules, dict(self.gates))
+    rules: tuple[StreamRule, ...] = ()
+    gates: tuple[tuple[Optional[str], CyclicSchedule], ...] = ()
 
 
 class FrerCfg(Record, frozen=True):
@@ -310,6 +308,29 @@ def _loss(c: _Checker, obj, key, path):
     return float(loss)
 
 
+def _text(c: _Checker, obj, key, path, empty=True):
+    """A string, and not "" unless empty; absent, it is bad."""
+    v = obj.get(key)
+    if isinstance(v, str) and (empty or v):
+        return v
+    c.fail(f"{path}.{key}", f"expected a {'' if empty else 'non-empty '}string")
+    return None
+
+
+def _forwarding(c: _Checker, obj, key, path):
+    """A {"preset": name} of FORWARDING_PRESETS, or a latency."""
+    fwd = obj[key]
+    if isinstance(fwd, dict) and set(fwd) == {"preset"}:
+        return FORWARDING_PRESETS.get(c.choice(fwd, "preset", f"{path}.{key}",
+                                               FORWARDING_PRESETS, unknown="preset"))
+    return _latency(c, obj, key, path)
+
+
+def _link(**values) -> LinkCfg:
+    """The LinkCfg of a links entry, whose ends are its from and to."""
+    return LinkCfg(values.pop("from"), values.pop("to"), **values)
+
+
 def _classes(c: _Checker, obj, key, path):
     ec = obj[key]
     if (not isinstance(ec, list)
@@ -321,6 +342,11 @@ def _classes(c: _Checker, obj, key, path):
 
 
 _latency = partial(_Checker.dist, latency=True)
+
+_NODE = {"name": partial(_text, empty=False), "role": _choice("talker", "bridge", "listener"),
+         "forwarding": _forwarding, "rx_latency": _Checker.dist}
+# a link's from and to are read against the document's node names
+_LINK = {"rate_bps": _int(lo=1), "propagation_ns": _int(lo=0), "overhead_bytes": _int(lo=0)}
 
 _CLOCK = {"offset_ns": _int(), "drift_ppm": _drift,
           "sync_interval_ns": _int(lo=1, nullable=True), "sync_residual": _Checker.dist}
@@ -338,6 +364,9 @@ _ETF = {"offload": _Checker.bool_in, "delta_ns": _int(lo=0)}
 _FRER = {"enabled": _Checker.bool_in, "paths": _int(lo=1, hi=MAX_FRER_PATHS),
          "window_size": _int(lo=1), "loss_per_path": _loss}
 _STREAM_KEY = {k: _int(lo=0, hi=hi) for k, hi in _STREAM_FIELDS.items()}
+# a stream rule's absent or null key field matches any value
+_RULE = {**{k: _int(lo=0, hi=hi, nullable=True) for k, hi in _STREAM_FIELDS.items()},
+         "handle": _text}
 _TRAFFIC = {"period_ns": _int(lo=1), "count": _int(lo=1),
             "frame_size_bytes": _int(lo=MIN_FRAME_BYTES, hi=MAX_FRAME_BYTES),
             "mode": _choice("sleep", "txtime"), "priority": _int(lo=0, hi=7),
@@ -364,32 +393,14 @@ def _parse_section(c: _Checker, doc, key, cls, fields, required=False):
 
 
 def _parse_nodes(c: _Checker, raw) -> tuple[list[NodeCfg], set]:
-    """The nodes, and every valid name, also that of a node with a bad role."""
+    """The nodes, and every valid name, also that of a node with a bad value."""
     nodes, names = [], set()
     for i, n in enumerate(c.nonempty(raw, "nodes")):
-        p = f"nodes[{i}]"
-        if not c.dict(n, p, {"name", "role", "forwarding", "rx_latency"},
-                      required=("name", "role")):
-            continue
-        name = n.get("name")
-        if not isinstance(name, str) or not name:
-            c.fail(f"{p}.name", "expected a non-empty string")
-            continue
-        if name in names:
-            c.fail(f"{p}.name", f"duplicate node name {name!r}")
-        names.add(name)
-        role = c.choice(n, "role", p, ("talker", "bridge", "listener"))
-        if role is None:
-            continue
-        rx_latency = c.dist(n, "rx_latency", p, default=CONSTANT_ZERO)
-        fwd = n.get("forwarding")
-        if isinstance(fwd, dict) and set(fwd) == {"preset"}:
-            preset = c.choice(fwd, "preset", f"{p}.forwarding", FORWARDING_PRESETS,
-                              unknown="preset")
-            forwarding = FORWARDING_PRESETS.get(preset, CONSTANT_ZERO)
-        else:
-            forwarding = c.dist(n, "forwarding", p, default=CONSTANT_ZERO, latency=True)
-        nodes.append(NodeCfg(name, role, forwarding, rx_latency))
+        nodes.append(c.read(n, f"nodes[{i}]", NodeCfg, _NODE, ("name", "role")))
+        if isinstance(n, dict) and isinstance(name := n.get("name"), str) and name:
+            if name in names:
+                c.fail(f"nodes[{i}].name", f"duplicate node name {name!r}")
+            names.add(name)
     if not c.problems:
         for role in ("talker", "listener"):
             if [n.role for n in nodes].count(role) != 1:
@@ -400,18 +411,9 @@ def _parse_nodes(c: _Checker, raw) -> tuple[list[NodeCfg], set]:
 def _parse_links(c: _Checker, raw, nodes, names) -> list[LinkCfg]:
     """The links from talker to listener, each node's link out in turn, once
     every node and link is valid; [] on a problem, or with any off that path."""
-    links = []
-    for i, l in enumerate(c.nonempty(raw, "links")):
-        p = f"links[{i}]"
-        if not c.dict(l, p, {"from", "to", "rate_bps", "propagation_ns",
-                             "overhead_bytes"}, required=("from", "to", "rate_bps")):
-            continue
-        for key in ("from", "to"):
-            c.choice(l, key, p, names, unknown="node")
-        links.append(LinkCfg(l.get("from"), l.get("to"),
-                             c.int_in(l, "rate_bps", p, lo=1),
-                             c.int_in(l, "propagation_ns", p, lo=0, default=0),
-                             c.int_in(l, "overhead_bytes", p, lo=0, default=0)))
+    end = partial(_Checker.choice, choices=names, unknown="node")
+    links = [c.read(l, f"links[{i}]", _link, {"from": end, "to": end, **_LINK},
+                    ("from", "to", "rate_bps")) for i, l in enumerate(c.nonempty(raw, "links"))]
     if c.problems:
         return []
     ends = {n.role: n.name for n in nodes}
@@ -476,29 +478,20 @@ def _parse_filter(c: _Checker, spec, path) -> FilterCfg:
     if not isinstance(rules, list):
         c.fail(f"{path}.rules", "expected a list")
         rules = []
-    before = len(c.problems)
-    for i, r in enumerate(rules):
-        rp = f"{path}.rules[{i}]"
-        if c.dict(r, rp, {"handle", *_STREAM_FIELDS}, required=("handle",)):
-            if not isinstance(r.get("handle"), str):
-                c.fail(f"{rp}.handle", "expected a string")
-            for k, hi in _STREAM_FIELDS.items():  # absent or null matches any
-                c.int_in(r, k, rp, lo=0, hi=hi, nullable=True)
-    # the bridges share this rule set, so it is built only when valid
-    rule_set = None
-    if rules and len(c.problems) == before:
-        try:
-            rule_set = StreamRuleSet([StreamRule(r.get("dest_mac"), r.get("vlan_id"),
-                                                 r.get("pcp"), r["handle"]) for r in rules])
+    rules = tuple(c.read(r, f"{path}.rules[{i}]", StreamRule, _RULE, ("handle",))
+                  for i, r in enumerate(rules))
+    if None not in rules:
+        try:  # each bridge builds a rule set of its own; this one checks the patterns
+            StreamRuleSet(rules)
         except DuplicateExactRuleError as exc:
             c.fail(f"{path}.rules", str(exc))
     gates = spec.get("gates", {})
     if not isinstance(gates, dict):
         c.fail(f"{path}.gates", "expected an object")
         gates = {}
-    return FilterCfg(rule_set, {h: _parse_schedule(c, g, f"{path}.gates.{h}", StreamGateEntry,
-                                                   _GATE_ENTRY, ("open", "duration_ns"))
-                                for h, g in gates.items()})
+    return FilterCfg(rules, tuple((h, _parse_schedule(c, g, f"{path}.gates.{h}", StreamGateEntry,
+                                                      _GATE_ENTRY, ("open", "duration_ns")))
+                                  for h, g in gates.items()))
 
 
 def _parse_cqf(c: _Checker, doc) -> Optional[tuple[CyclicSchedule, CyclicSchedule]]:
@@ -531,8 +524,7 @@ def _check_path(c: _Checker, by_name, chain, shapers, filters, cqf, mode) -> tup
         shaper, fc = shapers.get(name, NO_SHAPER), filters.get(name, NO_FILTER)
         # past the talker, a bridge looks its gate up by the handle of the rule a frame matches
         if path:
-            named = {r.handle for r in fc.rules.rules} if fc.rules else set()
-            for handle in sorted(fc.gates.keys() - named):
+            for handle in sorted({h for h, _ in fc.gates} - {r.handle for r in fc.rules}):
                 c.fail(f"filters.{name}.gates.{handle}",
                        f"no rule in filters.{name}.rules names this handle")
         if path and cqf is not None:
@@ -545,7 +537,7 @@ def _check_path(c: _Checker, by_name, chain, shapers, filters, cqf, mode) -> tup
             else:
                 shaper = TaprioCfg(cqf[1], shaper.guard_mode, shaper.queue_capacity,
                                    shaper.preemption)
-            fc = FilterCfg(gates={None: cqf[0]})
+            fc = FilterCfg(gates=((None, cqf[0]),))
         if isinstance(shaper, EtfCfg) and mode == "sleep":
             c.fail(f"shapers.{name}.scheme",
                    "etf needs traffic.mode txtime: a sleep-mode talker sets no txtime")

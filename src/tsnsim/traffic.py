@@ -98,9 +98,9 @@ def transmission_time(size_bytes: int, link_rate_bps: int,
 class StreamRule(Record, frozen=True):
     """Wildcard pattern over StreamKey fields; None matches anything."""
 
-    dest_mac: Optional[int]
-    vlan_id: Optional[int]
-    pcp: Optional[int]
+    dest_mac: Optional[int] = None
+    vlan_id: Optional[int] = None
+    pcp: Optional[int] = None
     handle: str
 
     def matches(self, key: StreamKey) -> bool:
@@ -112,7 +112,7 @@ class StreamRule(Record, frozen=True):
 class StreamRuleSet:
     """Ordered first-match-wins rule list mapping StreamKeys to handles."""
 
-    def __init__(self, rules: list[StreamRule]):
+    def __init__(self, rules):
         seen = set()
         for r in rules:
             pattern = (r.dest_mac, r.vlan_id, r.pcp)

@@ -71,5 +71,4 @@ def run_until(engine, t_end: int) -> int:
 
 def make_stream_rules(config: list[dict]) -> StreamRuleSet:
     """A rule set from config entries of {dest_mac?, vlan_id?, pcp?, handle}."""
-    return StreamRuleSet([StreamRule(e.get("dest_mac"), e.get("vlan_id"), e.get("pcp"),
-                                     e["handle"]) for e in config])
+    return StreamRuleSet([StreamRule(**entry) for entry in config])

@@ -1,24 +1,30 @@
 """The value records built on core.Record: equality, hashing, construction,
-copies and mutability, for every Record subclass in tsnsim."""
+copies and mutability, for every Record subclass in tsnsim; and every
+accepted scenario parsed into plain values only."""
 
 import copy
+import json
+import pickle
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tsnsim
-from tsnsim.core import ClockModel, JitterDist, Record
+from tsnsim.core import ClockModel, CyclicSchedule, JitterDist, Record
 from tsnsim.egress import GclEntry, PreemptionConfig
 from tsnsim.harness import PacketRecord, Records, RunResult, run_scenario
 from tsnsim.ingress import PsfpDecision, StreamGateEntry
 from tsnsim.network import CqfConfig
-from tsnsim.scenario import (EtfCfg, FilterCfg, FrerCfg, Hop, LinkCfg, NodeCfg, RunCfg,
-                             ScenarioConfig, TaprioCfg, TrafficCfg, load_scenario,
+from tsnsim.scenario import (ConfigError, EtfCfg, FilterCfg, FrerCfg, Hop, LinkCfg, NodeCfg,
+                             RunCfg, ScenarioConfig, TaprioCfg, TrafficCfg, load_scenario,
                              parse_scenario)
 from tsnsim.traffic import Frame, StreamKey, StreamRule
 
 from test_call_budget import gated_psfp_chain
+from test_generated_corpus import SEEDS, generate
+from test_validation_corpus import _cases
 
 SCENARIOS = Path(tsnsim.__file__).parent / "scenarios"
 #: read-only records whose fields all hash
@@ -29,11 +35,14 @@ FROZEN = (JitterDist.uniform(-3, 9), StreamGateEntry(open=True, duration_ns=10, 
           NodeCfg("sw0", "bridge", forwarding=JitterDist.constant(5)),
           LinkCfg("a", "b", 10 ** 9, propagation_ns=50), TaprioCfg(guard_mode="none"),
           EtfCfg(offload=False, delta_ns=50_000), FrerCfg(enabled=True, paths=3),
-          TrafficCfg(count=7, stream=StreamKey(1, 100, 2)))
-#: read-only records with a field that does not hash: a dict, a list or a mapping
-UNHASHABLE = (FilterCfg(), RunResult(Records(), {"path_loss": 1}, {"seed": 1}),
-              parse_scenario(gated_psfp_chain(5)),
-              Hop(NodeCfg("talker", "talker"), LinkCfg("talker", "sw0", 10 ** 9)))
+          TrafficCfg(count=7, stream=StreamKey(1, 100, 2)),
+          CyclicSchedule(5, 30, [GclEntry(0x01, 10), GclEntry(0x03, 20)]),
+          FilterCfg((StreamRule(vlan_id=7, handle="s0"),),
+                    (("s0", CyclicSchedule(0, 10, [StreamGateEntry(True, 10)])),)),
+          Hop(NodeCfg("talker", "talker"), LinkCfg("talker", "sw0", 10 ** 9)))
+#: read-only records with a field that does not hash: a dict or a list
+UNHASHABLE = (RunResult(Records(), {"path_loss": 1}, {"seed": 1}),
+              parse_scenario(gated_psfp_chain(5)))
 MUTABLE = (ClockModel(offset_ns=5, drift_ppm=2), RunCfg(seed=4), Frame(1, 64, 3),
            PacketRecord(7, 700, sw_tx=701))
 RECORDS = FROZEN + UNHASHABLE + MUTABLE
@@ -50,7 +59,7 @@ def _subclasses(cls):
 def test_every_record_type_is_covered():
     made_here = {cls for cls in _subclasses(Record) if cls.__module__.startswith("tsnsim.")}
     assert made_here == {type(r) for r in RECORDS}
-    assert len(made_here) == len(RECORDS) == 21 and len(DECLARED) == 16
+    assert len(made_here) == len(RECORDS) == 22 and len(DECLARED) == 16
 
 
 def test_jitter_dist_equal_and_hashed_by_value():
@@ -173,18 +182,59 @@ def test_deepcopy_of_a_parsed_scenario_runs_alike():
     cfg = parse_scenario(gated_psfp_chain(30))
     clone = copy.deepcopy(cfg)
     assert type(clone) is ScenarioConfig and clone is not cfg
-    for name in ("listener", "clocks", "frer", "traffic", "run"):
+    for name in ("path", "listener", "clocks", "frer", "traffic", "run"):
         assert getattr(clone, name) == getattr(cfg, name), name
     assert clone.traffic.stream == (1, 100, 0) and type(clone.traffic.stream) is StreamKey
-    # a CyclicSchedule equals only itself: the path's schedules are compared by their entries
-    for mine, theirs in zip(clone.path, cfg.path, strict=True):
-        assert (mine.node, mine.link, type(mine.shaper)) == (
-            theirs.node, theirs.link, type(theirs.shaper))
-        assert mine.filter.gates.keys() == theirs.filter.gates.keys()
-    gcl, their_gcl = clone.path[1].shaper.gcl, cfg.path[1].shaper.gcl
-    assert gcl is not their_gcl and gcl.entries == their_gcl.entries
+    assert clone.path[1].shaper.gcl is not cfg.path[1].shaper.gcl
     first, second = run_scenario(cfg), run_scenario(clone)
     assert first == second and len(first.records) == 30
+
+
+def _accepted_configs():
+    """(document, config) of each shipped scenario, generated seed and
+    validation-corpus case that parse_scenario accepts."""
+    docs = [*(json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))),
+            *map(generate, SEEDS), *(doc for _, doc in _cases())]
+    for doc in docs:
+        try:
+            yield doc, parse_scenario(doc)
+        except ConfigError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def accepted():
+    configs = list(_accepted_configs())
+    assert len(configs) > 600
+    return configs
+
+
+def test_a_parsed_scenario_equals_its_reparse_copy_and_pickle(accepted):
+    for doc, cfg in accepted:
+        assert parse_scenario(doc) == cfg
+        assert copy.deepcopy(cfg) == cfg
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        hash(cfg.path)
+
+
+#: the types of the plain values a config may hold besides records
+PLAIN = (int, float, str, bool, type(None), Fraction)
+
+
+def test_a_parsed_scenario_holds_no_run_state(accepted):
+    # every object reachable from a config's fields is a record, a plain value,
+    # a tuple or frozenset of them, or one of the clocks dicts
+    for _, cfg in accepted:
+        clocks = [cfg.clocks, *cfg.clocks.values()]
+        todo = [cfg]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, Record) or type(obj) in (StreamKey, tuple, frozenset):
+                todo.extend(obj)
+            elif any(obj is d for d in clocks):
+                todo.extend(obj.values())
+            else:
+                assert type(obj) in PLAIN, type(obj).__name__
 
 
 @pytest.mark.parametrize("record", MUTABLE, ids=lambda r: type(r).__name__)

@@ -14,8 +14,9 @@ from tsnsim.egress import GclEntry, PreemptionConfig
 from tsnsim.ingress import StreamGateEntry
 from tsnsim.network import CqfConfig, cqf_compose
 from tsnsim.scenario import (NO_FILTER, NO_SHAPER, ConfigError, EtfCfg, FilterCfg, FrerCfg,
-                             RunCfg, TaprioCfg, TrafficCfg, load_scenario, parse_scenario)
-from tsnsim.traffic import StreamKey
+                             LinkCfg, NodeCfg, RunCfg, TaprioCfg, TrafficCfg, load_scenario,
+                             parse_scenario)
+from tsnsim.traffic import StreamKey, StreamRule, StreamRuleSet
 
 from helpers import gcl_state
 
@@ -228,9 +229,11 @@ class TestRejections:
         doc = bridged(filters={"sw0": {"rules": [
             {"vlan_id": 100, "handle": "s0"}, {"dest_mac": None, "handle": "any"}]}})
         rules = parse_scenario(doc).path[1].filter.rules
-        assert rules.identify(StreamKey(dest_mac=5, vlan_id=100, pcp=0)) == "s0"
-        assert rules.identify(StreamKey(dest_mac=5, vlan_id=7, pcp=0)) == "any"
-        assert parse_scenario(bridged(filters={"sw0": {}})).path[1].filter.rules is None
+        assert rules == (StreamRule(vlan_id=100, handle="s0"), StreamRule(handle="any"))
+        rule_set = StreamRuleSet(rules)
+        assert rule_set.identify(StreamKey(dest_mac=5, vlan_id=100, pcp=0)) == "s0"
+        assert rule_set.identify(StreamKey(dest_mac=5, vlan_id=7, pcp=0)) == "any"
+        assert parse_scenario(bridged(filters={"sw0": {}})).path[1].filter.rules == ()
 
     @pytest.mark.parametrize("links,stuck", [
         ([("listener", "talker")], "talker"),
@@ -426,16 +429,21 @@ class TestRejections:
         (bridged(cqf="x", shapers={"talker": {"scheme": "etf", "etf": "x"}}),
          ["cqf: expected an object, got str",
           "shapers.talker.etf: expected an object, got str"]),
+        # a node is read whole: one with no name still has its role checked
+        (variant(nodes=[{}, MINIMAL["nodes"][1]]),
+         ["links[0].from: unknown node 'talker'", "nodes[0].name: expected a non-empty string",
+          "nodes[0].name: missing required key", "nodes[0].role: missing required key",
+          "nodes[0].role: must be talker|bridge|listener, got None"]),
     ], ids=["equal_ipvs_and_bad_seed", "equal_ipvs_and_unknown_key", "bad_ipv_even",
-            "disabled_bad_cycle", "cqf_and_etf_not_objects"])
+            "disabled_bad_cycle", "cqf_and_etf_not_objects", "empty_node"])
     def test_every_problem_of_several_reported(self, doc, problems):
         assert problems_of(doc) == problems
 
 
 class TestBuiltObjects:
     def test_value_records_are_read_only(self):
-        # every FilterCfg() shares its default gates
-        assert FilterCfg().gates is FilterCfg().gates
+        # a FilterCfg's rules and gates are tuples: every FilterCfg() shares them unchanged
+        assert FilterCfg().gates is FilterCfg().gates == ()
         with pytest.raises(TypeError):
             FilterCfg().gates["s0"] = None
         cfg = parse_scenario(MINIMAL)
@@ -467,10 +475,10 @@ class TestBuiltObjects:
         assert taprio.preemption == PreemptionConfig(enabled=True,
                                                      express_classes=frozenset({3}))
         assert type(taprio.preemption) is PreemptionConfig
-        sg = sw0.filter.gates["s0"]
-        assert isinstance(sg, CyclicSchedule) and sg.base_time == 5
-        assert sg.entries == [StreamGateEntry(open=True, duration_ns=1000,
-                                              max_octets=128)]
+        [(handle, sg)] = sw0.filter.gates
+        assert handle == "s0" and isinstance(sg, CyclicSchedule) and sg.base_time == 5
+        assert sg.entries == (StreamGateEntry(open=True, duration_ns=1000,
+                                              max_octets=128),)
         assert [type(e) for e in sg.entries] == [StreamGateEntry]
         assert cfg.traffic.stream == StreamKey(dest_mac=1, vlan_id=2, pcp=3)
         assert type(cfg.traffic.stream) is StreamKey
@@ -489,15 +497,11 @@ class TestBuiltObjects:
         talker, sw0, sw1 = cfg.path
         for hop in (sw0, sw1):
             fc = hop.filter
-            assert fc.rules is None and list(fc.gates) == [None]
-            sg = fc.gates[None]
-            assert isinstance(sg, CyclicSchedule)
-            assert (sg.base_time, sg.cycle_time_ns, sg.entries) == (
-                gate.base_time, gate.cycle_time_ns, gate.entries)
+            assert fc.rules == () and [h for h, _ in fc.gates] == [None]
+            sg = fc.gates[0][1]
+            assert type(sg) is CyclicSchedule and sg == gate
             compiled = hop.shaper.gcl
-            assert isinstance(compiled, CyclicSchedule)
-            assert (compiled.base_time, compiled.cycle_time_ns, compiled.entries) == (
-                gcl.base_time, gcl.cycle_time_ns, gcl.entries)
+            assert type(compiled) is CyclicSchedule and compiled == gcl
             assert {type(e) for e in sg.entries} == {StreamGateEntry}
             assert {type(e) for e in compiled.entries} == {GclEntry}
         assert sw0.shaper == TaprioCfg(
@@ -516,8 +520,10 @@ class TestBuiltObjects:
     (scenario._CQF, CqfConfig._fields), (scenario._ETF, EtfCfg._fields),
     (scenario._GCL_ENTRY, GclEntry._fields), (scenario._GATE_ENTRY, StreamGateEntry._fields),
     (scenario._STREAM_KEY, tuple(scenario._STREAM_FIELDS)),
+    (scenario._NODE, NodeCfg._fields), (("src", "dst", *scenario._LINK), LinkCfg._fields),
+    (scenario._RULE, StreamRule._fields),
 ], ids=["clock", "preemption", "taprio", "frer", "traffic", "run", "cqf", "etf",
-        "gcl_entry", "gate_entry", "stream_key"])
+        "gcl_entry", "gate_entry", "stream_key", "node", "link", "rule"])
 def test_each_reader_table_reads_its_records_fields(fields, names):
     # a key that is not a field reaches cls(**values) and raises TypeError,
     # a crash of validate where a scenario should be rejected

@@ -280,20 +280,23 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg, clocks: dict,
 
 
 class Talker:
-    """The cyclic talker as a stream source, one frame planned at a time.
+    """The cyclic talker as a stream source, one engine event per frame.
 
-    As in a Linux talker loop, the plan of frame k fires one lead before
-    its intended time: a period in sleep mode, txtime_lead_ns (half a
-    period by default) in txtime mode. It plans frame k + 1, then runs
-    the step named by the mode, which hands frame k to submit(frame, t).
+    Sleep mode is a Linux talker's send loop, one thread: frame k, intended
+    for I_k = (k + 1) * period and planned at P_k = k * period, reaches the
+    driver, where sw_tx is read, at max(P_k, R_k, clock.when_reading(I_k, P_k)
+    + wake_k) + stack_k, R_k being frame k - 1's hand-over (R_0 = 0), so
+    frames leave in order. The event at that instant plus driver_k draws frame
+    k + 1 and schedules its hand-over, then hands frame k to submit(frame, t);
+    an event at 0 draws frame 0. In txtime mode frame k's event, txtime_lead_ns
+    (half a period by default) before I_k, schedules frame k + 1's, then sends
+    frame k with launch time (SO_TXTIME) I_k.
     """
 
     def __init__(self, engine: Engine, traffic: TrafficCfg, count: int,
                  clock: ClockModel, seed: int, submit):
-        self.engine = engine
-        self.count = count
+        self.engine, self.count, self.submit = engine, count, submit
         self.clock = clock  # the talker's system clock
-        self.submit = submit
         # the fields each step reads, bound once: one attribute read each, not two
         self.size, self.priority, self.stream = (traffic.frame_size_bytes, traffic.priority,
                                                  traffic.stream)
@@ -302,42 +305,39 @@ class Talker:
         self.wake_rng = rng_fork(seed, "wake")
         self.stack_rng = rng_fork(seed, "stack")
         self.driver_rng = rng_fork(seed, "driver")
-        # the class's function: a bound method kept on self would make a
-        # reference cycle, which holds the whole run until the cyclic GC runs
-        self._step = getattr(type(self), traffic.mode)
-        self.period = period = traffic.period_ns
-        lead = traffic.txtime_lead_ns
-        self.lead = (period if traffic.mode == "sleep"
-                     else period // 2 if lead is None else lead)
+        self.mode, self.period, lead = traffic.mode, traffic.period_ns, traffic.txtime_lead_ns
+        self.lead = self.period // 2 if lead is None else lead  # txtime mode's
 
-    def plan(self, k: int):
-        # the first intended transmission is one period into the run
-        intended = (k + 1) * self.period
-        self.engine.schedule(max(0, intended - self.lead), self._fire, k, intended)
+    def plan(self):
+        """Schedule the talker's first event."""
+        if self.mode == "sleep":
+            self.engine.schedule(0, self.sleep, None, 0)
+        else:
+            self.engine.schedule(max(0, self.period - self.lead), self.txtime, 0, self.period)
 
-    def _fire(self, k: int, intended: SimTime):
-        if k + 1 < self.count:  # plan frame k + 1, as plan(k + 1) would
-            intended_next = (k + 2) * self.period
-            t = intended_next - self.lead
-            self.engine.schedule(t if t > 0 else 0, self._fire, k + 1, intended_next)
-        self._step(self, k, intended)
-
-    def sleep(self, k: int, intended: SimTime):
-        """Sleep until the system clock reads intended, then send through
-        the stack to the driver, where sw_tx is read."""
-        wake = self.wake_jitter.sample(self.wake_rng)
-        stack = self.stack_latency.sample(self.stack_rng)
-        driver = self.driver_latency.sample(self.driver_rng)
-        now = self.engine.now
-        at_driver = max(now, self.clock.when_reading(intended, now) + wake) + stack
-        # each step builds its frame in one positional call, in field order
-        frame = Frame(k, self.size, self.priority, self.stream, None, None, None, None,
-                      intended, self.clock.read(at_driver))
-        fire = at_driver + driver
-        self.engine.schedule(fire, self.submit, frame, fire)
+    def sleep(self, frame: Optional[Frame], t: SimTime):
+        """The send loop at t, as sendmsg hands frame (None at first) to the port."""
+        k = 0 if frame is None else frame.id + 1
+        if k < self.count:
+            plan = k * self.period
+            intended = plan + self.period
+            wake = self.wake_jitter.sample(self.wake_rng)
+            stack = self.stack_latency.sample(self.stack_rng)
+            at_driver = max(plan, t, self.clock.when_reading(intended, plan) + wake) + stack
+            # each step builds its frame in one positional call, in field order
+            following = Frame(k, self.size, self.priority, self.stream, None, None, None, None,
+                              intended, self.clock.read(at_driver))
+            fire = at_driver + self.driver_latency.sample(self.driver_rng)
+            self.engine.schedule(fire, self.sleep, following, fire)
+        if frame is not None:
+            self.submit(frame, t)
 
     def txtime(self, k: int, intended: SimTime):
-        """Send now with the launch time (SO_TXTIME) set to intended."""
+        """Schedule frame k + 1's event, then send frame k with launch time intended."""
+        if k + 1 < self.count:
+            after = intended + self.period
+            t = after - self.lead
+            self.engine.schedule(t if t > 0 else 0, self.txtime, k + 1, after)
         now = self.engine.now
         self.submit(Frame(k, self.size, self.priority, self.stream, None, None, intended,
                           None, intended, self.clock.read(now)), now)
@@ -447,7 +447,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         sink = Listener(engine, listener, clocks[listener.name], seed)
         paths = {"": build_path(engine, cfg, clocks, seed, sink.receive)}
         source = paths[""][0]
-    Talker(engine, traffic, count, clocks[talker.name]["system"], seed, source.submit).plan(0)
+    Talker(engine, traffic, count, clocks[talker.name]["system"], seed, source.submit).plan()
     engine.run_all()
     sink.close()
     drops = sink.drops
@@ -458,7 +458,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             drops.update(bridge.drops)
     flat = sink.records._flat
     seqs = flat[0::6]
-    # FRER, or a stream gate giving frames other IPVs, can deliver out of order
+    # talkers and bridges keep order: FRER, or a gate's IPVs (other classes), reorder
     if any(map(gt, seqs, itertools.islice(seqs, 1, None))):
         rows = sorted(zip(*[iter(flat)] * 6), key=itemgetter(0))  # a stable sort
         flat = flat[:0]

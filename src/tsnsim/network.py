@@ -34,7 +34,9 @@ class BridgeNode:
     receive(frame, t) is keyed to end-of-frame reception at t, the instant
     the PSFP decision uses. gates maps stream handles to StreamGates;
     without stream rules every frame has handle None, so a gate stored
-    under None (as for CQF) applies to all frames.
+    under None (as for CQF) applies to all frames. A frame that passes goes
+    to the egress port in arrival order, as one NAPI poll forwards an RX
+    queue: at fire_k = max(t_k + d_k, fire_{k-1}), d_k its forwarding latency.
     """
 
     def __init__(self, engine: Engine, name: str, egress: EgressPort, *,
@@ -51,6 +53,7 @@ class BridgeNode:
         self.forwarding_latency = forwarding_latency
         self.rng = rng
         self.drops: Counter = Counter()
+        self._last = 0  # the last hand-over to the egress port
 
     def receive(self, frame: Frame, t: SimTime):
         handle = None
@@ -65,6 +68,7 @@ class BridgeNode:
             self.drops[outcome] += 1
             return
         fire = t + self.forwarding_latency.sample(self.rng)
+        fire = self._last = fire if fire > self._last else self._last
         self.engine.schedule(fire, self._submit, frame, fire)
 
 

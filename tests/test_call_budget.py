@@ -1,4 +1,5 @@
-"""A budget of Python calls into tsnsim per delivered frame on a gated chain.
+"""Budgets of Python calls into tsnsim per delivered frame: on a gated chain,
+and on the sleep-mode talker's path to an idle port.
 
 The count is exact, whatever the machine's speed: sys.setprofile sees every call
 event, and only calls whose code lies in the tsnsim package are counted, so
@@ -14,7 +15,7 @@ import pytest
 
 import tsnsim
 from tsnsim.harness import run_scenario
-from tsnsim.scenario import parse_scenario
+from tsnsim.scenario import load_scenario, parse_scenario
 from test_golden import _chain, _drifting
 
 pytestmark = pytest.mark.usefixtures("event_cap")
@@ -25,8 +26,12 @@ IPV = 5
 
 #: calls into tsnsim per delivered frame, set-up included, on the chain below:
 #: 70.335 since each taprio queue fixes a frame's wire time at enqueue (81.085 before),
-#: 69.895 since each taprio queue compiles its GCL in one pass, with no max_open_run
-CALLS_PER_FRAME = 69.895
+#: 69.895 since each taprio queue compiles its GCL in one pass, with no max_open_run,
+#: 68.895 since the txtime talker's event sends its frame itself
+CALLS_PER_FRAME = 68.895
+#: the same on paper_fig1, a sleep-mode talker to an idle port: 18.028 with a plan
+#: and a hand-over event per frame, 16.029 since one event sends and draws the next
+CALLS_PER_SLEEP_FRAME = 16.029
 
 
 def gated_psfp_chain(count: int) -> dict:
@@ -82,3 +87,11 @@ def test_calls_per_delivered_frame_within_budget():
     # every frame passes each gate and window: the budget covers the whole hop
     assert len(result.records) == 400 and not result.drops
     assert calls / len(result.records) <= CALLS_PER_FRAME
+
+
+def test_calls_per_frame_of_a_sleep_mode_talker_within_budget():
+    cfg = load_scenario(Path(PACKAGE) / "scenarios" / "paper_fig1.json")
+    cfg.run.count = 2_000
+    result, calls = count_calls(run_scenario, cfg)
+    assert len(result.records) == 2_000 and not result.drops
+    assert calls / len(result.records) <= CALLS_PER_SLEEP_FRAME

@@ -6,7 +6,8 @@ gates with IPVs and octet budgets; offloaded and software ETF; FRER over
 1-3 lossy paths; CQF; resyncing, drifting clocks. Every latency it draws
 is non-negative. For each of SEEDS scenarios: one that validates finishes
 run_scenario under the event cap, accounts for every frame it sent, and
-gives the same records and drops when run again; under identity clocks its
+gives the same records and drops when run again; its talker and bridges
+hand frames on in the order they got them; under identity clocks its
 stamps are in causal order, and a CQF scenario that meets the bound's
 preconditions keeps it. One sha256 over every scenario's outcome,
 records.csv and sorted drops pins them all.
@@ -15,7 +16,7 @@ records.csv and sorted drops pins them all.
 import hashlib
 import json
 import random
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 import pytest
 
@@ -34,7 +35,7 @@ SEEDS = range(300)
 
 #: sha256 over every seed's outcome, records.csv and sorted drops; only a
 #: declared change to the records, the drops or the generator records it again
-CORPUS_RUN_DIGEST = "1553623e5c34f7fb09448d8c01ba56aafd0b561bdd2b9c6eb517b7b53c4be6ee"
+CORPUS_RUN_DIGEST = "f5b164e2f973f9f028c38751398bcc199679c59870a7e344781b9d83771b6314"
 
 DROP_KEYS = {"taprio_full", "taprio_oversize", "etf_past_txtime", "drop_closed_gate",
              "drop_octet_budget", "drop_no_stream", "path_loss",
@@ -210,36 +211,66 @@ def _outcome(seed: int, out_dir):
             (cfg, result.records))
 
 
-#: per seed, the outcome, and the true time at which each frame copy, keyed
+def _out_of_order(handed: dict, got: dict) -> list:
+    """The nodes that handed frames to an egress port out of the order they
+    got them: a talker must hand its port frames in id order, and a bridge
+    must hand its egress port those it passes in the order it received them.
+    handed maps each port to the frame ids its submit took, in turn; got maps
+    a bridge's egress port to the bridge's name and the ids it received."""
+    nodes = []
+    for port, ids in handed.items():
+        name, received = got.get(port, ("talker", sorted(ids)))
+        passed = set(ids)
+        if ids != [i for i in received if i in passed]:
+            nodes.append(name)
+    return nodes
+
+
+#: per seed, the outcome; the true time at which each frame copy, keyed
 #: (node, frame id, route), reached each bridge and the listener; and the
-#: preemptions made in the whole corpus
-Corpus = namedtuple("Corpus", "outcomes times preemptions")
+#: nodes that handed frames on out of order. Over the whole corpus, the
+#: preemptions made, and the ports that took two frames or more, counted
+#: by the name of the node that fed them
+Corpus = namedtuple("Corpus", "outcomes times out_of_order preemptions ports")
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("corpus")
-    switches, times, outcomes, arrivals = [], {}, [], []
-    switch, bridge_receive, listener_receive = (EgressPort._switch, BridgeNode.receive,
-                                                harness.Listener.receive)
+    switches, times, outcomes, arrivals, disorder = [], {}, [], [], []
+    handed, got, ports = defaultdict(list), {}, []
+    switch, submit, bridge_receive, listener_receive = (
+        EgressPort._switch, EgressPort.submit, BridgeNode.receive, harness.Listener.receive)
 
     def reached(node, receive):
         def hook(self, frame, t):
             times[node or self.name, frame.id, frame.route] = t
+            if node is None:
+                got.setdefault(self.egress, (self.name, []))[1].append(frame.id)
             return receive(self, frame, t)
         return hook
+
+    def taken(port, frame, t):
+        handed[port].append(frame.id)
+        return submit(port, frame, t)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "Engine", CappedEngine)
         mp.setattr(EgressPort, "_switch",
                    lambda port, *args: (switches.append(1), switch(port, *args))[1])
+        mp.setattr(EgressPort, "submit", taken)
         mp.setattr(BridgeNode, "receive", reached(None, bridge_receive))
         mp.setattr(harness.Listener, "receive", reached("listener", listener_receive))
         for seed in SEEDS:
             times.clear()
+            handed.clear()
+            got.clear()
             outcomes.append(_outcome(seed, out_dir))
             arrivals.append(dict(times))
-    return Corpus(outcomes, arrivals, len(switches))
+            disorder.append(_out_of_order(handed, got))
+            ports += [got.get(port, ("talker",))[0] for port, ids in handed.items()
+                      if len(ids) > 1]
+    return Corpus(outcomes, arrivals, disorder, len(switches), Counter(ports))
 
 
 def test_generated_scenarios_validate_run_and_conserve_frames(corpus):
@@ -254,6 +285,15 @@ def test_corpus_reaches_every_drop_key_and_preempts(corpus):
         seen.update(drops)
     assert seen == DROP_KEYS
     assert corpus.preemptions > 0
+
+
+def test_talkers_and_bridges_hand_frames_on_in_the_order_they_got_them(corpus):
+    # a Linux talker is one thread, and a software bridge forwards an RX
+    # queue's frames in one NAPI poll: neither lets a frame overtake another
+    assert [(seed, nodes) for seed, nodes in zip(SEEDS, corpus.out_of_order) if nodes] == []
+    # the check saw many talker and bridge ports that took two frames or more
+    talkers = corpus.ports["talker"]
+    assert talkers > 350 and sum(corpus.ports.values()) - talkers > 250
 
 
 def test_same_seed_gives_same_outputs(corpus, tmp_path):

@@ -67,8 +67,8 @@ PINNED = {
         shapers={"sw0": {"queue_capacity": 2, "guard_mode": "none"},
                  "sw1": {"queue_capacity": 3}},
         cqf={"enabled": True, "cycle_time_ns": 100_000}), {
-        "records.csv": "aee33736a3ad32db4eb718a7c267e484a8290fc82fa747d9933d05db0dfbf0c1",
-        "stats.json": "57fe7b402f8b52818b717924d6817f500971b6205ba049526a4d073704950016"}),
+        "records.csv": "98f5e56a00438e31e0abd20596d4734d0c72367bcf70b93d0ecdc80668986d81",
+        "stats.json": "fe330d69b1d75cc37e9e1605e9e16383d2b972b579f1f652880b9ecd546bbcfb"}),
     # wake jitter pushes some frames into each gate's closed window
     "frer_psfp_two_bridges": (_chain(
         [("sw0", "af_xdp"), ("sw1", "xdp")],

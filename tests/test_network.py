@@ -100,6 +100,25 @@ class TestBridgeForwarding:
         eng.run_all()
         assert [f.id for f, _, _ in out] == [0, 1, 2, 3, 4]
 
+    def test_a_frame_never_overtakes_the_one_before(self):
+        # fire_k = max(t_k + d_k, fire_{k-1}): frame 1 draws no delay but
+        # waits for frame 0's hand-over; frame 2 comes after both
+        class Draws:
+            def __init__(self, *values):
+                self.values = iter(values)
+
+            def sample(self, rng):
+                return next(self.values)
+
+        eng = Engine()
+        out = []
+        br = make_bridge(eng, out, forwarding=Draws(5_000, 0, 100))
+        for i, t in enumerate((100, 600, 20_000)):
+            eng.schedule(t, br.receive, Frame(id=i, size_bytes=64, priority=0), t)
+        eng.run_all()
+        assert [(f.id, hw_tx) for f, hw_tx, _ in out] == [(0, 5_100), (1, 5_100 + 512),
+                                                         (2, 20_100)]
+
     def test_zero_jitter_presets_equivalent_timing(self):
         # with the preset replaced by its own constant median, the three
         # software paths differ only by that constant

@@ -146,6 +146,35 @@ def test_talker_resync_on_a_plan_applies_before_it():
     assert compute_offsets(res.records, "sw_tx") == [0] * 100
 
 
+def inversions(records) -> int:
+    """Adjacent pairs of frames, in seq order, that reached the listener in
+    the other order (hw_rx is the arrival on identity clocks)."""
+    return sum(a.hw_rx > b.hw_rx for a, b in zip(records, records[1:]))
+
+
+@pytest.mark.parametrize("bridges,traffic", [
+    ([("sw0", "linux_bridge")], None),
+    ([], {"stack_latency": {"kind": "uniform", "min_ns": 0, "max_ns": 5_000}})],
+    ids=["linux_bridge", "talker_stack"])
+def test_a_flow_reaches_the_listener_in_order(bridges, traffic):
+    # 64 B frames every 2 us: a forwarding or stack latency that varies by
+    # more than a period would let a frame overtake the one before it
+    res = run_scenario(chain_scenario(bridges, count=2_000, period_ns=2 * US, traffic=traffic))
+    assert len(res.records) == 2_000 and res.drops == {}
+    assert inversions(res.records) == 0
+
+
+def test_a_talker_slower_than_its_period_sends_back_to_back():
+    # each send takes 5 us, stack 3 us and driver 2 us, every 2 us period:
+    # frame k's stack step starts at frame k - 1's hand-over, not at its wake
+    cfg = chain_scenario([], count=50, period_ns=2 * US, traffic={
+        "stack_latency": {"kind": "constant", "value_ns": 3 * US},
+        "driver_latency": {"kind": "constant", "value_ns": 2 * US}})
+    res = run_scenario(cfg)
+    assert [r.sw_tx for r in res.records] == [5 * US * (k + 1) for k in range(50)]
+    assert [r.hw_tx for r in res.records] == [5 * US * (k + 1) + 2 * US for k in range(50)]
+
+
 def test_talker_queues_one_plan_at_a_time(monkeypatch):
     peaks = []
 

@@ -244,15 +244,16 @@ class EgressPort:
     """One egress port: a queue discipline, the MAC and the wire, driven by
     the engine.
 
-    queue is a TaprioPort or an EtfQueue; the port drives either through
-    enqueue(frame, t), select(t, classes), wake_time (when select, having
-    returned None with frames queued, wants to be called again: the next
-    gate change or the head's launch time), count (the frames queued; the
-    port looks for work only when a frame is suspended or this is non-zero)
-    and drops, as a netdev drives its qdisc. Like a qdisc that can be
-    bypassed in Linux, an idle port sends a frame that finds its ungated
-    TaprioPort empty straight to the wire: there, enqueue and select would
-    return it.
+    submit(frame) hands a frame over at engine.now, and carries no time.
+    queue is a TaprioPort or an EtfQueue, which has no engine: the port
+    drives either through enqueue(frame, t), select(t, classes), wake_time
+    (when select, having returned None with frames queued, wants to be
+    called again: the next gate change or the head's launch time), count
+    (the frames queued; the port looks for work only when a frame is
+    suspended or this is non-zero) and drops, as a netdev drives its qdisc.
+    Like a qdisc that can be bypassed in Linux, an idle port sends a frame
+    that finds its ungated TaprioPort empty straight to the wire: there,
+    enqueue and select would return it.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded ETF.
     A transmission is one step: its start stamps hw_tx on phc (the
@@ -305,15 +306,16 @@ class EgressPort:
 
     # -- submission
 
-    def submit(self, frame: Frame, t: SimTime):
+    def submit(self, frame: Frame):
         """Send, queue or preempt with frame, or drop it into the queue's drops."""
+        t = self.engine.now
         if self._cuttable is not None:
             if frame.egress_class in self._express:
                 # an express frame may interrupt a preemptable transmission
                 self._do_preempt(frame, t)
                 return
         elif (self._bypass and not self.queue.count and self._suspended is None
-                and (self.engine.now, self.engine.seq) >= self._free):
+                and (t, self.engine.seq) >= self._free):
             self._start(frame)
             return
         if self.queue.enqueue(frame, t) is None:

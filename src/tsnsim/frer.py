@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import SimTime
 from .traffic import Frame
 
 SEQ_SPACE = 65536
@@ -20,10 +19,10 @@ class MissingSeqError(Exception):
 
 
 class Replicator:
-    """The talker end of a replicated stream: submit stamps the next mod-65536
-    sequence number and hands one identical copy, tagged with the member
-    path's label, to each member path's port, anything with submit(frame, t),
-    as ports maps the paths' labels to them."""
+    """The talker end of a replicated stream: submit(frame) stamps the next
+    mod-65536 sequence number and hands one identical copy, tagged with the
+    member path's label, at that instant to each member path's port,
+    anything with submit(frame), as ports maps the paths' labels to them."""
 
     def __init__(self, ports: dict):
         if not ports:
@@ -32,11 +31,11 @@ class Replicator:
         self.members = [(port.submit, label) for label, port in ports.items()]
         self.next_seq = 0
 
-    def submit(self, frame: Frame, t: SimTime) -> None:
+    def submit(self, frame: Frame) -> None:
         frame.seq = self.next_seq
         self.next_seq = (self.next_seq + 1) % SEQ_SPACE
         for submit, label in self.members:
-            submit(frame.clone(label), t)
+            submit(frame.clone(label))
 
 
 class RecoveryState:

@@ -282,15 +282,17 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg, clocks: dict,
 class Talker:
     """The cyclic talker as a stream source, one engine event per frame.
 
-    Sleep mode is a Linux talker's send loop, one thread: frame k, intended
-    for I_k = (k + 1) * period and planned at P_k = k * period, reaches the
-    driver, where sw_tx is read, at max(P_k, R_k, clock.when_reading(I_k, P_k)
-    + wake_k) + stack_k, R_k being frame k - 1's hand-over (R_0 = 0), so
-    frames leave in order. The event at that instant plus driver_k draws frame
-    k + 1 and schedules its hand-over, then hands frame k to submit(frame, t);
-    an event at 0 draws frame 0. In txtime mode frame k's event, txtime_lead_ns
-    (half a period by default) before I_k, schedules frame k + 1's, then sends
-    frame k with launch time (SO_TXTIME) I_k.
+    Both modes are a Linux talker's send loop, one thread that waits, calls
+    sendmsg and loops; only the wait differs. Frame k is intended for I_k =
+    (k + 1) * period. send at t = engine.now draws frame k + 1 and schedules
+    its hand-over, then hands frame k (None at the first call, before the
+    run) to submit(frame). In sleep mode (lead None) frame k, planned at P_k
+    = k * period, reaches the driver, where sw_tx is read, at max(P_k, R_k,
+    clock.when_reading(I_k, P_k) + wake_k) + stack_k, R_k being the time of
+    the send that draws it, so frames leave in order; its hand-over follows
+    driver_k later. In txtime mode frame k is handed over, and sw_tx read,
+    at max(0, I_k - lead), lead being txtime_lead_ns (half a period by
+    default), with launch time (SO_TXTIME) I_k.
     """
 
     def __init__(self, engine: Engine, traffic: TrafficCfg, count: int,
@@ -305,42 +307,30 @@ class Talker:
         self.wake_rng = rng_fork(seed, "wake")
         self.stack_rng = rng_fork(seed, "stack")
         self.driver_rng = rng_fork(seed, "driver")
-        self.mode, self.period, lead = traffic.mode, traffic.period_ns, traffic.txtime_lead_ns
-        self.lead = self.period // 2 if lead is None else lead  # txtime mode's
+        self.period, lead = traffic.period_ns, traffic.txtime_lead_ns
+        self.lead = None if traffic.mode == "sleep" else self.period // 2 if lead is None else lead
 
-    def plan(self):
-        """Schedule the talker's first event."""
-        if self.mode == "sleep":
-            self.engine.schedule(0, self.sleep, None, 0)
-        else:
-            self.engine.schedule(max(0, self.period - self.lead), self.txtime, 0, self.period)
-
-    def sleep(self, frame: Optional[Frame], t: SimTime):
-        """The send loop at t, as sendmsg hands frame (None at first) to the port."""
+    def send(self, frame: Optional[Frame] = None):
+        """The send loop at engine.now, as sendmsg hands frame (None at first) to the port."""
         k = 0 if frame is None else frame.id + 1
         if k < self.count:
-            plan = k * self.period
-            intended = plan + self.period
-            wake = self.wake_jitter.sample(self.wake_rng)
-            stack = self.stack_latency.sample(self.stack_rng)
-            at_driver = max(plan, t, self.clock.when_reading(intended, plan) + wake) + stack
+            intended = (k + 1) * self.period
+            if self.lead is None:
+                plan = intended - self.period
+                wake = self.wake_jitter.sample(self.wake_rng)
+                stack = self.stack_latency.sample(self.stack_rng)
+                at_driver = max(plan, self.engine.now,
+                                self.clock.when_reading(intended, plan) + wake) + stack
+                fire, txtime = at_driver + self.driver_latency.sample(self.driver_rng), None
+            else:
+                at_driver = fire = max(0, intended - self.lead)
+                txtime = intended
             # each step builds its frame in one positional call, in field order
-            following = Frame(k, self.size, self.priority, self.stream, None, None, None, None,
-                              intended, self.clock.read(at_driver))
-            fire = at_driver + self.driver_latency.sample(self.driver_rng)
-            self.engine.schedule(fire, self.sleep, following, fire)
+            self.engine.schedule(fire, self.send, Frame(
+                k, self.size, self.priority, self.stream, None, None, txtime, None, intended,
+                self.clock.read(at_driver)))
         if frame is not None:
-            self.submit(frame, t)
-
-    def txtime(self, k: int, intended: SimTime):
-        """Schedule frame k + 1's event, then send frame k with launch time intended."""
-        if k + 1 < self.count:
-            after = intended + self.period
-            t = after - self.lead
-            self.engine.schedule(t if t > 0 else 0, self.txtime, k + 1, after)
-        now = self.engine.now
-        self.submit(Frame(k, self.size, self.priority, self.stream, None, None, intended,
-                          None, intended, self.clock.read(now)), now)
+            self.submit(frame)
 
 
 class Listener:
@@ -447,7 +437,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         sink = Listener(engine, listener, clocks[listener.name], seed)
         paths = {"": build_path(engine, cfg, clocks, seed, sink.receive)}
         source = paths[""][0]
-    Talker(engine, traffic, count, clocks[talker.name]["system"], seed, source.submit).plan()
+    Talker(engine, traffic, count, clocks[talker.name]["system"], seed, source.submit).send()
     engine.run_all()
     sink.close()
     drops = sink.drops

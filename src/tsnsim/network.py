@@ -32,11 +32,13 @@ class BridgeNode:
     """Store-and-forward bridge: ingress PSFP, forwarding delay, one egress port.
 
     receive(frame, t) is keyed to end-of-frame reception at t, the instant
-    the PSFP decision uses. gates maps stream handles to StreamGates;
-    without stream rules every frame has handle None, so a gate stored
-    under None (as for CQF) applies to all frames. A frame that passes goes
-    to the egress port in arrival order, as one NAPI poll forwards an RX
-    queue: at fire_k = max(t_k + d_k, fire_{k-1}), d_k its forwarding latency.
+    the PSFP decision uses. It clears the frame's IPV first: an IPV applies
+    only inside the bridge that assigns it (802.1Qci). gates maps stream
+    handles to StreamGates; without stream rules every frame has handle None,
+    so a gate stored under None (as for CQF) applies to all frames. A frame
+    that passes goes to the egress port in arrival order, as one NAPI poll
+    forwards an RX queue: egress.submit(frame) runs at fire_k = max(t_k + d_k,
+    fire_{k-1}), d_k its forwarding latency.
     """
 
     def __init__(self, engine: Engine, name: str, egress: EgressPort, *,
@@ -56,6 +58,7 @@ class BridgeNode:
         self._last = 0  # the last hand-over to the egress port
 
     def receive(self, frame: Frame, t: SimTime):
+        frame.ipv = None
         handle = None
         if self.stream_rules is not None:
             handle = self.stream_rules.identify(frame.stream)
@@ -69,7 +72,7 @@ class BridgeNode:
             return
         fire = t + self.forwarding_latency.sample(self.rng)
         fire = self._last = fire if fire > self._last else self._last
-        self.engine.schedule(fire, self._submit, frame, fire)
+        self.engine.schedule(fire, self._submit, frame)
 
 
 class CqfConfig(Record, frozen=True):

@@ -103,7 +103,7 @@ def run_taprio(gcl, frames, rate=10 ** 9, until=20 * MS):
     port = EgressPort(eng, rate, queue=TaprioPort(gcl=gcl, link_rate_bps=rate),
                       deliver=lambda f, e: wires.append((f, f.hw_tx, e)))
     for t, f in frames:
-        eng.schedule(t, lambda f=f: port.submit(f, eng.now))
+        eng.schedule(t, port.submit, f)
     run_until(eng, until)
     return wires
 
@@ -344,7 +344,7 @@ def test_criterion_10_etf_semantics():
     wires = []
     port = EgressPort(eng, 10 ** 9, phc=ClockModel(), queue=EtfQueue(),
                       deliver=lambda f, e: wires.append(f.hw_tx))
-    port.submit(Frame(id=1, size_bytes=64, priority=0, txtime=5 * US), 0)
+    port.submit(Frame(id=1, size_bytes=64, priority=0, txtime=5 * US))
     eng.run_all()
     offload_ok = wires == [5 * US]
     verdict(10, "past-txtime drop, sorted dequeue over 1e6, offload wire-out",

@@ -30,8 +30,9 @@ IPV = 5
 #: 68.895 since the txtime talker's event sends its frame itself
 CALLS_PER_FRAME = 68.895
 #: the same on paper_fig1, a sleep-mode talker to an idle port: 18.028 with a plan
-#: and a hand-over event per frame, 16.029 since one event sends and draws the next
-CALLS_PER_SLEEP_FRAME = 16.029
+#: and a hand-over event per frame, 16.029 since one event sends and draws the next,
+#: 16.028 since the send before the run draws frame 0, with no event of its own
+CALLS_PER_SLEEP_FRAME = 16.028
 
 
 def gated_psfp_chain(count: int) -> dict:

@@ -507,7 +507,7 @@ class TestGateConformance:
         port = EgressPort(eng, rate, queue=taprio,
                           deliver=lambda f, e: wires.append((f, f.hw_tx, e)))
         for t, f in frames:
-            eng.schedule(t, lambda f=f: port.submit(f, eng.now))
+            eng.schedule(t, port.submit, f)
         run_until(eng, until)
         return wires
 
@@ -606,8 +606,7 @@ class TestPendingCount:
             for i in range(25):
                 f = Frame(id=i, size_bytes=rng.choice([64, 300, 1500]),
                           priority=rng.choice([0, 3, 7]))
-                eng.schedule(rng.randrange(0, 500 * US),
-                             lambda f=f: port.submit(f, eng.now))
+                eng.schedule(rng.randrange(0, 500 * US), port.submit, f)
             eng.run_all()
             taprio.check()
             assert taprio.count == 0
@@ -635,14 +634,14 @@ class TestIdleBypass:
                 # wire free or taken by a frame that waited behind it
                 eng.schedule(end, port.submit, Frame(id=frame.id + len(arrivals),
                                                      size_bytes=frame.size_bytes,
-                                                     priority=echo), end)
+                                                     priority=echo))
 
         port = EgressPort(eng, self.RATE, queue=taprio, preemption=preemption,
                           hw_precision=precision, rng=random.Random(5), deliver=deliver)
         t = 0
         for i, (gap, size, priority, _) in enumerate(arrivals):
             t += gap
-            eng.schedule(t, port.submit, Frame(id=i, size_bytes=size, priority=priority), t)
+            eng.schedule(t, port.submit, Frame(id=i, size_bytes=size, priority=priority))
         eng.run_all()
         return wires, taprio.drops, taprio.enqueues
 
@@ -659,8 +658,7 @@ class TestIdleBypass:
                           deliver=lambda f, e: wires.append((f.id, f.hw_tx)))
         end = transmission_time(1500, self.RATE)
         for fid, t, priority in [(0, 0, 0), (1, end, 1), (2, end, 6)]:
-            eng.schedule(t, port.submit,
-                         Frame(id=fid, size_bytes=1500, priority=priority), t)
+            eng.schedule(t, port.submit, Frame(id=fid, size_bytes=1500, priority=priority))
         eng.run_all()
         assert wires == [(0, 0), (2, end), (1, 2 * end)]
 

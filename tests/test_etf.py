@@ -69,9 +69,9 @@ class TestEtfRelease:
                           queue=EtfQueue(delta_ns=delta, offload=offload, clock=phc),
                           hw_precision=precision, rng=rng, deliver=deliver)
         if busy_frame is not None:
-            port.submit(busy_frame, 0)
+            port.submit(busy_frame)
         for f in frames:
-            port.submit(f, 0)
+            port.submit(f)
         eng.run_all()
         return out
 
@@ -108,6 +108,6 @@ class TestEtfRelease:
         port = EgressPort(eng, 10 ** 9, phc=phc, queue=EtfQueue(clock=phc),
                           deliver=lambda f, e: None)
         f = frame(1, txtime=10 ** 6)
-        port.submit(f, 0)
+        port.submit(f)
         eng.run_all()
         assert f.hw_tx == 10 ** 6

@@ -21,8 +21,8 @@ class FakePort:
     def __init__(self):
         self.submitted = []
 
-    def submit(self, frame, t):
-        self.submitted.append((frame, t))
+    def submit(self, frame):
+        self.submitted.append(frame)
 
 
 def replicator(labels=("a",)):
@@ -34,24 +34,24 @@ class TestReplicator:
     def test_consecutive_numbers(self):
         rep, ports = replicator()
         for i in range(3):
-            rep.submit(frame(fid=i), i)
-        assert [f.seq for f, _ in ports["a"].submitted] == [0, 1, 2]
+            rep.submit(frame(fid=i))
+        assert [f.seq for f in ports["a"].submitted] == [0, 1, 2]
 
     def test_wraps_at_65536(self):
         rep, ports = replicator()
         rep.next_seq = 65_535
-        rep.submit(frame(), 0)
-        rep.submit(frame(), 0)
-        assert [f.seq for f, _ in ports["a"].submitted] == [65_535, 0]
+        rep.submit(frame())
+        rep.submit(frame())
+        assert [f.seq for f in ports["a"].submitted] == [65_535, 0]
 
     def test_one_copy_per_member_path_port(self):
         rep, ports = replicator(("a", "b", "c"))
         original = frame(fid=7)
-        rep.submit(original, 1234)
+        rep.submit(original)
         assert original.seq == 0
         for label, port in ports.items():
-            [(copy, t)] = port.submitted
-            assert (copy.id, copy.seq, copy.route, t) == (7, 0, label, 1234)
+            [copy] = port.submitted
+            assert (copy.id, copy.seq, copy.route) == (7, 0, label)
             assert copy is not original
 
 
@@ -61,15 +61,15 @@ class TestReplicate:
     def test_one_copy_per_path(self):
         rep, ports = replicator(("a", "b"))
         rep.next_seq = 7
-        rep.submit(frame(), 0)
-        copies = [f for port in ports.values() for f, _ in port.submitted]
+        rep.submit(frame())
+        copies = [f for port in ports.values() for f in port.submitted]
         assert [c.route for c in copies] == ["a", "b"]
         assert all(c.seq == 7 and c.size_bytes == 64 for c in copies)
 
     def test_copies_have_independent_traces(self):
         rep, ports = replicator(("a", "b"))
-        rep.submit(frame(), 0)
-        [(a, _)], [(b, _)] = ports["a"].submitted, ports["b"].submitted
+        rep.submit(frame())
+        [a], [b] = ports["a"].submitted, ports["b"].submitted
         a.hw_tx = 123
         assert b.hw_tx is None
 
@@ -137,9 +137,9 @@ class TestExactlyOnce:
         arrivals = []
         survivors = set()
         for i in range(n):
-            rep.submit(frame(fid=i), i * 10)
+            rep.submit(frame(fid=i))
             for port in ports.values():
-                copy, _ = port.submitted.pop()
+                copy = port.submitted.pop()
                 if rng.random() < 0.3:
                     continue
                 survivors.add(copy.seq)
@@ -159,8 +159,8 @@ class TestExactlyOnce:
         rep, ports = replicator()
         rep.next_seq = 65_000
         for i in range(3000):
-            rep.submit(frame(fid=i), 0)
-        outcomes = [st.recover(f) for f, _ in ports["a"].submitted]
+            rep.submit(frame(fid=i))
+        outcomes = [st.recover(f) for f in ports["a"].submitted]
         assert outcomes == [ACCEPT] * 3000
 
 

@@ -250,9 +250,9 @@ def corpus(tmp_path_factory):
             return receive(self, frame, t)
         return hook
 
-    def taken(port, frame, t):
+    def taken(port, frame):
         handed[port].append(frame.id)
-        return submit(port, frame, t)
+        return submit(port, frame)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "Engine", CappedEngine)

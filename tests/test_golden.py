@@ -93,10 +93,12 @@ PINNED = {
               "loss_per_path": 0.1}), {
         "records.csv": "646481802eccdf56d5a6b7c8b8f3d55b158b841ecd5f0b891c13decbed83b304",
         "stats.json": "7fa23dc60892c66d71ee16099bf4905acb42ee53e8bb1b26e578200960e29bf9"}),
-    # sw0's class-5 window wraps the GCL cycle end over three open entries,
-    # and sw1's spans two; wake jitter makes some frames miss sw0's window
-    # by the guard band; frames the stream gate tags IPV 3 never fit class
-    # 3's 1 us window, and the window budget passes two frames of three
+    # sw0's class-5 window wraps the GCL cycle end over three open entries;
+    # wake jitter makes some frames miss sw0's window by the guard band;
+    # frames the stream gate tags IPV 3 never fit class 3's 1 us window,
+    # and the window budget passes two frames of three. sw1 queues by the
+    # frame's priority 2, which its GCL opens outside class 5's window: an
+    # IPV applies only in the bridge that assigns it
     "qbv_psfp_wrapping_window": (_chain(
         [("sw0", "xdp"), ("sw1", "zero")],
         traffic={"period_ns": 50_000, "count": 400, "priority": 2,
@@ -125,8 +127,8 @@ PINNED = {
                          {"gate_mask": 0x20, "duration_ns": 2_000},
                          {"gate_mask": 0x21, "duration_ns": 2_000},
                          {"gate_mask": 0xDF, "duration_ns": 16_000}]}}}), {
-        "records.csv": "e1d79c4dfabe63b2fe24ec288350149c35fcdcc9e82e07387a61df4f6ad7f1a7",
-        "stats.json": "4c5b1dbebc78ab29ee459d685847d7ec686ca1d8d9ce063ceae5eb83ee569f76"}),
+        "records.csv": "3a8b19d35778a9ac3bab5260aada1c8829ce6728064a745349c5ee4ac5b390ab",
+        "stats.json": "fc32953c6d03e0cf35282f4b2aceab71a0cb95aa9b950ec9187ad2a3e11a74be"}),
     # the talker hands frames over a lead early; sw0 launches them
     "software_etf_bridge": (_chain(
         [("sw0", "linux_bridge")],

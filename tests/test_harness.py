@@ -467,7 +467,7 @@ class TestRunScenario:
     # paper_fig1 is sleep mode through an idle port; paper_fig2 is txtime
     # with offloaded ETF, whose hw_precision starts each frame after its kick
     @pytest.mark.parametrize("scenario,events,rechecks",
-                             [("paper_fig1", 200 + 1, 0), ("paper_fig2", 2 * 200, 28)],
+                             [("paper_fig1", 200, 0), ("paper_fig2", 2 * 200, 28)],
                              ids=["paper_fig1", "paper_fig2"])
     def test_resyncs_add_no_engine_events(self, engines, scenario, events, rechecks):
         doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
@@ -481,10 +481,11 @@ class TestRunScenario:
         assert len(plain.records) == len(synced.records) == 200
         assert plain.records != synced.records
         # sleep mode: one event per frame, its hand-over to the port, which
-        # also draws the next frame, and a first event that draws frame 0;
-        # txtime: per frame, the talker's event, which sends it, and the ETF
-        # launch time. No event only resyncs a clock, takes a stamp, starts
-        # the wire or ends a transmission that nothing preempts and no frame
+        # also draws the next frame; frame 0 is drawn by the send that
+        # run_scenario calls before the run, which is no event. txtime: per
+        # frame, the talker's event, which sends it, and the ETF launch
+        # time. No event only resyncs a clock, takes a stamp, starts the
+        # wire or ends a transmission that nothing preempts and no frame
         # waits behind. On the talker's resynced PHC, a resync between an ETF
         # kick and the launch it computed moves the launch, and the port
         # checks again: rechecks more kicks, while when_reading inverts only
@@ -494,17 +495,20 @@ class TestRunScenario:
     @pytest.mark.parametrize("frer", [None, {"enabled": True, "paths": 3, "loss_per_path": 0.1}],
                              ids=["one_path", "frer"])
     @pytest.mark.parametrize("count", [1, 2, 300])
-    def test_a_sleep_mode_run_executes_count_plus_one_events(self, engines, count, frer):
-        # a direct link with an idle port: the first event draws frame 0, and
+    @pytest.mark.parametrize("scenario,traffic", [
+        ("paper_fig1", {}), ("paper_fig2", {"txtime_lead_ns": 0})], ids=["sleep", "txtime"])
+    def test_a_run_executes_count_events(self, engines, scenario, traffic, count, frer):
+        # a direct link with an idle port, and in txtime mode an ETF launch
+        # due at the hand-over: the send before the run draws frame 0, and
         # each frame's hand-over draws the next; the port sends each copy at
         # once and delivers it as it commits, with no event of its own
-        doc = json.loads((SCENARIOS / "paper_fig1.json").read_text())
-        doc["traffic"]["count"] = count
+        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        doc["traffic"].update(traffic, count=count)
         if frer:
             doc["frer"] = frer
         result = run_scenario(parse_scenario(doc))
         assert len(result.records) + sum(result.drops.values()) == count * (3 if frer else 1)
-        assert [e.executed for e in engines] == [count + 1]
+        assert [e.executed for e in engines] == [count]
 
     def test_gated_bridge_path_events_and_schedule_calls(self, monkeypatch):
         # an ETF talker through three PSFP/Qbv bridges to the listener, with
@@ -667,7 +671,7 @@ class TestListener:
         for cfg, seed in ((bridged, 1), (direct, 2)):
             port, _ = build_path(engine, cfg, clocks, seed, sink.receive)
             Talker(engine, cfg.traffic, cfg.traffic.count, clocks["talker"]["system"], seed,
-                   port.submit).plan()
+                   port.submit).send()
         engine.run_all()
         sink.close()
         # each stream gets what it gets alone

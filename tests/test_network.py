@@ -248,8 +248,6 @@ def ipv_chain(sw0_tags: bool) -> dict:
             "run": {"seed": 1}}
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND: the IPV a bridge assigns follows the frame "
-                   "to every later bridge, which queues it by that IPV")
 def test_ipv_applies_only_inside_the_bridge_that_assigns_it():
     # under 802.1Qci the next bridge queues by the frame's priority, 0 here,
     # which sw1 never closes: three 512 ns wire times, with or without sw0's tag

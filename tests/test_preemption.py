@@ -22,9 +22,9 @@ def run_port(pframe, express_arrivals, rate=RATE_100M):
     port = EgressPort(eng, rate, queue=TaprioPort(link_rate_bps=rate),
                       preemption=PCFG,
                       deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
-    port.submit(pframe, 0)
+    port.submit(pframe)
     for t, f in express_arrivals:
-        eng.schedule(t, lambda f=f: port.submit(f, eng.now))
+        eng.schedule(t, port.submit, f)
     eng.run_all()
     return dict((fid, (s, e)) for fid, s, e in out)
 
@@ -134,9 +134,8 @@ class TestPortIntegration:
         port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
                           preemption=PreemptionConfig(enabled=False),
                           deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
-        port.submit(Frame(id=1, size_bytes=9000, priority=0), 0)
-        eng.schedule(100, lambda: port.submit(
-            Frame(id=2, size_bytes=64, priority=7), eng.now))
+        port.submit(Frame(id=1, size_bytes=9000, priority=0))
+        eng.schedule(100, port.submit, Frame(id=2, size_bytes=64, priority=7))
         eng.run_all()
         assert dict((f, (s, e)) for f, s, e in out)[2][0] == 720_000
 
@@ -146,10 +145,10 @@ class TestPortIntegration:
         taprio = TaprioPort(link_rate_bps=RATE_100M, capacity=1)
         port = EgressPort(Engine(), RATE_100M, queue=taprio, preemption=PCFG,
                           deliver=lambda f, e: None)
-        port.submit(Frame(id=1, size_bytes=100, priority=0), 0)
-        port.submit(Frame(id=2, size_bytes=64, priority=7), 0)
+        port.submit(Frame(id=1, size_bytes=100, priority=0))
+        port.submit(Frame(id=2, size_bytes=64, priority=7))
         assert not port.queue.drops and taprio.count == 1
-        port.submit(Frame(id=3, size_bytes=64, priority=7), 0)
+        port.submit(Frame(id=3, size_bytes=64, priority=7))
         assert port.queue.drops == {"taprio_full": 1}
 
     def test_preempted_frame_resumes_when_express_leaves_queue_empty(self):
@@ -161,8 +160,8 @@ class TestPortIntegration:
         port = EgressPort(eng, RATE_100M, queue=taprio, preemption=PCFG,
                           deliver=lambda f, e: out.append(
                               (f.id, f.hw_tx, e, taprio.count, port._suspended is not None)))
-        port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
-        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
+        port.submit(Frame(id=1, size_bytes=1500, priority=0))
+        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7))
         eng.run_all()
         assert out == [(2, 10_240, 15_360, 0, True), (1, 0, 125_120, 0, False)]
 
@@ -175,8 +174,8 @@ class TestPortIntegration:
                           propagation_ns=333, preemption=PCFG,
                           deliver=lambda f, arrival: out.append(
                               (f.id, arrival, f.hw_tx, eng.now)))
-        port.submit(Frame(id=1, size_bytes=1500, priority=0), 0)
-        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7), 10_000)
+        port.submit(Frame(id=1, size_bytes=1500, priority=0))
+        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7))
         eng.run_all()
         assert out == [(2, 15_360 + 333, 10_240, 10_240), (1, 125_120 + 333, 0, 125_120)]
 
@@ -191,8 +190,8 @@ class TestPortIntegration:
                           preemption=PCFG, deliver=lambda f, e: out.append((f.id, e)))
         cut = Frame(id=1, size_bytes=1500, priority=0)
         express = Frame(id=2, size_bytes=64, priority=7)
-        port.submit(cut, 0)
-        eng.schedule(10_000, port.submit, express, 10_000)
+        port.submit(cut)
+        eng.schedule(10_000, port.submit, express)
         eng.run_all()
         assert out == [(2, 15_360), (1, 125_120)]
         read = (phc or ClockModel()).read

@@ -136,7 +136,7 @@ def egress_port(base_time, entries, arrivals):
     port = EgressPort(eng, RATE, queue=taprio,
                       deliver=lambda f, end: wire.append((f.id, f.hw_tx, end)))
     for fid, (t, size, priority) in enumerate(arrivals):
-        eng.schedule(t, port.submit, Frame(id=fid, size_bytes=size, priority=priority), t)
+        eng.schedule(t, port.submit, Frame(id=fid, size_bytes=size, priority=priority))
     eng.run_all()
     return wire, taprio.drops
 

@@ -291,22 +291,17 @@ class ClockModel(Record):
 
 
 class Engine:
-    """Single-threaded event loop over integer-nanosecond time.
-
-    Each heap entry is (fire_time, seq, action, args): the event runs
-    action(*args), so callers pass a bound method and its arguments
-    instead of building a closure or partial per event. Events with equal
-    fire times run in seq order, the order in which schedule or reserve
-    took their seq, not that of their causes. (now, seq) places the
-    running event in that order; after a run, seq is the last number
-    taken, so code run between runs follows every event scheduled so far.
+    """Single-threaded event loop over integer-nanosecond time: a heap of
+    (fire_time, seq, action, args), where each event runs action(*args), so
+    callers pass a bound method and its arguments instead of building a
+    closure or partial per event. Events with equal fire times run first in,
+    first out: in the order schedule took their seq, not that of their causes.
     """
 
     def __init__(self):
         self._heap: list = []
         self._seq = 0
         self.now: SimTime = 0
-        self.seq = 0
         self.executed = 0
 
     def schedule(self, fire_time: SimTime, action: Callable[..., None], *args) -> int:
@@ -316,25 +311,13 @@ class Engine:
         heappush(self._heap, (fire_time, seq, action, args))
         return seq
 
-    def reserve(self) -> int:
-        """Take the next seq now, for an event schedule_reserved may add later."""
-        seq = self._seq = self._seq + 1
-        return seq
-
-    def schedule_reserved(self, fire_time: SimTime, seq: int,
-                          action: Callable[..., None], *args) -> None:
-        if fire_time < self.now:
-            raise PastTimeError(f"fire_time {fire_time} < now {self.now}")
-        heappush(self._heap, (fire_time, seq, action, args))
-
     def run_all(self) -> int:
         count = 0
         heap = self._heap
         while heap:
-            self.now, self.seq, action, args = heappop(heap)
+            self.now, _, action, args = heappop(heap)
             action(*args)
             count += 1
-        self.seq = self._seq
         self.executed += count
         return count
 

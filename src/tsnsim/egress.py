@@ -261,10 +261,13 @@ class EgressPort:
     commits it, calling deliver(frame, arrival) in true time, with arrival
     = wire end + propagation_ns; the receiver acts at arrival, not at
     engine.now, but its events take their seq at the commit, which orders
-    them in a tie. Each transmission holds the wire until its end, at a seq
-    taken at its start. There a preemptable one has its finish, which
-    delivers it, unless a preemption moves the hold to the switch at the
-    fragment boundary; any other has a kick there only if a frame waits.
+    them in a tie. The wire is busy before the end of the transmission on
+    it, and free from that instant, as a GCL entry holds [start, end): a
+    frame handed over at the end finds it free. Only a preemptable
+    transmission also holds the wire until its finish, at its end, has run
+    and delivered it, unless a preemption moves the hold to the switch at
+    the fragment boundary; any other has an event at its end, a kick, only
+    if a frame waits.
     """
 
     def __init__(self, engine: Engine, rate_bps: int, *,
@@ -291,10 +294,10 @@ class EgressPort:
         self._cuttable: Optional[tuple] = None
         #: a preempted frame as (frame, bytes_done)
         self._suspended: Optional[tuple] = None
-        #: the (time, seq) until which the wire is held, and whether an
-        #: event (a finish, a switch or a kick) is scheduled there
-        self._free = (0, 0)
-        self._kick_when_free = False
+        #: the time from which the wire is free; _held while a finish or a
+        #: switch due at _free has yet to run; and whether an event (a finish,
+        #: a switch or a kick) is scheduled at _free
+        self._free, self._held, self._kick_when_free = 0, False, False
         self._kick_scheduled_at = math.inf
         self._bypass = isinstance(self.queue, TaprioPort) and self.queue.gcl is None
         self._preemptive = self.preemption.enabled
@@ -315,7 +318,7 @@ class EgressPort:
                 self._do_preempt(frame, t)
                 return
         elif (self._bypass and not self.queue.count and self._suspended is None
-                and (t, self.engine.seq) >= self._free):
+                and t >= self._free and not self._held):
             self._start(frame)
             return
         if self.queue.enqueue(frame, t) is None:
@@ -328,11 +331,11 @@ class EgressPort:
         if scheduled:  # the kick at a gate change or ETF launch time, scheduled below
             self._kick_scheduled_at = math.inf
         t = engine.now
-        if (t, engine.seq) < self._free:
+        if t < self._free or self._held:
             # busy: look again when the wire frees, unless an event there will
             if not self._kick_when_free:
                 self._kick_when_free = True
-                engine.schedule_reserved(*self._free, self._kick)
+                engine.schedule(self._free, self._kick)
             return
         suspended = self._suspended
         frame = self.queue.select(t, None if suspended is None else self._express)
@@ -360,21 +363,21 @@ class EgressPort:
         if not bytes_done:
             frame.hw_tx = self.phc.read(start)
         end = start + self._tt[frame.size_bytes - bytes_done]
-        self._free = (end, self.engine.reserve())
+        self._free = end
         if self._preemptive and frame.egress_class not in self._express:
             self._cuttable = (frame, start, bytes_done)
-            self._kick_when_free = True
-            self.engine.schedule_reserved(*self._free, self._finish, frame, end)
+            self._held = self._kick_when_free = True
+            self.engine.schedule(end, self._finish, frame, end)
             return
-        self._cuttable, self._kick_when_free = None, False
+        self._cuttable, self._held, self._kick_when_free = None, False, False
         if self._suspended is not None or self.queue.count:
             self._kick()
         self.deliver(frame, end + self.propagation_ns)
 
     def _finish(self, frame: Frame, end: SimTime):
-        if (self.engine.now, self.engine.seq) != self._free:
-            return  # preempted: the wire is held to a switch instead
-        self._cuttable = None
+        if self._cuttable is None or self._free != end:
+            return  # preempted: a resumed frame always ends after its first end
+        self._cuttable, self._held = None, False
         self.deliver(frame, end + self.propagation_ns)
         if self._suspended is not None or self.queue.count:
             self._kick()
@@ -393,8 +396,8 @@ class EgressPort:
         self._cuttable = None
         # point and done count overhead bytes; the cache adds them itself
         boundary = seg_start + self._tt[point - done - self.overhead_bytes]
-        self._free = (max(boundary, t), self.engine.reserve())
-        self.engine.schedule_reserved(*self._free, self._switch, express, (frame, point))
+        self._free = max(boundary, t)
+        self.engine.schedule(self._free, self._switch, express, (frame, point))
 
     def _switch(self, express: Frame, suspended: tuple):
         """At the fragment boundary: suspend the preempted frame and send express."""

@@ -83,14 +83,13 @@ class _Checker:
         return []
 
     def read(self, obj, path, cls, fields, required=()):
-        """cls(**values) from the object at path, each key read by fields[key], a
-        required one also when absent: one absent or read as None keeps cls's
-        default. None when obj is not an object or a value is missing or bad."""
+        """cls(**values) from the object at path, each key present read by
+        fields[key]: one absent or read as None keeps cls's default. None when
+        obj is not an object or a value is missing or bad."""
         if not self.dict(obj, path, fields, required):
             return None
         before = len(self.problems)
-        values = {k: read(self, obj, k, path) for k, read in fields.items()
-                  if k in obj or k in required}
+        values = {k: read(self, obj, k, path) for k, read in fields.items() if k in obj}
         if len(self.problems) > before or not obj.keys() >= set(required):
             return None
         return cls(**{k: v for k, v in values.items() if v is not None})

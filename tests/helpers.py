@@ -61,10 +61,10 @@ def run_until(engine, t_end: int) -> int:
     count = 0
     heap = engine._heap
     while heap and heap[0][0] <= t_end:
-        engine.now, engine.seq, action, args = heappop(heap)
+        engine.now, _, action, args = heappop(heap)
         action(*args)
         count += 1
-    engine.now, engine.seq = t_end, engine._seq
+    engine.now = t_end
     engine.executed += count
     return count
 

@@ -27,12 +27,14 @@ IPV = 5
 #: calls into tsnsim per delivered frame, set-up included, on the chain below:
 #: 70.335 since each taprio queue fixes a frame's wire time at enqueue (81.085 before),
 #: 69.895 since each taprio queue compiles its GCL in one pass, with no max_open_run,
-#: 68.895 since the txtime talker's event sends its frame itself
-CALLS_PER_FRAME = 68.895
+#: 68.895 since the txtime talker's event sends its frame itself, 64.895 since a
+#: transmission takes no engine seq for its end
+CALLS_PER_FRAME = 64.895
 #: the same on paper_fig1, a sleep-mode talker to an idle port: 18.028 with a plan
 #: and a hand-over event per frame, 16.029 since one event sends and draws the next,
-#: 16.028 since the send before the run draws frame 0, with no event of its own
-CALLS_PER_SLEEP_FRAME = 16.028
+#: 16.028 since the send before the run draws frame 0, with no event of its own,
+#: 15.028 since a transmission takes no engine seq for its end
+CALLS_PER_SLEEP_FRAME = 15.028
 
 
 def gated_psfp_chain(count: int) -> dict:

@@ -193,23 +193,6 @@ class TestEngine:
         assert order == ["first", *range(20)]
         assert eng.executed == 21
 
-    @pytest.mark.parametrize("run", ["run_all", "run_until"])
-    def test_reserved_seq_keeps_its_place_and_seq_tracks_the_run(self, run):
-        eng = Engine()
-        order, seen = [], []
-        eng.schedule(100, order.append, "before")
-        reserved = eng.reserve()
-        eng.schedule(100, lambda: (order.append("after"), seen.append((eng.now, eng.seq))))
-        # added last, the reserved event still runs between the two
-        eng.schedule_reserved(100, reserved, order.append, "reserved")
-        eng.run_all() if run == "run_all" else run_until(eng, 100)
-        assert order == ["before", "reserved", "after"]
-        assert seen == [(100, reserved + 1)]
-        # between runs, code follows every seq taken so far
-        assert (eng.now, eng.seq) == (100, reserved + 1)
-        with pytest.raises(PastTimeError):
-            eng.schedule_reserved(99, eng.reserve(), order.append, "past")
-
 
 class TestClockModel:
     def test_identity(self):

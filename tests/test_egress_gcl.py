@@ -15,6 +15,7 @@ from tsnsim.core import CyclicSchedule, Engine, JitterDist, ScheduleError
 from tsnsim.egress import EgressPort, GclEntry, PreemptionConfig, TaprioPort
 from tsnsim.traffic import Frame, transmission_time
 
+from conftest import CappedEngine
 from helpers import BeforeBaseTimeError, gcl_state, max_open_run, run_until, time_until_close
 
 US = 1000
@@ -645,22 +646,37 @@ class TestIdleBypass:
         eng.run_all()
         return wires, taprio.drops, taprio.enqueues
 
-    @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "always_open"])
-    def test_arrivals_at_the_wire_end_wait_for_its_finish(self, gated):
-        # frames 1 (class 1) and 2 (class 6) are scheduled before frame 0
-        # starts, so at the instant frame 0 ends they run before its finish:
-        # they find the wire busy and queue, and the higher class goes first
+    def run_wire_end(self, gated, classes, preemption=None):
+        """(id, hw_tx, end) of frame 0 at 0 and frames 1 and 2, of the given
+        classes, handed over at frame 0's end. They are scheduled before frame
+        0 starts, so at that instant they run before any event of frame 0's."""
         eng = Engine()
         wires = []
         gcl = CyclicSchedule(0, MS, [GclEntry(0xFF, MS)]) if gated else None
-        port = EgressPort(eng, self.RATE,
-                          queue=TaprioPort(gcl=gcl, link_rate_bps=self.RATE),
-                          deliver=lambda f, e: wires.append((f.id, f.hw_tx)))
+        port = EgressPort(eng, self.RATE, queue=TaprioPort(gcl=gcl, link_rate_bps=self.RATE),
+                          preemption=preemption,
+                          deliver=lambda f, e: wires.append((f.id, f.hw_tx, e)))
         end = transmission_time(1500, self.RATE)
-        for fid, t, priority in [(0, 0, 0), (1, end, 1), (2, end, 6)]:
+        for fid, t, priority in [(0, 0, 0), (1, end, classes[0]), (2, end, classes[1])]:
             eng.schedule(t, port.submit, Frame(id=fid, size_bytes=1500, priority=priority))
         eng.run_all()
-        assert wires == [(0, 0), (2, end), (1, 2 * end)]
+        return wires, end
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "always_open"])
+    def test_arrivals_at_the_wire_end_find_it_free(self, gated):
+        # frame 0 has no event at its end: frame 1 (class 1) finds the wire
+        # free and starts, and frame 2 (class 6) queues behind it
+        wires, end = self.run_wire_end(gated, (1, 6))
+        assert [w[:2] for w in wires] == [(0, 0), (1, end), (2, 2 * end)]
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "always_open"])
+    def test_arrivals_at_a_preemptable_end_wait_for_its_finish(self, gated):
+        # preemptable frame 0 holds the wire until its finish has run: frame 1
+        # (class 0) queues, express frame 2 (class 6) cannot cut a frame with
+        # nothing left to send and queues too, and the higher class goes first
+        wires, end = self.run_wire_end(
+            gated, (0, 6), PreemptionConfig(enabled=True, express_classes=frozenset({6})))
+        assert wires == [(0, 0, end), (2, end, 2 * end), (1, 2 * end, 3 * end)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 200 * US), st.integers(64, 1522),
@@ -678,3 +694,52 @@ class TestIdleBypass:
         # the first frame finds the port idle, and only the ungated port
         # sends it without enqueue
         assert ungated[2] < gated[2]
+
+
+class TestTiedHandOvers:
+    """A seeded single-port fuzz with ties made likely: at 100 Mb/s, frames of
+    64 to 1,472 B in 64 B steps, so each wire time is a multiple of 5,120 ns,
+    are handed over on a 5,120 ns grid to an ungated, always-open or gated
+    port. Frames handed over at a wire end then meet its end, finish or switch."""
+
+    RATE = 100_000_000
+    GRID = transmission_time(64, RATE)
+    SEEDS = 2_000
+
+    def run_seed(self, seed, preempt):
+        """(frames handed over, {id: (size, hw_tx, end)} of each delivery,
+        frames dropped, whether a frame was handed over at a wire end)."""
+        rng = random.Random(seed)
+        gcl = rng.choice([None, CyclicSchedule(0, MS, [GclEntry(0xFF, MS)]), CyclicSchedule(
+            0, 3 * 30 * self.GRID, [GclEntry(rng.randrange(1, 256), 30 * self.GRID)
+                                    for _ in range(3)])])
+        taprio = TaprioPort(gcl=gcl, capacity=rng.randint(1, 4), link_rate_bps=self.RATE)
+        eng = CappedEngine()
+        delivered = {}
+
+        def deliver(frame, end):
+            assert frame.id not in delivered, (seed, frame.id)
+            delivered[frame.id] = (frame.size_bytes, frame.hw_tx, end)
+
+        port = EgressPort(eng, self.RATE, queue=taprio, deliver=deliver, preemption=
+                          PreemptionConfig(enabled=preempt, express_classes=frozenset({6})))
+        times = [rng.randrange(16) * self.GRID for _ in range(rng.randint(2, 16))]
+        for fid, t in enumerate(times):
+            eng.schedule(t, port.submit, Frame(id=fid, size_bytes=64 * rng.randint(1, 23),
+                                               priority=rng.choice([0, 1, 6])))
+        eng.run_all()
+        ends = {end for _, _, end in delivered.values()}
+        return len(times), delivered, sum(taprio.drops.values()), not ends.isdisjoint(times)
+
+    @pytest.mark.parametrize("preempt", [False, True], ids=["plain", "preemptive"])
+    def test_each_frame_leaves_once_and_unpreempted_frames_never_overlap(self, preempt):
+        tied = 0
+        for seed in range(self.SEEDS):
+            count, delivered, dropped, at_an_end = self.run_seed(seed, preempt)
+            tied += at_an_end
+            assert len(delivered) + dropped == count, seed
+            # a preempted frame spans the express frames that cut it
+            whole = sorted((start, end) for size, start, end in delivered.values()
+                           if end - start == transmission_time(size, self.RATE))
+            assert all(a[1] <= b[0] for a, b in zip(whole, whole[1:])), seed
+        assert tied > self.SEEDS // 5, tied

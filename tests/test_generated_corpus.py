@@ -229,16 +229,17 @@ def _out_of_order(handed: dict, got: dict) -> list:
 #: per seed, the outcome; the true time at which each frame copy, keyed
 #: (node, frame id, route), reached each bridge and the listener; and the
 #: nodes that handed frames on out of order. Over the whole corpus, the
-#: preemptions made, and the ports that took two frames or more, counted
-#: by the name of the node that fed them
-Corpus = namedtuple("Corpus", "outcomes times out_of_order preemptions ports")
+#: preemptions made, the ports that took two frames or more, counted by
+#: the name of the node that fed them, and the seeds of the frames handed
+#: over at the instant their port's wire frees
+Corpus = namedtuple("Corpus", "outcomes times out_of_order preemptions ports wire_ends")
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("corpus")
     switches, times, outcomes, arrivals, disorder = [], {}, [], [], []
-    handed, got, ports = defaultdict(list), {}, []
+    handed, got, ports, wire_ends = defaultdict(list), {}, [], []
     switch, submit, bridge_receive, listener_receive = (
         EgressPort._switch, EgressPort.submit, BridgeNode.receive, harness.Listener.receive)
 
@@ -252,6 +253,8 @@ def corpus(tmp_path_factory):
 
     def taken(port, frame):
         handed[port].append(frame.id)
+        if port.engine.now == port._free > 0:
+            wire_ends.append(seed)
         return submit(port, frame)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -270,7 +273,8 @@ def corpus(tmp_path_factory):
             disorder.append(_out_of_order(handed, got))
             ports += [got.get(port, ("talker",))[0] for port, ids in handed.items()
                       if len(ids) > 1]
-    return Corpus(outcomes, arrivals, disorder, len(switches), Counter(ports))
+    return Corpus(outcomes, arrivals, disorder, len(switches), Counter(ports),
+                  Counter(wire_ends))
 
 
 def test_generated_scenarios_validate_run_and_conserve_frames(corpus):
@@ -285,6 +289,12 @@ def test_corpus_reaches_every_drop_key_and_preempts(corpus):
         seen.update(drops)
     assert seen == DROP_KEYS
     assert corpus.preemptions > 0
+
+
+def test_corpus_hands_frames_over_at_a_wire_end(corpus):
+    # such a frame finds the wire free, unless a preemptable frame's finish
+    # or a preemption's switch there has yet to run
+    assert corpus.wire_ends, "no frame was handed over at a wire end"
 
 
 def test_talkers_and_bridges_hand_frames_on_in_the_order_they_got_them(corpus):

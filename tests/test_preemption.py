@@ -208,6 +208,33 @@ class TestPortIntegration:
         assert out[3] == (15_360, 20_480)     # express before pMAC resumes
         assert out[1][1] == 130_240           # 120_000 + 2 * 5_120
 
+    def test_a_hand_over_at_the_boundary_before_the_switch_queues(self):
+        # frame 3, scheduled first, is handed over at the 10_240 boundary
+        # before the switch to express frame 2 has run: the wire is held,
+        # so frame 3 queues, and starts only once frame 1 has resumed and ended
+        eng = Engine()
+        out = []
+        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
+                          preemption=PCFG, deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
+        eng.schedule(10_240, port.submit, Frame(id=3, size_bytes=64, priority=0))
+        port.submit(Frame(id=1, size_bytes=1500, priority=0))
+        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=64, priority=7))
+        eng.run_all()
+        assert out == [(2, 10_240, 15_360), (1, 0, 125_120), (3, 125_120, 130_240)]
+
+    def test_an_express_end_at_the_first_end_of_the_cut_frame_delivers_it_once(self):
+        # express frame 2 (1,372 B) runs from the 10_240 boundary to 120_000,
+        # frame 1's first end: frame 1's finish there is stale and delivers
+        # nothing, and frame 1 resumes with its 1,372 B left
+        eng = Engine()
+        out = []
+        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
+                          preemption=PCFG, deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
+        port.submit(Frame(id=1, size_bytes=1500, priority=0))
+        eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=1372, priority=7))
+        eng.run_all()
+        assert out == [(2, 10_240, 120_000), (1, 0, 229_760)]
+
     def test_repeated_preemption_conserves_bytes(self):
         rng = random.Random(17)
         for trial in range(50):

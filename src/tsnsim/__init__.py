@@ -2,7 +2,7 @@
 
 from .core import ClockModel, CyclicSchedule, Engine, JitterDist, PastTimeError, SimTime, rng_fork
 from .traffic import Frame, StreamKey, transmission_time
-from .egress import EgressPort, EtfQueue, GclEntry, PreemptionConfig, TaprioPort
+from .egress import EgressPort, EtfQueue, GclEntry, PreemptionConfig, TaprioPort, WireTimes
 from .ingress import PsfpDecision, StreamGate, StreamGateEntry
 from .frer import RecoveryState, Replicator
 from .network import (BridgeNode, CqfConfig, cqf_compose, cqf_latency_bound)

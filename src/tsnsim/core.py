@@ -132,6 +132,7 @@ class JitterDist(Record, frozen=True):
     @classmethod
     def normal(cls, mean_ns: float, std_ns: float,
                min_ns: Optional[int] = None) -> "JitterDist":
+        mean_ns, std_ns = float(mean_ns), float(std_ns)
         if std_ns < 0:
             raise ValueError("normal: std_ns < 0")
         if not (math.isfinite(mean_ns - 4 * std_ns) and math.isfinite(mean_ns + 4 * std_ns)):

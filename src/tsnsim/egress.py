@@ -26,14 +26,14 @@ class GclEntry(Record, frozen=True):
     duration_ns: int
 
 
-class _WireTimes(dict):
-    """transmission_time by frame size, overhead added, computed once per size."""
+class WireTimes(dict):
+    """A link's transmission_time by frame size, overhead added, computed once per size."""
 
     def __init__(self, rate_bps: int, overhead_bytes: int = 0):
-        self.link = (rate_bps, overhead_bytes)
+        self.rate_bps, self.overhead_bytes = rate_bps, overhead_bytes
 
     def __missing__(self, nbytes: int) -> int:
-        tt = self[nbytes] = transmission_time(nbytes, *self.link)
+        tt = self[nbytes] = transmission_time(nbytes, self.rate_bps, self.overhead_bytes)
         return tt
 
 
@@ -57,17 +57,16 @@ class TaprioPort:
     entry, its gate mask, end phase and, under "fit" only, each class's open
     time after it; per class, the oversize limit. enqueue fixes each frame's
     wire time, so select makes one entry lookup per call, a bisection of
-    t's phase, and compares wire times.
+    t's phase, and compares wire times, from wire (a 1 Gb/s link's by default).
     """
 
     def __init__(self, gcl: Optional[CyclicSchedule] = None, capacity: int = 64,
-                 guard_mode: str = "fit", link_rate_bps: int = 10 ** 9,
-                 overhead_bytes: int = 0):
+                 guard_mode: str = "fit", wire: Optional[WireTimes] = None):
         if guard_mode not in ("fit", "none"):
             raise ValueError(f"guard_mode {guard_mode!r}")
         if capacity < 1:
             raise ValueError(f"capacity {capacity} < 1")
-        self.gcl = gcl
+        self.gcl, self.can_bypass = gcl, gcl is None
         self.capacity = capacity
         self.guard_mode = guard_mode
         self.queues: list[deque] = [deque() for _ in range(NUM_CLASSES)]
@@ -94,8 +93,8 @@ class TaprioPort:
                 run = [r + d if mask >> tc & 1 else 0 for tc, r in enumerate(run)]
                 runs.append(run)  # from the start of entry j % n
             self._limits = tuple([r if fit or not r else math.inf for r in map(max, *runs)])
-        #: wire time by frame size, overhead included
-        self._tt = _WireTimes(link_rate_bps, overhead_bytes)
+        #: wire time by frame size, overhead included; an empty table is falsy
+        self._tt = WireTimes(10 ** 9) if wire is None else wire
         #: the next gate change as the last select found it
         self.wake_time = math.inf
 
@@ -169,6 +168,8 @@ class EtfQueue:
     a clock, the identity clock is used.
     """
 
+    can_bypass = False  # a frame waits for its launch time, even on an idle port
+
     def __init__(self, delta_ns: int = 0, offload: bool = True,
                  clock: Optional[ClockModel] = None):
         self.delta_ns = delta_ns
@@ -192,15 +193,15 @@ class EtfQueue:
         return None
 
     def select(self, t: SimTime, classes=None) -> Optional[Frame]:
-        """Pop the head frame if it is due at t; classes is ignored."""
+        """Pop the head frame if it is due at t and, given classes, of one of them."""
         if not self._heap:
             return None
-        txtime = self._heap[0][0]
+        txtime, _, head = self._heap[0]
+        if classes is not None and head.egress_class not in classes:
+            return None
         due = self.wake_time = self.clock.when_reading(
             txtime if self.offload else txtime - self.delta_ns, t)
-        if due > t:
-            return None
-        return self.pop()
+        return None if due > t else self.pop()
 
     def pop(self) -> Frame:
         frame = heapq.heappop(self._heap)[2]
@@ -245,15 +246,8 @@ class EgressPort:
     the engine.
 
     submit(frame) hands a frame over at engine.now, and carries no time.
-    queue is a TaprioPort or an EtfQueue, which has no engine: the port
-    drives either through enqueue(frame, t), select(t, classes), wake_time
-    (when select, having returned None with frames queued, wants to be
-    called again: the next gate change or the head's launch time), count
-    (the frames queued; the port looks for work only when a frame is
-    suspended or this is non-zero) and drops, as a netdev drives its qdisc.
-    Like a qdisc that can be bypassed in Linux, an idle port sends a frame
-    that finds its ungated TaprioPort empty straight to the wire: there,
-    enqueue and select would return it.
+    wire, the link's WireTimes, gives the rate and overhead. The port drives
+    queue only through the queue contract of README.md, as a netdev its qdisc.
     hw_precision, when given, is added to each wire start: the launch
     precision of a NIC that times launches itself, as with offloaded ETF.
     A transmission is one step: its start stamps hw_tx on phc (the
@@ -270,18 +264,12 @@ class EgressPort:
     if a frame waits.
     """
 
-    def __init__(self, engine: Engine, rate_bps: int, *,
-                 queue: TaprioPort | EtfQueue,
-                 overhead_bytes: int = 0,
-                 propagation_ns: int = 0,
-                 phc: Optional[ClockModel] = None,
+    def __init__(self, engine: Engine, wire: WireTimes, *, queue: TaprioPort | EtfQueue,
+                 propagation_ns: int = 0, phc: Optional[ClockModel] = None,
                  preemption: Optional[PreemptionConfig] = None,
-                 hw_precision: Optional[JitterDist] = None,
-                 rng=None,
-                 deliver: Callable):
+                 hw_precision: Optional[JitterDist] = None, rng=None, deliver: Callable):
         self.engine = engine
-        self.rate_bps = rate_bps
-        self.overhead_bytes = overhead_bytes
+        self._tt = wire  # wire time by frame size, overhead included
         self.propagation_ns = propagation_ns
         self.phc = phc or ClockModel()
         self.queue = queue
@@ -295,17 +283,13 @@ class EgressPort:
         #: a preempted frame as (frame, bytes_done)
         self._suspended: Optional[tuple] = None
         #: the time from which the wire is free; _held while a finish or a
-        #: switch due at _free has yet to run; and whether an event (a finish,
-        #: a switch or a kick) is scheduled at _free
-        self._free, self._held, self._kick_when_free = 0, False, False
-        self._kick_scheduled_at = math.inf
-        self._bypass = isinstance(self.queue, TaprioPort) and self.queue.gcl is None
+        #: switch due at _free has yet to run; whether an event (a finish, a
+        #: switch or a kick) is scheduled at _free; and when a kick is scheduled
+        self._free, self._held, self._kick_when_free, self._kick_scheduled_at = (
+            0, False, False, math.inf)
+        self._bypass = queue.can_bypass
         self._preemptive = self.preemption.enabled
         self._express = self.preemption.express_classes
-        #: wire time by frame size, overhead added: a taprio queue's on this link
-        tt = getattr(self.queue, "_tt", None)
-        self._tt = (tt if tt is not None and tt.link == (rate_bps, overhead_bytes)
-                    else _WireTimes(rate_bps, overhead_bytes))
 
     # -- submission
 
@@ -384,8 +368,9 @@ class EgressPort:
 
     def _do_preempt(self, express: Frame, t: SimTime):
         frame, seg_start, done = self._cuttable
-        point = _preemption_point(done, seg_start, t, self.rate_bps,
-                                  frame.size_bytes + self.overhead_bytes,
+        wire = self._tt
+        point = _preemption_point(done, seg_start, t, wire.rate_bps,
+                                  frame.size_bytes + wire.overhead_bytes,
                                   self.preemption.min_fragment_bytes)
         if point is None:
             # no legal split: express waits its turn in the queue
@@ -395,7 +380,7 @@ class EgressPort:
         # thereby cancels itself; until then later express frames queue
         self._cuttable = None
         # point and done count overhead bytes; the cache adds them itself
-        boundary = seg_start + self._tt[point - done - self.overhead_bytes]
+        boundary = seg_start + wire[point - done - wire.overhead_bytes]
         self._free = max(boundary, t)
         self.engine.schedule(self._free, self._switch, express, (frame, point))
 

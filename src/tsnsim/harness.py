@@ -20,7 +20,7 @@ from operator import attrgetter, eq, gt, itemgetter, sub
 from typing import Optional
 
 from .core import ClockModel, Engine, RNG_ALGORITHM, Record, SimTime, rng_fork
-from .egress import EgressPort, EtfQueue, TaprioPort
+from .egress import EgressPort, EtfQueue, TaprioPort, WireTimes
 from .frer import ACCEPT, DISCARD_DUPLICATE, DISCARD_STALE, RecoveryState, Replicator
 from .ingress import StreamGate
 from .network import BridgeNode
@@ -261,6 +261,7 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg, clocks: dict,
     time the launch itself.
     """
     launch_precision = preemption = None
+    wire = WireTimes(link.rate_bps, link.overhead_bytes)
     if isinstance(shaper, EtfCfg):
         queue = EtfQueue(delta_ns=shaper.delta_ns, offload=shaper.offload,
                          clock=clocks["phc" if shaper.offload else "system"])
@@ -268,12 +269,9 @@ def _build_port(engine, link: LinkCfg, shaper: TaprioCfg | EtfCfg, clocks: dict,
             launch_precision = hw_precision
     else:
         queue = TaprioPort(gcl=shaper.gcl, capacity=shaper.queue_capacity,
-                           guard_mode=shaper.guard_mode,
-                           link_rate_bps=link.rate_bps,
-                           overhead_bytes=link.overhead_bytes)
+                           guard_mode=shaper.guard_mode, wire=wire)
         preemption = shaper.preemption
-    return EgressPort(engine, link.rate_bps, queue=queue,
-                      overhead_bytes=link.overhead_bytes,
+    return EgressPort(engine, wire, queue=queue,
                       propagation_ns=link.propagation_ns, phc=clocks["phc"],
                       preemption=preemption, hw_precision=launch_precision,
                       rng=rng, deliver=receive)

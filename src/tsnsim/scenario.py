@@ -36,14 +36,6 @@ MAX_RESYNCS = 10 ** 6
 #: largest value of each StreamKey field
 _STREAM_FIELDS = {"dest_mac": 2 ** 48 - 1, "vlan_id": 4095, "pcp": 7}
 
-#: per distribution kind, the arguments of JitterDist.<kind> in order, each with its conversion
-_DISTS = {
-    "constant": {"value_ns": int},
-    "uniform": {"min_ns": int, "max_ns": int},
-    "normal": {"mean_ns": float, "std_ns": float, "min_ns": int},
-    "empirical": {"points": lambda points: points},
-}
-
 
 class ConfigError(Exception):
     """Scenario validation failure with field-level diagnostics."""
@@ -124,31 +116,6 @@ class _Checker:
         self.fail(f"{path}.{key}", f"unknown {unknown} {v!r}" if unknown
                   else f"must be {'|'.join(choices)}, got {v!r}")
         return None
-
-    def dist(self, obj, key, path, default=None, latency=False):
-        """A JitterDist; a latency, which delays an event, never draws below 0."""
-        if key not in obj or obj[key] is None:
-            return default
-        cfg = obj[key]
-        p = f"{path}.{key}"
-        if not isinstance(cfg, dict):
-            self.fail(p, "expected a distribution object")
-            return default
-        kind = self.choice(cfg, "kind", p, _DISTS, unknown="distribution kind")
-        if kind is None:
-            return default
-        self.dict(cfg, p, {"kind", *_DISTS[kind]})
-        try:  # normal's min_ns alone may be absent or null: left out, it is normal's default
-            dist = getattr(JitterDist, kind)(*[
-                conv(cfg[k]) for k, conv in _DISTS[kind].items()
-                if k != "min_ns" or kind != "normal" or cfg.get(k) is not None])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            self.fail(p, f"bad distribution: {exc}")
-            return default
-        if latency and dist.lowest < 0:
-            self.fail(p, f"a latency must not draw below 0, but can draw {dist.lowest}")
-            return default
-        return dist
 
 
 class NodeCfg(Record, frozen=True):
@@ -287,16 +254,22 @@ def _object(parse, *args):
                                       else parse(c, obj[key], f"{path}.{key}", *args))
 
 
+def _number(c: _Checker, obj, key, path):
+    """A number, integral or not; a string or a boolean is bad."""
+    if isinstance(v := obj[key], (int, float)) and not isinstance(v, bool):
+        return v
+    c.fail(f"{path}.{key}", f"expected a number, got {v!r}")
+    return None
+
+
 def _drift(c: _Checker, obj, key, path):
-    drift = obj[key]
-    if isinstance(drift, bool) or not isinstance(drift, (int, float)):
-        c.fail(f"{path}.{key}", f"expected a number, got {drift!r}")
-    elif (isinstance(drift, float) and not math.isfinite(drift)) or drift <= -PPM:
+    drift = _number(c, obj, key, path)
+    if drift is not None and (isinstance(drift, float) and not math.isfinite(drift)
+                              or drift <= -PPM):
         # at -10**6 ppm the clock stops; below, it runs backwards
         c.fail(f"{path}.{key}", f"must be finite and > {-PPM}, got {drift!r}")
-    else:
-        return drift
-    return None
+        return None
+    return drift
 
 
 def _loss(c: _Checker, obj, key, path):
@@ -340,15 +313,57 @@ def _classes(c: _Checker, obj, key, path):
     return frozenset(ec)
 
 
-_latency = partial(_Checker.dist, latency=True)
+def _points(c: _Checker, obj, key, path):
+    """An empirical distribution's [value_ns, weight] pairs, each read by _POINT."""
+    pts = obj[key]
+    if isinstance(pts, list) and all(isinstance(p, list) and len(p) == 2 for p in pts):
+        pairs = [c.read(dict(zip(_POINT, p)), f"{path}.{key}[{i}]", lambda **v: tuple(v.values()),
+                        _POINT) for i, p in enumerate(pts)]
+        return None if None in pairs else pairs
+    c.fail(f"{path}.{key}", "expected a list of [value_ns, weight] pairs")
+    return None
+
+
+_POINT = {"value_ns": _int(), "weight": _number}
+#: per distribution kind, the arguments of JitterDist.<kind>, each with its reader
+_DISTS = {
+    "constant": {"value_ns": _int()},
+    "uniform": {"min_ns": _int(), "max_ns": _int()},
+    "normal": {"mean_ns": _number, "std_ns": _number, "min_ns": _int(nullable=True)},
+    "empirical": {"points": _points},
+}
+
+
+def _parse_dist(c: _Checker, obj, path, latency=False) -> Optional[JitterDist]:
+    """A JitterDist.<kind> of its other keys, read by _DISTS[kind] and all required
+    but normal's min_ns; a latency, which delays an event, never draws below 0."""
+    if not isinstance(obj, dict):
+        c.fail(path, "expected a distribution object")
+        return None
+    if (kind := c.choice(obj, "kind", path, _DISTS, unknown="distribution kind")) is None:
+        return None
+    try:
+        dist = c.read({k: v for k, v in obj.items() if k != "kind"}, path,
+                      getattr(JitterDist, kind), _DISTS[kind],
+                      [k for k in _DISTS[kind] if (kind, k) != ("normal", "min_ns")])
+    except (ValueError, OverflowError) as exc:
+        c.fail(path, f"bad distribution: {exc}")
+        return None
+    if dist is not None and latency and dist.lowest < 0:
+        c.fail(path, f"a latency must not draw below 0, but can draw {dist.lowest}")
+        return None
+    return dist
+
+
+_dist, _latency = _object(_parse_dist), _object(_parse_dist, True)
 
 _NODE = {"name": partial(_text, empty=False), "role": _choice("talker", "bridge", "listener"),
-         "forwarding": _forwarding, "rx_latency": _Checker.dist}
+         "forwarding": _forwarding, "rx_latency": _dist}
 # a link's from and to are read against the document's node names
 _LINK = {"rate_bps": _int(lo=1), "propagation_ns": _int(lo=0), "overhead_bytes": _int(lo=0)}
 
 _CLOCK = {"offset_ns": _int(), "drift_ppm": _drift,
-          "sync_interval_ns": _int(lo=1, nullable=True), "sync_residual": _Checker.dist}
+          "sync_interval_ns": _int(lo=1, nullable=True), "sync_residual": _dist}
 _PREEMPTION = {"enabled": _Checker.bool_in, "express_classes": _classes,
                "min_fragment_bytes": _int(lo=1)}
 # a schedule entry's keys are all required but a stream gate's ipv and
@@ -370,8 +385,8 @@ _TRAFFIC = {"period_ns": _int(lo=1), "count": _int(lo=1),
             "frame_size_bytes": _int(lo=MIN_FRAME_BYTES, hi=MAX_FRAME_BYTES),
             "mode": _choice("sleep", "txtime"), "priority": _int(lo=0, hi=7),
             "stream": _object(_Checker.read, StreamKey, _STREAM_KEY, tuple(_STREAM_FIELDS)),
-            "wake_jitter": _Checker.dist, "stack_latency": _latency, "driver_latency": _latency,
-            "hw_precision": _Checker.dist, "txtime_lead_ns": _int(lo=0, nullable=True)}
+            "wake_jitter": _dist, "stack_latency": _latency, "driver_latency": _latency,
+            "hw_precision": _dist, "txtime_lead_ns": _int(lo=0, nullable=True)}
 _RUN = {"seed": _int(lo=0), "count": _int(lo=1, nullable=True),
         "histogram_bin_ns": _int(lo=1)}
 _CQF = {"enabled": _Checker.bool_in, "cycle_time_ns": _int(lo=1),

@@ -13,7 +13,7 @@ import pytest
 import tsnsim
 from tsnsim.cli import main as cli_main
 from tsnsim.core import ClockModel, CyclicSchedule, Engine, JitterDist, rng_fork
-from tsnsim.egress import EgressPort, EtfQueue, GclEntry, TaprioPort
+from tsnsim.egress import EgressPort, EtfQueue, GclEntry, TaprioPort, WireTimes
 from tsnsim.frer import ACCEPT, RecoveryState
 from tsnsim.harness import (compute_offsets, load_records, report,
                             run_scenario, stats, stats_payload)
@@ -100,7 +100,8 @@ def mask_table(gcl):
 def run_taprio(gcl, frames, rate=10 ** 9, until=20 * MS):
     eng = Engine()
     wires = []
-    port = EgressPort(eng, rate, queue=TaprioPort(gcl=gcl, link_rate_bps=rate),
+    wire = WireTimes(rate)
+    port = EgressPort(eng, wire, queue=TaprioPort(gcl=gcl, wire=wire),
                       deliver=lambda f, e: wires.append((f, f.hw_tx, e)))
     for t, f in frames:
         eng.schedule(t, port.submit, f)
@@ -190,7 +191,8 @@ def run_cqf_chain(hops, cycle, inject_at):
     bridges = []
     for _ in range(hops):
         ingress, gcl = cqf_compose(cfg)
-        port = EgressPort(eng, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
+        wire = WireTimes(10 ** 9)
+        port = EgressPort(eng, wire, queue=TaprioPort(gcl=gcl, wire=wire),
                           deliver=deliver_next)
         br = BridgeNode(eng, "br", port, stream_rules=rules,
                         gates={"s0": StreamGate(ingress)})
@@ -342,7 +344,7 @@ def test_criterion_10_etf_semantics():
 
     eng = Engine()
     wires = []
-    port = EgressPort(eng, 10 ** 9, phc=ClockModel(), queue=EtfQueue(),
+    port = EgressPort(eng, WireTimes(10 ** 9), phc=ClockModel(), queue=EtfQueue(),
                       deliver=lambda f, e: wires.append(f.hw_tx))
     port.submit(Frame(id=1, size_bytes=64, priority=0, txtime=5 * US))
     eng.run_all()

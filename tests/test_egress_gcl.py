@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsnsim.core import CyclicSchedule, Engine, JitterDist, ScheduleError
-from tsnsim.egress import EgressPort, GclEntry, PreemptionConfig, TaprioPort
+from tsnsim.egress import EgressPort, GclEntry, PreemptionConfig, TaprioPort, WireTimes
 from tsnsim.traffic import Frame, transmission_time
 
 from conftest import CappedEngine
@@ -241,7 +241,7 @@ class TestTaprioQueueing:
         # 1500 B @ 100 Mbps = 120 us does not fit 100 us remaining
         gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x01, 200 * US),
                                            GclEntry(0x02, 200 * US)])
-        port = TaprioPort(gcl=gcl, link_rate_bps=100_000_000)
+        port = TaprioPort(gcl=gcl, wire=WireTimes(100_000_000))
         f = Frame(id=1, size_bytes=1500, priority=0)
         port.enqueue(f, 0)
         assert port.select(100 * US) is None
@@ -250,7 +250,7 @@ class TestTaprioQueueing:
     def test_guard_none_transmits_regardless_of_fit(self):
         gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x01, 200 * US),
                                            GclEntry(0x02, 200 * US)])
-        port = TaprioPort(gcl=gcl, link_rate_bps=100_000_000, guard_mode="none")
+        port = TaprioPort(gcl=gcl, wire=WireTimes(100_000_000), guard_mode="none")
         f = Frame(id=1, size_bytes=1500, priority=0)
         port.enqueue(f, 0)
         assert port.select(100 * US) is f
@@ -280,7 +280,7 @@ class TestTaprioQueueing:
         # 9000 B @ 100 Mbps = 720 us fits no 200 us window
         gcl = CyclicSchedule(0, 400 * US, [GclEntry(0x01, 200 * US),
                                            GclEntry(0x02, 200 * US)])
-        port = TaprioPort(gcl=gcl, link_rate_bps=100_000_000)
+        port = TaprioPort(gcl=gcl, wire=WireTimes(100_000_000))
         f = Frame(id=1, size_bytes=9000, priority=0)
         port.enqueue(f, 0)
         assert port.select(0) is None
@@ -472,7 +472,7 @@ class TestTableDrivenQueue:
                 gcl = CyclicSchedule(rng.randrange(1, 180), 60, gcl.entries)
             kwargs = dict(gcl=None if n % 25 == 0 else gcl, capacity=rng.randint(1, 3),
                           guard_mode=("fit", "none")[n // 2 % 2],
-                          link_rate_bps=self.RATE, overhead_bytes=rng.choice([0, 2]))
+                          wire=WireTimes(self.RATE, rng.choice([0, 2])))
             port, former = TaprioPort(**kwargs), FormerTaprioPort(**kwargs)
             t = 0
             for fid in range(150):
@@ -504,8 +504,9 @@ class TestGateConformance:
     def run_port(gcl, frames, rate=10 ** 9, until=20 * MS):
         eng = Engine()
         wires = []
-        taprio = TaprioPort(gcl=gcl, link_rate_bps=rate)
-        port = EgressPort(eng, rate, queue=taprio,
+        wire = WireTimes(rate)
+        taprio = TaprioPort(gcl=gcl, wire=wire)
+        port = EgressPort(eng, wire, queue=taprio,
                           deliver=lambda f, e: wires.append((f, f.hw_tx, e)))
         for t, f in frames:
             eng.schedule(t, port.submit, f)
@@ -592,8 +593,9 @@ class TestPendingCount:
         requeued = 0
         for _ in range(30):
             eng = Engine()
-            taprio = CountedTaprioPort(link_rate_bps=rate, capacity=4)
-            port = EgressPort(eng, rate, queue=taprio,
+            wire = WireTimes(rate)
+            taprio = CountedTaprioPort(wire=wire, capacity=4)
+            port = EgressPort(eng, wire, queue=taprio,
                               preemption=pcfg, deliver=lambda f, e: None)
             do_preempt = port._do_preempt
 
@@ -624,7 +626,8 @@ class TestIdleBypass:
     def run_port(self, arrivals, gcl, capacity, preemption, precision):
         eng = Engine()
         wires = []
-        taprio = CountedTaprioPort(gcl=gcl, capacity=capacity, link_rate_bps=self.RATE)
+        wire = WireTimes(self.RATE)
+        taprio = CountedTaprioPort(gcl=gcl, capacity=capacity, wire=wire)
 
         def deliver(frame, end):
             wires.append((frame.id, frame.hw_tx, end))
@@ -637,7 +640,7 @@ class TestIdleBypass:
                                                      size_bytes=frame.size_bytes,
                                                      priority=echo))
 
-        port = EgressPort(eng, self.RATE, queue=taprio, preemption=preemption,
+        port = EgressPort(eng, wire, queue=taprio, preemption=preemption,
                           hw_precision=precision, rng=random.Random(5), deliver=deliver)
         t = 0
         for i, (gap, size, priority, _) in enumerate(arrivals):
@@ -653,7 +656,8 @@ class TestIdleBypass:
         eng = Engine()
         wires = []
         gcl = CyclicSchedule(0, MS, [GclEntry(0xFF, MS)]) if gated else None
-        port = EgressPort(eng, self.RATE, queue=TaprioPort(gcl=gcl, link_rate_bps=self.RATE),
+        wire = WireTimes(self.RATE)
+        port = EgressPort(eng, wire, queue=TaprioPort(gcl=gcl, wire=wire),
                           preemption=preemption,
                           deliver=lambda f, e: wires.append((f.id, f.hw_tx, e)))
         end = transmission_time(1500, self.RATE)
@@ -713,7 +717,8 @@ class TestTiedHandOvers:
         gcl = rng.choice([None, CyclicSchedule(0, MS, [GclEntry(0xFF, MS)]), CyclicSchedule(
             0, 3 * 30 * self.GRID, [GclEntry(rng.randrange(1, 256), 30 * self.GRID)
                                     for _ in range(3)])])
-        taprio = TaprioPort(gcl=gcl, capacity=rng.randint(1, 4), link_rate_bps=self.RATE)
+        wire = WireTimes(self.RATE)
+        taprio = TaprioPort(gcl=gcl, capacity=rng.randint(1, 4), wire=wire)
         eng = CappedEngine()
         delivered = {}
 
@@ -721,7 +726,7 @@ class TestTiedHandOvers:
             assert frame.id not in delivered, (seed, frame.id)
             delivered[frame.id] = (frame.size_bytes, frame.hw_tx, end)
 
-        port = EgressPort(eng, self.RATE, queue=taprio, deliver=deliver, preemption=
+        port = EgressPort(eng, wire, queue=taprio, deliver=deliver, preemption=
                           PreemptionConfig(enabled=preempt, express_classes=frozenset({6})))
         times = [rng.randrange(16) * self.GRID for _ in range(rng.randint(2, 16))]
         for fid, t in enumerate(times):

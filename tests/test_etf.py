@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsnsim.core import ClockModel, Engine, JitterDist
-from tsnsim.egress import EgressPort, EtfQueue, MissingTxtimeError
+from tsnsim.egress import EgressPort, EtfQueue, MissingTxtimeError, PreemptionConfig, WireTimes
 from tsnsim.traffic import Frame, transmission_time
 
 
@@ -65,7 +65,7 @@ class TestEtfRelease:
             # the true wire start, whatever the PHC reads; nothing is preempted
             out.append((f.id, end - transmission_time(f.size_bytes, rate), end))
 
-        port = EgressPort(eng, rate, phc=phc,
+        port = EgressPort(eng, WireTimes(rate), phc=phc,
                           queue=EtfQueue(delta_ns=delta, offload=offload, clock=phc),
                           hw_precision=precision, rng=rng, deliver=deliver)
         if busy_frame is not None:
@@ -105,9 +105,25 @@ class TestEtfRelease:
     def test_hw_tx_records_phc_reading(self):
         eng = Engine()
         phc = ClockModel(offset_ns=100)
-        port = EgressPort(eng, 10 ** 9, phc=phc, queue=EtfQueue(clock=phc),
+        port = EgressPort(eng, WireTimes(10 ** 9), phc=phc, queue=EtfQueue(clock=phc),
                           deliver=lambda f, e: None)
         f = frame(1, txtime=10 ** 6)
         port.submit(f)
         eng.run_all()
         assert f.hw_tx == 10 ** 6
+
+    def test_a_preempted_frame_resumes_before_a_later_preemptable_one(self):
+        # frame 0 (class 0) is cut by express frame 1; when frame 1 ends, the
+        # port asks for express frames only, and due class 0 frame 2 at the
+        # head must wait, so frame 0 resumes, and frame 3 cuts it, not frame 2
+        eng, out = Engine(), []
+        port = EgressPort(eng, WireTimes(100_000_000), queue=EtfQueue(),
+                          preemption=PreemptionConfig(True, frozenset({7}), 64),
+                          deliver=lambda f, e: out.append(f.id))
+        for t, fid, size, priority, txtime in [(0, 0, 1500, 0, 0), (20_000, 1, 64, 7, 20_000),
+                                               (20_500, 2, 1500, 0, 21_000),
+                                               (40_000, 3, 64, 7, 40_000)]:
+            eng.schedule(t, port.submit, Frame(id=fid, size_bytes=size, priority=priority,
+                                               txtime=txtime))
+        eng.run_all()
+        assert out == [1, 3, 0, 2] and not port.queue.drops

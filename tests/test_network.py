@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tsnsim.core import CONSTANT_ZERO, Engine
-from tsnsim.egress import EgressPort, TaprioPort
+from tsnsim.egress import EgressPort, TaprioPort, WireTimes
 from tsnsim.ingress import DROP_NO_STREAM, StreamGate
 from tsnsim.network import (FORWARDING_PRESETS, BridgeNode, CqfConfig,
                             ZeroHopsError, cqf_compose, cqf_latency_bound)
@@ -58,7 +58,8 @@ class TestForwardingPresets:
 
 def make_bridge(engine, out, *, gates=None, rules=None,
                 forwarding=CONSTANT_ZERO, rng=None, gcl=None):
-    port = EgressPort(engine, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
+    wire = WireTimes(10 ** 9)
+    port = EgressPort(engine, wire, queue=TaprioPort(gcl=gcl, wire=wire),
                       deliver=lambda f, e: out.append((f, f.hw_tx, e)))
     return BridgeNode(engine, "br", port, stream_rules=rules, gates=gates,
                       forwarding_latency=forwarding, rng=rng)
@@ -186,7 +187,8 @@ def run_cqf_chain(hops, cycle, inject_at):
     for _ in range(hops):
         ingress, gcl = cqf_compose(cfg)
         out_sink = deliver_next
-        port = EgressPort(eng, 10 ** 9, queue=TaprioPort(gcl=gcl, link_rate_bps=10 ** 9),
+        wire = WireTimes(10 ** 9)
+        port = EgressPort(eng, wire, queue=TaprioPort(gcl=gcl, wire=wire),
                           deliver=out_sink)
         br = BridgeNode(eng, "br", port, stream_rules=rules,
                         gates={"s0": StreamGate(ingress)})

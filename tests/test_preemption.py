@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tsnsim.core import ClockModel, Engine
-from tsnsim.egress import EgressPort, PreemptionConfig, TaprioPort
+from tsnsim.egress import EgressPort, PreemptionConfig, TaprioPort, WireTimes
 from tsnsim.traffic import Frame, transmission_time
 
 RATE_100M = 100_000_000
@@ -19,7 +19,8 @@ def run_port(pframe, express_arrivals, rate=RATE_100M):
     of each (arrival, express frame) submitted at its arrival."""
     eng = Engine()
     out = []
-    port = EgressPort(eng, rate, queue=TaprioPort(link_rate_bps=rate),
+    wire = WireTimes(rate)
+    port = EgressPort(eng, wire, queue=TaprioPort(wire=wire),
                       preemption=PCFG,
                       deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
     port.submit(pframe)
@@ -131,7 +132,8 @@ class TestPortIntegration:
     def test_preemption_disabled_express_waits_for_mtu(self):
         eng = Engine()
         out = []
-        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
+        wire = WireTimes(RATE_100M)
+        port = EgressPort(eng, wire, queue=TaprioPort(wire=wire),
                           preemption=PreemptionConfig(enabled=False),
                           deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
         port.submit(Frame(id=1, size_bytes=9000, priority=0))
@@ -142,8 +144,9 @@ class TestPortIntegration:
     def test_a_requeued_express_frame_is_dropped_by_a_full_queue(self):
         # a 100 B frame cannot be split, so each express frame goes back to
         # the one-slot queue, and the second finds it full
-        taprio = TaprioPort(link_rate_bps=RATE_100M, capacity=1)
-        port = EgressPort(Engine(), RATE_100M, queue=taprio, preemption=PCFG,
+        wire = WireTimes(RATE_100M)
+        taprio = TaprioPort(wire=wire, capacity=1)
+        port = EgressPort(Engine(), wire, queue=taprio, preemption=PCFG,
                           deliver=lambda f, e: None)
         port.submit(Frame(id=1, size_bytes=100, priority=0))
         port.submit(Frame(id=2, size_bytes=64, priority=7))
@@ -155,9 +158,10 @@ class TestPortIntegration:
         # the express frame's completion finds nothing queued, only the
         # suspended frame, which it must still resume
         eng = Engine()
-        taprio = TaprioPort(link_rate_bps=RATE_100M)
+        wire = WireTimes(RATE_100M)
+        taprio = TaprioPort(wire=wire)
         out = []
-        port = EgressPort(eng, RATE_100M, queue=taprio, preemption=PCFG,
+        port = EgressPort(eng, wire, queue=taprio, preemption=PCFG,
                           deliver=lambda f, e: out.append(
                               (f.id, f.hw_tx, e, taprio.count, port._suspended is not None)))
         port.submit(Frame(id=1, size_bytes=1500, priority=0))
@@ -170,7 +174,8 @@ class TestPortIntegration:
         # frame 1, cut by it and resumed, at its finish with its first start
         eng = Engine()
         out = []
-        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
+        wire = WireTimes(RATE_100M)
+        port = EgressPort(eng, wire, queue=TaprioPort(wire=wire),
                           propagation_ns=333, preemption=PCFG,
                           deliver=lambda f, arrival: out.append(
                               (f.id, arrival, f.hw_tx, eng.now)))
@@ -186,7 +191,8 @@ class TestPortIntegration:
         # at 15_360; a port without a PHC stamps on the identity clock
         eng = Engine()
         out = []
-        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M), phc=phc,
+        wire = WireTimes(RATE_100M)
+        port = EgressPort(eng, wire, queue=TaprioPort(wire=wire), phc=phc,
                           preemption=PCFG, deliver=lambda f, e: out.append((f.id, e)))
         cut = Frame(id=1, size_bytes=1500, priority=0)
         express = Frame(id=2, size_bytes=64, priority=7)
@@ -214,7 +220,8 @@ class TestPortIntegration:
         # so frame 3 queues, and starts only once frame 1 has resumed and ended
         eng = Engine()
         out = []
-        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
+        wire = WireTimes(RATE_100M)
+        port = EgressPort(eng, wire, queue=TaprioPort(wire=wire),
                           preemption=PCFG, deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
         eng.schedule(10_240, port.submit, Frame(id=3, size_bytes=64, priority=0))
         port.submit(Frame(id=1, size_bytes=1500, priority=0))
@@ -228,7 +235,8 @@ class TestPortIntegration:
         # nothing, and frame 1 resumes with its 1,372 B left
         eng = Engine()
         out = []
-        port = EgressPort(eng, RATE_100M, queue=TaprioPort(link_rate_bps=RATE_100M),
+        wire = WireTimes(RATE_100M)
+        port = EgressPort(eng, wire, queue=TaprioPort(wire=wire),
                           preemption=PCFG, deliver=lambda f, e: out.append((f.id, f.hw_tx, e)))
         port.submit(Frame(id=1, size_bytes=1500, priority=0))
         eng.schedule(10_000, port.submit, Frame(id=2, size_bytes=1372, priority=7))

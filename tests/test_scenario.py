@@ -306,33 +306,32 @@ class TestRejections:
                       **sections)
         assert problems_of(doc) == [f"{p}: not on the talker-to-listener path" for p in off]
 
-    # the runner cannot sample any of these
-    @pytest.mark.parametrize("node,traffic,path", [
+    # the runner cannot sample any of these; an infinite value is no integer
+    @pytest.mark.parametrize("node,traffic,problem", [
         ({"rx_latency": {"kind": "empirical", "points": [[500, INF], [900, 1]]}}, {},
-         "nodes[1].rx_latency"),
+         "nodes[1].rx_latency: bad distribution"),
         ({"rx_latency": {"kind": "empirical", "points": [[500, NAN], [900, 1]]}}, {},
-         "nodes[1].rx_latency"),
+         "nodes[1].rx_latency: bad distribution"),
         ({"rx_latency": {"kind": "empirical", "points": [[500, 1e308], [900, 1e308]]}},
-         {}, "nodes[1].rx_latency"),
+         {}, "nodes[1].rx_latency: bad distribution"),
         ({"rx_latency": {"kind": "empirical", "points": [[INF, 1]]}}, {},
-         "nodes[1].rx_latency"),
+         "nodes[1].rx_latency.points[0].value_ns: expected an integer, got inf"),
         ({}, {"wake_jitter": {"kind": "normal", "mean_ns": 400, "std_ns": INF}},
-         "traffic.wake_jitter"),
+         "traffic.wake_jitter: bad distribution"),
         ({}, {"wake_jitter": {"kind": "normal", "mean_ns": NAN, "std_ns": 600}},
-         "traffic.wake_jitter"),
+         "traffic.wake_jitter: bad distribution"),
         ({}, {"wake_jitter": {"kind": "normal", "mean_ns": 400, "std_ns": 1e308}},
-         "traffic.wake_jitter"),
+         "traffic.wake_jitter: bad distribution"),
         ({}, {"stack_latency": {"kind": "constant", "value_ns": INF}},
-         "traffic.stack_latency"),
+         "traffic.stack_latency.value_ns: expected an integer, got inf"),
     ], ids=["empirical_inf_weight", "empirical_nan_weight", "empirical_inf_total",
             "empirical_inf_value", "normal_inf_std", "normal_nan_mean",
             "normal_inf_bound", "constant_inf"])
-    def test_jitter_run_cannot_sample_rejected(self, node, traffic, path):
+    def test_jitter_run_cannot_sample_rejected(self, node, traffic, problem):
         doc = variant(nodes=[MINIMAL["nodes"][0], {**MINIMAL["nodes"][1], **node}],
                       traffic={**MINIMAL["traffic"], **traffic})
         problems = problems_of(doc)
-        assert [p.partition(":")[0] for p in problems] == [path]
-        assert "bad distribution" in problems[0]
+        assert len(problems) == 1 and problems[0].startswith(problem), problems
 
     @pytest.mark.parametrize("dist,lowest", [
         ({"kind": "constant", "value_ns": -1}, -1),
@@ -550,12 +549,39 @@ def test_distribution_config_round_trip(cfg, dist):
 def test_only_normal_min_may_be_null():
     doc = variant(traffic={**MINIMAL["traffic"],
                            "wake_jitter": {"kind": "uniform", "min_ns": None, "max_ns": 2}})
-    assert [p.split(":")[:2] for p in problems_of(doc)] == [
-        ["traffic.wake_jitter", " bad distribution"]]
+    assert problems_of(doc) == ["traffic.wake_jitter.min_ns: expected an integer, got None"]
+
+
+@pytest.mark.parametrize("dist,problems", [
+    ({"kind": "constant", "value_ns": "5"}, ["value_ns: expected an integer, got '5'"]),
+    ({"kind": "constant", "value_ns": True}, ["value_ns: expected an integer, got True"]),
+    ({"kind": "constant", "value_ns": 1.5}, ["value_ns: expected an integer, got 1.5"]),
+    ({"kind": "uniform", "min_ns": "1", "max_ns": 2}, ["min_ns: expected an integer, got '1'"]),
+    ({"kind": "normal", "mean_ns": "400", "std_ns": 1.5},
+     ["mean_ns: expected a number, got '400'"]),
+    ({"kind": "normal", "mean_ns": 400, "std_ns": False}, ["std_ns: expected a number, got False"]),
+    ({"kind": "empirical", "points": [["500", "55"], [1.5, True]]},
+     ["points[0].value_ns: expected an integer, got '500'",
+      "points[0].weight: expected a number, got '55'",
+      "points[1].value_ns: expected an integer, got 1.5",
+      "points[1].weight: expected a number, got True"]),
+    ({"kind": "empirical", "points": [[500, 1, 2]]},
+     ["points: expected a list of [value_ns, weight] pairs"]),
+    ({"kind": "constant"}, ["value_ns: missing required key"]),
+    ({"kind": "uniform"}, ["max_ns: missing required key", "min_ns: missing required key"]),
+    ({"kind": "normal", "min_ns": 0}, ["mean_ns: missing required key",
+                                       "std_ns: missing required key"]),
+], ids=["string", "boolean", "fraction", "uniform_string", "normal_string", "normal_boolean",
+        "empirical_points", "empirical_triple", "constant_missing", "uniform_missing",
+        "normal_missing"])
+def test_distribution_keys_read_as_strictly_as_every_other_field(dist, problems):
+    # each bad value at its key's dotted path, each missing key once
+    doc = variant(traffic={**MINIMAL["traffic"], "wake_jitter": dist})
+    assert problems_of(doc) == [f"traffic.wake_jitter.{p}" for p in problems]
 
 
 @pytest.mark.parametrize("kind", sorted(scenario._DISTS))
 def test_each_distribution_kind_reads_its_arguments_in_order(kind):
-    # _Checker.dist passes the keys' values positionally to JitterDist.<kind>
+    # _parse_dist passes each key by name to JitterDist.<kind>: the keys are its arguments
     params = inspect.signature(getattr(JitterDist, kind)).parameters
     assert list(scenario._DISTS[kind]) == list(params)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsnsim.core import CyclicSchedule, Engine
-from tsnsim.egress import EgressPort, GclEntry, TaprioPort
+from tsnsim.egress import EgressPort, GclEntry, TaprioPort, WireTimes
 from tsnsim.traffic import Frame, transmission_time
 
 RATE = 10 ** 9  # a 64 B frame is 512 ns on the wire, a 1,522 B one 12,176 ns
@@ -132,8 +132,9 @@ def egress_port(base_time, entries, arrivals):
     wire = []
     gcl = CyclicSchedule(base_time, sum(d for _, d in entries),
                          [GclEntry(m, d) for m, d in entries])
-    taprio = TaprioPort(gcl=gcl, capacity=len(arrivals), link_rate_bps=RATE)
-    port = EgressPort(eng, RATE, queue=taprio,
+    link = WireTimes(RATE)
+    taprio = TaprioPort(gcl=gcl, capacity=len(arrivals), wire=link)
+    port = EgressPort(eng, link, queue=taprio,
                       deliver=lambda f, end: wire.append((f.id, f.hw_tx, end)))
     for fid, (t, size, priority) in enumerate(arrivals):
         eng.schedule(t, port.submit, Frame(id=fid, size_bytes=size, priority=priority))

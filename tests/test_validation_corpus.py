@@ -85,13 +85,13 @@ DOCS = {"minimal": MINIMAL, "bridged": BRIDGED, "psfp_etf": PSFP_ETF,
 
 #: sha256 over every case's outcome; only a declared change to a validation
 #: message, or to which documents are accepted, records it again
-CORPUS_DIGEST = "10d945ea3d3ee393bce3008b880e48ad78555e65cabe06bfb1f298a0d0a7278b"
+CORPUS_DIGEST = "f09c4c3935135af2f7f214d7c7d7cfe062eba0ce4c72a7bdf55645c9eeb736b5"
 #: the same over each document's cases, so that a change names its document
 DOC_DIGESTS = {
     "minimal": "c2a2fb17e189e09c601212c27be88c9bdc0bbf14033e476e706c07f5ecb5c5a8",
-    "bridged": "20976214c0169fbedab9cc5152e0e606bd8968912ecafc0bac9e1f09aca06351",
-    "psfp_etf": "21d1ca611bc68e472485de1841a7651d99356e06a76fa2dde5dfe2eb314ab683",
-    "bridge_xdp": "3d3510c2447896ac3ad2bacf4baf3601ccafa2f73a47c9dc92b59aa1bcc35061",
+    "bridged": "6724100c53be50e37be44927abd118fbf689d705ef6282fd04cbbb62b9f6c43a",
+    "psfp_etf": "8fc97928c003a9be05e1c162979409cf1b32b047fb330f85f356ed2df4ea4153",
+    "bridge_xdp": "d51d39608944cc5656203987212b52e8e58c77328bdb593c55161de530e85b17",
 }
 
 #: frames each accepted case runs, and the seconds it may take
@@ -101,7 +101,7 @@ RUN_TIMEOUT_S = 2
 #: sha256 over every accepted case's records and sorted drops; only a
 #: declared change to the records, the drops or the accepted cases
 #: records it again
-RUN_DIGEST = "5149ead2f52ea82170e8d11b2a89067f17ba1ee2cb8157b8e288495df73a48ea"
+RUN_DIGEST = "a48a143664a723983900e89526cf6f4d79c367fde7a43faa3091d0977b776b7a"
 
 
 def _edits(node, path=()):
